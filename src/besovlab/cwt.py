@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .lab import ExperimentReport, _slope_fit, _summarise
 from .sampler import CoefficientTree, Level, rng_for
 from .schedules import LevelSchedule, SeriesVerdict, SupVerdict, series_verdict, sup_verdict
 from .theory import Decision, Verdict, classify_simple
-from .wavelets import WaveletFamily, cascade_eval
+from .wavelets import WaveletFamily, cascade_eval, unit_tables
 
 __all__ = [
     "PoissonAtom",
@@ -190,18 +189,6 @@ def atoms_to_rows(atoms) -> list[tuple[float, float, float]]:
 # reproducing kernel
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _unit_table(name: str, depth: int, which: str):
-    """x-grid and values of ``sqrt(L) f(L x)`` on ``[0, 1]``."""
-    from .wavelets import family
-
-    fam = family(name)
-    grid = cascade_eval(fam, depth)
-    L = fam.support
-    vals = grid.psi if which == "psi" else grid.phi
-    return grid.grid / L, math.sqrt(L) * vals
-
-
 def _synthesis_up(offset: int, vec: np.ndarray, filt: np.ndarray) -> tuple[int, np.ndarray]:
     """One inverse step: row at level j -> approximation row at level j+1."""
     up = np.zeros(2 * vec.size - 1)
@@ -269,7 +256,7 @@ def kernel_k0(fam: WaveletFamily, u: float, v: float, depth: int = 12) -> float:
         if hi <= lo:
             return 0.0
         return float(np.dot(c1[lo - off1 : hi - off1], c2[lo - off2 : hi - off2]))
-    xs, vals = _unit_table(fam.name, depth, "psi")
+    xs, _, vals = unit_tables(fam.name, depth)
     args = V + xs / U
     other = np.interp(args, xs, vals, left=0.0, right=0.0)
     step = xs[1] - xs[0]
@@ -284,7 +271,7 @@ def _kernel_row(fam: WaveletFamily, u: float, vs: np.ndarray, depth: int) -> np.
     else:
         U = 1.0 / u
         Vs = -u * np.asarray(vs, dtype=np.float64)
-    xs, vals = _unit_table(fam.name, depth, "psi")
+    xs, _, vals = unit_tables(fam.name, depth)
     args = Vs[None, :] + xs[:, None] / U
     other = np.interp(args.ravel(), xs, vals, left=0.0, right=0.0).reshape(args.shape)
     step = xs[1] - xs[0]

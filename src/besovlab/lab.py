@@ -40,7 +40,7 @@ from .distributions import (
     slab_to_dict,
     tail_class,
 )
-from .sampler import Infinite, PriorSpec, Regression, rng_for
+from .sampler import PriorSpec, Regression, rng_for
 from .schedules import GrowthKind, LevelSchedule, clamped_exponents, growth_regime
 from .theory import classify_general, classify_regression
 
@@ -85,7 +85,7 @@ class LevelStat:
 @dataclass(frozen=True)
 class ExperimentReport:
     kind: str
-    config: dict
+    config: dict  # resolved inputs, in the CLI's config schema; not in `to_dict`
     levels: tuple[LevelStat, ...]
     expected_ratio: float | None = None
     slope: float | None = None
@@ -100,7 +100,6 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "config": self.config,
             "levels": [ls.to_dict() for ls in self.levels],
             "expected_ratio": self.expected_ratio,
             "slope": self.slope,
@@ -331,7 +330,8 @@ def _level_term_experiment(
     seed: int,
     threads: int,
 ):
-    """Shared core: per-replicate ``log2`` level terms and their slopes."""
+    """Shared core: per-replicate ``log2`` level terms and their slopes,
+    returned with the resolved config of the run."""
     lv = _level_list(levels)
     _check_reps(reps)
     if not math.isinf(bp.p) and not absolute_moment(spec.slab, bp.p) < math.inf:
@@ -341,6 +341,7 @@ def _level_term_experiment(
     top = spec.top_level()
     if lv[-1] > top:
         raise ValueError(f"level {lv[-1]} exceeds the model's top level {top}")
+    spec.check_draw_size(lv, "levels")
 
     def work(rep: int) -> list[float | None]:
         out: list[float | None] = []
@@ -383,25 +384,8 @@ def _level_term_experiment(
         slope, slope_stderr = _mean_stderr(slopes)
     else:
         slope, slope_stderr = None, None
-    return lv, stats, slope, slope_stderr, dropped_fraction, empty_tail_votes
-
-
-def _spec_config(spec: PriorSpec, bp: BesovParams, lv, reps, seed) -> dict:
-    mode = (
-        {"mode": "infinite", "j_max": spec.mode.j_max}
-        if isinstance(spec.mode, Infinite)
-        else {"mode": "regression", "n": spec.mode.n}
-    )
-    return {
-        "slab": slab_to_dict(spec.slab),
-        "tau": spec.tau.to_dict(),
-        "pi": spec.pi.to_dict(),
-        **mode,
-        "besov": bp.to_dict(),
-        "levels": lv,
-        "reps": reps,
-        "seed": seed,
-    }
+    config = {**spec.to_dict(), "besov": bp.to_dict(), "levels": lv, "reps": reps, "seed": seed}
+    return config, stats, slope, slope_stderr, dropped_fraction, empty_tail_votes
 
 
 def exponent_regression(
@@ -420,14 +404,14 @@ def exponent_regression(
     """
     if math.isinf(bp.q):
         raise ValueError("exponent_regression needs q < inf; use empirical_membership")
-    lv, stats, slope, slope_stderr, dropped, _ = _level_term_experiment(
+    config, stats, slope, slope_stderr, dropped, _ = _level_term_experiment(
         spec, bp, bp.q, levels, reps, seed, threads
     )
     base = _expected_exponent(spec.slab, spec.tau, spec.pi, bp)
     expected = None if base is None else bp.q * base
     return ExperimentReport(
         "exponent_regression",
-        _spec_config(spec, bp, lv, reps, seed),
+        config,
         stats,
         slope=slope,
         slope_stderr=slope_stderr,
@@ -458,7 +442,7 @@ def empirical_membership(
     upper half short-circuits to Converges.
     """
     power = 1.0 if math.isinf(bp.q) else bp.q
-    lv, stats, slope_raw, slope_stderr, dropped, empty_votes = _level_term_experiment(
+    config, stats, slope_raw, slope_stderr, dropped, empty_votes = _level_term_experiment(
         spec, bp, power, levels, reps, seed, threads
     )
     regression_mode = isinstance(spec.mode, Regression)
@@ -495,7 +479,7 @@ def empirical_membership(
 
     return ExperimentReport(
         "empirical_membership",
-        _spec_config(spec, bp, lv, reps, seed),
+        config,
         stats,
         slope=slope,
         slope_stderr=slope_stderr,

@@ -17,15 +17,14 @@ under any parallel schedule.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
 
-from .distributions import SlabDistribution, sample as slab_sample
+from .distributions import SlabDistribution, sample as slab_sample, slab_from_dict, slab_to_dict
 from .schedules import LevelSchedule
 
 __all__ = [
@@ -135,13 +134,92 @@ class Regression:
 
 Mode = Union[Infinite, Regression]
 
+# mode kind -> (its integer field, mode type)
+_MODES = {"infinite": ("j_max", Infinite), "regression": ("n", Regression)}
+
+# Largest expected nonzero count of one draw: about 256 MB of positions and
+# values, plus at most four permuted positions per nonzero on dense levels.
+_MAX_EXPECTED_NONZEROS = 2**24
+
+
+def _field(parse, d: dict, key: str):
+    """``parse(d[key])``, with ``key`` leading the field path of any error."""
+    doc = d[key]
+    if not isinstance(doc, dict):
+        raise TypeError(f"{key}: expected a JSON object")
+    try:
+        return parse(doc)
+    except KeyError as exc:
+        raise KeyError(f"{key}.{exc.args[0]}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def _mode_from_dict(d) -> Mode:
+    """``{"kind": "infinite", "j_max": J}`` or ``{"kind": "regression", "n": n}``."""
+    if not isinstance(d, dict):
+        raise TypeError("mode: expected a JSON object")
+    if "kind" not in d:
+        raise KeyError("mode.kind")
+    kind = d["kind"]
+    if kind not in ("infinite", "regression"):
+        raise ValueError(f"mode.kind: expected 'infinite' or 'regression', got {kind!r}")
+    name, mode_type = _MODES[kind]
+    if name not in d:
+        raise KeyError(f"mode.{name}")
+    value = d[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"mode.{name}: expected an integer, got {value!r}")
+    return mode_type(value)
+
 
 @dataclass(frozen=True)
 class PriorSpec:
     tau: LevelSchedule
     pi: LevelSchedule
     slab: SlabDistribution
-    mode: Mode = field(default_factory=lambda: Infinite(12))
+    mode: Mode = Infinite(12)
+
+    def to_dict(self) -> dict:
+        """The prior as a config block; `from_dict` reads it back."""
+        if isinstance(self.mode, Infinite):
+            mode = {"kind": "infinite", "j_max": self.mode.j_max}
+        else:
+            mode = {"kind": "regression", "n": self.mode.n}
+        return {
+            "slab": slab_to_dict(self.slab),
+            "tau": self.tau.to_dict(),
+            "pi": self.pi.to_dict(),
+            "mode": mode,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "PriorSpec":
+        """Inverse of `to_dict`; a missing ``mode`` is ``Infinite(12)``.
+
+        Errors name the failing field: a missing one raises ``KeyError``
+        with its dotted path (``"tau.c"``), a bad value ``ValueError`` or
+        ``TypeError`` with a message led by that path (``"mode.j_max: ..."``).
+        """
+        return cls(
+            tau=_field(LevelSchedule.from_dict, d, "tau"),
+            pi=_field(LevelSchedule.from_dict, d, "pi"),
+            slab=_field(slab_from_dict, d, "slab"),
+            mode=cls.mode if d.get("mode") is None else _mode_from_dict(d["mode"]),
+        )
+
+    def check_draw_size(self, levels: Iterable[int], blame: str) -> None:
+        """Reject a draw over ``levels`` before it allocates anything when its
+        expected nonzero count ``sum_j 2^j min(1, pi_j)`` exceeds 2^24;
+        ``blame`` is the config field that chose the levels."""
+        total = 0.0
+        for j in levels:
+            total += math.ldexp(self.pi.clamped_at(j), j)
+            if total > _MAX_EXPECTED_NONZEROS:
+                raise ValueError(
+                    f"{blame}: more than {_MAX_EXPECTED_NONZEROS} nonzero coefficients "
+                    f"expected by level {j}; lower the top level or pi"
+                )
 
     def top_level(self) -> int:
         if isinstance(self.mode, Infinite):
@@ -200,6 +278,7 @@ def sample_tree(
         raise ValueError(
             f"regression mode needs n >= 2^(j0+1) = {2 ** (j0 + 1)}, got {spec.mode.n}"
         )
+    spec.check_draw_size(range(j0, top + 1), "mode")
     if scaling is None:
         scaling_arr = np.zeros(2**j0)
     else:
@@ -285,10 +364,3 @@ def tree_from_csv_rows(
         scaling = np.zeros(2**j0)
     return CoefficientTree(j0, np.asarray(list(scaling), dtype=np.float64), tuple(levels))
 
-
-def write_tree_csv(t: CoefficientTree, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "k", "w"])
-        for j, k, w in tree_to_csv_rows(t):
-            writer.writerow([j, k, format(w, ".17g")])

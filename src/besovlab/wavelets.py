@@ -40,6 +40,7 @@ __all__ = [
     "cascade_eval",
     "CascadeGrid",
     "synthesize",
+    "unit_tables",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -234,8 +235,11 @@ def cascade_eval(fam: WaveletFamily, depth: int) -> CascadeGrid:
 # synthesis on [0, 1]
 # ---------------------------------------------------------------------------
 
-def _unit_tables(fam: WaveletFamily, depth: int):
-    """x-grid and values of the unit-support pair ``sqrt(L) f(L x)``."""
+@lru_cache(maxsize=64)
+def unit_tables(name: str, depth: int):
+    """x-grid, ``phi_u`` and ``psi_u`` values of the unit-support pair
+    ``sqrt(L) f(L x)`` for the named family, cached per ``(name, depth)``."""
+    fam = family(name)
     grid = cascade_eval(fam, depth)
     L = fam.support
     xs = grid.grid / L
@@ -255,7 +259,7 @@ def synthesize(t: CoefficientTree, fam: WaveletFamily, grid_exponent: int) -> np
         raise ValueError(
             f"grid exponent {G} too small to resolve level {t.top_level}; need >= {t.top_level + 2}"
         )
-    xs, phi_u, psi_u = _unit_tables(fam, depth=min(max(G, 10), 16))
+    xs, phi_u, psi_u = unit_tables(fam.name, min(max(G, 10), 16))
     x = np.arange(1 << G) / (1 << G)
     out = np.zeros(x.size)
 

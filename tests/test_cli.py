@@ -11,6 +11,49 @@ from besovlab.cli import main
 
 GAUSS = {"family": "gaussian", "sigma": 1.0}
 B122 = {"s": 1.0, "p": 2.0, "q": 2.0}
+CWT_SPEC = {
+    "c_mu": 3.0,
+    "beta": 0.5,
+    "c_tau": 1.0,
+    "alpha": 1.0,
+    "slab": GAUSS,
+    "a0": 1.0,
+    "a_max": 16.0,
+}
+# one small config per subcommand that has a config to replay
+ECHO_CASES = {
+    "classify": {"slab": GAUSS, "alpha": 2.0, "beta": 0.5, "besov": B122, "r": 3.0},
+    "sample": {
+        "slab": GAUSS,
+        "tau": {"c": 1.0, "e": 1.5},
+        "pi": {"c": 1.0, "e": 0.5},
+        "j0": 2,
+        "mode": {"kind": "regression", "n": 256},
+        "seed": 4,
+    },
+    "verify": {
+        "slab": GAUSS,
+        "tau": {"c": 1.0, "e": 1.5},
+        "pi": {"c": 1.0, "e": 0.5},
+        "besov": B122,
+        "levels": {"start": 4, "stop": 6},
+        "reps": 4,
+        "check": "membership",
+    },
+    "lln": {"slab": GAUSS, "pi": {"c": 1.0, "e": 0.5}, "m": 2.0, "levels": [4, 5], "reps": 3},
+    "evt": {"slab": {"family": "laplace", "lam": 1.0}, "pi": {"c": 1.0}, "levels": [5, 6], "reps": 3},
+    "cwt-sample": {
+        "spec": CWT_SPEC,
+        "seed": 2,
+        "project": {"family": "daub4", "j0": 1, "top": 3},
+    },
+    "cwt-verify": {
+        "family": "daub4",
+        "v_count": 17,
+        "depth": 8,
+        "moment": {"spec": CWT_SPEC, "m": 2.0, "levels": [2, 3], "reps": 3},
+    },
+}
 
 
 def run(capsys, *argv):
@@ -102,12 +145,17 @@ class TestClassify:
         assert code == 3
         assert json.loads(out)["result"]["verdicts"][0]["verdict"]["decision"] == "NotCovered"
 
-    def test_echo_is_a_valid_config(self, capsys, tmp_path):
-        cfg = {"slab": GAUSS, "alpha": 2.0, "beta": 0.5, "besov": B122, "r": 3.0}
-        first = run_json(capsys, "classify", "--config", write_cfg(tmp_path, cfg))
-        echo = write_cfg(tmp_path, first["config"], name="echo.json")
-        second = run_json(capsys, "classify", "--config", echo)
-        assert second == first
+    @pytest.mark.parametrize("command", list(ECHO_CASES))
+    def test_echo_is_a_valid_config(self, capsys, tmp_path, command):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        cfg = write_cfg(tmp_path, ECHO_CASES[command])
+        report = run_json(capsys, command, "--config", cfg, "--out", str(first))
+        echo = write_cfg(tmp_path, report["config"], name="echo.json")
+        run_json(capsys, command, "--config", echo, "--out", str(second))
+        assert second.read_bytes() == first.read_bytes()
+        # the config is echoed once, at the top level
+        assert "config" not in report["result"]
+        assert "config" not in report["result"].get("moment", {})
 
     def test_matches_library_call(self, capsys, tmp_path):
         cfg = {
@@ -430,17 +478,6 @@ class TestSynth:
         assert energy == pytest.approx(report["result"]["energy"], rel=1e-12)
 
 
-CWT_SPEC = {
-    "c_mu": 3.0,
-    "beta": 0.5,
-    "c_tau": 1.0,
-    "alpha": 1.0,
-    "slab": GAUSS,
-    "a0": 1.0,
-    "a_max": 16.0,
-}
-
-
 class TestCwtCommands:
     def test_sample_atoms_and_project(self, capsys, tmp_path):
         cfg = {
@@ -493,6 +530,59 @@ class TestErrors:
         code, _, err = run(capsys, "classify", "--config", write_cfg(tmp_path, cfg))
         assert code == 2
         assert "points[1].beta" in err
+
+    @pytest.mark.parametrize(
+        "mode, field",
+        [
+            ({"kind": "finite", "j_max": 7}, "mode.kind"),
+            ({"kind": "infinite", "j_max": 7.5}, "mode.j_max"),
+            ({"kind": "infinite"}, "mode.j_max"),
+        ],
+        ids=["unknown-kind", "fractional-j_max", "missing-j_max"],
+    )
+    def test_bad_mode_names_its_field(self, capsys, tmp_path, mode, field):
+        cfg = {"slab": GAUSS, "tau": {"c": 1.0}, "pi": {"c": 1.0}, "j0": 1, "mode": mode}
+        code, _, err = run(capsys, "sample", "--config", write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert f"{field}:" in err
+
+    @pytest.mark.parametrize(
+        "command, cfg, field",
+        [
+            (
+                "sample",
+                {
+                    "slab": GAUSS,
+                    "tau": {"c": 1.0},
+                    "pi": {"c": 1.0},
+                    "j0": 48,
+                    "mode": {"kind": "infinite", "j_max": 48},
+                },
+                "mode",
+            ),
+            (
+                "verify",
+                {
+                    "slab": GAUSS,
+                    "tau": {"c": 1.0},
+                    "pi": {"c": 1.0},
+                    "besov": B122,
+                    "levels": [48],
+                    "reps": 2,
+                },
+                "levels",
+            ),
+        ],
+        ids=["sample", "verify"],
+    )
+    def test_oversized_draw_is_rejected_before_allocating(
+        self, capsys, tmp_path, command, cfg, field
+    ):
+        # a dense level 48 would need 2^51 bytes, more than any address space
+        code, out, err = run(capsys, command, "--config", write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert out == ""
+        assert f"{field}: more than" in err
 
     def test_invalid_json_config(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -134,6 +134,22 @@ def test_tree_validation():
         CoefficientTree(1, np.zeros(3), ())  # wrong scaling width
 
 
+@pytest.mark.parametrize("mode", [Infinite(9), Regression(600)], ids=["infinite", "regression"])
+def test_prior_spec_dict_round_trip(mode):
+    spec = spec_with(LevelSchedule(0.5, 0.75, -1.0), LevelSchedule(2.0, 1.5), Laplace(0.5), mode)
+    doc = json.loads(json.dumps(spec.to_dict()))
+    assert PriorSpec.from_dict(doc) == spec
+
+
+def test_oversized_draw_rejected():
+    dense = spec_with(LevelSchedule(1.0), mode=Infinite(48))
+    with pytest.raises(ValueError, match="mode: more than"):
+        sample_tree(dense, j0=48)
+    # the budget counts expected nonzeros, not level widths
+    sparse = spec_with(LevelSchedule(1e-9), mode=Infinite(34))
+    assert sample_tree(sparse, j0=1, seed=3).top_level == 34
+
+
 def test_json_round_trip():
     spec = spec_with(LevelSchedule(1.0, 0.5, 0.0), mode=Infinite(8))
     t = sample_tree(spec, j0=2, scaling=[0.5, -1.5, 0.0, 2.0], seed=77)
