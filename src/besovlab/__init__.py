@@ -22,8 +22,8 @@ from .sampler import (
     PriorSpec,
     Regression,
     sample_tree,
-    tree_from_json,
-    tree_to_json,
+    tree_from_dict,
+    tree_to_dict,
 )
 from .schedules import LevelSchedule
 from .theory import Decision, Verdict, classify_general, classify_simple
@@ -51,8 +51,8 @@ __all__ = [
     "sample_tree",
     "slab_from_dict",
     "slab_to_dict",
-    "tree_from_json",
-    "tree_to_json",
+    "tree_from_dict",
+    "tree_to_dict",
 ]
 
 __version__ = "0.1.0"

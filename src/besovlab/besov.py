@@ -23,7 +23,7 @@ import numpy as np
 
 from .sampler import CoefficientTree
 
-__all__ = ["BesovParams", "level_p_norm", "level_terms", "besov_seq_norm"]
+__all__ = ["BesovParams", "vector_p_norm", "level_terms", "besov_seq_norm"]
 
 
 @dataclass(frozen=True)
@@ -74,25 +74,16 @@ def vector_p_norm(values: np.ndarray, p: float) -> float:
     return top * math.fsum(powered.tolist()) ** (1.0 / p)
 
 
-def level_p_norm(entries_w: np.ndarray, width: int, p: float) -> float:
-    """Level ``l_p`` norm; implicit zeros on the rest of the ``width`` slots.
-
-    Zeros never contribute to a power sum and cannot be the maximum of
-    absolute values unless the level is entirely zero (norm 0), so only
-    the stored values matter.  ``width`` is kept for interface symmetry
-    and validation.
-    """
-    entries_w = np.asarray(entries_w, dtype=np.float64)
-    if entries_w.size > width:
-        raise ValueError(f"more entries ({entries_w.size}) than slots ({width})")
-    return vector_p_norm(entries_w, p)
-
-
 def level_terms(t: CoefficientTree, bp: BesovParams) -> np.ndarray:
-    """Per-level terms ``a_j = 2^(j*s') * level_p_norm(j)`` for j in [j0, J]."""
+    """Per-level terms ``a_j = 2^(j*s') ||w_j||_p`` for j in [j0, J].
+
+    The implicit zeros of a level never add to a power sum and are never
+    the largest magnitude of a nonempty level, so the stored values alone
+    give ``||w_j||_p``.
+    """
     out = np.empty(len(t.levels))
     for i, lev in enumerate(t.levels):
-        out[i] = 2.0 ** (lev.j * bp.s_prime) * level_p_norm(lev.w, 2**lev.j, bp.p)
+        out[i] = 2.0 ** (lev.j * bp.s_prime) * vector_p_norm(lev.w, bp.p)
     return out
 
 

@@ -128,16 +128,13 @@ def _load_tree(cfg: dict, args) -> tuple[dict, "sampler.CoefficientTree"]:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"--tree {args.tree}: invalid JSON ({exc})") from exc
         if isinstance(doc, dict) and "j0" not in doc:
-            doc = doc.get("result", doc).get("tree", doc)
+            node = doc.get("result", doc)
+            doc = node.get("tree", doc) if isinstance(node, dict) else None
     elif isinstance(cfg, dict) and "tree" in cfg:
         doc = cfg["tree"]
     if not isinstance(doc, dict) or "j0" not in doc:
         raise ConfigError("tree: supply --tree FILE or an inline 'tree' document")
-    try:
-        tree = sampler.tree_from_json(json.dumps(doc))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"tree: {exc}") from exc
-    return doc, tree
+    return doc, _load(sampler.tree_from_dict, {"tree": doc}, "tree")
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +305,7 @@ def _cmd_sample(cfg: dict, args, threads: int):
     if scaling is not None:
         echo["scaling"] = scaling
     result = {
-        "tree": json.loads(sampler.tree_to_json(tree)),
+        "tree": sampler.tree_to_dict(tree),
         "nonzero_counts": sampler.nonzero_counts(tree).tolist(),
     }
     header = ["j", "k", "w"]
@@ -408,9 +405,12 @@ def _cmd_cwt_sample(cfg: dict, args, threads: int):
         fam = _load(wavelets.family, project, "family", "project", expect=str)
         j0 = _as_int(_get(project, "j0", "project"), "project.j0")
         top = _as_int(_get(project, "top", "project"), "project.top")
-        tree = cwt.project_to_orthogonal(atoms, fam, j0, top, spec.coarse)
+        try:
+            tree = cwt.project_to_orthogonal(atoms, fam, j0, top, spec.coarse)
+        except ValueError as exc:
+            raise ConfigError(f"project: {exc}") from exc
         echo["project"] = {"family": fam.name, "j0": j0, "top": top}
-        result["tree"] = json.loads(sampler.tree_to_json(tree))
+        result["tree"] = sampler.tree_to_dict(tree)
     header = ["a", "b", "omega"]
     rows = [list(row) for row in cwt.atoms_to_rows(atoms)]
     return echo, result, (header, rows), False

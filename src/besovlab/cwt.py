@@ -33,7 +33,7 @@ from .distributions import (
     tail_class,
 )
 from .lab import ExperimentReport, _slope_fit, _summarise
-from .sampler import CoefficientTree, Level, rng_for
+from .sampler import CoefficientTree, Level, check_dense_size, rng_for
 from .schedules import LevelSchedule, SeriesVerdict, SupVerdict, series_verdict, sup_verdict
 from .theory import Decision, Verdict, classify_simple
 from .wavelets import WaveletFamily, cascade_eval, unit_tables
@@ -401,7 +401,7 @@ def project_to_orthogonal(
     atoms,
     fam: WaveletFamily,
     j0: int,
-    J: int,
+    top: int,
     coarse: CoarseTerm | None = None,
     *,
     table_depth: int = 12,
@@ -409,26 +409,28 @@ def project_to_orthogonal(
 ) -> CoefficientTree:
     """Coefficients of the atom superposition in the orthonormal basis.
 
-    ``w_{jk} = sum K0(a 2^-j, 2^j b - k) omega`` for ``j0 <= j <= J`` and
+    ``w_{jk} = sum K0(a 2^-j, 2^j b - k) omega`` for ``j0 <= j <= top`` and
     ``k in [0, 2^j)``; the scaling row collects the same products against
     ``phi`` plus the coarse constant ``c_w`` added verbatim, matching the
     projection contract.  No periodic wrapping: shifts outside ``[0, 2^j)``
-    are dropped.
+    are dropped.  Every atom is reduced to a dense row of about
+    ``L 2^(top+2)`` values, so ``top`` is bounded before anything is built.
     """
-    if j0 < 0 or J < j0:
-        raise ValueError(f"need 0 <= j0 <= J, got j0={j0}, J={J}")
+    if j0 < 0 or top < j0:
+        raise ValueError(f"need 0 <= j0 <= top, got j0={j0}, top={top}")
+    L = fam.support
+    check_dense_size(math.log2(L) + top + 2, "top")
     all_atoms = list(atoms)
     c_w = 0.0
     if coarse is not None:
         c_w = coarse.c_w
         all_atoms.extend(coarse.atoms)
 
-    L = fam.support
     width0 = 1 << j0
     if not all_atoms:
         scaling = np.full(width0, c_w)
         levels = tuple(
-            Level(j, np.empty(0, np.int64), np.empty(0)) for j in range(j0, J + 1)
+            Level(j, np.empty(0, np.int64), np.empty(0)) for j in range(j0, top + 1)
         )
         return CoefficientTree(j0, scaling, levels)
 
@@ -436,7 +438,7 @@ def project_to_orthogonal(
     mu1 = math.fsum(k * hk for k, hk in enumerate(fam.h)) / math.sqrt(2.0)
     h = np.asarray(fam.h)
     g = np.asarray(fam.g)
-    common = J + 2  # every atom is reduced to this approximation row, so
+    common = top + 2  # every atom is reduced to this approximation row, so
     # the projection stays exactly linear in the atom list
 
     row = _RowAccumulator()
@@ -445,7 +447,7 @@ def project_to_orthogonal(
         if dy is not None and dy[0] >= 0:
             n, kt = dy
             if n >= common:
-                continue  # orthogonal to every level up to J
+                continue  # orthogonal to every level up to top
             off, vec = _chain(fam, n, kt, common, "psi")
             row.add(off, at.omega * vec)
             continue
@@ -467,7 +469,7 @@ def project_to_orthogonal(
     offsets, vec = row.offset, row.vec
     details: dict[int, np.ndarray] = {}
     for j in range(common - 1, j0 - 1, -1):
-        if j <= J:
+        if j <= top:
             d_off, d_vec = _analysis_down(offsets, vec, g)
             positions = L * np.arange(1 << j, dtype=np.int64)
             details[j] = _take_positions(d_off, d_vec, positions)
@@ -475,7 +477,7 @@ def project_to_orthogonal(
 
     scaling = _take_positions(offsets, vec, L * np.arange(width0, dtype=np.int64)) + c_w
     levels = []
-    for j in range(j0, J + 1):
+    for j in range(j0, top + 1):
         dense = details[j]
         k = np.nonzero(dense)[0].astype(np.int64)
         levels.append(Level(j, k, dense[k]))

@@ -9,9 +9,8 @@ needs from a slab is small and explicit:
 * absolute moments ``E|xi|^m`` (possibly +inf),
 * the extreme-value tail class: exponential-type tails (Gumbel domain,
   level maxima concentrate after ``b_j`` normalisation) versus polynomial
-  tails (Frechet domain with index ``ell``),
-* the auxiliary function ``g = (1 - H_+)/H_+'`` that controls Gumbel
-  concentration rates.
+  tails (Frechet domain with index ``ell``).  The classifiers check the
+  Gumbel concentration condition symbolically, from the schedule exponents.
 
 Quantiles are computed by bracketed bisection on ``H_+`` rather than by
 per-family inverse formulas, so a single code path is exercised for every
@@ -41,13 +40,9 @@ __all__ = [
     "quantile_hplus",
     "absolute_moment",
     "sample",
-    "gumbel_aux_g",
-    "UnsupportedTailError",
+    "slab_to_dict",
+    "slab_from_dict",
 ]
-
-
-class UnsupportedTailError(ValueError):
-    """Raised when an operation requires an exponential-type tail."""
 
 
 @dataclass(frozen=True)
@@ -342,30 +337,3 @@ def slab_from_dict(spec: dict) -> SlabDistribution:
     if family == "power_exponential":
         return PowerExponential(m=spec["m"], lam=spec.get("lam", 1.0))
     raise ValueError(f"unknown slab family: {family!r}")
-
-
-def gumbel_aux_g(d: SlabDistribution, x: float) -> float:
-    """Auxiliary function ``g(x) = (1 - H_+(x)) / H_+'(x)`` for Gumbel tails.
-
-    ``g`` governs the concentration of normalised maxima: for a tail in the
-    Gumbel domain, ``max/b_j -> 1`` provided ``g(b_j) log j / b_j -> 0``.
-    Polynomial-tail slabs (Student t, Cauchy) are in the Frechet domain and
-    have no such ``g``; they raise ``UnsupportedTailError``.
-    """
-    if x <= 0:
-        raise ValueError(f"aux function needs x > 0, got {x}")
-    if isinstance(d, (StudentT, Cauchy)):
-        raise UnsupportedTailError(
-            f"{type(d).__name__} has a polynomial tail; the Gumbel auxiliary "
-            "function is undefined"
-        )
-    if isinstance(d, Gaussian):
-        z = x / d.sigma
-        dens = math.sqrt(2.0 / math.pi) / d.sigma * math.exp(-0.5 * z * z)
-        return math.erfc(z / math.sqrt(2.0)) / dens
-    if isinstance(d, Laplace):
-        return 1.0 / d.lam
-    if isinstance(d, PowerExponential):
-        # tail exp(-t), t = (lam x)^m; H_+' = m lam^m x^(m-1) exp(-t)
-        return x ** (1.0 - d.m) / (d.m * d.lam**d.m)
-    raise TypeError(f"not a slab distribution: {d!r}")

@@ -18,7 +18,9 @@ Four experiments cross-check the symbolic classifiers against simulation:
 All experiments are bit-reproducible for a fixed ``(seed, reps, levels)``
 regardless of the thread count: each (replicate, level) pair gets its own
 seed stream via `sampler.rng_for`, replicates are farmed out to a thread
-pool, and aggregation walks results in replicate order.
+pool, and aggregation walks results in replicate order.  Counts and level
+values come from `sampler.draw_count` / `sampler.draw_level`, so a level
+seen here is the level `sampler.sample_tree` draws from the same stream.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .distributions import (
     slab_to_dict,
     tail_class,
 )
-from .sampler import PriorSpec, Regression, rng_for
+from .sampler import PriorSpec, Regression, draw_count, draw_level, rng_for
 from .schedules import GrowthKind, LevelSchedule, clamped_exponents, growth_regime
 from .theory import classify_general, classify_regression
 
@@ -155,12 +157,6 @@ def _summarise(j: int, n_value: float, xs: list[float]) -> LevelStat:
     return LevelStat(j, len(xs), n_value, mean, stderr, med, q25, q75)
 
 
-def _binomial_count(rng: np.random.Generator, j: int, prob: float) -> int:
-    if prob >= 1.0:
-        return 1 << j
-    return int(rng.binomial(1 << j, prob))
-
-
 def _sum_abs_power(slab: SlabDistribution, rng: np.random.Generator, count: int, m: float) -> float:
     total = 0.0
     left = count
@@ -213,8 +209,7 @@ def lln_experiment(
         out = []
         for j in lv:
             rng = rng_for(seed, rep, j)
-            count = _binomial_count(rng, j, pi.clamped_at(j))
-            s = _sum_abs_power(slab, rng, count, m)
+            s = _sum_abs_power(slab, rng, draw_count(rng, pi, j), m)
             out.append(s / n_values[j])
         return out
 
@@ -266,7 +261,7 @@ def evt_experiment(
         out = []
         for j in lv:
             rng = rng_for(seed, rep, j)
-            count = _binomial_count(rng, j, pi.clamped_at(j))
+            count = draw_count(rng, pi, j)
             mx = _max_abs(slab, rng, count) if count else 0.0
             out.append(mx / b_values[j])
         return out
@@ -346,12 +341,10 @@ def _level_term_experiment(
     def work(rep: int) -> list[float | None]:
         out: list[float | None] = []
         for j in lv:
-            rng = rng_for(seed, rep, j)
-            count = _binomial_count(rng, j, spec.pi.clamped_at(j))
-            if count == 0:
+            vals = draw_level(spec, rng_for(seed, rep, j), j)
+            if vals.size == 0:
                 out.append(None)
                 continue
-            vals = spec.amplitude(j) * sample(spec.slab, rng, count)
             a_j = 2.0 ** (j * bp.s_prime) * vector_p_norm(vals, bp.p)
             out.append(power * math.log2(a_j) if a_j > 0 else None)
         return out

@@ -8,16 +8,18 @@ where a sample size ``n`` fixes ``J = floor(log2 n) - 1`` and multiplies
 every coefficient by ``n^(-1/2)``.
 
 Levels are stored sparsely as (position, value) pairs; zeros are
-implicit.  Sampling is O(number of nonzeros) per level: a binomial count
-first, then uniform positions without replacement by sequential
-rejection.  Randomness is keyed by (seed, replicate, level) through
+implicit.  Sampling is O(number of nonzeros) per level: `draw_level` draws
+a binomial count, then that many slab values, and `sample_tree` then draws
+uniform positions without replacement (by sequential rejection) from the
+same generator.  The Monte Carlo experiments in `lab` use the same level
+draw, so they see exactly the coefficients `sample_tree` returns.
+Randomness is keyed by (seed, replicate, level) through
 ``numpy.random.SeedSequence`` spawn keys, so results are reproducible
 under any parallel schedule.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -34,12 +36,14 @@ __all__ = [
     "Regression",
     "PriorSpec",
     "sample_tree",
+    "draw_count",
+    "draw_level",
+    "check_dense_size",
     "nonzero_counts",
     "rng_for",
-    "tree_to_json",
-    "tree_from_json",
+    "tree_to_dict",
+    "tree_from_dict",
     "tree_to_csv_rows",
-    "tree_from_csv_rows",
 ]
 
 
@@ -103,19 +107,6 @@ class CoefficientTree:
     def top_level(self) -> int:
         return self.j0 + len(self.levels) - 1 if self.levels else self.j0 - 1
 
-    def scale_by(self, factor: float) -> "CoefficientTree":
-        """Tree with every stored coefficient multiplied by ``factor``.
-
-        Entries whose product underflows to zero are dropped, keeping the
-        stored-coefficients-are-nonzero invariant.
-        """
-        levels = []
-        for lev in self.levels:
-            w = lev.w * factor
-            keep = w != 0.0
-            levels.append(Level(lev.j, lev.k[keep], w[keep]))
-        return CoefficientTree(self.j0, self.scaling * factor, tuple(levels))
-
 
 @dataclass(frozen=True)
 class Infinite:
@@ -139,7 +130,21 @@ _MODES = {"infinite": ("j_max", Infinite), "regression": ("n", Regression)}
 
 # Largest expected nonzero count of one draw: about 256 MB of positions and
 # values, plus at most four permuted positions per nonzero on dense levels.
+# Dense rows (scaling rows, projection rows, synthesis grids) get the same cap.
 _MAX_EXPECTED_NONZEROS = 2**24
+
+
+def check_dense_size(log2_size: float, blame: str) -> None:
+    """Reject a dense array of ``2^log2_size`` values before it is allocated
+    when it would hold more than 2^24; ``blame`` is the field that sized it."""
+    if log2_size > math.log2(_MAX_EXPECTED_NONZEROS):
+        raise ValueError(
+            f"{blame}: more than {_MAX_EXPECTED_NONZEROS} values in one dense array; lower it"
+        )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _field(parse, d: dict, key: str):
@@ -168,7 +173,7 @@ def _mode_from_dict(d) -> Mode:
     if name not in d:
         raise KeyError(f"mode.{name}")
     value = d[name]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ValueError(f"mode.{name}: expected an integer, got {value!r}")
     return mode_type(value)
 
@@ -229,9 +234,27 @@ class PriorSpec:
     def amplitude(self, j: int) -> float:
         """Scale multiplying the slab draw at level ``j``."""
         amp = self.tau.value_at(j)
+        if not math.isfinite(amp):
+            raise ValueError(f"tau: the amplitude at level {j} overflows a float")
         if isinstance(self.mode, Regression):
             amp /= math.sqrt(self.mode.n)
         return amp
+
+
+def draw_count(rng: np.random.Generator, pi: LevelSchedule, j: int) -> int:
+    """Nonzero count of level ``j``, ``Bin(2^j, min(1, pi_j))``.  A full level
+    (``min(1, pi_j) >= 1``) draws nothing from ``rng``."""
+    p = pi.clamped_at(j)
+    if p >= 1.0:
+        return 1 << j
+    return int(rng.binomial(1 << j, p))
+
+
+def draw_level(spec: PriorSpec, rng: np.random.Generator, j: int) -> np.ndarray:
+    """Coefficient values of level ``j`` in draw order: the count, then that
+    many slab values times ``spec.amplitude(j)``; positions are not drawn."""
+    count = draw_count(rng, spec.pi, j)
+    return spec.amplitude(j) * slab_sample(spec.slab, rng, size=count)
 
 
 def _positions_without_replacement(rng: np.random.Generator, width: int, count: int) -> np.ndarray:
@@ -266,8 +289,10 @@ def sample_tree(
 ) -> CoefficientTree:
     """Draw one tree from the prior; deterministic given (seed, replicate).
 
-    ``scaling`` supplies the coarse coefficients u_{j0,m} (the theory holds
-    for any fixed values); defaults to zeros.
+    Each level is `draw_level`'s values, then their positions drawn from
+    the same generator; exact zeros are dropped.  ``scaling`` supplies the
+    coarse coefficients u_{j0,m} (the theory holds for any fixed values);
+    defaults to zeros.
     """
     if j0 < 0:
         raise ValueError(f"j0 must be >= 0, got {j0}")
@@ -279,6 +304,7 @@ def sample_tree(
             f"regression mode needs n >= 2^(j0+1) = {2 ** (j0 + 1)}, got {spec.mode.n}"
         )
     spec.check_draw_size(range(j0, top + 1), "mode")
+    check_dense_size(j0, "j0")  # the scaling row
     if scaling is None:
         scaling_arr = np.zeros(2**j0)
     else:
@@ -287,12 +313,8 @@ def sample_tree(
     levels = []
     for j in range(j0, top + 1):
         rng = rng_for(seed, replicate, j)
-        width = 2**j
-        p = spec.pi.clamped_at(j)
-        count = int(rng.binomial(width, p)) if p > 0 else 0
-        k = _positions_without_replacement(rng, width, count)
-        amp = spec.amplitude(j)
-        w = amp * slab_sample(spec.slab, rng, size=count)
+        w = draw_level(spec, rng, j)
+        k = _positions_without_replacement(rng, 1 << j, w.size)
         keep = w != 0.0
         levels.append(Level(j, k[keep], w[keep]))
     return CoefficientTree(j0, scaling_arr, tuple(levels))
@@ -307,29 +329,53 @@ def nonzero_counts(t: CoefficientTree) -> np.ndarray:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def tree_to_json(t: CoefficientTree) -> str:
-    doc = {
+def tree_to_dict(t: CoefficientTree) -> dict:
+    """The tree as a JSON-ready document: ``j0``, ``scaling`` and one
+    ``{"j", "entries": [[k, w], ...]}`` per level; `tree_from_dict` reads it."""
+    return {
         "j0": t.j0,
         "scaling": t.scaling.tolist(),
         "levels": [
-            {"j": lev.j, "entries": [[int(k), float(w)] for k, w in zip(lev.k, lev.w)]}
+            {"j": lev.j, "entries": [[k, w] for k, w in zip(lev.k.tolist(), lev.w.tolist())]}
             for lev in t.levels
         ],
     }
-    return json.dumps(doc)
 
 
-def tree_from_json(text: str) -> CoefficientTree:
-    doc = json.loads(text)
-    levels = tuple(
-        Level(
-            int(item["j"]),
-            np.asarray([e[0] for e in item["entries"]], dtype=np.int64),
-            np.asarray([e[1] for e in item["entries"]], dtype=np.float64),
-        )
-        for item in doc["levels"]
-    )
-    return CoefficientTree(int(doc["j0"]), np.asarray(doc["scaling"], dtype=np.float64), levels)
+def _level_from_dict(item) -> Level:
+    if not isinstance(item, dict):
+        raise ValueError(f"expected a JSON object, got {item!r}")
+    j = item["j"]
+    entries = item["entries"]
+    if not _is_int(j):
+        raise ValueError(f"j: expected an integer, got {j!r}")
+    if not isinstance(entries, list):
+        raise ValueError(f"entries: expected a list of [k, w] pairs, got {entries!r}")
+    for e in entries:
+        if not (isinstance(e, list) and len(e) == 2 and _is_int(e[0])):
+            raise ValueError(f"entry {e!r} at level {j} is not a [k, w] pair with integer k")
+    return Level(j, [e[0] for e in entries], [e[1] for e in entries])
+
+
+def tree_from_dict(doc: dict) -> CoefficientTree:
+    """Inverse of `tree_to_dict`.  A malformed document raises ``ValueError``
+    (``KeyError`` for a missing field) led by the failing field path, e.g.
+    ``levels[2]: entry [0.5, 1.0] at level 5 is not a [k, w] pair ...``."""
+    j0 = doc["j0"]
+    items = doc["levels"]
+    if not _is_int(j0):
+        raise ValueError(f"j0: expected an integer, got {j0!r}")
+    if not isinstance(items, list):
+        raise ValueError(f"levels: expected a list, got {items!r}")
+    levels = []
+    for i, item in enumerate(items):
+        try:
+            levels.append(_level_from_dict(item))
+        except KeyError as exc:
+            raise KeyError(f"levels[{i}].{exc.args[0]}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"levels[{i}]: {exc}") from exc
+    return CoefficientTree(j0, np.asarray(doc["scaling"], dtype=np.float64), tuple(levels))
 
 
 def tree_to_csv_rows(t: CoefficientTree) -> list[tuple[int, int, float]]:
@@ -339,28 +385,3 @@ def tree_to_csv_rows(t: CoefficientTree) -> list[tuple[int, int, float]]:
         for k, w in zip(lev.k.tolist(), lev.w.tolist()):
             rows.append((lev.j, k, w))
     return rows
-
-
-def tree_from_csv_rows(
-    rows: Iterable[tuple[int, int, float]], j0: int, scaling: Iterable[float] | None = None, top: int | None = None
-) -> CoefficientTree:
-    by_level: dict[int, list[tuple[int, float]]] = {}
-    for j, k, w in rows:
-        by_level.setdefault(int(j), []).append((int(k), float(w)))
-    max_j = max(by_level) if by_level else j0 - 1
-    if top is None:
-        top = max_j
-    levels = []
-    for j in range(j0, top + 1):
-        entries = sorted(by_level.get(j, []))
-        levels.append(
-            Level(
-                j,
-                np.asarray([e[0] for e in entries], dtype=np.int64),
-                np.asarray([e[1] for e in entries], dtype=np.float64),
-            )
-        )
-    if scaling is None:
-        scaling = np.zeros(2**j0)
-    return CoefficientTree(j0, np.asarray(list(scaling), dtype=np.float64), tuple(levels))
-

@@ -49,13 +49,22 @@ class LevelSchedule:
             raise ValueError("schedule exponents must be finite")
 
     def value_at(self, j: int) -> float:
+        """The value at level ``j``; ``inf`` when it overflows a float."""
         if j < 0:
             raise ValueError(f"level must be >= 0, got {j}")
-        poly = 1.0 if j == 0 else float(j) ** self.g
-        return self.c * poly * 2.0 ** (-self.e * j)
+        try:
+            poly = 1.0 if j == 0 else float(j) ** self.g
+            return self.c * poly * 2.0 ** (-self.e * j)
+        except OverflowError:
+            # a factor overflows (j >= 1): add the base-2 exponents instead
+            if self.c == 0:
+                return 0.0
+            log2_value = math.log2(self.c) + self.g * math.log2(j) - self.e * j
+            return math.inf if log2_value >= 1024 else 2.0**log2_value
 
     def clamped_at(self, j: int) -> float:
-        """``min(1, value_at(j))`` — the probability reading of the schedule."""
+        """``min(1, value_at(j))`` — the probability reading of the schedule;
+        a value that overflows a float reads as 1."""
         return min(1.0, self.value_at(j))
 
     def to_dict(self) -> dict:

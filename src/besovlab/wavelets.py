@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sampler import CoefficientTree
+from .sampler import CoefficientTree, check_dense_size
 
 __all__ = [
     "WaveletFamily",
@@ -185,15 +185,6 @@ class CascadeGrid:
     def grid(self) -> np.ndarray:
         return np.arange(self.phi.size) * self.spacing
 
-    def phi_integral(self) -> float:
-        return float(np.sum(self.phi[:-1])) * self.spacing
-
-    def psi_integral(self) -> float:
-        return float(np.sum(self.psi[:-1])) * self.spacing
-
-    def psi_square_integral(self) -> float:
-        return float(np.sum(self.psi[:-1] ** 2)) * self.spacing
-
 
 @lru_cache(maxsize=32)
 def _cascade_cached(name: str, depth: int) -> CascadeGrid:
@@ -255,6 +246,7 @@ def synthesize(t: CoefficientTree, fam: WaveletFamily, grid_exponent: int) -> np
     row, so supports wrap around ``[0, 1]``.
     """
     G = grid_exponent
+    check_dense_size(G, "grid_exponent")
     if G < t.top_level + 2:
         raise ValueError(
             f"grid exponent {G} too small to resolve level {t.top_level}; need >= {t.top_level + 2}"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besovlab.besov import BesovParams, besov_seq_norm, level_p_norm, level_terms, vector_p_norm
+from besovlab.besov import BesovParams, besov_seq_norm, level_terms, vector_p_norm
 from besovlab.distributions import Gaussian, StudentT
 from besovlab.sampler import CoefficientTree, Infinite, Level, PriorSpec, sample_tree
 from besovlab.schedules import LevelSchedule
@@ -26,6 +26,16 @@ def make_tree(j0, entries_by_level, scaling=None, top=None):
     if scaling is None:
         scaling = np.zeros(2**j0)
     return CoefficientTree(j0, np.asarray(scaling, dtype=float), tuple(levels))
+
+
+def scaled(t, c):
+    """``c * t``; coefficients that become zero are dropped (as at ``c = 0``)."""
+    levels = []
+    for lev in t.levels:
+        w = c * lev.w
+        keep = w != 0.0
+        levels.append(Level(lev.j, lev.k[keep], w[keep]))
+    return CoefficientTree(t.j0, c * t.scaling, tuple(levels))
 
 
 def dense_besov_norm(t, s, p, q):
@@ -52,10 +62,11 @@ def dense_besov_norm(t, s, p, q):
 
 
 def test_level_p_norm_examples():
-    assert level_p_norm(np.array([3.0, -4.0]), 64, 2.0) == pytest.approx(5.0, rel=1e-14)
-    assert level_p_norm(np.array([]), 8, 2.0) == 0.0
-    assert level_p_norm(np.array([]), 8, INF) == 0.0
-    assert level_p_norm(np.array([1.0, 1.0, 1.0]), 8, INF) == 1.0
+    # a level's norm is the norm of its stored values
+    assert vector_p_norm(np.array([3.0, -4.0]), 2.0) == pytest.approx(5.0, rel=1e-14)
+    assert vector_p_norm(np.array([]), 2.0) == 0.0
+    assert vector_p_norm(np.array([]), INF) == 0.0
+    assert vector_p_norm(np.array([1.0, 1.0, 1.0]), INF) == 1.0
 
 
 def test_level_terms_examples():
@@ -97,7 +108,7 @@ def test_homogeneity(c, q, p):
     spec = PriorSpec(LevelSchedule(1.0, 1.0, 0.0), LevelSchedule(0.7), Gaussian(1.0), Infinite(6))
     t = sample_tree(spec, j0=1, scaling=[0.3, -0.9], seed=21)
     bp = BesovParams(0.8, p, q)
-    assert besov_seq_norm(t.scale_by(c), bp) == pytest.approx(
+    assert besov_seq_norm(scaled(t, c), bp) == pytest.approx(
         abs(c) * besov_seq_norm(t, bp), rel=1e-12, abs=1e-300
     )
 
@@ -162,8 +173,8 @@ def test_agreement_with_dense_brute_force(p, q):
 def test_level_p_norm_overflow_guard():
     # peak factoring keeps large powers finite
     vals = np.array([1e200, 1e199])
-    assert math.isfinite(level_p_norm(vals, 4, 4.0))
-    assert level_p_norm(vals, 4, INF) == 1e200
+    assert math.isfinite(vector_p_norm(vals, 4.0))
+    assert vector_p_norm(vals, INF) == 1e200
 
 
 def test_params_validation():
@@ -177,7 +188,3 @@ def test_params_validation():
     assert bp.s_prime == pytest.approx(1.5)
     assert BesovParams.from_dict(bp.to_dict()) == bp
 
-
-def test_entries_exceeding_width_rejected():
-    with pytest.raises(ValueError):
-        level_p_norm(np.ones(9), 8, 2.0)

@@ -20,6 +20,7 @@ CWT_SPEC = {
     "a0": 1.0,
     "a_max": 16.0,
 }
+TINY_TREE = {"j0": 0, "scaling": [1.0], "levels": [{"j": 0, "entries": [[0, 0.5]]}]}
 # one small config per subcommand that has a config to replay
 ECHO_CASES = {
     "classify": {"slab": GAUSS, "alpha": 2.0, "beta": 0.5, "besov": B122, "r": 3.0},
@@ -252,7 +253,7 @@ class TestSampleNorm:
         )
         tree = sampler.sample_tree(spec, 2, seed=11)
         bare = tmp_path / "bare.json"
-        bare.write_text(sampler.tree_to_json(tree))
+        bare.write_text(json.dumps(sampler.tree_to_dict(tree)))
         report = run_json(
             capsys, "norm", "--set", f"besov={json.dumps(B122)}", "--tree", str(bare)
         )
@@ -495,7 +496,7 @@ class TestCwtCommands:
         header, rows = read_csv(out_csv)
         assert header == ["a", "b", "omega"]
         assert len(rows) == result["count"]
-        tree = sampler.tree_from_json(json.dumps(result["tree"]))
+        tree = sampler.tree_from_dict(result["tree"])
         assert math.isfinite(besov.besov_seq_norm(tree, besov.BesovParams(0.5, 2.0, 2.0)))
 
     def test_verify_kernel_table(self, capsys, tmp_path):
@@ -572,17 +573,107 @@ class TestErrors:
                 },
                 "levels",
             ),
+            (
+                "sample",
+                {
+                    "slab": GAUSS,
+                    "tau": {"c": 1.0},
+                    "pi": {"c": 1e-15},
+                    "j0": 40,
+                    "mode": {"kind": "infinite", "j_max": 40},
+                },
+                "j0",
+            ),
+            (
+                "cwt-sample",
+                {"spec": CWT_SPEC, "project": {"family": "daub4", "j0": 1, "top": 40}},
+                "project: top",
+            ),
+            ("synth", {"family": "haar", "grid_exponent": 40, "tree": TINY_TREE}, "grid_exponent"),
         ],
-        ids=["sample", "verify"],
+        ids=["sample", "verify", "sample-j0", "cwt-sample-top", "synth-grid"],
     )
     def test_oversized_draw_is_rejected_before_allocating(
         self, capsys, tmp_path, command, cfg, field
     ):
-        # a dense level 48 would need 2^51 bytes, more than any address space
+        # a dense level 48 would need 2^51 bytes, and a dense row of 2^40
+        # values 8 TiB: more than any address space, so nothing is allocated
         code, out, err = run(capsys, command, "--config", write_cfg(tmp_path, cfg))
         assert code == 2
         assert out == ""
         assert f"{field}: more than" in err
+
+    @pytest.mark.parametrize("command", ["sample", "verify"])
+    def test_overflowing_tau_names_its_field(self, capsys, tmp_path, command):
+        cfg = {
+            "slab": GAUSS,
+            "tau": {"c": 1.0, "g": 1000.0},  # 3^1000 overflows a float
+            "pi": {"c": 0.5},
+            "j0": 1,
+            "mode": {"kind": "infinite", "j_max": 5},
+            "besov": B122,
+            "levels": [2, 3, 4],
+            "reps": 2,
+        }
+        code, out, err = run(capsys, command, "--config", write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert out == ""
+        assert "tau: the amplitude at level 3 overflows" in err
+
+    def test_overflowing_pi_reads_as_full_levels(self, capsys, tmp_path):
+        cfg = {
+            "slab": GAUSS,
+            "tau": {"c": 1.0, "e": 1.0},
+            "pi": {"c": 1.0, "g": 1000.0},
+            "j0": 1,
+            "mode": {"kind": "infinite", "j_max": 6},
+        }
+        report = run_json(capsys, "sample", "--config", write_cfg(tmp_path, cfg))
+        assert report["result"]["nonzero_counts"] == [2, 4, 8, 16, 32, 64]
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"result": [1]}, "tree: supply --tree FILE"),
+            (
+                {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "entries": [[0]]}]},
+                "tree: levels[0]: entry [0] at level 0",
+            ),
+            (
+                {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "entries": [[0.5, 1.0]]}]},
+                "tree: levels[0]: entry [0.5, 1.0] at level 0",
+            ),
+            (
+                {"j0": 0, "scaling": [0.0], "levels": [{"j": 0.5, "entries": []}]},
+                "tree: levels[0]: j: expected an integer",
+            ),
+            (
+                {"j0": 0, "scaling": [0.0], "levels": [[0, 1.0]]},
+                "tree: levels[0]: expected a JSON object",
+            ),
+            (
+                {"j0": 0, "scaling": [0.0], "levels": [{"j": 0}]},
+                "tree.levels[0].entries: required field is missing",
+            ),
+        ],
+        ids=[
+            "result-not-an-object",
+            "short-entry",
+            "fractional-position",
+            "fractional-j",
+            "level-not-an-object",
+            "missing-entries",
+        ],
+    )
+    def test_malformed_tree_file_names_the_level(self, capsys, tmp_path, doc, message):
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "norm", "--set", f"besov={json.dumps(B122)}", "--tree", str(tree_file)
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_invalid_json_config(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

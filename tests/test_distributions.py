@@ -14,10 +14,8 @@ from besovlab.distributions import (
     Laplace,
     PowerExponential,
     StudentT,
-    UnsupportedTailError,
     absolute_moment,
     cdf_hplus,
-    gumbel_aux_g,
     quantile_hplus,
     sample,
     tail_class,
@@ -109,20 +107,6 @@ def test_tail_classes():
     assert tail_class(PowerExponential(1.7, 1.0)) == GumbelTail(1.7)
     assert tail_class(StudentT(3.0)) == FrechetTail(3.0)
     assert tail_class(Cauchy()) == FrechetTail(1.0)
-
-
-def test_gumbel_aux_values():
-    assert gumbel_aux_g(Laplace(1.0), 5.0) == pytest.approx(1.0, rel=1e-14)
-    assert gumbel_aux_g(PowerExponential(1.0, 2.0), 3.0) == pytest.approx(0.5, rel=1e-14)
-    # Mills ratio: x * g(x) -> 1 for the Gaussian tail
-    assert 8.0 * gumbel_aux_g(Gaussian(1.0), 8.0) == pytest.approx(1.0, rel=0.03)
-
-
-def test_gumbel_aux_rejects_frechet():
-    with pytest.raises(UnsupportedTailError):
-        gumbel_aux_g(StudentT(3.0), 2.0)
-    with pytest.raises(UnsupportedTailError):
-        gumbel_aux_g(Cauchy(), 2.0)
 
 
 @pytest.mark.parametrize(

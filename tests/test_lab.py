@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from besovlab.besov import BesovParams
+from besovlab.besov import BesovParams, level_terms
 from besovlab.distributions import (
     Cauchy,
     Gaussian,
@@ -12,12 +12,13 @@ from besovlab.distributions import (
     StudentT,
 )
 from besovlab.lab import (
+    _summarise,
     empirical_membership,
     evt_experiment,
     exponent_regression,
     lln_experiment,
 )
-from besovlab.sampler import Infinite, PriorSpec, Regression
+from besovlab.sampler import Infinite, PriorSpec, Regression, sample_tree
 from besovlab.schedules import LevelSchedule
 
 INF = math.inf
@@ -127,6 +128,28 @@ def test_exponent_regression_recovers_negative_slope():
     assert abs(report.slope - report.expected_slope) < 0.08
     assert not report.degenerate
     assert report.slope_stderr < 0.05
+
+
+@pytest.mark.parametrize("slab", [Gaussian(1.0), StudentT(5.0)], ids=["gaussian", "student_t"])
+@pytest.mark.parametrize(
+    "pi", [LevelSchedule(1.0, 0.6, 0.0), LevelSchedule(1.0)], ids=["sparse", "full"]
+)
+def test_level_terms_are_those_of_sampled_trees(slab, pi):
+    # the lab sees exactly the coefficients sample_tree draws from each stream
+    levels, reps, seed = list(range(3, 10)), 6, 17
+    spec = spec_of(slab, LevelSchedule(1.0, 0.8, 0.0), pi, j_max=levels[-1])
+    bp = BesovParams(0.7, 2.0, 3.0)
+    report = exponent_regression(spec, bp, levels, reps=reps, seed=seed)
+    per_level = {j: [] for j in levels}
+    for rep in range(reps):
+        tree = sample_tree(spec, levels[0], seed=seed, replicate=rep)
+        for j, a_j in zip(levels, level_terms(tree, bp)):
+            if a_j > 0:
+                per_level[j].append(bp.q * math.log2(a_j))
+    n_values = [stat.n_value for stat in report.levels]
+    assert report.levels == tuple(
+        _summarise(j, n, per_level[j]) for j, n in zip(levels, n_values)
+    )
 
 
 def test_exponent_regression_flat_when_tuned_to_the_norm_exponent():
