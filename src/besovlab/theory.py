@@ -114,6 +114,16 @@ def _sup_finite(E: float, G: float) -> bool:
     return sup_verdict(-E, G) is SupVerdict.BOUNDED
 
 
+def _exponent(*terms: float) -> float:
+    """Correctly rounded sum of exponent terms.
+
+    The sign of the exact sum decides membership at a threshold, so it must
+    not depend on the order in which the terms are added: two routes that
+    sum the same terms reach the same verdict, also at ``s = T``.
+    """
+    return math.fsum(terms)
+
+
 def _has_moment(slab: SlabDistribution, order: float) -> bool:
     return absolute_moment(slab, order) < math.inf
 
@@ -202,9 +212,11 @@ def classify_simple(
 
     delta_h = (1.0 - beta) / tc.ell if (frechet and p_inf) else 0.0
     threshold = (alpha - 1.0) / 2.0 + beta * bp.inv_p - delta_h
+    # s - T, summed from the terms the general route sums
+    excess = _exponent(bp.s, 0.5, -alpha / 2.0, -beta / bp.p, delta_h)
 
     if beta == 1.0 and q_inf:
-        if bp.s < threshold:
+        if excess < 0:
             return Verdict(
                 Decision.SUFFICIENT_ONLY_MEMBER,
                 "simple/n-const-q-inf",
@@ -219,9 +231,9 @@ def classify_simple(
         )
 
     if beta < 1.0 and not p_inf and q_inf:
-        member = bp.s <= threshold
+        member = excess <= 0
     else:
-        member = bp.s < threshold
+        member = excess < 0
     cell = "simple/p-inf-frechet" if (frechet and p_inf) else (
         "simple/p-inf-gumbel" if p_inf else "simple/p-finite"
     )
@@ -244,7 +256,7 @@ def _case4_constant_q_inf(
     criterion is the moment ``E|xi|^(-1/g_t) < inf``; otherwise M is not
     eventually increasing and no case applies.
     """
-    d = tau.e - bp.s_prime  # M(j) ~ j^(-g_t) 2^(j*d) / c_t
+    d = _exponent(tau.e, -bp.s, -0.5, bp.inv_p)  # M(j) ~ j^(-g_t) 2^(j*d) / c_t
     threshold = tau.e - 0.5 + bp.inv_p
     if d > 0:
         return _decide(True, case_id, threshold, ("E log+ |xi| < inf",))
@@ -305,7 +317,7 @@ def classify_general(
                     "general/case1",
                     f"E|xi|^p infinite for p={bp.p} under {type(slab).__name__}",
                 )
-            A = bp.s + 0.5 - e_t - e_pi / bp.p
+            A = _exponent(bp.s, 0.5, -e_t, -e_pi / bp.p)
             G = g_t + g_pi / bp.p
             threshold = e_t + e_pi / bp.p - 0.5
             member = (
@@ -322,7 +334,7 @@ def classify_general(
                     "auxiliary Gumbel condition fails: n_j grows only polynomially, "
                     "so g(b_j) log j / b_j does not vanish",
                 )
-            A = bp.s + 0.5 - e_t
+            A = _exponent(bp.s, 0.5, -e_t)
             G = g_t + 1.0 / tc.log_power  # b_j ~ (log n_j)^(1/m)
             threshold = e_t - 0.5
             member = _sup_finite(A, G) if q_inf else _series_finite(bp.q * A, bp.q * G)
@@ -340,7 +352,7 @@ def classify_general(
                 "general/case2-frechet",
                 f"polynomial tail needs q < ell; got q={bp.q}, ell={ell}",
             )
-        A = bp.s + 0.5 - e_t + (1.0 - e_pi) / ell
+        A = _exponent(bp.s, 0.5, -e_t, (1.0 - e_pi) / ell)
         G = g_t + g_pi / ell
         threshold = e_t - 0.5 - (1.0 - e_pi) / ell
         if q_inf:
@@ -363,7 +375,7 @@ def classify_general(
                 "general/case3",
                 f"E|xi|^q infinite for q={bp.q} under {type(slab).__name__}",
             )
-        D = bp.s_prime - e_t
+        D = _exponent(bp.s, 0.5, -bp.inv_p, -e_t)
         threshold = e_t - 0.5 + bp.inv_p
         member = _series_finite(bp.q * D, bp.q * g_t)
         return _decide(member, "general/case3", threshold, (f"E|xi|^{bp.q:g} < inf",))
@@ -402,7 +414,7 @@ def classify_three_param(
             f"three-param route covers Gaussian and Laplace slabs, not {type(slab).__name__}",
         )
     m = 2.0 if isinstance(slab, Gaussian) else 1.0
-    delta = s + 0.5 - alpha / 2.0
+    delta = _exponent(s, 0.5, -alpha / 2.0)
     threshold = (alpha - 1.0) / 2.0
     if delta < 0:
         member = True

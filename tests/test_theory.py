@@ -197,6 +197,17 @@ def test_simple_equals_general_on_the_dyadic_family(alpha, beta, s, p, q, slab, 
             assert simple.decision == general.decision
 
 
+def test_simple_and_general_agree_where_rounding_splits_the_threshold():
+    # (1.1 - 1)/2 rounds above 0.05 while 0.05 + 0.5 - 0.55 rounds to 0:
+    # both routes must read the sign of the exact sum s - T
+    b = bp(0.05, 1.0, 1.0)
+    simple = classify_simple(Gaussian(1.0), 1.1, 0.0, b, 3.0)
+    general = classify_general(
+        Gaussian(1.0), LevelSchedule(1.0, 0.55, 0.0), LevelSchedule(1.0, 0.0, 0.0), b, 3.0
+    )
+    assert simple.decision is general.decision is Decision.MEMBER_AS
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     alpha=st.floats(0.1, 4.0),
