@@ -15,7 +15,6 @@ returned NotCovered and ``--strict`` was given, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import itertools
 import json
@@ -246,16 +245,6 @@ def _cmd_classify(cfg: dict, args, threads: int):
     return echo, result, (header, rows), flagged
 
 
-def _set_dotted(doc: dict, dotted: str, value) -> None:
-    node = doc
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"vary: {dotted}: {part!r} is not an object")
-    node[parts[-1]] = value
-
-
 def _cmd_sweep(cfg: dict, args, threads: int):
     base = _get(cfg, "base", "")
     vary = _get(cfg, "vary", "")
@@ -271,9 +260,9 @@ def _cmd_sweep(cfg: dict, args, threads: int):
     records = []
     flagged = False
     for combo in itertools.product(*(vary[name] for name in names)):
-        point = copy.deepcopy(base)
+        point = dict(base)
         for name, value in zip(names, combo):
-            _set_dotted(point, name, value)
+            _set_dotted(point, name, value, f"vary: {name}")
         resolved, verdict = _classify_point(point, "base")
         flagged = flagged or verdict.decision is theory.Decision.NOT_COVERED
         rows.append(list(combo) + [verdict.decision.value, verdict.case_id, verdict.threshold])
@@ -465,6 +454,25 @@ _DISPATCH = {
 # ---------------------------------------------------------------------------
 
 
+def _set_dotted(doc: dict, dotted: str, value, blame: str) -> None:
+    """``doc[a][b]...[z] = value`` for ``dotted = "a.b...z"``.
+
+    Each object on the path is replaced by a shallow copy (a missing one
+    by a new object), so objects ``doc`` shares with another document are
+    left unchanged; ``blame`` leads the error when the path runs through a
+    non-object.
+    """
+    node = doc
+    *parents, last = dotted.split(".")
+    for part in parents:
+        child = node.get(part, {})
+        if not isinstance(child, dict):
+            raise ConfigError(f"{blame}: {part!r} is not an object")
+        node[part] = dict(child)
+        node = node[part]
+    node[last] = value
+
+
 def _apply_override(cfg: dict, item: str) -> None:
     key, sep, raw = item.partition("=")
     if not sep or not key:
@@ -473,13 +481,7 @@ def _apply_override(cfg: dict, item: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = cfg
-    parts = key.split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"--set {key}: {part!r} is not an object")
-    node[parts[-1]] = value
+    _set_dotted(cfg, key, value, f"--set {key}")
 
 
 def _resolve_config(args) -> dict:

@@ -34,8 +34,8 @@ from .distributions import (
 )
 from .lab import ExperimentReport, _slope_fit, _summarise
 from .sampler import CoefficientTree, Level, check_dense_size, rng_for
-from .schedules import LevelSchedule, SeriesVerdict, SupVerdict, series_verdict, sup_verdict
-from .theory import Decision, Verdict, classify_simple
+from .schedules import GrowthKind, LevelSchedule, growth_regime
+from .theory import Decision, Verdict, _level_exponent, _lq_finite, _threshold, classify_simple
 from .wavelets import WaveletFamily, cascade_eval, unit_tables
 
 __all__ = [
@@ -323,6 +323,9 @@ def verify_kernel_bounds(
     u_grid = np.asarray(u_grid, dtype=np.float64)
     if u_grid.min() > 2.0**-6 or u_grid.max() < 2.0**6:
         raise ValueError("u grid must span [2^-6, 2^6]")
+    # each kernel row interpolates (shift count) x (L 2^depth + 1) values
+    shifts = max(1, v_count if v_grid is None else len(v_grid))
+    check_dense_size(math.log2(shifts) + math.log2(fam.support) + depth, "v_count x 2^depth")
     sups = np.empty(u_grid.size)
     for i, u in enumerate(u_grid):
         if v_grid is not None:
@@ -629,31 +632,26 @@ def classify_cwt(
         )
     if bp.s >= r:
         raise ValueError(f"smoothness must satisfy s < r, got s={bp.s}, r={r}")
-    e_mu, g_mu = mu.e, mu.g
-    e_tau, g_tau = tau.e, tau.g
-    # atom count near level j grows like 2^j mu(2^j) = c j^g_mu 2^(j (1 - e_mu))
-    increases = e_mu < 1.0 or (e_mu == 1.0 and g_mu > 0.0)
-    constant = e_mu == 1.0 and g_mu == 0.0
-    summable = e_mu > 1.0 or (e_mu == 1.0 and g_mu < -1.0)
-    threshold = e_tau + e_mu * bp.inv_p - 0.5
-    a_exp = bp.s + 0.5 - e_tau - e_mu * bp.inv_p
-    g_exp = g_tau + g_mu * bp.inv_p
+    # atom count near level j grows like 2^j mu(2^j) = c j^g_mu 2^(j (1 - e_mu)),
+    # whose regime does not depend on c and is unchanged by clamping at 1
+    regime = growth_regime(LevelSchedule(1.0, mu.e, mu.g)).kind
     assumptions = (kernel_note, "general nonincreasing mu, tau at dyadic scales")
 
-    if summable:
+    if regime is GrowthKind.SUMMABLE:
         return Verdict(
             Decision.MEMBER_AS,
             "cwt/general-summable",
             reason="sum of 2^j mu(2^j) converges: finitely many atoms in total",
             assumptions=assumptions,
         )
-    if not (increases or constant):
+    if regime is GrowthKind.NOT_COVERED:
         return Verdict(
             Decision.NOT_COVERED,
             "cwt/general-regime-gap",
             reason="2^j mu(2^j) neither grows, settles, nor is summable",
             assumptions=assumptions,
         )
+    increases = regime is GrowthKind.INCREASES_TO_INFINITY
     if math.isinf(bp.q) and not increases:
         return Verdict(
             Decision.NOT_COVERED,
@@ -669,9 +667,6 @@ def classify_cwt(
             reason=f"slab lacks a finite moment of order {gate:g}",
             assumptions=assumptions,
         )
-    if math.isinf(bp.q):
-        member = sup_verdict(-a_exp, g_exp) is SupVerdict.BOUNDED
-    else:
-        member = series_verdict(-bp.q * a_exp, bp.q * g_exp) is SeriesVerdict.CONVERGES
-    decision = Decision.MEMBER_AS if member else Decision.NOT_MEMBER_AS
-    return Verdict(decision, "cwt/general", threshold=threshold, assumptions=assumptions)
+    E, G = _level_exponent(regime, slab, tau, mu.e, mu.g, bp)
+    decision = Decision.MEMBER_AS if _lq_finite(E, G, bp.q) else Decision.NOT_MEMBER_AS
+    return Verdict(decision, "cwt/general", threshold=_threshold(bp, E), assumptions=assumptions)

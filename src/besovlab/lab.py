@@ -29,6 +29,7 @@ import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -42,9 +43,9 @@ from .distributions import (
     slab_to_dict,
     tail_class,
 )
-from .sampler import PriorSpec, Regression, draw_count, draw_level, rng_for
+from .sampler import PriorSpec, Regression, _check_level, draw_count, draw_level, rng_for
 from .schedules import GrowthKind, LevelSchedule, clamped_exponents, growth_regime
-from .theory import classify_general, classify_regression
+from .theory import _level_exponent, classify_general, classify_regression
 
 __all__ = [
     "LevelStat",
@@ -121,6 +122,7 @@ def _level_list(levels) -> list[int]:
         raise ValueError("need at least one level")
     if out[0] < 0:
         raise ValueError(f"levels must be >= 0, got {out[0]}")
+    _check_level(out[-1], "levels")
     return out
 
 
@@ -283,25 +285,6 @@ def evt_experiment(
     return ExperimentReport("evt", config, stats, expected_ratio=expected)
 
 
-def _expected_exponent(
-    slab: SlabDistribution, tau: LevelSchedule, pi: LevelSchedule, bp: BesovParams
-) -> float | None:
-    """Per-level base-2 exponent of the level term ``a_j`` on the schedule
-    family, matching the case split of the symbolic classifiers."""
-    regime = growth_regime(pi)
-    _, e_pi, _ = clamped_exponents(pi)
-    if regime.kind is GrowthKind.INCREASES_TO_INFINITY:
-        if not math.isinf(bp.p):
-            return bp.s + 0.5 - tau.e - e_pi / bp.p
-        tc = tail_class(slab)
-        if isinstance(tc, FrechetTail):
-            return bp.s + 0.5 - tau.e + (1.0 - e_pi) / tc.ell
-        return bp.s + 0.5 - tau.e
-    if regime.kind is GrowthKind.TENDS_TO_CONSTANT:
-        return bp.s_prime - tau.e
-    return None
-
-
 def _slope_fit(points: list[tuple[int, float]]) -> float | None:
     if len(points) < 2:
         return None
@@ -320,13 +303,17 @@ def _level_term_experiment(
     spec: PriorSpec,
     bp: BesovParams,
     power: float,
+    detrend: float,
     levels,
     reps: int,
     seed: int,
     threads: int,
 ):
-    """Shared core: per-replicate ``log2`` level terms and their slopes,
-    returned with the resolved config of the run."""
+    """Shared core: per-replicate ``power * log2`` level terms and their
+    mean slope less ``detrend``, returned with the resolved config of the
+    run and the expected slope ``power * E - detrend`` for the level
+    exponent ``E`` of the symbolic classifiers (None outside their
+    regimes)."""
     lv = _level_list(levels)
     _check_reps(reps)
     if not math.isinf(bp.p) and not absolute_moment(spec.slab, bp.p) < math.inf:
@@ -375,10 +362,14 @@ def _level_term_experiment(
 
     if len(slopes) >= 2:
         slope, slope_stderr = _mean_stderr(slopes)
+        slope -= detrend
     else:
         slope, slope_stderr = None, None
+    _, e_pi, g_pi = clamped_exponents(spec.pi)
+    pair = _level_exponent(growth_regime(spec.pi).kind, spec.slab, spec.tau, e_pi, g_pi, bp)
+    expected = None if pair is None else float(Fraction(power) * pair[0] - Fraction(detrend))
     config = {**spec.to_dict(), "besov": bp.to_dict(), "levels": lv, "reps": reps, "seed": seed}
-    return config, stats, slope, slope_stderr, dropped_fraction, empty_tail_votes
+    return config, stats, slope, slope_stderr, expected, dropped_fraction, empty_tail_votes
 
 
 def exponent_regression(
@@ -397,11 +388,9 @@ def exponent_regression(
     """
     if math.isinf(bp.q):
         raise ValueError("exponent_regression needs q < inf; use empirical_membership")
-    config, stats, slope, slope_stderr, dropped, _ = _level_term_experiment(
-        spec, bp, bp.q, levels, reps, seed, threads
+    config, stats, slope, slope_stderr, expected, dropped, _ = _level_term_experiment(
+        spec, bp, bp.q, 0.0, levels, reps, seed, threads
     )
-    base = _expected_exponent(spec.slab, spec.tau, spec.pi, bp)
-    expected = None if base is None else bp.q * base
     return ExperimentReport(
         "exponent_regression",
         config,
@@ -435,14 +424,11 @@ def empirical_membership(
     upper half short-circuits to Converges.
     """
     power = 1.0 if math.isinf(bp.q) else bp.q
-    config, stats, slope_raw, slope_stderr, dropped, empty_votes = _level_term_experiment(
-        spec, bp, power, levels, reps, seed, threads
-    )
     regression_mode = isinstance(spec.mode, Regression)
     detrend = power / 2.0 if regression_mode else 0.0
-    base = _expected_exponent(spec.slab, spec.tau, spec.pi, bp)
-    expected = None if base is None else power * base - detrend
-    slope = None if slope_raw is None else slope_raw - detrend
+    config, stats, slope, slope_stderr, expected, dropped, empty_votes = _level_term_experiment(
+        spec, bp, power, detrend, levels, reps, seed, threads
+    )
 
     if empty_votes >= 0.9 * reps:
         verdict = "Converges"

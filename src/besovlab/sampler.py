@@ -133,6 +133,17 @@ _MODES = {"infinite": ("j_max", Infinite), "regression": ("n", Regression)}
 # Dense rows (scaling rows, projection rows, synthesis grids) get the same cap.
 _MAX_EXPECTED_NONZEROS = 2**24
 
+# Highest level a draw supports: the level width 2^j goes to the binomial
+# draw as a C long, and positions are int64.
+_MAX_LEVEL = 62
+
+
+def _check_level(j: int, blame: str) -> None:
+    if j > _MAX_LEVEL:
+        raise ValueError(
+            f"{blame}: level {j} is above {_MAX_LEVEL}, the highest level a draw supports"
+        )
+
 
 def check_dense_size(log2_size: float, blame: str) -> None:
     """Reject a dense array of ``2^log2_size`` values before it is allocated
@@ -215,10 +226,12 @@ class PriorSpec:
 
     def check_draw_size(self, levels: Iterable[int], blame: str) -> None:
         """Reject a draw over ``levels`` before it allocates anything when its
-        expected nonzero count ``sum_j 2^j min(1, pi_j)`` exceeds 2^24;
-        ``blame`` is the config field that chose the levels."""
+        expected nonzero count ``sum_j 2^j min(1, pi_j)`` exceeds 2^24 or a
+        level is above 62; ``blame`` is the config field that chose the
+        levels."""
         total = 0.0
         for j in levels:
+            _check_level(j, blame)
             total += math.ldexp(self.pi.clamped_at(j), j)
             if total > _MAX_EXPECTED_NONZEROS:
                 raise ValueError(

@@ -4,7 +4,10 @@ Everything here is exact symbolic work on schedule exponents.  With
 ``tau_j = c_t j^{g_t} 2^{-e_t j}`` and ``pi_j`` clamped to [0, 1], every
 criterion in the underlying theory reduces to convergence of a series
 ``sum_j j^G 2^{jE}`` or boundedness of the matching supremum, which is
-decidable from ``(E, G)`` alone (see `schedules`).
+decidable from ``(E, G)`` alone (see `schedules`).  Exponents are
+``fractions.Fraction`` values of the float inputs, so a verdict is the
+exact answer for those floats, also at a threshold; only the reported
+threshold is rounded.
 
 The classifier family:
 
@@ -34,6 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .besov import BesovParams
 from .distributions import (
@@ -104,24 +108,71 @@ class Verdict:
 # exponent-algebra primitives: terms behave like j^G * 2^(j*E)
 # ---------------------------------------------------------------------------
 
-def _series_finite(E: float, G: float) -> bool:
-    """sum_j j^G 2^(jE) < inf"""
-    return series_verdict(-E, G) is SeriesVerdict.CONVERGES
+_HALF = Fraction(1, 2)
 
 
-def _sup_finite(E: float, G: float) -> bool:
+def _sup_finite(E: Fraction, G: Fraction) -> bool:
     """sup_j j^G 2^(jE) < inf"""
     return sup_verdict(-E, G) is SupVerdict.BOUNDED
 
 
-def _exponent(*terms: float) -> float:
-    """Correctly rounded sum of exponent terms.
+def _lq_finite(E: Fraction, G: Fraction, q: float) -> bool:
+    """sum_j (j^G 2^(jE))^q < inf; for ``q = inf`` the sup criterion."""
+    if math.isinf(q):
+        return _sup_finite(E, G)
+    w = Fraction(q)
+    return series_verdict(-w * E, w * G) is SeriesVerdict.CONVERGES
 
-    The sign of the exact sum decides membership at a threshold, so it must
-    not depend on the order in which the terms are added: two routes that
-    sum the same terms reach the same verdict, also at ``s = T``.
+
+def _inv(x: float) -> Fraction:
+    """Exact ``1/x`` of a float; ``1/inf`` reads as 0."""
+    return Fraction(0) if math.isinf(x) else 1 / Fraction(x)
+
+
+def _threshold(bp: BesovParams, E: Fraction) -> float:
+    """The smoothness at which the tested exponent ``E`` vanishes.
+
+    Every tested exponent is ``s`` plus terms free of ``s``, so the
+    threshold is ``s - E``, rounded once.
     """
-    return math.fsum(terms)
+    return float(Fraction(bp.s) - E)
+
+
+def _level_exponent(
+    kind: GrowthKind,
+    slab: SlabDistribution,
+    tau: LevelSchedule,
+    e_pi: float,
+    g_pi: float,
+    bp: BesovParams,
+) -> tuple[Fraction, Fraction] | None:
+    """Exact ``(E, G)`` with level term ``a_j ~ j^G 2^(jE)`` in the
+    infinite model.
+
+    ``a_j = 2^(j s') ||level j||_p`` for the scale ``tau`` and expected
+    counts ``n_j ~ j^g_pi 2^(j (1 - e_pi))`` growing in regime ``kind``.
+    When the counts grow, a finite ``p`` sums ``n_j`` terms of size
+    ``tau_j``; at ``p = inf`` the level maximum grows like
+    ``(log n_j)^(1/m)`` for a Gumbel tail and like ``n_j^(1/ell)`` for a
+    Frechet tail.  When they settle, a level holds finitely many terms.
+    The other regimes have no level exponent (None).
+    """
+    e_t = Fraction(tau.e)
+    head = Fraction(bp.s) + _HALF - e_t
+    inv_p = _inv(bp.p)
+    if kind is GrowthKind.TENDS_TO_CONSTANT:
+        return head - inv_p, Fraction(tau.g)
+    if kind is not GrowthKind.INCREASES_TO_INFINITY:
+        return None
+    if not math.isinf(bp.p):
+        weight, shift = inv_p, -Fraction(e_pi) * inv_p
+    else:
+        tc = tail_class(slab)
+        if isinstance(tc, GumbelTail):
+            return head, Fraction(tau.g) + _inv(tc.log_power)
+        weight = _inv(tc.ell)
+        shift = (1 - Fraction(e_pi)) * weight
+    return head + shift, Fraction(tau.g) + Fraction(g_pi) * weight
 
 
 def _has_moment(slab: SlabDistribution, order: float) -> bool:
@@ -212,8 +263,10 @@ def classify_simple(
 
     delta_h = (1.0 - beta) / tc.ell if (frechet and p_inf) else 0.0
     threshold = (alpha - 1.0) / 2.0 + beta * bp.inv_p - delta_h
-    # s - T, summed from the terms the general route sums
-    excess = _exponent(bp.s, 0.5, -alpha / 2.0, -beta / bp.p, delta_h)
+    # s - T in exact arithmetic
+    excess = Fraction(bp.s) + _HALF - Fraction(alpha) / 2 - Fraction(beta) * _inv(bp.p)
+    if frechet and p_inf:
+        excess += (1 - Fraction(beta)) * _inv(tc.ell)
 
     if beta == 1.0 and q_inf:
         if excess < 0:
@@ -245,22 +298,22 @@ def classify_simple(
 # ---------------------------------------------------------------------------
 
 def _case4_constant_q_inf(
-    slab: SlabDistribution, tau: LevelSchedule, bp: BesovParams, case_id: str
+    slab: SlabDistribution, tau: LevelSchedule, bp: BesovParams, E: Fraction, case_id: str
 ) -> Verdict:
     """Shared case: n_j -> const, q = inf.
 
-    Membership is controlled by ``M(j) = 1/(tau_j 2^(j s'))``: when M grows
-    exponentially (``e_t > s'`` would decay -- note the sign: it grows when
-    ``tau_j`` decays faster than ``2^(-j s')``), a logarithmic moment
-    suffices; when M grows polynomially (``j^(-g_t)`` with ``g_t < 0``) the
-    criterion is the moment ``E|xi|^(-1/g_t) < inf``; otherwise M is not
-    eventually increasing and no case applies.
+    Membership is controlled by ``M(j) = 1/(tau_j 2^(j s'))``, which grows
+    like ``j^(-G) 2^(-jE)`` for the constant-regime pair ``(E, G)``: when
+    M grows exponentially (``E < 0``: ``tau_j`` decays faster than
+    ``2^(-j s')``), a logarithmic moment suffices; when M grows
+    polynomially (``E = 0``, ``G = g_t < 0``) the criterion is the moment
+    ``E|xi|^(-1/g_t) < inf``; otherwise M is not eventually increasing and
+    no case applies.
     """
-    d = _exponent(tau.e, -bp.s, -0.5, bp.inv_p)  # M(j) ~ j^(-g_t) 2^(j*d) / c_t
-    threshold = tau.e - 0.5 + bp.inv_p
-    if d > 0:
+    threshold = _threshold(bp, E)
+    if E < 0:
         return _decide(True, case_id, threshold, ("E log+ |xi| < inf",))
-    if d == 0:
+    if E == 0:
         if tau.g < 0:
             order = -1.0 / tau.g
             return _decide(
@@ -283,6 +336,12 @@ def _case4_constant_q_inf(
     )
 
 
+def _moment_gap(case_id: str, slab: SlabDistribution, name: str, order: float) -> Verdict:
+    return _not_covered(
+        case_id, f"E|xi|^{name} infinite for {name}={order} under {type(slab).__name__}"
+    )
+
+
 def classify_general(
     slab: SlabDistribution,
     tau: LevelSchedule,
@@ -290,16 +349,16 @@ def classify_general(
     bp: BesovParams,
     r: float,
 ) -> Verdict:
-    """Membership under arbitrary schedule hyperparameters (infinite model)."""
+    """Membership under arbitrary schedule hyperparameters (infinite model).
+
+    The level term behaves like ``j^G 2^(jE)`` (`_level_exponent`); the
+    function is a member when ``sum_j (j^G 2^(jE))^q`` converges, or for
+    ``q = inf`` when ``sup_j j^G 2^(jE)`` is finite.
+    """
     _validate_smoothness(bp, r)
     regime = growth_regime(pi)
-    p_inf = math.isinf(bp.p)
-    q_inf = math.isinf(bp.q)
-    e_t, g_t = tau.e, tau.g
-
     if regime.kind is GrowthKind.NOT_COVERED:
         return _not_covered("general/regime-gap", regime.reason)
-
     if regime.kind is GrowthKind.SUMMABLE:
         return Verdict(
             Decision.MEMBER_AS,
@@ -307,24 +366,23 @@ def classify_general(
             assumptions=("sum_j 2^j pi_j < inf: finitely many nonzero coefficients",),
         )
 
-    if regime.kind is GrowthKind.INCREASES_TO_INFINITY:
-        c_pi, e_pi, g_pi = clamped_exponents(pi)
+    _, e_pi, g_pi = clamped_exponents(pi)
+    E, G = _level_exponent(regime.kind, slab, tau, e_pi, g_pi, bp)
+    q_inf = math.isinf(bp.q)
+    weight = bp.q
 
-        if not p_inf:
-            # case 1: l_p sums concentrate by the random-length LLN
-            if not _has_moment(slab, bp.p):
-                return _not_covered(
-                    "general/case1",
-                    f"E|xi|^p infinite for p={bp.p} under {type(slab).__name__}",
-                )
-            A = _exponent(bp.s, 0.5, -e_t, -e_pi / bp.p)
-            G = g_t + g_pi / bp.p
-            threshold = e_t + e_pi / bp.p - 0.5
-            member = (
-                _sup_finite(A, G) if q_inf else _series_finite(bp.q * A, bp.q * G)
-            )
-            return _decide(member, "general/case1", threshold, (f"E|xi|^{bp.p:g} < inf",))
-
+    if regime.kind is GrowthKind.TENDS_TO_CONSTANT:
+        if q_inf:
+            return _case4_constant_q_inf(slab, tau, bp, E, "general/case4")
+        if not _has_moment(slab, bp.q):
+            return _moment_gap("general/case3", slab, "q", bp.q)
+        case_id, note = "general/case3", f"E|xi|^{bp.q:g} < inf"
+    elif not math.isinf(bp.p):
+        # case 1: l_p sums concentrate by the random-length LLN
+        if not _has_moment(slab, bp.p):
+            return _moment_gap("general/case1", slab, "p", bp.p)
+        case_id, note = "general/case1", f"E|xi|^{bp.p:g} < inf"
+    else:
         # case 2: p = inf, level maxima under EVT normalisation
         tc = tail_class(slab)
         if isinstance(tc, GumbelTail):
@@ -334,52 +392,20 @@ def classify_general(
                     "auxiliary Gumbel condition fails: n_j grows only polynomially, "
                     "so g(b_j) log j / b_j does not vanish",
                 )
-            A = _exponent(bp.s, 0.5, -e_t)
-            G = g_t + 1.0 / tc.log_power  # b_j ~ (log n_j)^(1/m)
-            threshold = e_t - 0.5
-            member = _sup_finite(A, G) if q_inf else _series_finite(bp.q * A, bp.q * G)
-            return _decide(
-                member,
-                "general/case2-gumbel",
-                threshold,
-                (f"Gumbel tail, b_j ~ (log n_j)^(1/{tc.log_power:g})",),
-            )
-
-        # Frechet tail: b_j ~ n_j^(1/ell)
-        ell = tc.ell
-        if not q_inf and bp.q >= ell:
-            return _not_covered(
-                "general/case2-frechet",
-                f"polynomial tail needs q < ell; got q={bp.q}, ell={ell}",
-            )
-        A = _exponent(bp.s, 0.5, -e_t, (1.0 - e_pi) / ell)
-        G = g_t + g_pi / ell
-        threshold = e_t - 0.5 - (1.0 - e_pi) / ell
-        if q_inf:
-            # the a.s. supremum of c_j * Frechet(ell) variables is finite
-            # exactly when sum c_j^ell converges (Borel-Cantelli both ways)
-            member = _series_finite(ell * A, ell * G)
+            case_id = "general/case2-gumbel"
+            note = f"Gumbel tail, b_j ~ (log n_j)^(1/{tc.log_power:g})"
         else:
-            member = _series_finite(bp.q * A, bp.q * G)
-        return _decide(
-            member,
-            "general/case2-frechet",
-            threshold,
-            (f"Frechet tail with index ell={ell:g}",),
-        )
-
-    # constant regime: n_j -> const > 0
-    if not q_inf:
-        if not _has_moment(slab, bp.q):
-            return _not_covered(
-                "general/case3",
-                f"E|xi|^q infinite for q={bp.q} under {type(slab).__name__}",
-            )
-        D = _exponent(bp.s, 0.5, -bp.inv_p, -e_t)
-        threshold = e_t - 0.5 + bp.inv_p
-        member = _series_finite(bp.q * D, bp.q * g_t)
-        return _decide(member, "general/case3", threshold, (f"E|xi|^{bp.q:g} < inf",))
-    return _case4_constant_q_inf(slab, tau, bp, "general/case4")
+            if not q_inf and bp.q >= tc.ell:
+                return _not_covered(
+                    "general/case2-frechet",
+                    f"polynomial tail needs q < ell; got q={bp.q}, ell={tc.ell}",
+                )
+            case_id, note = "general/case2-frechet", f"Frechet tail with index ell={tc.ell:g}"
+            if q_inf:
+                # the a.s. supremum of c_j * Frechet(ell) variables is finite
+                # exactly when sum c_j^ell converges (Borel-Cantelli both ways)
+                weight = tc.ell
+    return _decide(_lq_finite(E, G, weight), case_id, _threshold(bp, E), (note,))
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +440,13 @@ def classify_three_param(
             f"three-param route covers Gaussian and Laplace slabs, not {type(slab).__name__}",
         )
     m = 2.0 if isinstance(slab, Gaussian) else 1.0
-    delta = _exponent(s, 0.5, -alpha / 2.0)
-    threshold = (alpha - 1.0) / 2.0
+    delta = Fraction(s) + _HALF - Fraction(alpha) / 2
+    threshold = _threshold(bp, delta)
     if delta < 0:
         member = True
     elif delta == 0:
-        member = (gamma <= -2.0 / m) if math.isinf(q) else (gamma < -2.0 / q - 2.0 / m)
+        cutoff = -2 / Fraction(m) - 2 * _inv(q)
+        member = Fraction(gamma) <= cutoff if math.isinf(q) else Fraction(gamma) < cutoff
     else:
         member = False
     return _decide(member, "three-param/gumbel", threshold, (f"tail weight m={m:g}",))
@@ -443,14 +470,12 @@ def classify_regression(
     multiplied by ``n^{-q/2}`` stays bounded iff ``E < q/2``, or
     ``E = q/2`` with ``G <= 0``.  For ``q = inf`` the criterion splits by
     tail class: Gumbel-type slabs keep the un-normalised supremum
-    criterion, polynomial tails get the normalised one.
+    criterion, polynomial tails get the normalised one.  The pair is the
+    infinite model's (`_level_exponent`), except for polynomial tails at
+    ``p = inf``.
     """
     _validate_smoothness(bp, r)
     regime = growth_regime(pi)
-    p_inf = math.isinf(bp.p)
-    q_inf = math.isinf(bp.q)
-    e_t, g_t = tau.e, tau.g
-
     if regime.kind is GrowthKind.NOT_COVERED:
         return _not_covered("regression/regime-gap", regime.reason)
     if regime.kind is GrowthKind.SUMMABLE:
@@ -460,24 +485,21 @@ def classify_regression(
             assumptions=("sum_j 2^j pi_j < inf",),
         )
 
-    if regime.kind is GrowthKind.INCREASES_TO_INFINITY:
-        c_pi, e_pi, g_pi = clamped_exponents(pi)
-        if not p_inf:
-            if not _has_moment(slab, bp.p):
-                return _not_covered(
-                    "regression/case1",
-                    f"E|xi|^p infinite for p={bp.p} under {type(slab).__name__}",
-                )
-            A = bp.s + 0.5 - e_t - e_pi / bp.p
-            G = g_t + g_pi / bp.p
-            if q_inf:
-                member = A < 0 or (A == 0 and G <= 0)
-                threshold = e_t + e_pi / bp.p - 0.5
-            else:
-                member = A < 0.5 or (A == 0.5 and G <= 0)
-                threshold = e_t + e_pi / bp.p
-            return _decide(member, "regression/case1", threshold, (f"E|xi|^{bp.p:g} < inf",))
+    _, e_pi, g_pi = clamped_exponents(pi)
+    E, G = _level_exponent(regime.kind, slab, tau, e_pi, g_pi, bp)
+    normalised = not math.isinf(bp.q)
 
+    if regime.kind is GrowthKind.TENDS_TO_CONSTANT:
+        if not normalised:
+            return _case4_constant_q_inf(slab, tau, bp, E, "regression/case4")
+        if not _has_moment(slab, bp.q):
+            return _moment_gap("regression/case3", slab, "q", bp.q)
+        case_id, note = "regression/case3", f"E|xi|^{bp.q:g} < inf"
+    elif not math.isinf(bp.p):
+        if not _has_moment(slab, bp.p):
+            return _moment_gap("regression/case1", slab, "p", bp.p)
+        case_id, note = "regression/case1", f"E|xi|^{bp.p:g} < inf"
+    else:
         tc = tail_class(slab)
         if isinstance(tc, GumbelTail):
             if e_pi == 1.0 and g_pi > 0:
@@ -485,50 +507,23 @@ def classify_regression(
                     "regression/case2-gumbel",
                     "auxiliary Gumbel condition fails: n_j grows only polynomially",
                 )
-            D = bp.s + 0.5 - e_t
-            L = g_t + 1.0 / tc.log_power
-            if q_inf:
-                member = D < 0 or (D == 0 and L <= 0)
-                threshold = e_t - 0.5
-            else:
-                member = D < 0.5 or (D == 0.5 and L <= 0)
-                threshold = e_t
-            return _decide(
-                member,
-                "regression/case2-gumbel",
-                threshold,
-                (f"Gumbel tail, b_j ~ (log n_j)^(1/{tc.log_power:g})",),
-            )
-
-        ell = tc.ell
-        if not q_inf and bp.q >= ell + 1.0:
-            return _not_covered(
-                "regression/case2-frechet",
-                f"regression-mode polynomial tail needs q < ell + 1; got q={bp.q}, ell={ell}",
-            )
-        D = bp.s + 0.5 - e_t - (1.0 - e_pi)
-        L = g_t - g_pi
-        member = D < 0.5 or (D == 0.5 and L <= 0)
-        threshold = e_t + 1.0 - e_pi
-        return _decide(
-            member,
-            "regression/case2-frechet",
-            threshold,
-            (f"Frechet tail with index ell={ell:g}",),
-        )
-
-    # constant regime
-    if not q_inf:
-        if not _has_moment(slab, bp.q):
-            return _not_covered(
-                "regression/case3",
-                f"E|xi|^q infinite for q={bp.q} under {type(slab).__name__}",
-            )
-        D = bp.s_prime - e_t
-        member = D < 0.5 or (D == 0.5 and g_t <= 0)
-        threshold = e_t + bp.inv_p
-        return _decide(member, "regression/case3", threshold, (f"E|xi|^{bp.q:g} < inf",))
-    return _case4_constant_q_inf(slab, tau, bp, "regression/case4")
+            case_id = "regression/case2-gumbel"
+            note = f"Gumbel tail, b_j ~ (log n_j)^(1/{tc.log_power:g})"
+        else:
+            ell = tc.ell
+            if normalised and bp.q >= ell + 1.0:
+                return _not_covered(
+                    "regression/case2-frechet",
+                    f"regression-mode polynomial tail needs q < ell + 1; got q={bp.q}, ell={ell}",
+                )
+            case_id, note = "regression/case2-frechet", f"Frechet tail with index ell={ell:g}"
+            # level maxima scale with n_j itself, normalised at every q
+            E = Fraction(bp.s) + _HALF - Fraction(tau.e) - (1 - Fraction(e_pi))
+            G = Fraction(tau.g) - Fraction(g_pi)
+            normalised = True
+    if normalised:
+        E -= _HALF
+    return _decide(_sup_finite(E, G), case_id, _threshold(bp, E), (note,))
 
 
 def no_spike_condition(

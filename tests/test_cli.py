@@ -11,6 +11,8 @@ from besovlab.cli import main
 
 GAUSS = {"family": "gaussian", "sigma": 1.0}
 B122 = {"s": 1.0, "p": 2.0, "q": 2.0}
+# a prior sparse enough for the draw-size guard at any level up to 70
+SPARSE_DEEP = {"slab": GAUSS, "tau": {"c": 1.0}, "pi": {"c": 1e-25}}
 CWT_SPEC = {
     "c_mu": 3.0,
     "beta": 0.5,
@@ -548,7 +550,7 @@ class TestErrors:
         assert f"{field}:" in err
 
     @pytest.mark.parametrize(
-        "command, cfg, field",
+        "command, cfg, message",
         [
             (
                 "sample",
@@ -559,7 +561,7 @@ class TestErrors:
                     "j0": 48,
                     "mode": {"kind": "infinite", "j_max": 48},
                 },
-                "mode",
+                "mode: more than",
             ),
             (
                 "verify",
@@ -571,7 +573,7 @@ class TestErrors:
                     "levels": [48],
                     "reps": 2,
                 },
-                "levels",
+                "levels: more than",
             ),
             (
                 "sample",
@@ -582,26 +584,70 @@ class TestErrors:
                     "j0": 40,
                     "mode": {"kind": "infinite", "j_max": 40},
                 },
-                "j0",
+                "j0: more than",
             ),
             (
                 "cwt-sample",
                 {"spec": CWT_SPEC, "project": {"family": "daub4", "j0": 1, "top": 40}},
-                "project: top",
+                "project: top: more than",
             ),
-            ("synth", {"family": "haar", "grid_exponent": 40, "tree": TINY_TREE}, "grid_exponent"),
+            (
+                "synth",
+                {"family": "haar", "grid_exponent": 40, "tree": TINY_TREE},
+                "grid_exponent: more than",
+            ),
+            (
+                "sample",
+                {
+                    "slab": GAUSS,
+                    "tau": {"c": 1.0},
+                    "pi": {"c": 1e-25},
+                    "j0": 0,
+                    "mode": {"kind": "infinite", "j_max": 70},
+                },
+                "mode: level 63 is above 62",
+            ),
+            (
+                "verify",
+                {**SPARSE_DEEP, "besov": B122, "levels": [60, 70], "reps": 2},
+                "levels: level 70 is above 62",
+            ),
+            ("lln", {**SPARSE_DEEP, "m": 2.0, "levels": [70], "reps": 2}, "levels: level 70"),
+            # evt needs n_j > 1: about 10^6 expected nonzeros at level 70
+            (
+                "evt",
+                {**SPARSE_DEEP, "pi": {"c": 1e-15}, "levels": [70], "reps": 2},
+                "levels: level 70",
+            ),
+            (
+                "cwt-verify",
+                {"family": "daub4", "v_count": 2**40},
+                "v_count x 2^depth: more than",
+            ),
         ],
-        ids=["sample", "verify", "sample-j0", "cwt-sample-top", "synth-grid"],
+        ids=[
+            "sample",
+            "verify",
+            "sample-j0",
+            "cwt-sample-top",
+            "synth-grid",
+            "sample-level-cap",
+            "verify-level-cap",
+            "lln-level-cap",
+            "evt-level-cap",
+            "cwt-verify-v_count",
+        ],
     )
     def test_oversized_draw_is_rejected_before_allocating(
-        self, capsys, tmp_path, command, cfg, field
+        self, capsys, tmp_path, command, cfg, message
     ):
         # a dense level 48 would need 2^51 bytes, and a dense row of 2^40
-        # values 8 TiB: more than any address space, so nothing is allocated
+        # values 8 TiB: more than any address space, so nothing is allocated;
+        # a level above 62 overflows the binomial draw's C long at once
         code, out, err = run(capsys, command, "--config", write_cfg(tmp_path, cfg))
         assert code == 2
         assert out == ""
-        assert f"{field}: more than" in err
+        assert message in err
 
     @pytest.mark.parametrize("command", ["sample", "verify"])
     def test_overflowing_tau_names_its_field(self, capsys, tmp_path, command):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from besovlab.besov import BesovParams
@@ -20,7 +20,7 @@ from besovlab.cwt import (
 )
 from besovlab.distributions import Cauchy, Gaussian, Laplace, StudentT
 from besovlab.schedules import LevelSchedule
-from besovlab.theory import Decision, classify_simple
+from besovlab.theory import Decision, classify_general, classify_simple
 from besovlab.wavelets import family
 
 GAUSS = Gaussian(1.0)
@@ -333,15 +333,41 @@ class TestClassifyCwt:
         assert v2.case_id != "cwt/heavy-tail-gap"
         assert v2.decision is Decision.NOT_MEMBER_AS
 
-    def test_general_power_family_matches_power_route(self):
-        bp = BesovParams(1.0, 2.0, 2.0)
-        direct = classify_cwt(GAUSS, 3.0, 0.5, bp, r=2.5, rho=0.5)
-        general = classify_cwt(
-            GAUSS, 3.0, 0.5, bp, r=2.5, rho=0.5,
-            mu=LevelSchedule(1.0, 0.5), tau=LevelSchedule(1.0, 1.5),
+    @given(
+        slab=st.sampled_from([GAUSS, Laplace(1.0), StudentT(3.0), Cauchy()]),
+        c_mu=st.floats(min_value=0.25, max_value=1.0),
+        e_mu=st.floats(min_value=0.0, max_value=2.0),
+        g_mu=st.floats(min_value=-2.0, max_value=2.0),
+        e_tau=st.floats(min_value=0.0, max_value=3.0),
+        g_tau=st.floats(min_value=-2.0, max_value=2.0),
+        s=st.floats(min_value=0.05, max_value=2.4),
+        p=st.sampled_from([1.0, 2.0, 3.0]),
+        q=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+    )
+    @example(slab=GAUSS, c_mu=1.0, e_mu=0.5, g_mu=0.0, e_tau=1.5, g_tau=0.0, s=1.0, p=2.0, q=2.0)
+    @settings(max_examples=200, deadline=None)
+    def test_general_route_matches_classify_general(
+        self, slab, c_mu, e_mu, g_mu, e_tau, g_tau, s, p, q
+    ):
+        # min(1, mu) has the exponents of mu itself unless mu stays at 1
+        assume(e_mu > 0 or g_mu <= 0)
+        bp = BesovParams(s, p, q)
+        mu, tau = LevelSchedule(c_mu, e_mu, g_mu), LevelSchedule(1.0, e_tau, g_tau)
+        cwt_v = classify_cwt(slab, 3.0, 0.5, bp, r=2.5, rho=0.5, mu=mu, tau=tau)
+        # the orthogonal model has a constant-count case at q = inf; cwt does not
+        assume(cwt_v.case_id != "cwt/general-q-inf")
+        general = classify_general(slab, tau, mu, bp, 2.5)
+        assert cwt_v.decision is general.decision
+        assert cwt_v.threshold == general.threshold
+
+    def test_general_route_decides_a_rounding_tie_exactly(self):
+        # 0.05 + 0.5 - 0.55 rounds to 0, so G = 1 > 0 would fail the sup;
+        # the exact exponent is -4e-17
+        v = classify_cwt(
+            GAUSS, 1.0, 0.5, BesovParams(0.05, 2.0, math.inf), r=3.0, rho=0.5,
+            mu=LevelSchedule(1.0, 0.0, 0.0), tau=LevelSchedule(1.0, 0.55, 1.0),
         )
-        assert general.decision is direct.decision
-        assert general.threshold == pytest.approx(direct.threshold)
+        assert v.decision is Decision.MEMBER_AS
 
     def test_general_summable_and_gap(self):
         bp = BesovParams(1.0, 2.0, 2.0)

@@ -208,6 +208,19 @@ def test_simple_and_general_agree_where_rounding_splits_the_threshold():
     assert simple.decision is general.decision is Decision.MEMBER_AS
 
 
+def test_general_decides_a_rounded_quotient_exactly():
+    # 0.1/3 rounds to s itself, so a rounded e_pi/p gives E = 0 and G = 1 > 0
+    # fails the sup; the exact e_pi/p is larger and E < 0
+    v = classify_general(
+        Gaussian(1.0),
+        LevelSchedule(1.0, 0.5, 1.0),
+        LevelSchedule(0.5, 0.1, 0.0),
+        bp(0.1 / 3, 3.0, INF),
+        3.0,
+    )
+    assert v.decision is Decision.MEMBER_AS
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     alpha=st.floats(0.1, 4.0),
@@ -259,6 +272,14 @@ def test_polynomial_tail_threshold_sits_below_gumbel_threshold(nu, beta):
 # three-hyperparameter family
 # ---------------------------------------------------------------------------
 
+def test_three_param_gamma_cutoff_is_exact():
+    # gamma is -2/9 - 1 rounded down, so below the exact cutoff: a member,
+    # as the general route finds; a rounded cutoff equals gamma
+    gamma = -2.0 / 9.0 - 1.0
+    v = classify_three_param(Gaussian(1.0), 3.0, 0.5, gamma, 1.0, 9.0, 3.0)
+    assert v.decision is Decision.MEMBER_AS
+
+
 def test_three_param_gaussian_boundary_example():
     # delta = 0 at s = (alpha - 1)/2
     v = classify_three_param(Gaussian(1.0), 3.0, 0.5, -2.5, 1.0, 2.0, 3.0)
@@ -307,10 +328,6 @@ def test_three_param_rejects_beta_one():
 )
 def test_three_param_equals_general_schedule_route(alpha, beta, gamma, s, q, gaussian):
     slab = Gaussian(1.0) if gaussian else Laplace(1.0)
-    m = 2.0 if gaussian else 1.0
-    cutoff = (-2.0 / m) if math.isinf(q) else (-2.0 / q - 2.0 / m)
-    # stay off the one-ulp strip around the gamma cutoff when delta = 0
-    assume(s + 0.5 - alpha / 2.0 != 0.0 or abs(gamma - cutoff) > 1e-6)
     direct = classify_three_param(slab, alpha, beta, gamma, s, q, 3.0)
     via_general = classify_general(
         slab,
@@ -394,6 +411,19 @@ def test_regression_summable_and_gap_regimes():
     assert v.decision is Decision.MEMBER_AS
     v = classify_regression(Cauchy(), tau, LevelSchedule(1.0, 1.0, -0.5), bp(0.4, 2, 2), 3.0)
     assert v.decision is Decision.NOT_COVERED
+
+
+def test_regression_decides_a_rounding_tie_exactly():
+    # 0.05 + 0.5 - 0.55 rounds to 0, so G = 1 > 0 would fail the sup;
+    # the exact exponent is -4e-17
+    v = classify_regression(
+        Gaussian(1.0),
+        LevelSchedule(1.0, 0.55, 1.0),
+        LevelSchedule(0.5, 0.0, 0.0),
+        bp(0.05, 2.0, INF),
+        3.0,
+    )
+    assert v.decision is Decision.MEMBER_AS
 
 
 def test_regression_thresholds_sit_half_above_infinite_model():
