@@ -33,6 +33,9 @@ EXIT_NOT_COVERED = 3
 EXIT_IO = 4
 
 _ENV_THREADS = "BESOVLAB_THREADS"
+# bounds the OS threads one replicate loop starts; a constant, not the CPU
+# count, so a run that is valid on one host is valid on every host
+_MAX_THREADS = 64
 _MISSING = object()
 
 
@@ -426,7 +429,9 @@ def _cmd_cwt_verify(cfg: dict, args, threads: int):
         levels = _load_levels(moment, "moment")
         reps = _as_int(_get(moment, "reps", "moment", 50), "moment.reps")
         seed = _as_int(_get(moment, "seed", "moment", 0), "moment.seed")
-        report = cwt.moment_bound_experiment(spec, fam, m, levels, reps=reps, seed=seed)
+        report = cwt.moment_bound_experiment(
+            spec, fam, m, levels, reps=reps, seed=seed, threads=threads
+        )
         # the family is echoed once, at the top level
         echo["moment"] = {k: v for k, v in report.config.items() if k != "family"}
         result["moment"] = report.to_dict()
@@ -556,7 +561,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help=f"worker cap for replicate loops (default ${_ENV_THREADS} or 1)",
+        help=f"worker cap for replicate loops, 1 to {_MAX_THREADS} (default ${_ENV_THREADS} or 1)",
     )
     common.add_argument(
         "--strict",
@@ -582,16 +587,17 @@ def main(argv=None) -> int:
         code = exc.code
         return EXIT_OK if code in (0, None) else EXIT_USAGE
 
-    threads = args.threads
+    threads, source = args.threads, "--threads"
     if threads is None:
         raw = os.environ.get(_ENV_THREADS, "1")
+        source = f"${_ENV_THREADS}"
         try:
             threads = int(raw)
         except ValueError:
-            print(f"besovlab: ${_ENV_THREADS}={raw!r} is not an integer", file=sys.stderr)
+            print(f"besovlab: {source}={raw!r} is not an integer", file=sys.stderr)
             return EXIT_USAGE
-    if threads < 1:
-        print(f"besovlab: --threads must be >= 1, got {threads}", file=sys.stderr)
+    if not 1 <= threads <= _MAX_THREADS:
+        print(f"besovlab: {source} must be in [1, {_MAX_THREADS}], got {threads}", file=sys.stderr)
         return EXIT_USAGE
 
     try:

@@ -32,7 +32,7 @@ from .distributions import (
     slab_to_dict,
     tail_class,
 )
-from .lab import ExperimentReport, _slope_fit, _summarise
+from .lab import ExperimentReport, _column_stats, _run_reps, _slope_fit
 from .sampler import CoefficientTree, Level, check_dense_size, rng_for
 from .schedules import GrowthKind, LevelSchedule, growth_regime
 from .theory import Decision, Verdict, _level_exponent, _lq_finite, _threshold, classify_simple
@@ -108,12 +108,6 @@ class CwtSpec:
         if not (0 < self.a0 < self.a_max):
             raise ValueError(f"need 0 < a0 < a_max, got a0={self.a0}, a_max={self.a_max}")
 
-    def mu_at(self, a: float) -> float:
-        return self.c_mu * a ** (-self.beta)
-
-    def tau_at(self, a) -> float:
-        return math.sqrt(self.c_tau) * a ** (-self.alpha / 2.0)
-
     def intensity_total(self) -> float:
         """``integral of mu over [a0, a_max]`` (the Poisson mean count)."""
         if self.beta == 1.0:
@@ -159,8 +153,11 @@ class CwtSpec:
 
 
 def sample_atoms(spec: CwtSpec, seed: int, replicate: int = 0) -> list[PoissonAtom]:
-    """Draw one realisation of the marked Poisson process."""
+    """Draw one realisation of the marked Poisson process; a mean count
+    above the dense-array cap is rejected before anything is drawn."""
     lam = spec.intensity_total()
+    if lam > 0:
+        check_dense_size(math.log2(lam), "spec")
     rng = rng_for(seed, replicate)
     count = int(rng.poisson(lam)) if lam > 0 else 0
     if count == 0:
@@ -438,6 +435,7 @@ def project_to_orthogonal(
         return CoefficientTree(j0, scaling, levels)
 
     grid = cascade_eval(fam, table_depth)
+    xs, psi = grid.grid, grid.psi  # `grid` builds its arange on every read
     mu1 = math.fsum(k * hk for k, hk in enumerate(fam.h)) / math.sqrt(2.0)
     h = np.asarray(fam.h)
     g = np.asarray(fam.g)
@@ -463,7 +461,7 @@ def project_to_orthogonal(
             continue
         ms = np.arange(lo_m, hi_m + 1)
         t = at.a * ((ms + mu1) / scale - y0)
-        vals = np.interp(t, grid.grid, grid.psi, left=0.0, right=0.0)
+        vals = np.interp(t, xs, psi, left=0.0, right=0.0)
         off, vec = lo_m, at.omega * math.sqrt(at.a) * vals / math.sqrt(scale)
         for _ in range(depth - common):
             off, vec = _analysis_down(off, vec, h)
@@ -498,12 +496,14 @@ def moment_bound_experiment(
     levels,
     reps: int = 50,
     seed: int = 0,
+    threads: int = 1,
 ) -> ExperimentReport:
     """Empirical per-level moments ``E|w_{jk}|^m`` of the projected model.
 
     The fitted log2 decay slope is compared against the dominant predicted
     exponent ``-min(m (r+rho+1/2) - 1, m alpha/2 + beta)``; constants are
-    not checked, only decay.
+    not checked, only decay.  Replicates run on up to ``threads`` workers;
+    the report is the same for every thread count.
     """
     lv = sorted(set(int(j) for j in levels))
     if not lv or lv[0] < 0:
@@ -518,18 +518,13 @@ def moment_bound_experiment(
     if expo_kernel <= 0:
         raise ValueError("need m (r + rho + 1/2) > 1 for the kernel term to decay")
 
-    j_lo, j_hi = lv[0], lv[-1]
-    wanted = set(lv)
-    per_level: dict[int, list[float]] = {j: [] for j in lv}
-    for rep in range(reps):
+    def work(rep: int) -> list[float]:
         atoms = sample_atoms(spec, seed, replicate=rep)
-        tree = project_to_orthogonal(atoms, fam, j_lo, j_hi, coarse=spec.coarse)
-        for lev in tree.levels:
-            if lev.j in wanted:
-                val = float(np.sum(np.abs(lev.w) ** m)) / (1 << lev.j)
-                per_level[lev.j].append(val)
+        tree = project_to_orthogonal(atoms, fam, lv[0], lv[-1], coarse=spec.coarse)
+        # the tree holds every level from lv[0] to lv[-1]
+        return [float(np.sum(np.abs(tree.levels[j - lv[0]].w) ** m)) / (1 << j) for j in lv]
 
-    stats = [_summarise(j, float(1 << j), per_level[j]) for j in lv]
+    stats = _column_stats(lv, {j: float(1 << j) for j in lv}, _run_reps(reps, threads, work))
     # fit on the replicate-averaged moments; the delta method propagates
     # their standard errors through log2 into the least-squares slope
     pts = [(st.j, math.log2(st.mean)) for st in stats if st.mean and st.mean > 0]
@@ -559,7 +554,7 @@ def moment_bound_experiment(
             "reps": reps,
             "seed": seed,
         },
-        levels=tuple(stats),
+        levels=stats,
         slope=slope,
         slope_stderr=slope_err,
         expected_slope=expected,
@@ -633,8 +628,9 @@ def classify_cwt(
     if bp.s >= r:
         raise ValueError(f"smoothness must satisfy s < r, got s={bp.s}, r={r}")
     # atom count near level j grows like 2^j mu(2^j) = c j^g_mu 2^(j (1 - e_mu)),
-    # whose regime does not depend on c and is unchanged by clamping at 1
-    regime = growth_regime(LevelSchedule(1.0, mu.e, mu.g)).kind
+    # whose regime depends on c only at c = 0 (no atoms) and is unchanged by
+    # clamping at 1
+    regime = growth_regime(mu).kind
     assumptions = (kernel_note, "general nonincreasing mu, tau at dyadic scales")
 
     if regime is GrowthKind.SUMMABLE:

@@ -139,6 +139,11 @@ def _run_reps(reps: int, threads: int, work):
         return list(pool.map(work, range(reps)))
 
 
+def _level_rows(lv: list[int], reps: int, seed: int, threads: int, draw):
+    """``rows[rep][i] = draw(rng_for(seed, rep, lv[i]), lv[i])``."""
+    return _run_reps(reps, threads, lambda rep: [draw(rng_for(seed, rep, j), j) for j in lv])
+
+
 def _mean_stderr(xs: list[float]) -> tuple[float, float]:
     n = len(xs)
     mean = math.fsum(xs) / n
@@ -159,24 +164,30 @@ def _summarise(j: int, n_value: float, xs: list[float]) -> LevelStat:
     return LevelStat(j, len(xs), n_value, mean, stderr, med, q25, q75)
 
 
-def _sum_abs_power(slab: SlabDistribution, rng: np.random.Generator, count: int, m: float) -> float:
-    total = 0.0
-    left = count
-    while left > 0:
-        take = min(left, _CHUNK)
-        total += float(np.sum(np.abs(sample(slab, rng, take)) ** m))
-        left -= take
-    return total
+def _column_stats(lv: list[int], n_values: dict, rows) -> tuple[LevelStat, ...]:
+    """One `_summarise` per level over the replicates' entries that are not None."""
+    return tuple(
+        _summarise(j, n_values[j], [row[i] for row in rows if row[i] is not None])
+        for i, j in enumerate(lv)
+    )
 
 
-def _max_abs(slab: SlabDistribution, rng: np.random.Generator, count: int) -> float:
-    best = 0.0
-    left = count
-    while left > 0:
-        take = min(left, _CHUNK)
-        best = max(best, float(np.max(np.abs(sample(slab, rng, take)))))
-        left -= take
-    return best
+def _abs_chunks(slab: SlabDistribution, rng: np.random.Generator, count: int):
+    """``|xi|`` for ``count`` slab draws, in pieces of at most `_CHUNK` values."""
+    while count > 0:
+        take = min(count, _CHUNK)
+        yield np.abs(sample(slab, rng, take))
+        count -= take
+
+
+def _growing_levels(pi: LevelSchedule, levels, reps: int, who: str):
+    """Level list and expected counts ``n_j = 2^j min(1, pi_j)`` of a
+    randomly indexed experiment, which needs ``n_j`` increasing to infinity."""
+    lv = _level_list(levels)
+    _check_reps(reps)
+    if growth_regime(pi).kind is not GrowthKind.INCREASES_TO_INFINITY:
+        raise ValueError(f"{who} needs an expected count increasing to infinity")
+    return lv, {j: (1 << j) * pi.clamped_at(j) for j in lv}
 
 
 # ---------------------------------------------------------------------------
@@ -197,29 +208,18 @@ def lln_experiment(
     Requires a growing expected count and a finite slab moment; the
     per-level means drift toward ``nu_m = E|xi|^m``.
     """
-    lv = _level_list(levels)
-    _check_reps(reps)
-    if growth_regime(pi).kind is not GrowthKind.INCREASES_TO_INFINITY:
-        raise ValueError("lln_experiment needs an expected count increasing to infinity")
+    lv, n_values = _growing_levels(pi, levels, reps, "lln_experiment")
     nu_m = absolute_moment(slab, m)
     if not nu_m < math.inf:
         raise ValueError(f"E|xi|^{m:g} is infinite for {type(slab).__name__}")
 
-    n_values = {j: (1 << j) * pi.clamped_at(j) for j in lv}
+    def draw(rng: np.random.Generator, j: int) -> float:
+        total = 0.0
+        for chunk in _abs_chunks(slab, rng, draw_count(rng, pi, j)):
+            total += float(np.sum(chunk**m))
+        return total / n_values[j]
 
-    def work(rep: int) -> list[float]:
-        out = []
-        for j in lv:
-            rng = rng_for(seed, rep, j)
-            s = _sum_abs_power(slab, rng, draw_count(rng, pi, j), m)
-            out.append(s / n_values[j])
-        return out
-
-    rows = _run_reps(reps, threads, work)
-    stats = tuple(
-        _summarise(j, n_values[j], [rows[rep][i] for rep in range(reps)])
-        for i, j in enumerate(lv)
-    )
+    stats = _column_stats(lv, n_values, _level_rows(lv, reps, seed, threads, draw))
     config = {
         "slab": slab_to_dict(slab),
         "pi": pi.to_dict(),
@@ -246,33 +246,18 @@ def evt_experiment(
     ``(ln 2)^(-1/ell)``, so the per-level medians target that value while
     the spread stays macroscopic.
     """
-    lv = _level_list(levels)
-    _check_reps(reps)
-    if growth_regime(pi).kind is not GrowthKind.INCREASES_TO_INFINITY:
-        raise ValueError("evt_experiment needs an expected count increasing to infinity")
-    n_values = {}
+    lv, n_values = _growing_levels(pi, levels, reps, "evt_experiment")
     b_values = {}
-    for j in lv:
-        n_j = (1 << j) * pi.clamped_at(j)
+    for j, n_j in n_values.items():
         if n_j <= 1.0:
             raise ValueError(f"expected count n_j={n_j:g} <= 1 at level {j}")
-        n_values[j] = n_j
         b_values[j] = quantile_hplus(slab, 1.0 - 1.0 / n_j)
 
-    def work(rep: int) -> list[float]:
-        out = []
-        for j in lv:
-            rng = rng_for(seed, rep, j)
-            count = draw_count(rng, pi, j)
-            mx = _max_abs(slab, rng, count) if count else 0.0
-            out.append(mx / b_values[j])
-        return out
+    def draw(rng: np.random.Generator, j: int) -> float:
+        chunks = _abs_chunks(slab, rng, draw_count(rng, pi, j))
+        return max((float(np.max(chunk)) for chunk in chunks), default=0.0) / b_values[j]
 
-    rows = _run_reps(reps, threads, work)
-    stats = tuple(
-        _summarise(j, n_values[j], [rows[rep][i] for rep in range(reps)])
-        for i, j in enumerate(lv)
-    )
+    stats = _column_stats(lv, n_values, _level_rows(lv, reps, seed, threads, draw))
     tc = tail_class(slab)
     expected = math.log(2.0) ** (-1.0 / tc.ell) if isinstance(tc, FrechetTail) else 1.0
     config = {
@@ -325,40 +310,21 @@ def _level_term_experiment(
         raise ValueError(f"level {lv[-1]} exceeds the model's top level {top}")
     spec.check_draw_size(lv, "levels")
 
-    def work(rep: int) -> list[float | None]:
-        out: list[float | None] = []
-        for j in lv:
-            vals = draw_level(spec, rng_for(seed, rep, j), j)
-            if vals.size == 0:
-                out.append(None)
-                continue
-            a_j = 2.0 ** (j * bp.s_prime) * vector_p_norm(vals, bp.p)
-            out.append(power * math.log2(a_j) if a_j > 0 else None)
-        return out
+    def draw(rng: np.random.Generator, j: int) -> float | None:
+        vals = draw_level(spec, rng, j)
+        if vals.size == 0:
+            return None
+        a_j = 2.0 ** (j * bp.s_prime) * vector_p_norm(vals, bp.p)
+        return power * math.log2(a_j) if a_j > 0 else None
 
-    rows = _run_reps(reps, threads, work)
-    per_level = {j: [] for j in lv}
-    slopes = []
-    empty_tail_votes = 0
-    half = lv[len(lv) // 2 :]
-    for rep in range(reps):
-        pts = []
-        for i, j in enumerate(lv):
-            y = rows[rep][i]
-            if y is not None:
-                per_level[j].append(y)
-                pts.append((j, y))
-        fit = _slope_fit(pts)
-        if fit is not None:
-            slopes.append(fit)
-        present = {j for j, _ in pts}
-        if not (present & set(half)):
-            empty_tail_votes += 1
-
-    dropped = sum(1 for rep in range(reps) for y in rows[rep] if y is None)
+    rows = _level_rows(lv, reps, seed, threads, draw)
+    stats = _column_stats(lv, {j: (1 << j) * spec.pi.clamped_at(j) for j in lv}, rows)
+    fits = (_slope_fit([(j, y) for j, y in zip(lv, row) if y is not None]) for row in rows)
+    slopes = [fit for fit in fits if fit is not None]
+    upper_half = range(len(lv) // 2, len(lv))
+    empty_tail_votes = sum(all(row[i] is None for i in upper_half) for row in rows)
+    dropped = sum(y is None for row in rows for y in row)
     dropped_fraction = dropped / (reps * len(lv))
-    n_values = {j: (1 << j) * spec.pi.clamped_at(j) for j in lv}
-    stats = tuple(_summarise(j, n_values[j], per_level[j]) for j in lv)
 
     if len(slopes) >= 2:
         slope, slope_stderr = _mean_stderr(slopes)

@@ -331,8 +331,9 @@ VERIFY_CFG = {
 
 
 class TestVerify:
-    def test_outputs_identical_across_thread_counts(self, capsys, tmp_path):
-        path = write_cfg(tmp_path, VERIFY_CFG)
+    @pytest.mark.parametrize("command", ["verify", "lln", "evt", "cwt-verify"])
+    def test_outputs_identical_across_thread_counts(self, capsys, tmp_path, command):
+        path = write_cfg(tmp_path, ECHO_CASES[command])
         blobs = []
         tables = []
         for n in ("1", "3"):
@@ -340,7 +341,7 @@ class TestVerify:
             table = tmp_path / f"v{n}.csv"
             code, _, err = run(
                 capsys,
-                "verify",
+                command,
                 "--config",
                 path,
                 "--threads",
@@ -394,10 +395,11 @@ class TestVerify:
         baseline = run_json(capsys, "verify", "--config", path)
         monkeypatch.setenv("BESOVLAB_THREADS", "3")
         assert run_json(capsys, "verify", "--config", path) == baseline
-        monkeypatch.setenv("BESOVLAB_THREADS", "junk")
-        code, _, err = run(capsys, "verify", "--config", path)
-        assert code == 2
-        assert "BESOVLAB_THREADS" in err
+        for raw in ("junk", "100000"):
+            monkeypatch.setenv("BESOVLAB_THREADS", raw)
+            code, _, err = run(capsys, "verify", "--config", path)
+            assert code == 2
+            assert "$BESOVLAB_THREADS" in err
 
 
 class TestExperiments:
@@ -624,6 +626,12 @@ class TestErrors:
                 {"family": "daub4", "v_count": 2**40},
                 "v_count x 2^depth: more than",
             ),
+            # a Poisson mean of about 3e13 atoms: 60 TiB of atom arrays
+            (
+                "cwt-sample",
+                {"spec": {**CWT_SPEC, "c_mu": 1e13}},
+                "besovlab cwt-sample: config error: spec: more than",
+            ),
         ],
         ids=[
             "sample",
@@ -636,6 +644,7 @@ class TestErrors:
             "lln-level-cap",
             "evt-level-cap",
             "cwt-verify-v_count",
+            "cwt-sample-intensity",
         ],
     )
     def test_oversized_draw_is_rejected_before_allocating(
@@ -773,9 +782,11 @@ class TestErrors:
         assert code == 2
         assert "KEY.PATH=VALUE" in err
 
-    def test_threads_zero_rejected(self, capsys):
-        code, _, err = run(capsys, "classify", "--set", "alpha=2.0", "--threads", "0")
+    @pytest.mark.parametrize("threads", ["0", "100000"])
+    def test_threads_zero_rejected(self, capsys, threads):
+        code, _, err = run(capsys, "classify", "--set", "alpha=2.0", "--threads", threads)
         assert code == 2
+        assert err.startswith(f"besovlab: --threads must be in [1, 64], got {threads}")
 
     def test_unknown_command_is_usage(self, capsys):
         assert main(["frobnicate"]) == 2

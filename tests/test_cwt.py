@@ -377,6 +377,13 @@ class TestClassifyCwt:
         )
         assert v.decision is Decision.MEMBER_AS
         assert v.case_id == "cwt/general-summable"
+        # a zero intensity has no atoms at all, whatever the growth of 2^j mu
+        v0 = classify_cwt(
+            GAUSS, 3.0, 0.5, bp, r=2.5, rho=0.5,
+            mu=LevelSchedule(0.0, 0.5), tau=LevelSchedule(1.0, 1.5),
+        )
+        assert v0.decision is Decision.MEMBER_AS
+        assert v0.case_id == "cwt/general-summable"
         v2 = classify_cwt(
             GAUSS, 3.0, 0.5, bp, r=2.5, rho=0.5,
             mu=LevelSchedule(1.0, 1.0, -0.5), tau=LevelSchedule(1.0, 1.5),

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from besovlab.besov import BesovParams, level_terms
+from besovlab.cwt import CwtSpec, moment_bound_experiment
 from besovlab.distributions import (
     Cauchy,
     Gaussian,
@@ -20,6 +21,7 @@ from besovlab.lab import (
 )
 from besovlab.sampler import Infinite, PriorSpec, Regression, sample_tree
 from besovlab.schedules import LevelSchedule
+from besovlab.wavelets import family
 
 INF = math.inf
 
@@ -285,6 +287,20 @@ def test_reports_identical_across_thread_counts():
     lln_three = lln_experiment(Gaussian(1.0), LevelSchedule(1.0, 0.5, 0.0), 2.0,
                                levels=[10, 12], reps=8, seed=5, threads=3)
     assert lln_one.to_dict() == lln_three.to_dict()
+
+    evt_one = evt_experiment(Laplace(1.0), LevelSchedule(1.0), levels=[6, 9], reps=6, seed=8,
+                             threads=1)
+    evt_two = evt_experiment(Laplace(1.0), LevelSchedule(1.0), levels=[6, 9], reps=6, seed=8,
+                             threads=2)
+    assert evt_one.to_dict() == evt_two.to_dict()
+
+    cwt_spec = CwtSpec(3.0, 0.5, 1.0, 1.0, Gaussian(1.0), a0=1.0, a_max=16.0)
+    moments = [
+        moment_bound_experiment(cwt_spec, family("daub4"), 2.0, levels=[2, 3, 4], reps=4, seed=2,
+                                threads=n)
+        for n in (1, 2)
+    ]
+    assert moments[0].to_dict() == moments[1].to_dict()
 
 
 def test_reports_change_with_seed():
