@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import ConfigError, number
 from .sampler import CoefficientTree
 
-__all__ = ["BesovParams", "vector_p_norm", "level_terms", "besov_seq_norm"]
+__all__ = ["BesovParams", "vector_p_norm", "level_term", "level_terms", "besov_seq_norm"]
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,7 @@ class BesovParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BesovParams":
-        dec = lambda v: math.inf if v in ("inf", "Infinity", None) else float(v)
-        return cls(s=float(d["s"]), p=dec(d["p"]), q=dec(d["q"]))
+        return cls(s=number(d, "s"), p=number(d, "p"), q=number(d, "q"))
 
 
 def vector_p_norm(values: np.ndarray, p: float) -> float:
@@ -74,17 +74,23 @@ def vector_p_norm(values: np.ndarray, p: float) -> float:
     return top * math.fsum(powered.tolist()) ** (1.0 / p)
 
 
-def level_terms(t: CoefficientTree, bp: BesovParams) -> np.ndarray:
-    """Per-level terms ``a_j = 2^(j*s') ||w_j||_p`` for j in [j0, J].
+def level_term(j: int, w: np.ndarray, bp: BesovParams) -> float:
+    """``a_j = 2^(j*s') ||w||_p`` for the stored values ``w`` of level ``j``.
 
     The implicit zeros of a level never add to a power sum and are never
     the largest magnitude of a nonempty level, so the stored values alone
-    give ``||w_j||_p``.
+    give ``||w_j||_p``.  A weight ``2^(j*s')`` beyond the float range is a
+    ``besov.s`` error.
     """
-    out = np.empty(len(t.levels))
-    for i, lev in enumerate(t.levels):
-        out[i] = 2.0 ** (lev.j * bp.s_prime) * vector_p_norm(lev.w, bp.p)
-    return out
+    try:
+        return 2.0 ** (j * bp.s_prime) * vector_p_norm(w, bp.p)
+    except OverflowError:
+        raise ConfigError("besov.s", f"the level weight 2^(j s') overflows at level {j}") from None
+
+
+def level_terms(t: CoefficientTree, bp: BesovParams) -> np.ndarray:
+    """Per-level terms `level_term` for j in [j0, J]."""
+    return np.array([level_term(lev.j, lev.w, bp) for lev in t.levels], dtype=np.float64)
 
 
 def besov_seq_norm(t: CoefficientTree, bp: BesovParams) -> float:

@@ -25,6 +25,7 @@ import sys
 import numpy as np
 
 from . import besov, cwt, distributions, lab, sampler, theory, wavelets
+from .fields import ConfigError, block, integer, number, numbers, obj, string, under
 from .schedules import LevelSchedule
 
 EXIT_OK = 0
@@ -36,11 +37,6 @@ _ENV_THREADS = "BESOVLAB_THREADS"
 # bounds the OS threads one replicate loop starts; a constant, not the CPU
 # count, so a run that is valid on one host is valid on every host
 _MAX_THREADS = 64
-_MISSING = object()
-
-
-class ConfigError(ValueError):
-    """Malformed or incomplete config; the message names the field path."""
 
 
 # ---------------------------------------------------------------------------
@@ -48,72 +44,20 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _ctx(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def _get(cfg: dict, key: str, path: str, default=_MISSING):
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path or 'config'}: expected a JSON object")
-    if key in cfg:
-        return cfg[key]
-    if default is _MISSING:
-        raise ConfigError(f"{_ctx(path, key)}: required field is missing")
-    return default
-
-
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_float(value, where: str) -> float:
-    if isinstance(value, str) and value.lower() in ("inf", "infinity"):
-        return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where}: expected a string, got {value!r}")
-    return value
-
-
-def _load(from_dict, cfg: dict, key: str | None = None, path: str = "", expect: type = dict):
-    """``from_dict(cfg[key])``, or ``from_dict(cfg)`` when ``key`` is None.
-
-    The value must be an ``expect`` (a JSON object unless told otherwise).
-    Any failure becomes a ConfigError naming the field path; a KeyError
-    raised by ``from_dict`` names the missing field below ``key``.
-    """
-    where = path if key is None else _ctx(path, key)
-    doc = cfg if key is None else _get(cfg, key, path)
-    if not isinstance(doc, expect):
-        what = "a JSON object" if expect is dict else "a string"
-        raise ConfigError(f"{where or 'config'}: expected {what}, got {doc!r}")
-    try:
-        return from_dict(doc)
-    except KeyError as exc:
-        raise ConfigError(f"{_ctx(where, exc.args[0])}: required field is missing") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
-
-
-def _load_levels(cfg: dict, path: str, default=None) -> list[int]:
-    doc = _get(cfg, "levels", path, default)
-    where = _ctx(path, "levels")
-    if isinstance(doc, dict):
-        start = _as_int(_get(doc, "start", where), f"{where}.start")
-        stop = _as_int(_get(doc, "stop", where), f"{where}.stop")
-        if stop < start:
-            raise ConfigError(f"{where}: stop {stop} below start {start}")
-        return list(range(start, stop + 1))
-    if isinstance(doc, list) and doc:
-        return [_as_int(j, f"{where}[{i}]") for i, j in enumerate(doc)]
-    raise ConfigError(f"{where}: expected a nonempty list or {{start, stop}}")
+def _levels(cfg: dict, default=None) -> list[int]:
+    """``levels``: a nonempty list of integers or ``{start, stop}``; a stop
+    above the highest level a draw supports fails before the list is built."""
+    doc = cfg.get("levels", default)
+    with under("levels"):
+        if isinstance(doc, dict):
+            start, stop = integer(doc, "start"), integer(doc, "stop")
+            if stop < start:
+                raise ConfigError("", f"stop {stop} below start {start}")
+            sampler._check_level(stop, "stop")
+            return list(range(start, stop + 1))
+        if isinstance(doc, list) and doc:
+            return [integer(doc, i) for i in range(len(doc))]
+        raise ConfigError("", "expected a nonempty list or {start, stop}")
 
 
 def _load_tree(cfg: dict, args) -> tuple[dict, "sampler.CoefficientTree"]:
@@ -122,21 +66,20 @@ def _load_tree(cfg: dict, args) -> tuple[dict, "sampler.CoefficientTree"]:
     A file may hold a bare tree document or a report from ``sample``
     (the tree is then under ``result.tree``).
     """
-    doc = None
+    doc = cfg.get("tree")
     if getattr(args, "tree", None):
         with open(args.tree, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise ConfigError(f"--tree {args.tree}: invalid JSON ({exc})") from exc
+                raise ConfigError(f"--tree {args.tree}", f"invalid JSON ({exc})") from exc
         if isinstance(doc, dict) and "j0" not in doc:
             node = doc.get("result", doc)
             doc = node.get("tree", doc) if isinstance(node, dict) else None
-    elif isinstance(cfg, dict) and "tree" in cfg:
-        doc = cfg["tree"]
     if not isinstance(doc, dict) or "j0" not in doc:
-        raise ConfigError("tree: supply --tree FILE or an inline 'tree' document")
-    return doc, _load(sampler.tree_from_dict, {"tree": doc}, "tree")
+        raise ConfigError("tree", "supply --tree FILE or an inline 'tree' document")
+    with under("tree"):
+        return doc, sampler.tree_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -190,33 +133,25 @@ _OBJECT_FIELDS = {
 }
 
 
-def _classify_point(point: dict, path: str) -> tuple[dict, theory.Verdict]:
+def _classify_point(point: dict) -> tuple[dict, theory.Verdict]:
     """Resolve one classification request; returns (echoed point, verdict)."""
-    if not isinstance(point, dict):
-        raise ConfigError(f"{path or 'config'}: expected a JSON object")
-    kind = _as_str(point.get("kind", "simple"), _ctx(path, "kind"))
+    kind = string(point, "kind", "simple")
     if kind not in _CLASSIFY:
-        raise ConfigError(
-            f"{_ctx(path, 'kind')}: unknown kind {kind!r}; choose from {', '.join(_CLASSIFY)}"
-        )
-    numbers, objects, classify = _CLASSIFY[kind]
-    slab = _load(distributions.slab_from_dict, point, "slab", path)
+        raise ConfigError("kind", f"unknown kind {kind!r}; choose from {', '.join(_CLASSIFY)}")
+    number_fields, objects, classify = _CLASSIFY[kind]
+    slab = block(distributions.slab_from_dict, point, "slab")
     resolved: dict = {"kind": kind, "slab": distributions.slab_to_dict(slab)}
     fields = {}
-    for name in ("r",) + numbers:
-        fields[name] = _as_float(_get(point, name, path), _ctx(path, name))
+    for name in ("r",) + number_fields:
+        fields[name] = number(point, name)
         resolved[name] = "inf" if math.isinf(fields[name]) else fields[name]
     for name in objects:
         name, optional = name.rstrip("?"), name.endswith("?")
         if optional and name not in point:
             continue
-        fields[name] = _load(_OBJECT_FIELDS[name], point, name, path)
+        fields[name] = block(_OBJECT_FIELDS[name], point, name)
         resolved[name] = fields[name].to_dict()
     return resolved, classify(slab, **fields)
-
-
-def _verdict_row(index: int, kind: str, verdict: theory.Verdict) -> list:
-    return [index, kind, verdict.decision.value, verdict.case_id, verdict.threshold]
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +163,12 @@ def _cmd_classify(cfg: dict, args, threads: int):
     if "points" in cfg:
         raw = cfg["points"]
         if not isinstance(raw, list) or not raw:
-            raise ConfigError("points: expected a nonempty list of objects")
-        pairs = [_classify_point(pt, f"points[{i}]") for i, pt in enumerate(raw)]
+            raise ConfigError("points", "expected a nonempty list of objects")
+        with under("points"):
+            pairs = [block(_classify_point, raw, i) for i in range(len(raw))]
         echo = {"points": [resolved for resolved, _ in pairs]}
     else:
-        pairs = [_classify_point(cfg, "")]
+        pairs = [_classify_point(cfg)]
         echo = pairs[0][0]
     result = {
         "verdicts": [
@@ -241,7 +177,7 @@ def _cmd_classify(cfg: dict, args, threads: int):
     }
     header = ["index", "kind", "decision", "case_id", "threshold"]
     rows = [
-        _verdict_row(i, resolved["kind"], verdict)
+        [i, resolved["kind"], verdict.decision.value, verdict.case_id, verdict.threshold]
         for i, (resolved, verdict) in enumerate(pairs)
     ]
     flagged = any(v.decision is theory.Decision.NOT_COVERED for _, v in pairs)
@@ -249,49 +185,42 @@ def _cmd_classify(cfg: dict, args, threads: int):
 
 
 def _cmd_sweep(cfg: dict, args, threads: int):
-    base = _get(cfg, "base", "")
-    vary = _get(cfg, "vary", "")
-    if not isinstance(base, dict):
-        raise ConfigError("base: expected a classify point object")
-    if not isinstance(vary, dict) or not vary:
-        raise ConfigError("vary: expected a nonempty object of parameter -> values")
+    base = obj(cfg, "base")
+    vary = obj(cfg, "vary")
+    if not vary:
+        raise ConfigError("vary", "expected a nonempty object of parameter -> values")
     names = sorted(vary)
     for name in names:
         if not isinstance(vary[name], list) or not vary[name]:
-            raise ConfigError(f"vary.{name}: expected a nonempty list of values")
+            raise ConfigError(f"vary.{name}", "expected a nonempty list of values")
     rows = []
     records = []
     flagged = False
     for combo in itertools.product(*(vary[name] for name in names)):
         point = dict(base)
         for name, value in zip(names, combo):
-            _set_dotted(point, name, value, f"vary: {name}")
-        resolved, verdict = _classify_point(point, "base")
+            _set_dotted(point, name, value, f"vary.{name}")
+        with under("base"):
+            resolved, verdict = _classify_point(point)
         flagged = flagged or verdict.decision is theory.Decision.NOT_COVERED
-        rows.append(list(combo) + [verdict.decision.value, verdict.case_id, verdict.threshold])
-        records.append(
-            {
-                "overrides": dict(zip(names, combo)),
-                "decision": verdict.decision.value,
-                "case_id": verdict.case_id,
-                "threshold": verdict.threshold,
-            }
-        )
+        found = {
+            "decision": verdict.decision.value,
+            "case_id": verdict.case_id,
+            "threshold": verdict.threshold,
+        }
+        rows.append(list(combo) + list(found.values()))
+        records.append({"overrides": dict(zip(names, combo)), **found})
     echo = {"base": {**base, "kind": base.get("kind", "simple")}, "vary": {n: vary[n] for n in names}}
     header = names + ["decision", "case_id", "threshold"]
     return echo, {"rows": records}, (header, rows), flagged
 
 
 def _cmd_sample(cfg: dict, args, threads: int):
-    spec = _load(sampler.PriorSpec.from_dict, cfg)
-    j0 = _as_int(_get(cfg, "j0", ""), "j0")
-    seed = _as_int(_get(cfg, "seed", "", 0), "seed")
-    replicate = _as_int(_get(cfg, "replicate", "", 0), "replicate")
-    scaling = cfg.get("scaling")
-    if scaling is not None:
-        if not isinstance(scaling, list):
-            raise ConfigError("scaling: expected a list of numbers")
-        scaling = [_as_float(v, f"scaling[{i}]") for i, v in enumerate(scaling)]
+    spec = sampler.PriorSpec.from_dict(cfg)
+    j0 = integer(cfg, "j0")
+    seed = integer(cfg, "seed", 0)
+    replicate = integer(cfg, "replicate", 0)
+    scaling = numbers(cfg, "scaling", None)
     tree = sampler.sample_tree(spec, j0, scaling, seed=seed, replicate=replicate)
     echo = {**spec.to_dict(), "j0": j0, "seed": seed, "replicate": replicate}
     if scaling is not None:
@@ -306,7 +235,7 @@ def _cmd_sample(cfg: dict, args, threads: int):
 
 
 def _cmd_norm(cfg: dict, args, threads: int):
-    bp = _load(besov.BesovParams.from_dict, cfg, "besov")
+    bp = block(besov.BesovParams.from_dict, cfg, "besov")
     doc, tree = _load_tree(cfg, args)
     value = besov.besov_seq_norm(tree, bp)
     echo = {"besov": bp.to_dict(), "tree": doc}
@@ -324,17 +253,17 @@ def _level_csv(report: lab.ExperimentReport):
 
 
 def _cmd_verify(cfg: dict, args, threads: int):
-    bp = _load(besov.BesovParams.from_dict, cfg, "besov")
-    levels = _load_levels(cfg, "")
+    bp = block(besov.BesovParams.from_dict, cfg, "besov")
+    levels = _levels(cfg)
     # without a mode, the infinite model is cut at the highest level checked
     if cfg.get("mode") is None:
         cfg = {**cfg, "mode": {"kind": "infinite", "j_max": max(levels)}}
-    spec = _load(sampler.PriorSpec.from_dict, cfg)
-    reps = _as_int(_get(cfg, "reps", "", 100), "reps")
-    seed = _as_int(_get(cfg, "seed", "", 0), "seed")
-    check = _as_str(_get(cfg, "check", "", "slope"), "check")
+    spec = sampler.PriorSpec.from_dict(cfg)
+    reps = integer(cfg, "reps", 100)
+    seed = integer(cfg, "seed", 0)
+    check = string(cfg, "check", "slope")
     if check not in ("slope", "membership"):
-        raise ConfigError(f"check: expected 'slope' or 'membership', got {check!r}")
+        raise ConfigError("check", f"expected 'slope' or 'membership', got {check!r}")
     runner = lab.exponent_regression if check == "slope" else lab.empirical_membership
     report = runner(spec, bp, levels, reps=reps, seed=seed, threads=threads)
     verdict = report.theory_verdict or {}
@@ -344,29 +273,29 @@ def _cmd_verify(cfg: dict, args, threads: int):
 
 
 def _cmd_lln(cfg: dict, args, threads: int):
-    slab = _load(distributions.slab_from_dict, cfg, "slab")
-    pi = _load(LevelSchedule.from_dict, cfg, "pi")
-    m = _as_float(_get(cfg, "m", ""), "m")
-    levels = _load_levels(cfg, "", default=list(range(8, 19)))
-    reps = _as_int(_get(cfg, "reps", "", 50), "reps")
-    seed = _as_int(_get(cfg, "seed", "", 0), "seed")
+    slab = block(distributions.slab_from_dict, cfg, "slab")
+    pi = block(LevelSchedule.from_dict, cfg, "pi")
+    m = number(cfg, "m")
+    levels = _levels(cfg, default=list(range(8, 19)))
+    reps = integer(cfg, "reps", 50)
+    seed = integer(cfg, "seed", 0)
     report = lab.lln_experiment(slab, pi, m, levels, reps=reps, seed=seed, threads=threads)
     return report.config, report.to_dict(), _level_csv(report), False
 
 
 def _cmd_evt(cfg: dict, args, threads: int):
-    slab = _load(distributions.slab_from_dict, cfg, "slab")
-    pi = _load(LevelSchedule.from_dict, cfg, "pi")
-    levels = _load_levels(cfg, "", default=list(range(8, 19)))
-    reps = _as_int(_get(cfg, "reps", "", 100), "reps")
-    seed = _as_int(_get(cfg, "seed", "", 0), "seed")
+    slab = block(distributions.slab_from_dict, cfg, "slab")
+    pi = block(LevelSchedule.from_dict, cfg, "pi")
+    levels = _levels(cfg, default=list(range(8, 19)))
+    reps = integer(cfg, "reps", 100)
+    seed = integer(cfg, "seed", 0)
     report = lab.evt_experiment(slab, pi, levels, reps=reps, seed=seed, threads=threads)
     return report.config, report.to_dict(), _level_csv(report), False
 
 
 def _cmd_synth(cfg: dict, args, threads: int):
-    fam = _load(wavelets.family, cfg, "family", expect=str)
-    grid_exponent = _as_int(_get(cfg, "grid_exponent", ""), "grid_exponent")
+    fam = block(wavelets.family, cfg, "family")
+    grid_exponent = integer(cfg, "grid_exponent")
     doc, tree = _load_tree(cfg, args)
     values = wavelets.synthesize(tree, fam, grid_exponent)
     xs = np.arange(values.size) / float(values.size)
@@ -382,9 +311,9 @@ def _cmd_synth(cfg: dict, args, threads: int):
 
 
 def _cmd_cwt_sample(cfg: dict, args, threads: int):
-    spec = _load(cwt.CwtSpec.from_dict, cfg, "spec")
-    seed = _as_int(_get(cfg, "seed", "", 0), "seed")
-    replicate = _as_int(_get(cfg, "replicate", "", 0), "replicate")
+    spec = block(cwt.CwtSpec.from_dict, cfg, "spec")
+    seed = integer(cfg, "seed", 0)
+    replicate = integer(cfg, "replicate", 0)
     atoms = cwt.sample_atoms(spec, seed, replicate)
     echo = {"spec": spec.to_dict(), "seed": seed, "replicate": replicate}
     result = {
@@ -392,15 +321,13 @@ def _cmd_cwt_sample(cfg: dict, args, threads: int):
         "count": len(atoms),
         "atoms": [[a, b, w] for a, b, w in cwt.atoms_to_rows(atoms)],
     }
-    project = cfg.get("project")
+    project = obj(cfg, "project", None)
     if project is not None:
-        fam = _load(wavelets.family, project, "family", "project", expect=str)
-        j0 = _as_int(_get(project, "j0", "project"), "project.j0")
-        top = _as_int(_get(project, "top", "project"), "project.top")
-        try:
+        with under("project"):
+            fam = block(wavelets.family, project, "family")
+            j0 = integer(project, "j0")
+            top = integer(project, "top")
             tree = cwt.project_to_orthogonal(atoms, fam, j0, top, spec.coarse)
-        except ValueError as exc:
-            raise ConfigError(f"project: {exc}") from exc
         echo["project"] = {"family": fam.name, "j0": j0, "top": top}
         result["tree"] = sampler.tree_to_dict(tree)
     header = ["a", "b", "omega"]
@@ -409,29 +336,28 @@ def _cmd_cwt_sample(cfg: dict, args, threads: int):
 
 
 def _cmd_cwt_verify(cfg: dict, args, threads: int):
-    fam = _load(wavelets.family, cfg, "family", expect=str)
-    v_count = _as_int(_get(cfg, "v_count", "", 257), "v_count")
-    depth = _as_int(_get(cfg, "depth", "", 12), "depth")
-    u_grid = cfg.get("u_grid")
-    if u_grid is not None:
-        if not isinstance(u_grid, list) or not u_grid:
-            raise ConfigError("u_grid: expected a nonempty list of scale ratios")
-        u_grid = [_as_float(u, f"u_grid[{i}]") for i, u in enumerate(u_grid)]
+    fam = block(wavelets.family, cfg, "family")
+    v_count = integer(cfg, "v_count", 257)
+    depth = integer(cfg, "depth", 12)
+    u_grid = numbers(cfg, "u_grid", None)
+    if u_grid is not None and not u_grid:
+        raise ConfigError("u_grid", "expected a nonempty list of scale ratios")
     bounds = cwt.verify_kernel_bounds(fam, u_grid, v_count=v_count, depth=depth)
     echo: dict = {"family": fam.name, "v_count": v_count, "depth": depth}
     if u_grid is not None:
         echo["u_grid"] = u_grid
     result: dict = {"kernel": bounds.to_dict()}
-    moment = cfg.get("moment")
+    moment = obj(cfg, "moment", None)
     if moment is not None:
-        spec = _load(cwt.CwtSpec.from_dict, moment, "spec", "moment")
-        m = _as_float(_get(moment, "m", "moment"), "moment.m")
-        levels = _load_levels(moment, "moment")
-        reps = _as_int(_get(moment, "reps", "moment", 50), "moment.reps")
-        seed = _as_int(_get(moment, "seed", "moment", 0), "moment.seed")
-        report = cwt.moment_bound_experiment(
-            spec, fam, m, levels, reps=reps, seed=seed, threads=threads
-        )
+        with under("moment"):
+            spec = block(cwt.CwtSpec.from_dict, moment, "spec")
+            m = number(moment, "m")
+            levels = _levels(moment)
+            reps = integer(moment, "reps", 50)
+            seed = integer(moment, "seed", 0)
+            report = cwt.moment_bound_experiment(
+                spec, fam, m, levels, reps=reps, seed=seed, threads=threads
+            )
         # the family is echoed once, at the top level
         echo["moment"] = {k: v for k, v in report.config.items() if k != "family"}
         result["moment"] = report.to_dict()
@@ -472,7 +398,7 @@ def _set_dotted(doc: dict, dotted: str, value, blame: str) -> None:
     for part in parents:
         child = node.get(part, {})
         if not isinstance(child, dict):
-            raise ConfigError(f"{blame}: {part!r} is not an object")
+            raise ConfigError(blame, f"{part!r} is not an object")
         node[part] = dict(child)
         node = node[part]
     node[last] = value
@@ -481,7 +407,7 @@ def _set_dotted(doc: dict, dotted: str, value, blame: str) -> None:
 def _apply_override(cfg: dict, item: str) -> None:
     key, sep, raw = item.partition("=")
     if not sep or not key:
-        raise ConfigError(f"--set {item!r}: expected KEY.PATH=VALUE")
+        raise ConfigError(f"--set {item!r}", "expected KEY.PATH=VALUE")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
@@ -496,9 +422,9 @@ def _resolve_config(args) -> dict:
             try:
                 cfg = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise ConfigError(f"--config {args.config}: invalid JSON ({exc})") from exc
+                raise ConfigError(f"--config {args.config}", f"invalid JSON ({exc})") from exc
         if not isinstance(cfg, dict):
-            raise ConfigError(f"--config {args.config}: top level must be a JSON object")
+            raise ConfigError(f"--config {args.config}", "top level must be a JSON object")
     for item in args.overrides:
         _apply_override(cfg, item)
     if args.seed is not None:
@@ -603,6 +529,11 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         echo, result, table, flagged = _DISPATCH[args.command](cfg, args, threads)
+        report = {"command": args.command, "config": echo, "result": result}
+        try:
+            text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise ValueError(f"the report holds a non-finite number ({exc})") from exc
     except ValueError as exc:
         print(f"besovlab {args.command}: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -614,8 +545,6 @@ def main(argv=None) -> int:
         print(f"besovlab {args.command}: no CSV table for this subcommand", file=sys.stderr)
         return EXIT_USAGE
 
-    report = {"command": args.command, "config": echo, "result": result}
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -32,7 +32,8 @@ from .distributions import (
     slab_to_dict,
     tail_class,
 )
-from .lab import ExperimentReport, _column_stats, _run_reps, _slope_fit
+from .fields import ConfigError, array, block, number, under
+from .lab import ExperimentReport, _check_reps, _column_stats, _level_list, _run_reps, _slope_fit
 from .sampler import CoefficientTree, Level, check_dense_size, rng_for
 from .schedules import GrowthKind, LevelSchedule, growth_regime
 from .theory import Decision, Verdict, _level_exponent, _lq_finite, _threshold, classify_simple
@@ -116,40 +117,36 @@ class CwtSpec:
         return self.c_mu * (self.a_max**e - self.a0**e) / e
 
     def to_dict(self) -> dict:
-        return {
-            "c_mu": self.c_mu,
-            "beta": self.beta,
-            "c_tau": self.c_tau,
-            "alpha": self.alpha,
-            "slab": slab_to_dict(self.slab),
-            "a0": self.a0,
-            "a_max": self.a_max,
-            "coarse": {
-                "c_w": self.coarse.c_w,
-                "atoms": [[at.a, at.b, at.omega] for at in self.coarse.atoms],
-            },
-        }
+        atoms = [[at.a, at.b, at.omega] for at in self.coarse.atoms]
+        coarse = {"c_w": self.coarse.c_w, "atoms": atoms}
+        return {**vars(self), "slab": slab_to_dict(self.slab), "coarse": coarse}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CwtSpec":
-        coarse_doc = d.get("coarse", {}) or {}
-        coarse = CoarseTerm(
-            c_w=float(coarse_doc.get("c_w", 0.0)),
-            atoms=tuple(
-                PoissonAtom(float(a), float(b), float(w))
-                for a, b, w in coarse_doc.get("atoms", [])
-            ),
-        )
+        """Inverse of `to_dict`; a missing or null ``coarse`` is empty."""
         return cls(
-            c_mu=float(d["c_mu"]),
-            beta=float(d["beta"]),
-            c_tau=float(d["c_tau"]),
-            alpha=float(d["alpha"]),
-            slab=slab_from_dict(d["slab"]),
-            a0=float(d["a0"]),
-            a_max=float(d["a_max"]),
-            coarse=coarse,
+            c_mu=number(d, "c_mu"),
+            beta=number(d, "beta"),
+            c_tau=number(d, "c_tau"),
+            alpha=number(d, "alpha"),
+            slab=block(slab_from_dict, d, "slab"),
+            a0=number(d, "a0"),
+            a_max=number(d, "a_max"),
+            coarse=block(_coarse_from_dict, d, "coarse", None) or CoarseTerm(),
         )
+
+
+def _atom_from_row(row) -> PoissonAtom:
+    if not (isinstance(row, list) and len(row) == 3):
+        raise ValueError(f"expected an [a, b, omega] triple, got {row!r}")
+    return PoissonAtom(*(number(row, i) for i in range(3)))
+
+
+def _coarse_from_dict(d: dict) -> CoarseTerm:
+    rows = array(d, "atoms", [])
+    with under("atoms"):
+        atoms = tuple(block(_atom_from_row, rows, i) for i in range(len(rows)))
+    return CoarseTerm(c_w=number(d, "c_w", 0.0), atoms=atoms)
 
 
 def sample_atoms(spec: CwtSpec, seed: int, replicate: int = 0) -> list[PoissonAtom]:
@@ -287,18 +284,10 @@ class KernelBoundReport:
     slope_low: float
     c_high: float
     c_low: float
+    dropped: int  # u points left out of both slope fits: their sup is 0
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "exponent": self.exponent,
-            "u": list(map(float, self.u)),
-            "sup": list(map(float, self.sup)),
-            "slope_high": self.slope_high,
-            "slope_low": self.slope_low,
-            "c_high": self.c_high,
-            "c_low": self.c_low,
-        }
+        return {**vars(self), "u": list(map(float, self.u)), "sup": list(map(float, self.sup))}
 
 
 def verify_kernel_bounds(
@@ -313,13 +302,15 @@ def verify_kernel_bounds(
 
     Reports the log2-log2 slopes on the ``u >= 1`` and ``u <= 1`` branches
     and the smallest constants making ``|K0| <= C u^(-+(r+rho+1/2))`` hold
-    on the grid with the configured regularity hint.
+    on the grid with the configured regularity hint.  A ``u`` whose sup is
+    0 has no logarithm: it is left out of the fits and counted in
+    ``dropped``, and a branch with fewer than two points left has no slope.
     """
     if u_grid is None:
         u_grid = 2.0 ** np.arange(-6, 7)
     u_grid = np.asarray(u_grid, dtype=np.float64)
     if u_grid.min() > 2.0**-6 or u_grid.max() < 2.0**6:
-        raise ValueError("u grid must span [2^-6, 2^6]")
+        raise ConfigError("u_grid", "must span [2^-6, 2^6]")
     # each kernel row interpolates (shift count) x (L 2^depth + 1) values
     shifts = max(1, v_count if v_grid is None else len(v_grid))
     check_dense_size(math.log2(shifts) + math.log2(fam.support) + depth, "v_count x 2^depth")
@@ -335,8 +326,9 @@ def verify_kernel_bounds(
     expo = fam.r_plus_rho + 0.5
     high = u_grid >= 1.0
     low = u_grid <= 1.0
-    slope_high = _slope_fit(list(zip(np.log2(u_grid[high]), np.log2(sups[high]))))
-    slope_low = _slope_fit(list(zip(np.log2(u_grid[low]), np.log2(sups[low]))))
+    fit = sups > 0
+    slope_high = _slope_fit(list(zip(np.log2(u_grid[high & fit]), np.log2(sups[high & fit]))))
+    slope_low = _slope_fit(list(zip(np.log2(u_grid[low & fit]), np.log2(sups[low & fit]))))
     c_high = float(np.max(sups[high] * u_grid[high] ** expo))
     c_low = float(np.max(sups[low] * u_grid[low] ** (-expo)))
     return KernelBoundReport(
@@ -348,6 +340,7 @@ def verify_kernel_bounds(
         slope_low=slope_low,
         c_high=c_high,
         c_low=c_low,
+        dropped=int(np.count_nonzero(~fit)),
     )
 
 
@@ -502,14 +495,13 @@ def moment_bound_experiment(
 
     The fitted log2 decay slope is compared against the dominant predicted
     exponent ``-min(m (r+rho+1/2) - 1, m alpha/2 + beta)``; constants are
-    not checked, only decay.  Replicates run on up to ``threads`` workers;
-    the report is the same for every thread count.
+    not checked, only decay.  Levels whose mean moment is 0 are left out of
+    the fit; ``dropped_fraction`` is their share.  Replicates run on up to
+    ``threads`` workers; the report is the same for every thread count.
     """
-    lv = sorted(set(int(j) for j in levels))
-    if not lv or lv[0] < 0:
-        raise ValueError("levels must be a nonempty collection of nonnegative ints")
-    if reps < 2:
-        raise ValueError(f"need at least 2 replicates, got {reps}")
+    lv = _level_list(levels)
+    _check_reps(reps)
+    check_dense_size(math.log2(fam.support) + lv[-1] + 2, "levels")  # the projection's row
     if not m > 0:
         raise ValueError(f"moment order must be positive, got {m}")
     if not absolute_moment(spec.slab, m) < math.inf:
@@ -558,6 +550,7 @@ def moment_bound_experiment(
         slope=slope,
         slope_stderr=slope_err,
         expected_slope=expected,
+        dropped_fraction=(len(stats) - len(pts)) / len(stats),
     )
 
 

@@ -25,6 +25,8 @@ from typing import Union
 
 import numpy as np
 
+from .fields import ConfigError, number, string
+
 __all__ = [
     "Gaussian",
     "Laplace",
@@ -325,15 +327,15 @@ def slab_to_dict(d: SlabDistribution) -> dict:
 
 def slab_from_dict(spec: dict) -> SlabDistribution:
     """Inverse of `slab_to_dict`."""
-    family = spec.get("family")
+    family = string(spec, "family")
     if family == "gaussian":
-        return Gaussian(sigma=spec.get("sigma", 1.0))
+        return Gaussian(sigma=number(spec, "sigma", 1.0))
     if family == "laplace":
-        return Laplace(lam=spec.get("lam", 1.0))
+        return Laplace(lam=number(spec, "lam", 1.0))
     if family == "student_t":
-        return StudentT(nu=spec["nu"])
+        return StudentT(nu=number(spec, "nu"))
     if family == "cauchy":
         return Cauchy()
     if family == "power_exponential":
-        return PowerExponential(m=spec["m"], lam=spec.get("lam", 1.0))
-    raise ValueError(f"unknown slab family: {family!r}")
+        return PowerExponential(m=number(spec, "m"), lam=number(spec, "lam", 1.0))
+    raise ConfigError("family", f"unknown slab family: {family!r}")

@@ -1,0 +1,126 @@
+"""Typed readers for JSON config blocks, and the error that names a field.
+
+Every config block is read through these functions, so a bad value fails
+the same way everywhere: a `ConfigError` that renders as
+``<dotted.path>: <reason>``, list indices joined without a dot
+(``points[1].beta``).  A reader names only its own key (an object key, or
+an int for a list element); `block` and `under` put the enclosing block's
+key in front.  Numbers refuse booleans and strings other than
+``"inf"``/``"infinity"``.  A missing field reads as the default when one
+is given, and so does a null one whose default is None.
+"""
+
+from __future__ import annotations
+
+import math
+
+__all__ = ["ConfigError", "under", "block", "number", "integer", "string", "obj", "array", "numbers"]
+
+_MISSING = object()
+
+
+def _name(key) -> str:
+    return f"[{key}]" if isinstance(key, int) else str(key)
+
+
+def _join(head: str, tail: str) -> str:
+    if not head or not tail:
+        return head or tail
+    return head + tail if tail[0] == "[" else f"{head}.{tail}"
+
+
+class ConfigError(ValueError):
+    """Malformed or incomplete config at the field path ``path``."""
+
+    def __init__(self, key, reason: str) -> None:
+        super().__init__(key, reason)
+        self.path = _name(key)
+        self.reason = reason
+
+    def __str__(self) -> str:
+        return f"{self.path}: {self.reason}" if self.path else self.reason
+
+
+class under:
+    """Context whose config errors are led by ``key``: a `ConfigError` gets
+    it in front of its path, a ``KeyError`` names the missing field below
+    it, and any other ``ValueError``, ``TypeError`` or ``OverflowError`` (a
+    dataclass validator's, say) becomes a `ConfigError` at ``key``."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key) -> None:
+        self.key = key
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        if isinstance(exc, ConfigError):
+            exc.path = _join(_name(self.key), exc.path)
+        elif isinstance(exc, KeyError):
+            missing = _join(_name(self.key), _name(exc.args[0]))
+            raise ConfigError(missing, "required field is missing") from exc
+        elif isinstance(exc, (TypeError, ValueError, OverflowError)):
+            raise ConfigError(self.key, str(exc)) from exc
+        return False
+
+
+def _value(d, key, default):
+    if isinstance(key, int):  # an element of a list the caller has checked
+        return d[key]
+    if not isinstance(d, dict):
+        raise ConfigError("", f"expected a JSON object, got {d!r}")
+    if key in d:
+        return d[key]
+    if default is _MISSING:
+        raise ConfigError(key, "required field is missing")
+    return default
+
+
+def block(parse, d, key, default=_MISSING):
+    """``parse(d[key])``, any error it raises led by ``key``."""
+    value = _value(d, key, default)
+    if value is default:
+        return default
+    with under(key):
+        return parse(value)
+
+
+def number(d, key, default=_MISSING) -> float:
+    v = _value(d, key, default)
+    if isinstance(v, (float, int)) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except OverflowError:
+            raise ConfigError(key, f"{v} is out of range for a float") from None
+    if isinstance(v, str) and v.lower() in ("inf", "infinity"):
+        return math.inf
+    if v is default:
+        return default
+    raise ConfigError(key, f"expected a number, got {v!r}")
+
+
+def _reader(kind: type, what: str):
+    def read(d, key, default=_MISSING):
+        v = _value(d, key, default)
+        if (isinstance(v, kind) and not isinstance(v, bool)) or v is default:
+            return v
+        raise ConfigError(key, f"expected {what}, got {v!r}")
+
+    return read
+
+
+integer = _reader(int, "an integer")
+string = _reader(str, "a string")
+obj = _reader(dict, "a JSON object")
+array = _reader(list, "a list")
+
+
+def numbers(d, key, default=_MISSING) -> list[float]:
+    """A list of numbers; a bad element is named ``<key>[i]``."""
+    v = array(d, key, default)
+    if v is default:
+        return default
+    with under(key):
+        return [number(v, i) for i in range(len(v))]

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .besov import BesovParams, vector_p_norm
+from .besov import BesovParams, level_term
 from .distributions import (
     FrechetTail,
     SlabDistribution,
@@ -43,6 +43,7 @@ from .distributions import (
     slab_to_dict,
     tail_class,
 )
+from .fields import ConfigError
 from .sampler import PriorSpec, Regression, _check_level, draw_count, draw_level, rng_for
 from .schedules import GrowthKind, LevelSchedule, clamped_exponents, growth_regime
 from .theory import _level_exponent, classify_general, classify_regression
@@ -73,16 +74,7 @@ class LevelStat:
     q75: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "count": self.count,
-            "n_value": self.n_value,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "median": self.median,
-            "q25": self.q25,
-            "q75": self.q75,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -101,34 +93,24 @@ class ExperimentReport:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "levels": [ls.to_dict() for ls in self.levels],
-            "expected_ratio": self.expected_ratio,
-            "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-            "expected_slope": self.expected_slope,
-            "empirical_verdict": self.empirical_verdict,
-            "theory_verdict": self.theory_verdict,
-            "agree": self.agree,
-            "dropped_fraction": self.dropped_fraction,
-            "degenerate": self.degenerate,
-        }
+        out = {k: v for k, v in vars(self).items() if k != "config"}
+        return {**out, "levels": [ls.to_dict() for ls in self.levels]}
 
 
 def _level_list(levels) -> list[int]:
+    """The sorted distinct levels of an experiment; errors name ``levels``."""
     out = sorted({int(j) for j in levels})
     if not out:
-        raise ValueError("need at least one level")
+        raise ConfigError("levels", "need at least one level")
     if out[0] < 0:
-        raise ValueError(f"levels must be >= 0, got {out[0]}")
+        raise ConfigError("levels", f"levels must be >= 0, got {out[0]}")
     _check_level(out[-1], "levels")
     return out
 
 
 def _check_reps(reps: int) -> None:
     if reps < 2:
-        raise ValueError(f"need reps >= 2 to report standard errors, got {reps}")
+        raise ConfigError("reps", f"need at least 2 replicates for a standard error, got {reps}")
 
 
 def _run_reps(reps: int, threads: int, work):
@@ -314,7 +296,7 @@ def _level_term_experiment(
         vals = draw_level(spec, rng, j)
         if vals.size == 0:
             return None
-        a_j = 2.0 ** (j * bp.s_prime) * vector_p_norm(vals, bp.p)
+        a_j = level_term(j, vals, bp)
         return power * math.log2(a_j) if a_j > 0 else None
 
     rows = _level_rows(lv, reps, seed, threads, draw)

@@ -27,6 +27,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .distributions import SlabDistribution, sample as slab_sample, slab_from_dict, slab_to_dict
+from .fields import ConfigError, array, block, integer, numbers, string, under
 from .schedules import LevelSchedule
 
 __all__ = [
@@ -137,11 +138,13 @@ _MAX_EXPECTED_NONZEROS = 2**24
 # draw as a C long, and positions are int64.
 _MAX_LEVEL = 62
 
+_NUMBER = (int, float)  # a tree value's exact type: a bool is not a number here
+
 
 def _check_level(j: int, blame: str) -> None:
     if j > _MAX_LEVEL:
-        raise ValueError(
-            f"{blame}: level {j} is above {_MAX_LEVEL}, the highest level a draw supports"
+        raise ConfigError(
+            blame, f"level {j} is above {_MAX_LEVEL}, the highest level a draw supports"
         )
 
 
@@ -149,44 +152,18 @@ def check_dense_size(log2_size: float, blame: str) -> None:
     """Reject a dense array of ``2^log2_size`` values before it is allocated
     when it would hold more than 2^24; ``blame`` is the field that sized it."""
     if log2_size > math.log2(_MAX_EXPECTED_NONZEROS):
-        raise ValueError(
-            f"{blame}: more than {_MAX_EXPECTED_NONZEROS} values in one dense array; lower it"
+        raise ConfigError(
+            blame, f"more than {_MAX_EXPECTED_NONZEROS} values in one dense array; lower it"
         )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _field(parse, d: dict, key: str):
-    """``parse(d[key])``, with ``key`` leading the field path of any error."""
-    doc = d[key]
-    if not isinstance(doc, dict):
-        raise TypeError(f"{key}: expected a JSON object")
-    try:
-        return parse(doc)
-    except KeyError as exc:
-        raise KeyError(f"{key}.{exc.args[0]}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{key}: {exc}") from exc
 
 
 def _mode_from_dict(d) -> Mode:
     """``{"kind": "infinite", "j_max": J}`` or ``{"kind": "regression", "n": n}``."""
-    if not isinstance(d, dict):
-        raise TypeError("mode: expected a JSON object")
-    if "kind" not in d:
-        raise KeyError("mode.kind")
-    kind = d["kind"]
-    if kind not in ("infinite", "regression"):
-        raise ValueError(f"mode.kind: expected 'infinite' or 'regression', got {kind!r}")
+    kind = string(d, "kind")
+    if kind not in _MODES:
+        raise ConfigError("kind", f"expected 'infinite' or 'regression', got {kind!r}")
     name, mode_type = _MODES[kind]
-    if name not in d:
-        raise KeyError(f"mode.{name}")
-    value = d[name]
-    if not _is_int(value):
-        raise ValueError(f"mode.{name}: expected an integer, got {value!r}")
-    return mode_type(value)
+    return mode_type(integer(d, name))
 
 
 @dataclass(frozen=True)
@@ -198,10 +175,8 @@ class PriorSpec:
 
     def to_dict(self) -> dict:
         """The prior as a config block; `from_dict` reads it back."""
-        if isinstance(self.mode, Infinite):
-            mode = {"kind": "infinite", "j_max": self.mode.j_max}
-        else:
-            mode = {"kind": "regression", "n": self.mode.n}
+        kind = "infinite" if isinstance(self.mode, Infinite) else "regression"
+        mode = {"kind": kind, **vars(self.mode)}
         return {
             "slab": slab_to_dict(self.slab),
             "tau": self.tau.to_dict(),
@@ -211,17 +186,13 @@ class PriorSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PriorSpec":
-        """Inverse of `to_dict`; a missing ``mode`` is ``Infinite(12)``.
-
-        Errors name the failing field: a missing one raises ``KeyError``
-        with its dotted path (``"tau.c"``), a bad value ``ValueError`` or
-        ``TypeError`` with a message led by that path (``"mode.j_max: ..."``).
-        """
+        """Inverse of `to_dict`; a missing or null ``mode`` is ``Infinite(12)``.
+        Errors are `ConfigError`s naming the failing field (``mode.j_max``)."""
         return cls(
-            tau=_field(LevelSchedule.from_dict, d, "tau"),
-            pi=_field(LevelSchedule.from_dict, d, "pi"),
-            slab=_field(slab_from_dict, d, "slab"),
-            mode=cls.mode if d.get("mode") is None else _mode_from_dict(d["mode"]),
+            tau=block(LevelSchedule.from_dict, d, "tau"),
+            pi=block(LevelSchedule.from_dict, d, "pi"),
+            slab=block(slab_from_dict, d, "slab"),
+            mode=block(_mode_from_dict, d, "mode", None) or cls.mode,
         )
 
     def check_draw_size(self, levels: Iterable[int], blame: str) -> None:
@@ -234,9 +205,10 @@ class PriorSpec:
             _check_level(j, blame)
             total += math.ldexp(self.pi.clamped_at(j), j)
             if total > _MAX_EXPECTED_NONZEROS:
-                raise ValueError(
-                    f"{blame}: more than {_MAX_EXPECTED_NONZEROS} nonzero coefficients "
-                    f"expected by level {j}; lower the top level or pi"
+                raise ConfigError(
+                    blame,
+                    f"more than {_MAX_EXPECTED_NONZEROS} nonzero coefficients "
+                    f"expected by level {j}; lower the top level or pi",
                 )
 
     def top_level(self) -> int:
@@ -248,7 +220,7 @@ class PriorSpec:
         """Scale multiplying the slab draw at level ``j``."""
         amp = self.tau.value_at(j)
         if not math.isfinite(amp):
-            raise ValueError(f"tau: the amplitude at level {j} overflows a float")
+            raise ConfigError("tau", f"the amplitude at level {j} overflows a float")
         if isinstance(self.mode, Regression):
             amp /= math.sqrt(self.mode.n)
         return amp
@@ -356,39 +328,23 @@ def tree_to_dict(t: CoefficientTree) -> dict:
 
 
 def _level_from_dict(item) -> Level:
-    if not isinstance(item, dict):
-        raise ValueError(f"expected a JSON object, got {item!r}")
-    j = item["j"]
-    entries = item["entries"]
-    if not _is_int(j):
-        raise ValueError(f"j: expected an integer, got {j!r}")
-    if not isinstance(entries, list):
-        raise ValueError(f"entries: expected a list of [k, w] pairs, got {entries!r}")
+    j = integer(item, "j")
+    entries = array(item, "entries")
     for e in entries:
-        if not (isinstance(e, list) and len(e) == 2 and _is_int(e[0])):
-            raise ValueError(f"entry {e!r} at level {j} is not a [k, w] pair with integer k")
+        if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) in _NUMBER):
+            raise ValueError(f"entry {e!r} at level {j} is not an [integer k, number w] pair")
     return Level(j, [e[0] for e in entries], [e[1] for e in entries])
 
 
 def tree_from_dict(doc: dict) -> CoefficientTree:
-    """Inverse of `tree_to_dict`.  A malformed document raises ``ValueError``
-    (``KeyError`` for a missing field) led by the failing field path, e.g.
-    ``levels[2]: entry [0.5, 1.0] at level 5 is not a [k, w] pair ...``."""
-    j0 = doc["j0"]
-    items = doc["levels"]
-    if not _is_int(j0):
-        raise ValueError(f"j0: expected an integer, got {j0!r}")
-    if not isinstance(items, list):
-        raise ValueError(f"levels: expected a list, got {items!r}")
-    levels = []
-    for i, item in enumerate(items):
-        try:
-            levels.append(_level_from_dict(item))
-        except KeyError as exc:
-            raise KeyError(f"levels[{i}].{exc.args[0]}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"levels[{i}]: {exc}") from exc
-    return CoefficientTree(j0, np.asarray(doc["scaling"], dtype=np.float64), tuple(levels))
+    """Inverse of `tree_to_dict`.  A malformed document raises a `ConfigError`
+    led by the failing field path, e.g. ``levels[2]: entry [0.5, 1.0] at
+    level 5 is not an [integer k, number w] pair``."""
+    j0 = integer(doc, "j0")
+    items = array(doc, "levels")
+    with under("levels"):
+        levels = tuple(block(_level_from_dict, items, i) for i in range(len(items)))
+    return CoefficientTree(j0, np.asarray(numbers(doc, "scaling"), dtype=np.float64), levels)
 
 
 def tree_to_csv_rows(t: CoefficientTree) -> list[tuple[int, int, float]]:

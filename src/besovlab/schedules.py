@@ -17,6 +17,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .fields import number
+
 __all__ = [
     "LevelSchedule",
     "GrowthKind",
@@ -72,7 +74,7 @@ class LevelSchedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LevelSchedule":
-        return cls(c=float(d["c"]), e=float(d.get("e", 0.0)), g=float(d.get("g", 0.0)))
+        return cls(c=number(d, "c"), e=number(d, "e", 0.0), g=number(d, "g", 0.0))
 
 
 class SeriesVerdict(enum.Enum):

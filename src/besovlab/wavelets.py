@@ -136,7 +136,7 @@ def family(name: str) -> WaveletFamily:
     try:
         h = _FILTERS[name]
         r, rho = _REGULARITY[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(f"unknown wavelet family {name!r}; known: {FAMILY_NAMES}")
     return WaveletFamily(name, h, r, rho)
 

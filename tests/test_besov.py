@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from besovlab.besov import BesovParams, besov_seq_norm, level_terms, vector_p_norm
 from besovlab.distributions import Gaussian, StudentT
+from besovlab.fields import ConfigError
 from besovlab.sampler import CoefficientTree, Infinite, Level, PriorSpec, sample_tree
 from besovlab.schedules import LevelSchedule
 
@@ -175,6 +176,12 @@ def test_level_p_norm_overflow_guard():
     vals = np.array([1e200, 1e199])
     assert math.isfinite(vector_p_norm(vals, 4.0))
     assert vector_p_norm(vals, INF) == 1e200
+
+
+def test_level_weight_overflow_names_besov_s():
+    t = CoefficientTree(0, [0.0], (Level(0, [0], [1.0]), Level(1, [1], [1.0])))
+    with pytest.raises(ConfigError, match=r"^besov\.s: the level weight"):
+        level_terms(t, BesovParams(2000.0, 2.0, 2.0))
 
 
 def test_params_validation():

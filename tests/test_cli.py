@@ -57,6 +57,39 @@ ECHO_CASES = {
         "moment": {"spec": CWT_SPEC, "m": 2.0, "levels": [2, 3], "reps": 3},
     },
 }
+# one config for every subcommand
+REPORT_CASES = {
+    **ECHO_CASES,
+    "sweep": {
+        "base": {"slab": GAUSS, "alpha": 2.0, "besov": B122, "r": 3.0},
+        "vary": {"beta": [0.25, 0.5]},
+    },
+    "norm": {"besov": B122, "tree": TINY_TREE},
+    "synth": {"family": "haar", "grid_exponent": 4, "tree": TINY_TREE},
+}
+POINT = ECHO_CASES["classify"]
+GENERAL = {**POINT, "kind": "general", "tau": {"c": 1.0}, "pi": {"c": 1.0}}
+# a tree with a level above 0, where 2^(j s') can overflow
+TWO_LEVEL_TREE = {
+    "j0": 0,
+    "scaling": [1.0],
+    "levels": [{"j": 0, "entries": [[0, 0.5]]}, {"j": 1, "entries": [[1, 0.25]]}],
+}
+
+
+def with_moment(**fields):
+    """The cwt-verify case with ``fields`` replaced in its moment block."""
+    case = ECHO_CASES["cwt-verify"]
+    return {**case, "moment": {**case["moment"], **fields}}
+
+
+def strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, which JSON does not have."""
+
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in the report")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def run(capsys, *argv):
@@ -517,9 +550,119 @@ class TestCwtCommands:
         assert len(rows) == len(kernel["u"])
         sups = [float(r[1]) for r in rows]
         assert max(sups) <= 1.0 + 1e-6
+        assert kernel["dropped"] == 0
+
+    def test_zero_sups_are_left_out_of_the_kernel_fit(self, capsys):
+        # three shifts at depth 4 miss the Haar kernel for u = 2^-6 .. 2^-4
+        code, out, err = run(
+            capsys, "cwt-verify", "--set", "family=haar", "--set", "v_count=3", "--set", "depth=4"
+        )
+        assert code == 0, err
+        kernel = strict_json(out)["result"]["kernel"]
+        assert kernel["sup"][:3] == [0.0, 0.0, 0.0]
+        assert kernel["dropped"] == 3
+        assert kernel["slope_low"] is not None
+
+
+class TestReports:
+    @pytest.mark.parametrize("command", list(REPORT_CASES))
+    def test_report_is_strict_json(self, capsys, tmp_path, command):
+        path = write_cfg(tmp_path, REPORT_CASES[command])
+        code, out, err = run(capsys, command, "--config", path)
+        assert code == 0, err
+        assert strict_json(out)["command"] == command
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            (
+                "sample",
+                {
+                    "slab": GAUSS,
+                    "tau": {"c": 1e308},
+                    "pi": {"c": 1.0},
+                    "j0": 0,
+                    "mode": {"kind": "infinite", "j_max": 3},
+                },
+            ),
+            (
+                "norm",
+                {
+                    "besov": B122,
+                    "tree": {
+                        "j0": 0,
+                        "scaling": [1e308],
+                        "levels": [{"j": 0, "entries": [[0, 1e308]]}],
+                    },
+                },
+            ),
+        ],
+        ids=["sample-tau", "norm"],
+    )
+    def test_non_finite_report_exits_2(self, capsys, tmp_path, command, cfg):
+        out_file = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, command, "--config", write_cfg(tmp_path, cfg), "--out", str(out_file)
+        )
+        assert code == 2
+        assert out == ""
+        assert not out_file.exists()
+        assert "the report holds a non-finite number" in err
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "command, cfg, extra, path",
+        [
+            ("classify", {**POINT, "slab": {"family": "student_t", "nu": True}}, [], "slab.nu:"),
+            ("classify", {**POINT, "slab": {**GAUSS, "sigma": "2"}}, [], "slab.sigma:"),
+            ("classify", {**POINT, "besov": {**B122, "s": True}}, [], "besov.s:"),
+            ("classify", {**GENERAL, "tau": {"c": 1.0, "e": "1.5"}}, [], "tau.e:"),
+            ("classify", {**GENERAL, "pi": {"c": True}}, [], "pi.c:"),
+            ("cwt-sample", {"spec": {**CWT_SPEC, "slab": {"sigma": 1.0}}}, [], "spec.slab.family:"),
+            (
+                "cwt-sample",
+                {"spec": {**CWT_SPEC, "coarse": {"atoms": [[1, 2]]}}},
+                [],
+                "spec.coarse.atoms[0]:",
+            ),
+            ("cwt-verify", with_moment(spec={**CWT_SPEC, "c_mu": 1e13}), [], "moment.spec:"),
+            ("cwt-verify", with_moment(reps=1), [], "moment.reps:"),
+            ("cwt-verify", with_moment(levels=[1, 70]), [], "moment.levels:"),
+            ("lln", ECHO_CASES["lln"], ["--reps", "1"], "reps:"),
+            ("norm", {"besov": {**B122, "s": 2000}, "tree": TWO_LEVEL_TREE}, [], "besov.s:"),
+            ("verify", {**ECHO_CASES["verify"], "besov": {**B122, "s": 2000}}, [], "besov.s:"),
+            # the level list would take terabytes: the cap is checked first
+            (
+                "verify",
+                {**ECHO_CASES["verify"], "levels": {"start": 0, "stop": 10**12}},
+                [],
+                "levels.stop:",
+            ),
+        ],
+        ids=[
+            "classify-nu-bool",
+            "classify-sigma-str",
+            "classify-s-bool",
+            "general-tau-e-str",
+            "general-pi-c-bool",
+            "cwt-sample-no-family",
+            "cwt-sample-short-atom",
+            "moment-intensity",
+            "moment-reps",
+            "moment-level-cap",
+            "lln-reps",
+            "norm-weight-overflow",
+            "verify-weight-overflow",
+            "verify-huge-level-range",
+        ],
+    )
+    def test_bad_field_names_its_path(self, capsys, tmp_path, command, cfg, extra, path):
+        code, out, err = run(capsys, command, "--config", write_cfg(tmp_path, cfg), *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"besovlab {command}: config error: {path}")
+
     def test_missing_required_field_names_path(self, capsys):
         code, _, err = run(capsys, "classify", "--set", "alpha=2.0")
         assert code == 2
@@ -591,7 +734,7 @@ class TestErrors:
             (
                 "cwt-sample",
                 {"spec": CWT_SPEC, "project": {"family": "daub4", "j0": 1, "top": 40}},
-                "project: top: more than",
+                "project.top: more than",
             ),
             (
                 "synth",
@@ -692,19 +835,23 @@ class TestErrors:
             ({"result": [1]}, "tree: supply --tree FILE"),
             (
                 {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "entries": [[0]]}]},
-                "tree: levels[0]: entry [0] at level 0",
+                "tree.levels[0]: entry [0] at level 0",
             ),
             (
                 {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "entries": [[0.5, 1.0]]}]},
-                "tree: levels[0]: entry [0.5, 1.0] at level 0",
+                "tree.levels[0]: entry [0.5, 1.0] at level 0",
+            ),
+            (
+                {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "entries": [[0, "1.5"]]}]},
+                "tree.levels[0]: entry [0, '1.5'] at level 0",
             ),
             (
                 {"j0": 0, "scaling": [0.0], "levels": [{"j": 0.5, "entries": []}]},
-                "tree: levels[0]: j: expected an integer",
+                "tree.levels[0].j: expected an integer",
             ),
             (
                 {"j0": 0, "scaling": [0.0], "levels": [[0, 1.0]]},
-                "tree: levels[0]: expected a JSON object",
+                "tree.levels[0]: expected a JSON object",
             ),
             (
                 {"j0": 0, "scaling": [0.0], "levels": [{"j": 0}]},
@@ -715,6 +862,7 @@ class TestErrors:
             "result-not-an-object",
             "short-entry",
             "fractional-position",
+            "string-value",
             "fractional-j",
             "level-not-an-object",
             "missing-entries",

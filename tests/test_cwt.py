@@ -267,12 +267,15 @@ class TestMomentExperiment:
         assert report.expected_slope == pytest.approx(-1.5)
         assert -1.75 <= report.slope <= -1.25
         assert report.kind == "cwt-moment"
+        assert report.dropped_fraction == 0.0
 
     def test_zero_intensity_zero_moments(self):
         spec = CwtSpec(0.0, 0.5, 1.0, 1.0, GAUSS, a0=1.0, a_max=64.0)
         report = moment_bound_experiment(spec, family("daub4"), 2.0, levels=range(3, 6), reps=3, seed=0)
         assert all(st.mean == 0.0 for st in report.levels)
         assert report.slope is None
+        # no level has a logarithm to fit
+        assert report.dropped_fraction == 1.0
 
     def test_doubling_intensity_doubles_second_moment(self):
         base = dict(beta=0.5, c_tau=1.0, alpha=1.0, slab=GAUSS, a0=1.0, a_max=2.0**9)

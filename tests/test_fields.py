@@ -1,0 +1,82 @@
+"""The shared config readers: typed fields and dotted error paths."""
+
+import math
+
+import pytest
+
+from besovlab.distributions import Gaussian, slab_from_dict
+from besovlab.fields import ConfigError, block, integer, number, numbers, string, under
+from besovlab.sampler import PriorSpec, tree_from_dict
+from besovlab.schedules import LevelSchedule
+
+
+def message(call, *args):
+    with pytest.raises(ConfigError) as info:
+        call(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("value", [True, False, "1.5", None, [1.0], {"v": 1}])
+def test_number_refuses_what_is_not_a_real_number(value):
+    assert message(number, {"x": value}, "x").startswith("x: expected a number")
+
+
+@pytest.mark.parametrize("spelling", ["inf", "Infinity", "INF"])
+def test_number_reads_the_inf_spellings(spelling):
+    assert number({"x": spelling}, "x") == math.inf
+
+
+def test_number_converts_integers_and_keeps_defaults():
+    assert number({"x": 3}, "x") == 3.0 and type(number({"x": 3}, "x")) is float
+    assert number({}, "x", 0.5) == 0.5
+    assert number({"x": None}, "x", None) is None
+    assert message(number, {"x": 10**400}, "x") == f"x: {10**400} is out of range for a float"
+
+
+def test_integer_and_string_are_strict():
+    assert integer({"n": 4}, "n") == 4
+    assert message(integer, {"n": 4.0}, "n") == "n: expected an integer, got 4.0"
+    assert message(integer, {"n": True}, "n") == "n: expected an integer, got True"
+    assert message(string, {"s": 1}, "s") == "s: expected a string, got 1"
+
+
+def test_missing_field_and_non_object():
+    assert message(number, {}, "c") == "c: required field is missing"
+    assert message(number, [1.0], "c") == "expected a JSON object, got [1.0]"
+
+
+def test_paths_join_keys_with_dots_and_indices_without():
+    def read(doc):
+        with under("points"):
+            return [block(LevelSchedule.from_dict, doc, i) for i in range(len(doc))]
+
+    assert message(read, [{"c": 1.0}, {"c": 1.0, "e": True}]) == (
+        "points[1].e: expected a number, got True"
+    )
+    assert message(numbers, {"u": [1.0, "x"]}, "u") == "u[1]: expected a number, got 'x'"
+
+
+def test_under_leads_key_errors_and_validator_errors_with_the_block():
+    def missing():
+        with under("tree"):
+            raise KeyError("j0")
+
+    def invalid():
+        with under("slab"):
+            Gaussian(-1.0)
+
+    assert message(missing) == "tree.j0: required field is missing"
+    assert message(invalid) == "slab: sigma must be positive, got -1.0"
+
+
+def test_from_dicts_name_the_nested_field():
+    doc = {"tau": {"c": 1.0}, "pi": {"c": 1.0}, "slab": {"family": "gaussian"}}
+    assert message(PriorSpec.from_dict, {**doc, "mode": {"kind": "infinite"}}) == (
+        "mode.j_max: required field is missing"
+    )
+    assert message(PriorSpec.from_dict, {**doc, "slab": {"family": "gaussian", "sigma": "2"}}) == (
+        "slab.sigma: expected a number, got '2'"
+    )
+    assert message(slab_from_dict, {"family": "normal"}) == "family: unknown slab family: 'normal'"
+    tree = {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "entries": [[0, 1.0]]}, {"j": 1}]}
+    assert message(tree_from_dict, tree) == "levels[1].entries: required field is missing"
