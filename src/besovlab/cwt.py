@@ -18,7 +18,7 @@ pyramid peels off the detail rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,7 +36,8 @@ from .fields import ConfigError, array, block, number, under
 from .lab import ExperimentReport, _check_reps, _column_stats, _level_list, _run_reps, _slope_fit
 from .sampler import CoefficientTree, Level, check_dense_size, rng_for
 from .schedules import GrowthKind, LevelSchedule, growth_regime
-from .theory import Decision, Verdict, _level_exponent, _lq_finite, _threshold, classify_simple
+from .theory import Decision, Verdict, _decide, _level_exponent, _lq_finite, _not_covered
+from .theory import _threshold, _validate_smoothness, classify_simple
 from .wavelets import WaveletFamily, cascade_eval, unit_tables
 
 __all__ = [
@@ -183,6 +184,9 @@ def atoms_to_rows(atoms) -> list[tuple[float, float, float]]:
 # reproducing kernel
 # ---------------------------------------------------------------------------
 
+_TABLE_DEPTH = 12  # cascade depth of the psi tables used by quadrature and projection
+
+
 def _synthesis_up(offset: int, vec: np.ndarray, filt: np.ndarray) -> tuple[int, np.ndarray]:
     """One inverse step: row at level j -> approximation row at level j+1."""
     up = np.zeros(2 * vec.size - 1)
@@ -190,18 +194,14 @@ def _synthesis_up(offset: int, vec: np.ndarray, filt: np.ndarray) -> tuple[int, 
     return 2 * offset, np.convolve(up, filt)
 
 
-def _chain(fam: WaveletFamily, level: int, shift: int, depth: int, kind: str) -> tuple[int, np.ndarray]:
-    """Approximation coefficients at ``depth`` of ``psi_{level, shift}`` or
-    ``phi_{level, shift}`` (rescaled coordinates, integer shifts)."""
+def _chain(fam: WaveletFamily, level: int, shift: int, depth: int) -> tuple[int, np.ndarray]:
+    """Approximation coefficients at ``depth`` of ``psi_{level, shift}``
+    (rescaled coordinates, integer shifts)."""
+    if depth < level + 1:
+        raise ValueError("chain target depth too shallow")
+    offset, vec = _synthesis_up(shift, np.array([1.0]), np.asarray(fam.g))
     h = np.asarray(fam.h)
-    vec = np.array([1.0])
-    offset = shift
-    if kind == "psi":
-        if depth < level + 1:
-            raise ValueError("chain target depth too shallow")
-        offset, vec = _synthesis_up(offset, vec, np.asarray(fam.g))
-        level += 1
-    for _ in range(depth - level):
+    for _ in range(depth - level - 1):
         offset, vec = _synthesis_up(offset, vec, h)
     return offset, vec
 
@@ -221,12 +221,12 @@ def _dyadic_form(a: float, b: float, L: int):
     return n_int, int(round(kt))
 
 
-def kernel_k0(fam: WaveletFamily, u: float, v: float, depth: int = 12) -> float:
+def kernel_k0(fam: WaveletFamily, u: float, v: float) -> float:
     """Cross-scale product ``<psi_u, sqrt(u) psi_u(u (. - v))>``.
 
     Exactly zero outside the overlap window ``v in (-1/u, 1)``.  Dyadic
     arguments (``u`` a power of two with integer rescaled shift) go through
-    exact filter synthesis chains; everything else uses composite
+    exact filter synthesis chains; everything else through `_kernel_row`'s
     quadrature on the cascade grid.
     """
     if not (u > 0 and math.isfinite(u)):
@@ -234,27 +234,18 @@ def kernel_k0(fam: WaveletFamily, u: float, v: float, depth: int = 12) -> float:
     if not (-1.0 / u < v < 1.0):
         return 0.0
     # flip so the second argument is the narrow one
-    if u >= 1.0:
-        U, V = u, v
-    else:
-        U, V = 1.0 / u, -u * v
-    L = fam.support
-    dy = _dyadic_form(U, V, L)
-    if dy is not None:
-        n, kt = dy
-        target = n + 1
-        off1, c1 = _chain(fam, 0, 0, target, "psi")
-        off2, c2 = _chain(fam, n, kt, target, "psi")
-        lo = max(off1, off2)
-        hi = min(off1 + c1.size, off2 + c2.size)
-        if hi <= lo:
-            return 0.0
-        return float(np.dot(c1[lo - off1 : hi - off1], c2[lo - off2 : hi - off2]))
-    xs, _, vals = unit_tables(fam.name, depth)
-    args = V + xs / U
-    other = np.interp(args, xs, vals, left=0.0, right=0.0)
-    step = xs[1] - xs[0]
-    return float(np.sum(vals * other)) * step / math.sqrt(U)
+    U, V = (u, v) if u >= 1.0 else (1.0 / u, -u * v)
+    dy = _dyadic_form(U, V, fam.support)
+    if dy is None:
+        return float(_kernel_row(fam, u, np.array([v]), _TABLE_DEPTH)[0])
+    n, kt = dy
+    off1, c1 = _chain(fam, 0, 0, n + 1)
+    off2, c2 = _chain(fam, n, kt, n + 1)
+    lo = max(off1, off2)
+    hi = min(off1 + c1.size, off2 + c2.size)
+    if hi <= lo:
+        return 0.0
+    return float(np.dot(c1[lo - off1 : hi - off1], c2[lo - off2 : hi - off2]))
 
 
 def _kernel_row(fam: WaveletFamily, u: float, vs: np.ndarray, depth: int) -> np.ndarray:
@@ -291,12 +282,7 @@ class KernelBoundReport:
 
 
 def verify_kernel_bounds(
-    fam: WaveletFamily,
-    u_grid=None,
-    v_grid=None,
-    *,
-    v_count: int = 257,
-    depth: int = 12,
+    fam: WaveletFamily, u_grid=None, *, v_count: int = 257, depth: int = 12
 ) -> KernelBoundReport:
     """Measure ``sup_v |K0(u, v)|`` across scale ratios and fit its decay.
 
@@ -312,16 +298,13 @@ def verify_kernel_bounds(
     if u_grid.min() > 2.0**-6 or u_grid.max() < 2.0**6:
         raise ConfigError("u_grid", "must span [2^-6, 2^6]")
     # each kernel row interpolates (shift count) x (L 2^depth + 1) values
-    shifts = max(1, v_count if v_grid is None else len(v_grid))
+    shifts = max(1, v_count)
     check_dense_size(math.log2(shifts) + math.log2(fam.support) + depth, "v_count x 2^depth")
     sups = np.empty(u_grid.size)
     for i, u in enumerate(u_grid):
-        if v_grid is not None:
-            vs = np.asarray(v_grid, dtype=np.float64)
-        else:
-            lo, hi = -1.0 / u, 1.0
-            # generic offsets, deliberately off the dyadic lattice
-            vs = lo + (np.arange(v_count) + 0.381966) / v_count * (hi - lo)
+        lo, hi = -1.0 / u, 1.0
+        # generic offsets, deliberately off the dyadic lattice
+        vs = lo + (np.arange(v_count) + 0.381966) / v_count * (hi - lo)
         sups[i] = float(np.max(np.abs(_kernel_row(fam, float(u), vs, depth))))
     expo = fam.r_plus_rho + 0.5
     high = u_grid >= 1.0
@@ -347,6 +330,9 @@ def verify_kernel_bounds(
 # ---------------------------------------------------------------------------
 # projection onto the orthogonal basis
 # ---------------------------------------------------------------------------
+
+_OVERSAMPLE = 6  # levels by which an atom's quantisation grid is finer than its scale
+
 
 def _analysis_down(offset: int, vec: np.ndarray, filt: np.ndarray) -> tuple[int, np.ndarray]:
     """One analysis step ``out_k = sum_t filt_t in_(2k + t)`` with offsets."""
@@ -396,9 +382,6 @@ def project_to_orthogonal(
     j0: int,
     top: int,
     coarse: CoarseTerm | None = None,
-    *,
-    table_depth: int = 12,
-    oversample: int = 6,
 ) -> CoefficientTree:
     """Coefficients of the atom superposition in the orthonormal basis.
 
@@ -427,7 +410,7 @@ def project_to_orthogonal(
         )
         return CoefficientTree(j0, scaling, levels)
 
-    grid = cascade_eval(fam, table_depth)
+    grid = cascade_eval(fam, _TABLE_DEPTH)
     xs, psi = grid.grid, grid.psi  # `grid` builds its arange on every read
     mu1 = math.fsum(k * hk for k, hk in enumerate(fam.h)) / math.sqrt(2.0)
     h = np.asarray(fam.h)
@@ -442,10 +425,10 @@ def project_to_orthogonal(
             n, kt = dy
             if n >= common:
                 continue  # orthogonal to every level up to top
-            off, vec = _chain(fam, n, kt, common, "psi")
+            off, vec = _chain(fam, n, kt, common)
             row.add(off, at.omega * vec)
             continue
-        depth = max(common, math.ceil(math.log2(max(at.a, 1.0))) + oversample)
+        depth = max(common, math.ceil(math.log2(max(at.a, 1.0))) + _OVERSAMPLE)
         scale = 1 << depth
         y0 = at.b * L
         lo_m = math.ceil(scale * y0 - mu1)
@@ -503,7 +486,7 @@ def moment_bound_experiment(
     _check_reps(reps)
     check_dense_size(math.log2(fam.support) + lv[-1] + 2, "levels")  # the projection's row
     if not m > 0:
-        raise ValueError(f"moment order must be positive, got {m}")
+        raise ConfigError("m", f"moment order must be positive, got {m}")
     if not absolute_moment(spec.slab, m) < math.inf:
         raise ValueError(f"slab lacks a finite moment of order {m:g}")
     expo_kernel = m * (fam.r_plus_rho + 0.5) - 1.0
@@ -579,47 +562,35 @@ def classify_cwt(
     if (mu is None) != (tau is None):
         raise ValueError("general classification needs both mu and tau (or neither)")
     if not (r + rho > (1.0 + alpha) / 2.0):
-        return Verdict(
-            Decision.NOT_COVERED,
+        return _not_covered(
             "cwt/kernel-regularity",
-            reason=(
-                f"kernel bound needs r + rho > (1 + alpha)/2; "
-                f"got {r + rho:g} <= {(1.0 + alpha) / 2.0:g}"
-            ),
+            "kernel bound needs r + rho > (1 + alpha)/2; "
+            f"got {r + rho:g} <= {(1.0 + alpha) / 2.0:g}",
         )
     tc = tail_class(slab)
     if isinstance(tc, FrechetTail) and not tc.ell > 2.0 / (r + rho + 0.5):
-        return Verdict(
-            Decision.NOT_COVERED,
+        return _not_covered(
             "cwt/heavy-tail-gap",
-            reason=(
-                f"polynomial tail needs ell > 2/(r + rho + 1/2); "
-                f"got ell={tc.ell:g}"
-            ),
+            f"polynomial tail needs ell > 2/(r + rho + 1/2); got ell={tc.ell:g}",
         )
     kernel_note = f"kernel decay exponent r + rho + 1/2 = {r + rho + 0.5:g}"
 
     if mu is None:
         base = classify_simple(slab, alpha, beta, bp, r)
-        tag = base.case_id.split("/", 1)[1]
-        return Verdict(
-            base.decision,
-            f"cwt/{tag}",
-            threshold=base.threshold,
-            reason=base.reason,
+        return replace(
+            base,
+            case_id="cwt/" + base.case_id.split("/", 1)[1],
             assumptions=base.assumptions + (kernel_note,),
         )
 
     # general nonincreasing (mu, tau), read at dyadic scales a = 2^j
     if math.isinf(bp.p):
-        return Verdict(
-            Decision.NOT_COVERED,
+        return _not_covered(
             "cwt/general-p-inf",
-            reason="general intensity families are only treated for p < infinity",
+            "general intensity families are only treated for p < infinity",
             assumptions=(kernel_note,),
         )
-    if bp.s >= r:
-        raise ValueError(f"smoothness must satisfy s < r, got s={bp.s}, r={r}")
+    _validate_smoothness(bp, r)
     # atom count near level j grows like 2^j mu(2^j) = c j^g_mu 2^(j (1 - e_mu)),
     # whose regime depends on c only at c = 0 (no atoms) and is unchanged by
     # clamping at 1
@@ -634,28 +605,24 @@ def classify_cwt(
             assumptions=assumptions,
         )
     if regime is GrowthKind.NOT_COVERED:
-        return Verdict(
-            Decision.NOT_COVERED,
+        return _not_covered(
             "cwt/general-regime-gap",
-            reason="2^j mu(2^j) neither grows, settles, nor is summable",
+            "2^j mu(2^j) neither grows, settles, nor is summable",
             assumptions=assumptions,
         )
     increases = regime is GrowthKind.INCREASES_TO_INFINITY
     if math.isinf(bp.q) and not increases:
-        return Verdict(
-            Decision.NOT_COVERED,
+        return _not_covered(
             "cwt/general-q-inf",
-            reason="q = infinity needs 2^j mu(2^j) increasing to infinity",
+            "q = infinity needs 2^j mu(2^j) increasing to infinity",
             assumptions=assumptions,
         )
     gate = bp.p if increases else bp.q
     if not absolute_moment(slab, gate) < math.inf:
-        return Verdict(
-            Decision.NOT_COVERED,
+        return _not_covered(
             "cwt/general-assumption-h",
-            reason=f"slab lacks a finite moment of order {gate:g}",
+            f"slab lacks a finite moment of order {gate:g}",
             assumptions=assumptions,
         )
     E, G = _level_exponent(regime, slab, tau, mu.e, mu.g, bp)
-    decision = Decision.MEMBER_AS if _lq_finite(E, G, bp.q) else Decision.NOT_MEMBER_AS
-    return Verdict(decision, "cwt/general", threshold=_threshold(bp, E), assumptions=assumptions)
+    return _decide(_lq_finite(E, G, bp.q), "cwt/general", _threshold(bp, E), assumptions)

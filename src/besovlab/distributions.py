@@ -47,6 +47,13 @@ __all__ = [
 ]
 
 
+def _check_finite(**params: float) -> None:
+    """Slab parameters are finite: an infinite one names a limit law, not a slab."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Centred normal slab with standard deviation ``sigma``."""
@@ -56,6 +63,7 @@ class Gaussian:
     def __post_init__(self) -> None:
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        _check_finite(sigma=self.sigma)
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,7 @@ class Laplace:
     def __post_init__(self) -> None:
         if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
+        _check_finite(lam=self.lam)
 
 
 @dataclass(frozen=True)
@@ -78,6 +87,7 @@ class StudentT:
     def __post_init__(self) -> None:
         if not self.nu >= 1:
             raise ValueError(f"nu must be >= 1, got {self.nu}")
+        _check_finite(nu=self.nu)
 
 
 @dataclass(frozen=True)
@@ -101,6 +111,7 @@ class PowerExponential:
             raise ValueError(f"m must be positive, got {self.m}")
         if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
+        _check_finite(m=self.m, lam=self.lam)
 
 
 SlabDistribution = Union[Gaussian, Laplace, StudentT, Cauchy, PowerExponential]

@@ -191,6 +191,8 @@ def lln_experiment(
     per-level means drift toward ``nu_m = E|xi|^m``.
     """
     lv, n_values = _growing_levels(pi, levels, reps, "lln_experiment")
+    if not m > 0:
+        raise ConfigError("m", f"moment order must be positive, got {m}")
     nu_m = absolute_moment(slab, m)
     if not nu_m < math.inf:
         raise ValueError(f"E|xi|^{m:g} is infinite for {type(slab).__name__}")

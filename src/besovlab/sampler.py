@@ -237,9 +237,17 @@ def draw_count(rng: np.random.Generator, pi: LevelSchedule, j: int) -> int:
 
 def draw_level(spec: PriorSpec, rng: np.random.Generator, j: int) -> np.ndarray:
     """Coefficient values of level ``j`` in draw order: the count, then that
-    many slab values times ``spec.amplitude(j)``; positions are not drawn."""
+    many slab values times ``spec.amplitude(j)``; positions are not drawn.
+    A product that overflows a float is a `ConfigError` at ``tau``."""
     count = draw_count(rng, spec.pi, j)
-    return spec.amplitude(j) * slab_sample(spec.slab, rng, size=count)
+    amp = spec.amplitude(j)
+    draws = slab_sample(spec.slab, rng, size=count)
+    try:
+        with np.errstate(over="raise"):
+            return amp * draws
+    except FloatingPointError:
+        reason = f"the amplitude {amp:g} times a slab draw overflows a float at level {j}"
+        raise ConfigError("tau", reason) from None
 
 
 def _positions_without_replacement(rng: np.random.Generator, width: int, count: int) -> np.ndarray:

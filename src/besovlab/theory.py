@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .besov import BesovParams
@@ -49,6 +49,7 @@ from .distributions import (
     absolute_moment,
     tail_class,
 )
+from .fields import ConfigError
 from .schedules import (
     GrowthKind,
     LevelSchedule,
@@ -181,9 +182,7 @@ def _has_moment(slab: SlabDistribution, order: float) -> bool:
 
 def _validate_smoothness(bp: BesovParams, r: float) -> None:
     if not bp.s < r:
-        raise ValueError(
-            f"smoothness s={bp.s} must lie below the wavelet regularity r={r}"
-        )
+        raise ConfigError("r", f"the wavelet regularity r={r} must exceed the smoothness s={bp.s}")
 
 
 def _decide(member: bool, case_id: str, threshold: float | None, assumptions=()) -> Verdict:
@@ -195,8 +194,10 @@ def _decide(member: bool, case_id: str, threshold: float | None, assumptions=())
     )
 
 
-def _not_covered(case_id: str, reason: str, threshold: float | None = None) -> Verdict:
-    return Verdict(Decision.NOT_COVERED, case_id, threshold, reason=reason)
+def _not_covered(
+    case_id: str, reason: str, threshold: float | None = None, assumptions=()
+) -> Verdict:
+    return Verdict(Decision.NOT_COVERED, case_id, threshold, reason, tuple(assumptions))
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +262,11 @@ def classify_simple(
         else:
             assumptions.append("E log+ |xi| < inf")
 
-    delta_h = (1.0 - beta) / tc.ell if (frechet and p_inf) else 0.0
-    threshold = (alpha - 1.0) / 2.0 + beta * bp.inv_p - delta_h
     # s - T in exact arithmetic
     excess = Fraction(bp.s) + _HALF - Fraction(alpha) / 2 - Fraction(beta) * _inv(bp.p)
     if frechet and p_inf:
         excess += (1 - Fraction(beta)) * _inv(tc.ell)
+    threshold = _threshold(bp, excess)
 
     if beta == 1.0 and q_inf:
         if excess < 0:
@@ -336,10 +336,63 @@ def _case4_constant_q_inf(
     )
 
 
-def _moment_gap(case_id: str, slab: SlabDistribution, name: str, order: float) -> Verdict:
-    return _not_covered(
-        case_id, f"E|xi|^{name} infinite for {name}={order} under {type(slab).__name__}"
-    )
+def _schedule_case(
+    model: str,
+    slab: SlabDistribution,
+    tau: LevelSchedule,
+    pi: LevelSchedule,
+    bp: BesovParams,
+    r: float,
+) -> Verdict | tuple[str, str, Fraction, Fraction, FrechetTail | None]:
+    """The five cases split on the growth of ``n_j = 2^j pi_j``, shared by
+    the infinite and regression models; ``model`` prefixes the case ids.
+
+    Returns the Verdict of the gate that decides (regime gap, case 5,
+    case 4, the moment gates of cases 3 and 1, case 2's Gumbel auxiliary
+    condition).  Otherwise returns the open case as ``(case_id, note, E,
+    G, frechet)``: the infinite model's exact pair (`_level_exponent`) and
+    the slab's `FrechetTail` in the ``p = inf`` polynomial-tail cell, None
+    elsewhere.
+    """
+    _validate_smoothness(bp, r)
+    regime = growth_regime(pi)
+    if regime.kind is GrowthKind.NOT_COVERED:
+        return _not_covered(f"{model}/regime-gap", regime.reason)
+    if regime.kind is GrowthKind.SUMMABLE:
+        return Verdict(
+            Decision.MEMBER_AS,
+            f"{model}/case5",
+            assumptions=("sum_j 2^j pi_j < inf: finitely many nonzero coefficients",),
+        )
+
+    _, e_pi, g_pi = clamped_exponents(pi)
+    E, G = _level_exponent(regime.kind, slab, tau, e_pi, g_pi, bp)
+    if regime.kind is GrowthKind.TENDS_TO_CONSTANT:
+        if math.isinf(bp.q):
+            return _case4_constant_q_inf(slab, tau, bp, E, f"{model}/case4")
+        case_id, name, order = f"{model}/case3", "q", bp.q
+    elif not math.isinf(bp.p):
+        # case 1: l_p sums concentrate by the random-length LLN
+        case_id, name, order = f"{model}/case1", "p", bp.p
+    else:
+        # case 2: p = inf, level maxima under EVT normalisation
+        tc = tail_class(slab)
+        if isinstance(tc, FrechetTail):
+            note = f"Frechet tail with index ell={tc.ell:g}"
+            return f"{model}/case2-frechet", note, E, G, tc
+        if e_pi == 1.0 and g_pi > 0:
+            return _not_covered(
+                f"{model}/case2-gumbel",
+                "auxiliary Gumbel condition fails: n_j grows only polynomially, "
+                "so g(b_j) log j / b_j does not vanish",
+            )
+        note = f"Gumbel tail, b_j ~ (log n_j)^(1/{tc.log_power:g})"
+        return f"{model}/case2-gumbel", note, E, G, None
+    if not _has_moment(slab, order):
+        return _not_covered(
+            case_id, f"E|xi|^{name} infinite for {name}={order} under {type(slab).__name__}"
+        )
+    return case_id, f"E|xi|^{order:g} < inf", E, G, None
 
 
 def classify_general(
@@ -355,56 +408,20 @@ def classify_general(
     function is a member when ``sum_j (j^G 2^(jE))^q`` converges, or for
     ``q = inf`` when ``sup_j j^G 2^(jE)`` is finite.
     """
-    _validate_smoothness(bp, r)
-    regime = growth_regime(pi)
-    if regime.kind is GrowthKind.NOT_COVERED:
-        return _not_covered("general/regime-gap", regime.reason)
-    if regime.kind is GrowthKind.SUMMABLE:
-        return Verdict(
-            Decision.MEMBER_AS,
-            "general/case5",
-            assumptions=("sum_j 2^j pi_j < inf: finitely many nonzero coefficients",),
-        )
-
-    _, e_pi, g_pi = clamped_exponents(pi)
-    E, G = _level_exponent(regime.kind, slab, tau, e_pi, g_pi, bp)
-    q_inf = math.isinf(bp.q)
+    case = _schedule_case("general", slab, tau, pi, bp, r)
+    if isinstance(case, Verdict):
+        return case
+    case_id, note, E, G, frechet = case
     weight = bp.q
-
-    if regime.kind is GrowthKind.TENDS_TO_CONSTANT:
-        if q_inf:
-            return _case4_constant_q_inf(slab, tau, bp, E, "general/case4")
-        if not _has_moment(slab, bp.q):
-            return _moment_gap("general/case3", slab, "q", bp.q)
-        case_id, note = "general/case3", f"E|xi|^{bp.q:g} < inf"
-    elif not math.isinf(bp.p):
-        # case 1: l_p sums concentrate by the random-length LLN
-        if not _has_moment(slab, bp.p):
-            return _moment_gap("general/case1", slab, "p", bp.p)
-        case_id, note = "general/case1", f"E|xi|^{bp.p:g} < inf"
-    else:
-        # case 2: p = inf, level maxima under EVT normalisation
-        tc = tail_class(slab)
-        if isinstance(tc, GumbelTail):
-            if e_pi == 1.0 and g_pi > 0:
-                return _not_covered(
-                    "general/case2-gumbel",
-                    "auxiliary Gumbel condition fails: n_j grows only polynomially, "
-                    "so g(b_j) log j / b_j does not vanish",
-                )
-            case_id = "general/case2-gumbel"
-            note = f"Gumbel tail, b_j ~ (log n_j)^(1/{tc.log_power:g})"
-        else:
-            if not q_inf and bp.q >= tc.ell:
-                return _not_covered(
-                    "general/case2-frechet",
-                    f"polynomial tail needs q < ell; got q={bp.q}, ell={tc.ell}",
-                )
-            case_id, note = "general/case2-frechet", f"Frechet tail with index ell={tc.ell:g}"
-            if q_inf:
-                # the a.s. supremum of c_j * Frechet(ell) variables is finite
-                # exactly when sum c_j^ell converges (Borel-Cantelli both ways)
-                weight = tc.ell
+    if frechet is not None:
+        if math.isinf(bp.q):
+            # the a.s. supremum of c_j * Frechet(ell) variables is finite
+            # exactly when sum c_j^ell converges (Borel-Cantelli both ways)
+            weight = frechet.ell
+        elif bp.q >= frechet.ell:
+            return _not_covered(
+                case_id, f"polynomial tail needs q < ell; got q={bp.q}, ell={frechet.ell}"
+            )
     return _decide(_lq_finite(E, G, weight), case_id, _threshold(bp, E), (note,))
 
 
@@ -474,53 +491,23 @@ def classify_regression(
     infinite model's (`_level_exponent`), except for polynomial tails at
     ``p = inf``.
     """
-    _validate_smoothness(bp, r)
-    regime = growth_regime(pi)
-    if regime.kind is GrowthKind.NOT_COVERED:
-        return _not_covered("regression/regime-gap", regime.reason)
-    if regime.kind is GrowthKind.SUMMABLE:
-        return Verdict(
-            Decision.MEMBER_AS,
-            "regression/case5",
-            assumptions=("sum_j 2^j pi_j < inf",),
-        )
-
-    _, e_pi, g_pi = clamped_exponents(pi)
-    E, G = _level_exponent(regime.kind, slab, tau, e_pi, g_pi, bp)
+    case = _schedule_case("regression", slab, tau, pi, bp, r)
+    if isinstance(case, Verdict):
+        return case
+    case_id, note, E, G, frechet = case
     normalised = not math.isinf(bp.q)
-
-    if regime.kind is GrowthKind.TENDS_TO_CONSTANT:
-        if not normalised:
-            return _case4_constant_q_inf(slab, tau, bp, E, "regression/case4")
-        if not _has_moment(slab, bp.q):
-            return _moment_gap("regression/case3", slab, "q", bp.q)
-        case_id, note = "regression/case3", f"E|xi|^{bp.q:g} < inf"
-    elif not math.isinf(bp.p):
-        if not _has_moment(slab, bp.p):
-            return _moment_gap("regression/case1", slab, "p", bp.p)
-        case_id, note = "regression/case1", f"E|xi|^{bp.p:g} < inf"
-    else:
-        tc = tail_class(slab)
-        if isinstance(tc, GumbelTail):
-            if e_pi == 1.0 and g_pi > 0:
-                return _not_covered(
-                    "regression/case2-gumbel",
-                    "auxiliary Gumbel condition fails: n_j grows only polynomially",
-                )
-            case_id = "regression/case2-gumbel"
-            note = f"Gumbel tail, b_j ~ (log n_j)^(1/{tc.log_power:g})"
-        else:
-            ell = tc.ell
-            if normalised and bp.q >= ell + 1.0:
-                return _not_covered(
-                    "regression/case2-frechet",
-                    f"regression-mode polynomial tail needs q < ell + 1; got q={bp.q}, ell={ell}",
-                )
-            case_id, note = "regression/case2-frechet", f"Frechet tail with index ell={ell:g}"
-            # level maxima scale with n_j itself, normalised at every q
-            E = Fraction(bp.s) + _HALF - Fraction(tau.e) - (1 - Fraction(e_pi))
-            G = Fraction(tau.g) - Fraction(g_pi)
-            normalised = True
+    if frechet is not None:
+        if normalised and bp.q >= frechet.ell + 1.0:
+            return _not_covered(
+                case_id,
+                "regression-mode polynomial tail needs q < ell + 1; "
+                f"got q={bp.q}, ell={frechet.ell}",
+            )
+        # level maxima scale with n_j itself, normalised at every q
+        _, e_pi, g_pi = clamped_exponents(pi)
+        E = Fraction(bp.s) + _HALF - Fraction(tau.e) - (1 - Fraction(e_pi))
+        G = Fraction(tau.g) - Fraction(g_pi)
+        normalised = True
     if normalised:
         E -= _HALF
     return _decide(_sup_finite(E, G), case_id, _threshold(bp, E), (note,))
@@ -536,10 +523,4 @@ def no_spike_condition(
     case 2 (p = inf).
     """
     inner = classify_general(slab, tau, LevelSchedule(1.0), bp, r)
-    return Verdict(
-        inner.decision,
-        "no-spike/" + inner.case_id.split("/", 1)[1],
-        inner.threshold,
-        inner.reason,
-        inner.assumptions,
-    )
+    return replace(inner, case_id="no-spike/" + inner.case_id.split("/", 1)[1])

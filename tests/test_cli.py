@@ -576,16 +576,6 @@ class TestReports:
         "command, cfg",
         [
             (
-                "sample",
-                {
-                    "slab": GAUSS,
-                    "tau": {"c": 1e308},
-                    "pi": {"c": 1.0},
-                    "j0": 0,
-                    "mode": {"kind": "infinite", "j_max": 3},
-                },
-            ),
-            (
                 "norm",
                 {
                     "besov": B122,
@@ -597,7 +587,7 @@ class TestReports:
                 },
             ),
         ],
-        ids=["sample-tau", "norm"],
+        ids=["norm"],
     )
     def test_non_finite_report_exits_2(self, capsys, tmp_path, command, cfg):
         out_file = tmp_path / "report.json"
@@ -639,6 +629,29 @@ class TestErrors:
                 [],
                 "levels.stop:",
             ),
+            ("lln", ECHO_CASES["lln"], ["--set", "m=-1"], "m:"),
+            ("classify", {**POINT, "besov": {**B122, "s": 5.0}}, [], "r:"),
+            ("classify", {"points": [POINT, {**GENERAL, "r": 0.5}]}, [], "points[1].r:"),
+            (
+                "sweep",
+                {**REPORT_CASES["sweep"], "vary": {"beta": [0.5], "r": [3.0, 1.0]}},
+                [],
+                "base.r:",
+            ),
+            ("cwt-verify", with_moment(m=-1.0), [], "moment.m:"),
+            (
+                "sample",
+                {
+                    "slab": GAUSS,
+                    "tau": {"c": 1e308},
+                    "pi": {"c": 1.0},
+                    "j0": 0,
+                    "mode": {"kind": "infinite", "j_max": 3},
+                },
+                [],
+                "tau:",
+            ),
+            ("classify", {**POINT, "slab": {"family": "student_t", "nu": "inf"}}, [], "slab:"),
         ],
         ids=[
             "classify-nu-bool",
@@ -655,6 +668,13 @@ class TestErrors:
             "norm-weight-overflow",
             "verify-weight-overflow",
             "verify-huge-level-range",
+            "lln-m-negative",
+            "classify-s-above-r",
+            "points-s-above-r",
+            "sweep-s-above-r",
+            "moment-m-negative",
+            "sample-tau",
+            "classify-nu-inf",
         ],
     )
     def test_bad_field_names_its_path(self, capsys, tmp_path, command, cfg, extra, path):

@@ -195,6 +195,9 @@ def test_simple_equals_general_on_the_dyadic_family(alpha, beta, s, p, q, slab, 
             assert simple.is_member == general.is_member
         else:
             assert simple.decision == general.decision
+    # both round the same exact threshold once
+    if simple.threshold is not None and general.threshold is not None:
+        assert simple.threshold == general.threshold
 
 
 def test_simple_and_general_agree_where_rounding_splits_the_threshold():
