@@ -306,7 +306,7 @@ def _cmd_synth(cfg: dict, args, threads: int):
         "sup": float(np.max(np.abs(values))) if values.size else 0.0,
     }
     header = ["x", "value"]
-    rows = [[float(x), float(v)] for x, v in zip(xs, values)]
+    rows = list(zip(xs.tolist(), values.tolist()))
     return echo, result, (header, rows), False
 
 
@@ -315,12 +315,9 @@ def _cmd_cwt_sample(cfg: dict, args, threads: int):
     seed = integer(cfg, "seed", 0)
     replicate = integer(cfg, "replicate", 0)
     atoms = cwt.sample_atoms(spec, seed, replicate)
+    rows = cwt.atoms_to_rows(atoms)
     echo = {"spec": spec.to_dict(), "seed": seed, "replicate": replicate}
-    result = {
-        "intensity": spec.intensity_total(),
-        "count": len(atoms),
-        "atoms": [[a, b, w] for a, b, w in cwt.atoms_to_rows(atoms)],
-    }
+    result = {"intensity": spec.intensity_total(), "count": len(atoms), "atoms": rows}
     project = obj(cfg, "project", None)
     if project is not None:
         with under("project"):
@@ -330,9 +327,7 @@ def _cmd_cwt_sample(cfg: dict, args, threads: int):
             tree = cwt.project_to_orthogonal(atoms, fam, j0, top, spec.coarse)
         echo["project"] = {"family": fam.name, "j0": j0, "top": top}
         result["tree"] = sampler.tree_to_dict(tree)
-    header = ["a", "b", "omega"]
-    rows = [list(row) for row in cwt.atoms_to_rows(atoms)]
-    return echo, result, (header, rows), False
+    return echo, result, (["a", "b", "omega"], rows), False
 
 
 def _cmd_cwt_verify(cfg: dict, args, threads: int):
@@ -444,12 +439,47 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _fmt_column(col: tuple) -> list[str]:
+    """``_fmt_cell`` of each cell, in one pass for an all-float or all-int column."""
+    types = set(map(type, col))
+    if types == {float}:
+        return list(map(format, col, itertools.repeat(".17g")))
+    if types == {int}:
+        return list(map(str, col))
+    return list(map(_fmt_cell, col))
+
+
+def _write_csv(path: str, header: list[str], rows: list) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        writer.writerows(zip(*map(_fmt_column, zip(*rows))))
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, allow_nan=False)
+
+
+def _encode(value, pad: str = "") -> str:
+    """JSON text of a report: objects indented by two spaces with sorted
+    keys, a list of scalars on one line, and a list that holds a container
+    with one compact item per line.  The lines themselves go through the C
+    encoder (``json.dumps`` without ``indent``); a non-finite float raises
+    ``ValueError``."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{inner}{_dumps(str(key))}: {_encode(value[key], inner)}" for key in sorted(value)]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)) and any(
+        issubclass(kind, _CONTAINERS) for kind in set(map(type, value))
+    ):
+        return "[\n" + ",\n".join(inner + _dumps(item) for item in value) + f"\n{pad}]"
+    return _dumps(value)
 
 
 _COMMAND_HELP = {
@@ -531,7 +561,7 @@ def main(argv=None) -> int:
         echo, result, table, flagged = _DISPATCH[args.command](cfg, args, threads)
         report = {"command": args.command, "config": echo, "result": result}
         try:
-            text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            text = _encode(report) + "\n"
         except ValueError as exc:
             raise ValueError(f"the report holds a non-finite number ({exc})") from exc
     except ValueError as exc:

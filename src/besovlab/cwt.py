@@ -169,10 +169,7 @@ def sample_atoms(spec: CwtSpec, seed: int, replicate: int = 0) -> list[PoissonAt
     b = rng.random(count)
     xi = sample(spec.slab, rng, count)
     tau = math.sqrt(spec.c_tau) * a ** (-spec.alpha / 2.0)
-    return [
-        PoissonAtom(float(ai), float(bi), float(ti * xii))
-        for ai, bi, ti, xii in zip(a, b, tau, xi)
-    ]
+    return list(map(PoissonAtom, a.tolist(), b.tolist(), (tau * xi).tolist()))
 
 
 def atoms_to_rows(atoms) -> list[tuple[float, float, float]]:
@@ -488,10 +485,10 @@ def moment_bound_experiment(
     if not m > 0:
         raise ConfigError("m", f"moment order must be positive, got {m}")
     if not absolute_moment(spec.slab, m) < math.inf:
-        raise ValueError(f"slab lacks a finite moment of order {m:g}")
+        raise ConfigError("m", f"slab lacks a finite moment of order {m:g}")
     expo_kernel = m * (fam.r_plus_rho + 0.5) - 1.0
     if expo_kernel <= 0:
-        raise ValueError("need m (r + rho + 1/2) > 1 for the kernel term to decay")
+        raise ConfigError("m", "need m (r + rho + 1/2) > 1 for the kernel term to decay")
 
     def work(rep: int) -> list[float]:
         atoms = sample_atoms(spec, seed, replicate=rep)

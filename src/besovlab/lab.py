@@ -168,7 +168,7 @@ def _growing_levels(pi: LevelSchedule, levels, reps: int, who: str):
     lv = _level_list(levels)
     _check_reps(reps)
     if growth_regime(pi).kind is not GrowthKind.INCREASES_TO_INFINITY:
-        raise ValueError(f"{who} needs an expected count increasing to infinity")
+        raise ConfigError("pi", f"{who} needs an expected count increasing to infinity")
     return lv, {j: (1 << j) * pi.clamped_at(j) for j in lv}
 
 
@@ -195,7 +195,7 @@ def lln_experiment(
         raise ConfigError("m", f"moment order must be positive, got {m}")
     nu_m = absolute_moment(slab, m)
     if not nu_m < math.inf:
-        raise ValueError(f"E|xi|^{m:g} is infinite for {type(slab).__name__}")
+        raise ConfigError("m", f"E|xi|^{m:g} is infinite for {type(slab).__name__}")
 
     def draw(rng: np.random.Generator, j: int) -> float:
         total = 0.0

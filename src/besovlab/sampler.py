@@ -7,7 +7,7 @@ Two truncation modes exist: a plain truncation at a top level ``J``
 where a sample size ``n`` fixes ``J = floor(log2 n) - 1`` and multiplies
 every coefficient by ``n^(-1/2)``.
 
-Levels are stored sparsely as (position, value) pairs; zeros are
+Levels are stored sparsely as position and value columns; zeros are
 implicit.  Sampling is O(number of nonzeros) per level: `draw_level` draws
 a binomial count, then that many slab values, and `sample_tree` then draws
 uniform positions without replacement (by sequential rejection) from the
@@ -20,6 +20,7 @@ under any parallel schedule.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -138,7 +139,7 @@ _MAX_EXPECTED_NONZEROS = 2**24
 # draw as a C long, and positions are int64.
 _MAX_LEVEL = 62
 
-_NUMBER = (int, float)  # a tree value's exact type: a bool is not a number here
+_NUMBER = {int, float}  # a tree value's exact type: a bool is not a number here
 
 
 def _check_level(j: int, blame: str) -> None:
@@ -323,20 +324,30 @@ def nonzero_counts(t: CoefficientTree) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def tree_to_dict(t: CoefficientTree) -> dict:
-    """The tree as a JSON-ready document: ``j0``, ``scaling`` and one
-    ``{"j", "entries": [[k, w], ...]}`` per level; `tree_from_dict` reads it."""
+    """The tree as a JSON-ready document (format v2): ``j0``, ``scaling``
+    and one columnar ``{"j", "k": [...], "w": [...]}`` per level;
+    `tree_from_dict` reads it."""
     return {
         "j0": t.j0,
         "scaling": t.scaling.tolist(),
-        "levels": [
-            {"j": lev.j, "entries": [[k, w] for k, w in zip(lev.k.tolist(), lev.w.tolist())]}
-            for lev in t.levels
-        ],
+        "levels": [{"j": lev.j, "k": lev.k.tolist(), "w": lev.w.tolist()} for lev in t.levels],
     }
 
 
+def _column(item, key: str, types: set, what: str) -> list:
+    values = array(item, key)
+    if not set(map(type, values)) <= types:
+        bad = next(v for v in values if type(v) not in types)
+        raise ConfigError(key, f"expected a list of {what}, got {bad!r}")
+    return values
+
+
 def _level_from_dict(item) -> Level:
+    """A level in the columnar v2 form (it has ``k``) or the v1 form
+    ``{"j", "entries": [[k, w], ...]}``."""
     j = integer(item, "j")
+    if "k" in item:
+        return Level(j, _column(item, "k", {int}, "integers"), _column(item, "w", _NUMBER, "numbers"))
     entries = array(item, "entries")
     for e in entries:
         if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) in _NUMBER):
@@ -345,9 +356,9 @@ def _level_from_dict(item) -> Level:
 
 
 def tree_from_dict(doc: dict) -> CoefficientTree:
-    """Inverse of `tree_to_dict`.  A malformed document raises a `ConfigError`
-    led by the failing field path, e.g. ``levels[2]: entry [0.5, 1.0] at
-    level 5 is not an [integer k, number w] pair``."""
+    """Inverse of `tree_to_dict`; also reads the v1 level form.  A malformed
+    document raises a `ConfigError` led by the failing field path, e.g.
+    ``levels[2].k: expected a list of integers, got 0.5``."""
     j0 = integer(doc, "j0")
     items = array(doc, "levels")
     with under("levels"):
@@ -359,6 +370,5 @@ def tree_to_csv_rows(t: CoefficientTree) -> list[tuple[int, int, float]]:
     """Flat (j, k, w) rows for the wavelet part of the tree."""
     rows = []
     for lev in t.levels:
-        for k, w in zip(lev.k.tolist(), lev.w.tolist()):
-            rows.append((lev.j, k, w))
+        rows += zip(itertools.repeat(lev.j), lev.k.tolist(), lev.w.tolist())
     return rows

@@ -219,10 +219,12 @@ def classify_simple(
     the cell ``beta < 1, p < inf, q = inf``; at ``beta = 1, q = inf`` the
     threshold condition is only sufficient.
     """
-    if alpha < 0 or beta < 0:
-        raise ValueError(f"alpha and beta must be >= 0, got {alpha}, {beta}")
+    if alpha < 0:
+        raise ConfigError("alpha", f"alpha must be >= 0, got {alpha}")
+    if beta < 0:
+        raise ConfigError("beta", f"beta must be >= 0, got {beta}")
     if alpha == 0 and beta == 0:
-        raise ValueError("alpha + beta must be positive (degenerate prior otherwise)")
+        raise ConfigError("alpha", "alpha + beta must be positive (degenerate prior otherwise)")
     _validate_smoothness(bp, r)
 
     if beta > 1:
@@ -448,7 +450,7 @@ def classify_three_param(
     ``gamma < -2/q - 2/m`` for finite q, ``gamma <= -2/m`` at ``q = inf``.
     """
     if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must lie in [0, 1), got {beta}")
+        raise ConfigError("beta", f"beta must lie in [0, 1), got {beta}")
     bp = BesovParams(s=s, p=math.inf, q=q)
     _validate_smoothness(bp, r)
     if not isinstance(slab, (Gaussian, Laplace)):

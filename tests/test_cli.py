@@ -4,10 +4,13 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besovlab import besov, distributions, sampler, schedules, theory
-from besovlab.cli import main
+from besovlab.cli import _encode, _fmt_cell, _fmt_column, main
 
 GAUSS = {"family": "gaussian", "sigma": 1.0}
 B122 = {"s": 1.0, "p": 2.0, "q": 2.0}
@@ -68,6 +71,16 @@ REPORT_CASES = {
     "synth": {"family": "haar", "grid_exponent": 4, "tree": TINY_TREE},
 }
 POINT = ECHO_CASES["classify"]
+THREE_PARAM = {
+    "kind": "three_param",
+    "slab": GAUSS,
+    "alpha": 2.0,
+    "beta": 0.5,
+    "gamma": 0.0,
+    "s": 0.5,
+    "q": 2.0,
+    "r": 3.0,
+}
 GENERAL = {**POINT, "kind": "general", "tau": {"c": 1.0}, "pi": {"c": 1.0}}
 # a tree with a level above 0, where 2^(j s') can overflow
 TWO_LEVEL_TREE = {
@@ -296,6 +309,20 @@ class TestSampleNorm:
             tree, besov.BesovParams(1.0, 2.0, 2.0)
         )
 
+    def test_v1_tree_file_reads_as_its_v2_encoding(self, capsys, tmp_path):
+        v1 = tmp_path / "v1.json"
+        v1.write_text(json.dumps(TWO_LEVEL_TREE))
+        v2 = tmp_path / "v2.json"
+        v2_doc = sampler.tree_to_dict(sampler.tree_from_dict(TWO_LEVEL_TREE))
+        assert v2_doc["levels"][1] == {"j": 1, "k": [1], "w": [0.25]}
+        v2.write_text(json.dumps(v2_doc))
+        for args in (
+            ["norm", "--set", f"besov={json.dumps(B122)}"],
+            ["synth", "--set", "family=haar", "--set", "grid_exponent=4"],
+        ):
+            results = [run_json(capsys, *args, "--tree", str(path))["result"] for path in (v1, v2)]
+            assert results[0] == results[1]
+
     def test_seed_flag_overrides_config(self, capsys, tmp_path):
         cfg = {
             "slab": GAUSS,
@@ -327,11 +354,12 @@ class TestSampleNorm:
             str(tree_csv),
         )
         doc = json.loads(tree_file.read_text())
-        level0 = doc["result"]["tree"]["levels"][0]["entries"]
+        level0 = doc["result"]["tree"]["levels"][0]
         header, rows = read_csv(tree_csv)
         assert header == ["j", "k", "w"]
-        assert rows[0][2] == format(level0[0][1], ".17g")
-        assert float(rows[0][2]) == level0[0][1]
+        assert rows[0][1] == str(level0["k"][0])
+        assert rows[0][2] == format(level0["w"][0], ".17g")
+        assert float(rows[0][2]) == level0["w"][0]
         assert report["result"]["nonzero_counts"][0] == sum(
             1 for row in rows if row[0] == "3"
         )
@@ -600,6 +628,86 @@ class TestReports:
         assert "the report holds a non-finite number" in err
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | FINITE | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=5), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@st.composite
+def trees(draw):
+    j0 = draw(st.integers(0, 3))
+    scaling = draw(st.lists(FINITE, min_size=2**j0, max_size=2**j0))
+    levels = []
+    for j in range(j0, j0 + draw(st.integers(0, 4))):
+        k = sorted(draw(st.sets(st.integers(0, 2**j - 1), max_size=8)))
+        w = draw(st.lists(FINITE.filter(bool), min_size=len(k), max_size=len(k)))
+        levels.append(sampler.Level(j, k, w))
+    return sampler.CoefficientTree(j0, scaling, levels)
+
+
+class TestWriters:
+    @given(doc=JSON_DOCS)
+    @settings(max_examples=300, deadline=None)
+    def test_report_text_parses_to_the_document(self, doc):
+        assert json.loads(_encode(doc)) == doc
+
+    @given(tree=trees())
+    @settings(max_examples=100, deadline=None)
+    def test_tree_round_trips_through_the_report_text(self, tree):
+        back = sampler.tree_from_dict(json.loads(_encode(sampler.tree_to_dict(tree))))
+        assert back.j0 == tree.j0
+        assert np.array_equal(back.scaling, tree.scaling)
+        assert len(back.levels) == len(tree.levels)
+        for got, want in zip(back.levels, tree.levels):
+            assert got.j == want.j
+            assert np.array_equal(got.k, want.k) and got.k.dtype == np.int64
+            assert np.array_equal(got.w, want.w)
+
+    @given(
+        col=st.lists(FINITE, min_size=1)
+        | st.lists(st.integers(), min_size=1)
+        | st.lists(st.none() | st.booleans() | st.integers() | FINITE | st.text(max_size=4), min_size=1)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_csv_column_format_is_the_cell_format(self, col):
+        assert _fmt_column(tuple(col)) == [_fmt_cell(v) for v in col]
+
+    def test_layout(self):
+        doc = {"b": {"y": 1, "x": [1.5, -2]}, "a": [], "levels": [{"j": 3, "k": [], "w": []}, [1]]}
+        assert _encode(doc) == "\n".join(
+            [
+                "{",
+                '  "a": [],',
+                '  "b": {',
+                '    "x": [1.5, -2],',
+                '    "y": 1',
+                "  },",
+                '  "levels": [',
+                '    {"j": 3, "k": [], "w": []},',
+                "    [1]",
+                "  ]",
+                "}",
+            ]
+        )
+
+    def test_empty_containers(self):
+        assert _encode({}) == "{}"
+        assert _encode([]) == "[]"
+        assert _encode({"a": {}}) == '{\n  "a": {}\n}'
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"a": math.inf}, {"a": [1.0, math.nan]}, {"a": [{"b": -math.inf}]}],
+        ids=["scalar", "scalar-list", "container-list"],
+    )
+    def test_non_finite_number_is_refused(self, doc):
+        with pytest.raises(ValueError):
+            _encode(doc)
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "command, cfg, extra, path",
@@ -652,6 +760,15 @@ class TestErrors:
                 "tau:",
             ),
             ("classify", {**POINT, "slab": {"family": "student_t", "nu": "inf"}}, [], "slab:"),
+            ("lln", {**ECHO_CASES["lln"], "slab": {"family": "cauchy"}}, [], "m:"),
+            ("lln", {**ECHO_CASES["lln"], "pi": {"c": 1.0, "e": 1.5}}, [], "pi:"),
+            ("evt", {**ECHO_CASES["evt"], "pi": {"c": 1.0, "e": 1.5}}, [], "pi:"),
+            ("classify", {**THREE_PARAM, "beta": 1.5}, [], "beta:"),
+            ("classify", {**POINT, "alpha": -1.0}, [], "alpha:"),
+            ("classify", {**POINT, "beta": -0.5}, [], "beta:"),
+            ("classify", {**POINT, "alpha": 0.0, "beta": 0.0}, [], "alpha:"),
+            ("cwt-verify", with_moment(spec={**CWT_SPEC, "slab": {"family": "cauchy"}}), [], "moment.m:"),
+            ("cwt-verify", with_moment(m=0.1), [], "moment.m:"),
         ],
         ids=[
             "classify-nu-bool",
@@ -675,6 +792,15 @@ class TestErrors:
             "moment-m-negative",
             "sample-tau",
             "classify-nu-inf",
+            "lln-moment-infinite",
+            "lln-pi-not-growing",
+            "evt-pi-not-growing",
+            "three-param-beta",
+            "simple-alpha-negative",
+            "simple-beta-negative",
+            "simple-degenerate",
+            "moment-slab-moment-infinite",
+            "moment-kernel-decay",
         ],
     )
     def test_bad_field_names_its_path(self, capsys, tmp_path, command, cfg, extra, path):
@@ -877,6 +1003,22 @@ class TestErrors:
                 {"j0": 0, "scaling": [0.0], "levels": [{"j": 0}]},
                 "tree.levels[0].entries: required field is missing",
             ),
+            (
+                {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "k": [True], "w": [1.0]}]},
+                "tree.levels[0].k: expected a list of integers, got True",
+            ),
+            (
+                {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "k": [0], "w": ["1.5"]}]},
+                "tree.levels[0].w: expected a list of numbers, got '1.5'",
+            ),
+            (
+                {"j0": 1, "scaling": [0.0, 0.0], "levels": [{"j": 1, "k": [0, 1], "w": [1.0]}]},
+                "tree.levels[0]: positions and values must be 1-d arrays of equal length",
+            ),
+            (
+                {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "k": [0]}]},
+                "tree.levels[0].w: required field is missing",
+            ),
         ],
         ids=[
             "result-not-an-object",
@@ -886,6 +1028,10 @@ class TestErrors:
             "fractional-j",
             "level-not-an-object",
             "missing-entries",
+            "v2-bool-position",
+            "v2-string-value",
+            "v2-length-mismatch",
+            "v2-missing-w",
         ],
     )
     def test_malformed_tree_file_names_the_level(self, capsys, tmp_path, doc, message):

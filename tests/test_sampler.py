@@ -164,7 +164,7 @@ def test_json_round_trip():
 def test_json_format_shape():
     t = CoefficientTree(0, np.array([1.0]), (Level(0, np.array([0]), np.array([2.5])),))
     doc = tree_to_dict(t)
-    assert doc == {"j0": 0, "scaling": [1.0], "levels": [{"j": 0, "entries": [[0, 2.5]]}]}
+    assert doc == {"j0": 0, "scaling": [1.0], "levels": [{"j": 0, "k": [0], "w": [2.5]}]}
 
 
 def test_csv_round_trip():
