@@ -50,6 +50,10 @@ def _levels(cfg: dict, default=None) -> list[int]:
     doc = cfg.get("levels", default)
     with under("levels"):
         if isinstance(doc, dict):
+            # echoed as a list, so the walk of `_check_known` cannot see these keys
+            for key in sorted(doc.keys() - {"start", "stop"}):
+                if doc[key] is not None:
+                    raise ConfigError(key, "unknown field")
             start, stop = integer(doc, "start"), integer(doc, "stop")
             if stop < start:
                 raise ConfigError("", f"stop {stop} below start {start}")
@@ -60,14 +64,41 @@ def _levels(cfg: dict, default=None) -> list[int]:
         raise ConfigError("", "expected a nonempty list or {start, stop}")
 
 
+def _check_known(doc, echo) -> None:
+    """Raise at the first key of the config ``doc`` that its resolved
+    ``echo`` lacks: every field a subcommand reads is echoed, so that key
+    was never read.  Objects present on both sides and lists of equal
+    length are walked; a null value reads as absent or fails in its own
+    reader, so it is skipped."""
+    if doc is echo:  # echoed as read: a tree or a sweep's lists
+        return
+    if isinstance(doc, dict) and isinstance(echo, dict):
+        keys = doc
+    elif isinstance(doc, list) and isinstance(echo, list) and len(doc) == len(echo):
+        keys = range(len(doc))
+    else:
+        return
+    for key in keys:
+        value = doc[key]
+        if value is None:
+            continue
+        if isinstance(key, str) and key not in echo:
+            raise ConfigError(key, "unknown field")
+        if isinstance(value, (dict, list)):
+            with under(key):
+                _check_known(value, echo[key])
+
+
 def _load_tree(cfg: dict, args) -> tuple[dict, "sampler.CoefficientTree"]:
-    """Tree from --tree FILE or the inline ``tree`` field.
+    """Tree from --tree FILE or the inline ``tree`` field (not both).
 
     A file may hold a bare tree document or a report from ``sample``
     (the tree is then under ``result.tree``).
     """
     doc = cfg.get("tree")
     if getattr(args, "tree", None):
+        if doc is not None:
+            raise ConfigError("tree", "give an inline tree or --tree FILE, not both")
         with open(args.tree, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
@@ -202,6 +233,7 @@ def _cmd_sweep(cfg: dict, args, threads: int):
             _set_dotted(point, name, value, f"vary.{name}")
         with under("base"):
             resolved, verdict = _classify_point(point)
+            _check_known(point, resolved)
         flagged = flagged or verdict.decision is theory.Decision.NOT_COVERED
         found = {
             "decision": verdict.decision.value,
@@ -559,6 +591,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         echo, result, table, flagged = _DISPATCH[args.command](cfg, args, threads)
+        _check_known(cfg, echo)
         report = {"command": args.command, "config": echo, "result": result}
         try:
             text = _encode(report) + "\n"

@@ -205,9 +205,7 @@ def _chain(fam: WaveletFamily, level: int, shift: int, depth: int) -> tuple[int,
 
 def _dyadic_form(a: float, b: float, L: int):
     """``(n, kt)`` when the atom is exactly ``psi_{n, kt}`` in rescaled
-    coordinates, i.e. ``a = 2^n`` and ``a * b * L`` is an integer."""
-    if a <= 0:
-        return None
+    coordinates, i.e. ``a = 2^n`` and ``a * b * L`` is an integer (``a > 0``)."""
     n = math.log2(a)
     n_int = round(n)
     if abs(n_int) > 40 or 2.0**n_int != a:
@@ -292,11 +290,16 @@ def verify_kernel_bounds(
     if u_grid is None:
         u_grid = 2.0 ** np.arange(-6, 7)
     u_grid = np.asarray(u_grid, dtype=np.float64)
+    if not np.all(np.isfinite(u_grid) & (u_grid > 0)):
+        raise ConfigError("u_grid", "every scale ratio must be finite and > 0")
     if u_grid.min() > 2.0**-6 or u_grid.max() < 2.0**6:
         raise ConfigError("u_grid", "must span [2^-6, 2^6]")
+    if v_count < 1:
+        raise ConfigError("v_count", f"need at least one shift, got {v_count}")
+    if depth < 1:
+        raise ConfigError("depth", f"depth must be >= 1, got {depth}")
     # each kernel row interpolates (shift count) x (L 2^depth + 1) values
-    shifts = max(1, v_count)
-    check_dense_size(math.log2(shifts) + math.log2(fam.support) + depth, "v_count x 2^depth")
+    check_dense_size(math.log2(v_count) + math.log2(fam.support) + depth, "v_count x 2^depth")
     sups = np.empty(u_grid.size)
     for i, u in enumerate(u_grid):
         lo, hi = -1.0 / u, 1.0
@@ -350,29 +353,6 @@ def _take_positions(offset: int, vec: np.ndarray, positions: np.ndarray) -> np.n
     return out
 
 
-class _RowAccumulator:
-    """Dense coefficient row over a dynamically grown index window."""
-
-    def __init__(self) -> None:
-        self.offset = 0
-        self.vec = np.zeros(0)
-
-    def add(self, offset: int, values: np.ndarray) -> None:
-        if values.size == 0:
-            return
-        if self.vec.size == 0:
-            self.offset = offset
-            self.vec = np.array(values, dtype=np.float64)
-            return
-        lo = min(self.offset, offset)
-        hi = max(self.offset + self.vec.size, offset + values.size)
-        if lo < self.offset or hi > self.offset + self.vec.size:
-            grown = np.zeros(hi - lo)
-            grown[self.offset - lo : self.offset - lo + self.vec.size] = self.vec
-            self.offset, self.vec = lo, grown
-        self.vec[offset - self.offset : offset - self.offset + values.size] += values
-
-
 def project_to_orthogonal(
     atoms,
     fam: WaveletFamily,
@@ -386,8 +366,8 @@ def project_to_orthogonal(
     ``k in [0, 2^j)``; the scaling row collects the same products against
     ``phi`` plus the coarse constant ``c_w`` added verbatim, matching the
     projection contract.  No periodic wrapping: shifts outside ``[0, 2^j)``
-    are dropped.  Every atom is reduced to a dense row of about
-    ``L 2^(top+2)`` values, so ``top`` is bounded before anything is built.
+    are dropped.  Every atom is reduced to one dense row of ``L 2^(top+2)``
+    values, so ``top`` is bounded before anything is built.
     """
     if j0 < 0 or top < j0:
         raise ValueError(f"need 0 <= j0 <= top, got j0={j0}, top={top}")
@@ -415,7 +395,9 @@ def project_to_orthogonal(
     common = top + 2  # every atom is reduced to this approximation row, so
     # the projection stays exactly linear in the atom list
 
-    row = _RowAccumulator()
+    # analysis output k reads inputs 2k..2k+L, so the kept coefficients
+    # read only row positions [0, L 2^common - L]
+    row = np.zeros(L << common)
     for at in all_atoms:
         dy = _dyadic_form(at.a, at.b, L)
         if dy is not None and dy[0] >= 0:
@@ -423,24 +405,28 @@ def project_to_orthogonal(
             if n >= common:
                 continue  # orthogonal to every level up to top
             off, vec = _chain(fam, n, kt, common)
-            row.add(off, at.omega * vec)
-            continue
-        depth = max(common, math.ceil(math.log2(max(at.a, 1.0))) + _OVERSAMPLE)
-        scale = 1 << depth
-        y0 = at.b * L
-        lo_m = math.ceil(scale * y0 - mu1)
-        hi_m = math.floor(scale * (y0 + L / at.a) - mu1)
-        if hi_m < lo_m:
-            continue
-        ms = np.arange(lo_m, hi_m + 1)
-        t = at.a * ((ms + mu1) / scale - y0)
-        vals = np.interp(t, xs, psi, left=0.0, right=0.0)
-        off, vec = lo_m, at.omega * math.sqrt(at.a) * vals / math.sqrt(scale)
-        for _ in range(depth - common):
-            off, vec = _analysis_down(off, vec, h)
-        row.add(off, vec)
+            vec = at.omega * vec
+        else:
+            depth = max(common, math.ceil(math.log2(max(at.a, 1.0))) + _OVERSAMPLE)
+            scale = 1 << depth
+            y0 = at.b * L
+            # only samples in [0, reach] reach the row through the analysis below
+            reach = (L << depth) + (L << (depth - common))
+            lo_m = max(math.ceil(scale * y0 - mu1), 0)
+            hi_m = math.floor(min(scale * (y0 + L / at.a) - mu1, reach))
+            if hi_m < lo_m:
+                continue
+            ms = np.arange(lo_m, hi_m + 1)
+            t = at.a * ((ms + mu1) / scale - y0)
+            vals = np.interp(t, xs, psi, left=0.0, right=0.0)
+            off, vec = lo_m, at.omega * math.sqrt(at.a) * vals / math.sqrt(scale)
+            for _ in range(depth - common):
+                off, vec = _analysis_down(off, vec, h)
+        lo, hi = max(off, 0), min(off + vec.size, row.size)
+        if lo < hi:
+            row[lo:hi] += vec[lo - off : hi - off]
 
-    offsets, vec = row.offset, row.vec
+    offsets, vec = 0, row
     details: dict[int, np.ndarray] = {}
     for j in range(common - 1, j0 - 1, -1):
         if j <= top:
@@ -557,7 +543,8 @@ def classify_cwt(
     is only covered for ``p < infinity``.
     """
     if (mu is None) != (tau is None):
-        raise ValueError("general classification needs both mu and tau (or neither)")
+        missing = "tau" if tau is None else "mu"
+        raise ConfigError(missing, "general classification needs both mu and tau (or neither)")
     if not (r + rho > (1.0 + alpha) / 2.0):
         return _not_covered(
             "cwt/kernel-regularity",

@@ -234,7 +234,7 @@ def evt_experiment(
     b_values = {}
     for j, n_j in n_values.items():
         if n_j <= 1.0:
-            raise ValueError(f"expected count n_j={n_j:g} <= 1 at level {j}")
+            raise ConfigError("levels", f"expected count n_j={n_j:g} <= 1 at level {j}")
         b_values[j] = quantile_hplus(slab, 1.0 - 1.0 / n_j)
 
     def draw(rng: np.random.Generator, j: int) -> float:
@@ -286,12 +286,12 @@ def _level_term_experiment(
     lv = _level_list(levels)
     _check_reps(reps)
     if not math.isinf(bp.p) and not absolute_moment(spec.slab, bp.p) < math.inf:
-        raise ValueError(
-            f"E|xi|^p is infinite for p={bp.p} under {type(spec.slab).__name__}"
+        raise ConfigError(
+            "besov.p", f"E|xi|^p is infinite for p={bp.p} under {type(spec.slab).__name__}"
         )
     top = spec.top_level()
     if lv[-1] > top:
-        raise ValueError(f"level {lv[-1]} exceeds the model's top level {top}")
+        raise ConfigError("levels", f"level {lv[-1]} exceeds the model's top level {top}")
     spec.check_draw_size(lv, "levels")
 
     def draw(rng: np.random.Generator, j: int) -> float | None:
@@ -337,7 +337,7 @@ def exponent_regression(
     were dropped.  Requires ``q < inf``.
     """
     if math.isinf(bp.q):
-        raise ValueError("exponent_regression needs q < inf; use empirical_membership")
+        raise ConfigError("besov.q", "exponent_regression needs q < inf; use empirical_membership")
     config, stats, slope, slope_stderr, expected, dropped, _ = _level_term_experiment(
         spec, bp, bp.q, 0.0, levels, reps, seed, threads
     )

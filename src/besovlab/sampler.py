@@ -124,6 +124,10 @@ class Regression:
 
     n: int
 
+    def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValueError(f"regression needs n >= 2, got {self.n}")
+
 
 Mode = Union[Infinite, Regression]
 
@@ -164,7 +168,9 @@ def _mode_from_dict(d) -> Mode:
     if kind not in _MODES:
         raise ConfigError("kind", f"expected 'infinite' or 'regression', got {kind!r}")
     name, mode_type = _MODES[kind]
-    return mode_type(integer(d, name))
+    value = integer(d, name)
+    with under(name):
+        return mode_type(value)
 
 
 @dataclass(frozen=True)
@@ -292,10 +298,10 @@ def sample_tree(
         raise ValueError(f"j0 must be >= 0, got {j0}")
     top = spec.top_level()
     if isinstance(spec.mode, Infinite) and top < j0:
-        raise ValueError(f"top level {top} below j0={j0}")
+        raise ConfigError("mode.j_max", f"top level {top} below j0={j0}")
     if isinstance(spec.mode, Regression) and spec.mode.n < 2 ** (j0 + 1):
-        raise ValueError(
-            f"regression mode needs n >= 2^(j0+1) = {2 ** (j0 + 1)}, got {spec.mode.n}"
+        raise ConfigError(
+            "mode.n", f"regression mode needs n >= 2^(j0+1) = {2 ** (j0 + 1)}, got {spec.mode.n}"
         )
     spec.check_draw_size(range(j0, top + 1), "mode")
     check_dense_size(j0, "j0")  # the scaling row
@@ -303,6 +309,8 @@ def sample_tree(
         scaling_arr = np.zeros(2**j0)
     else:
         scaling_arr = np.asarray(list(scaling), dtype=np.float64)
+        if scaling_arr.size != 1 << j0:
+            raise ConfigError("scaling", f"expected 2^{j0} values, got {scaling_arr.size}")
 
     levels = []
     for j in range(j0, top + 1):

@@ -11,8 +11,8 @@ depth level applies the two-scale relation
 unit-support rescaling ``psi_u(t) = sqrt(L) psi(L t)``, whose dyadic
 translates ``2^(j/2) psi_u(2^j x - k)`` are orthonormal across levels
 (they are the integer-shift sub-family ``psi_{j, kL}`` in rescaled
-coordinates).  Boundary handling is periodic: arguments wrap modulo the
-level's period.
+coordinates).  A term at level ``j`` with ``0 <= k < 2^j`` is supported on
+``[k 2^-j, (k+1) 2^-j]``, inside ``[0, 1]``, so nothing wraps.
 
 The ``(r, rho)`` regularity pair on each family is configuration
 metadata quoted from the standard literature tables, not computed here.
@@ -31,6 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fields import ConfigError
 from .sampler import CoefficientTree, check_dense_size
 
 __all__ = [
@@ -241,33 +242,24 @@ def unit_tables(name: str, depth: int):
 def synthesize(t: CoefficientTree, fam: WaveletFamily, grid_exponent: int) -> np.ndarray:
     """Render the tree at the points ``x_n = n 2^-G``, ``n = 0..2^G - 1``.
 
-    Uses the periodized unit-support basis: every term is
-    ``2^(j/2) psi_u((2^j x - k) mod 2^j)`` and analogously for the scaling
-    row, so supports wrap around ``[0, 1]``.
+    A term ``2^(j/2) psi_u(2^j x - k)`` (``phi_u`` on the scaling row) lives
+    on block ``k``, the ``2^(G-j)`` points in ``[k 2^-j, (k+1) 2^-j)``, inside
+    ``[0, 1]``, so nothing wraps; each row interpolates its shape once.
     """
     G = grid_exponent
     check_dense_size(G, "grid_exponent")
     if G < t.top_level + 2:
-        raise ValueError(
-            f"grid exponent {G} too small to resolve level {t.top_level}; need >= {t.top_level + 2}"
+        raise ConfigError(
+            "grid_exponent",
+            f"grid exponent {G} too small to resolve level {t.top_level}; need >= {t.top_level + 2}",
         )
     xs, phi_u, psi_u = unit_tables(fam.name, min(max(G, 10), 16))
-    x = np.arange(1 << G) / (1 << G)
-    out = np.zeros(x.size)
-
-    j0 = t.j0
-    base0 = np.mod((1 << j0) * x, 1 << j0)
-    for k, u in enumerate(t.scaling):
-        if u == 0.0:
-            continue
-        arg = np.mod(base0 - k, 1 << j0)
-        out += u * 2.0 ** (j0 / 2.0) * np.interp(arg, xs, phi_u, left=0.0, right=0.0)
-
-    for level in t.levels:
-        j = level.j
-        base = np.mod((1 << j) * x, 1 << j)
-        amp = 2.0 ** (j / 2.0)
-        for k, w in zip(level.k, level.w):
-            arg = np.mod(base - k, 1 << j)
-            out += w * amp * np.interp(arg, xs, psi_u, left=0.0, right=0.0)
+    out = np.zeros(1 << G)
+    rows = [(t.j0, np.arange(1 << t.j0), t.scaling, phi_u)]
+    rows += [(level.j, level.k, level.w, psi_u) for level in t.levels]
+    for j, k, w, table in rows:
+        span = 1 << (G - j)
+        shape = np.interp(np.arange(span) / span, xs, table, left=0.0, right=0.0)
+        # k is strictly increasing, so no block is named twice
+        out.reshape(-1, span)[k] += (w * 2.0 ** (j / 2.0))[:, None] * shape
     return out

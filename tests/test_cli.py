@@ -88,6 +88,10 @@ TWO_LEVEL_TREE = {
     "scaling": [1.0],
     "levels": [{"j": 0, "entries": [[0, 0.5]]}, {"j": 1, "entries": [[1, 0.25]]}],
 }
+SAMPLE = ECHO_CASES["sample"]
+VERIFY = ECHO_CASES["verify"]
+KERNEL = {"family": "daub4", "v_count": 17, "depth": 8}
+SWEEP_BASE = {"slab": GAUSS, "alpha": 2.0, "besov": B122, "r": 3.0}
 
 
 def with_moment(**fields):
@@ -322,6 +326,16 @@ class TestSampleNorm:
         ):
             results = [run_json(capsys, *args, "--tree", str(path))["result"] for path in (v1, v2)]
             assert results[0] == results[1]
+
+    @pytest.mark.parametrize("command", ["norm", "synth"])
+    def test_inline_tree_and_tree_file_are_refused(self, capsys, tmp_path, command):
+        cfg = {**REPORT_CASES[command], "tree": TWO_LEVEL_TREE}
+        tree_file = write_cfg(tmp_path, TINY_TREE, "tree.json")
+        code, out, err = run(
+            capsys, command, "--config", write_cfg(tmp_path, cfg), "--tree", tree_file
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"besovlab {command}: config error: tree: give an inline tree")
 
     def test_seed_flag_overrides_config(self, capsys, tmp_path):
         cfg = {
@@ -564,6 +578,22 @@ class TestCwtCommands:
         tree = sampler.tree_from_dict(result["tree"])
         assert math.isfinite(besov.besov_seq_norm(tree, besov.BesovParams(0.5, 2.0, 2.0)))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {**CWT_SPEC, "c_mu": 0.0, "coarse": {"atoms": [[1e-9, 0.5, 1.0]]}},
+            {**CWT_SPEC, "c_mu": 1.0, "beta": 1.0, "a0": 1e-9, "a_max": 1.0},
+        ],
+        ids=["coarse-atom", "poisson-atoms"],
+    )
+    def test_tiny_scale_atoms_project(self, capsys, tmp_path, spec):
+        # an atom of scale 1e-9 spans 10^9 rescaled units; only the part
+        # that reaches the projection row is sampled
+        cfg = {"spec": spec, "seed": 1, "project": {"family": "daub4", "j0": 1, "top": 4}}
+        report = run_json(capsys, "cwt-sample", "--config", write_cfg(tmp_path, cfg))
+        tree = sampler.tree_from_dict(report["result"]["tree"])
+        assert (tree.j0, tree.top_level) == (1, 4)
+
     def test_verify_kernel_table(self, capsys, tmp_path):
         cfg = {"family": "haar", "v_count": 65, "depth": 10}
         out_csv = tmp_path / "kernel.csv"
@@ -769,6 +799,65 @@ class TestErrors:
             ("classify", {**POINT, "alpha": 0.0, "beta": 0.0}, [], "alpha:"),
             ("cwt-verify", with_moment(spec={**CWT_SPEC, "slab": {"family": "cauchy"}}), [], "moment.m:"),
             ("cwt-verify", with_moment(m=0.1), [], "moment.m:"),
+            ("sample", {**SAMPLE, "mode": {"kind": "regression", "n": 0}}, [], "mode.n:"),
+            ("sample", {**SAMPLE, "j0": 3, "mode": {"kind": "regression", "n": 4}}, [], "mode.n:"),
+            ("sample", {**SAMPLE, "mode": {"kind": "infinite", "j_max": -5}}, [], "mode.j_max:"),
+            ("sample", {**SAMPLE, "scaling": [1, 2]}, [], "scaling:"),
+            ("verify", {**VERIFY, "check": "slope", "besov": {**B122, "q": "inf"}}, [], "besov.q:"),
+            ("verify", {**VERIFY, "slab": {"family": "cauchy"}}, [], "besov.p:"),
+            (
+                "verify",
+                {**VERIFY, "levels": [3, 40], "mode": {"kind": "infinite", "j_max": 12}},
+                [],
+                "levels:",
+            ),
+            (
+                "synth",
+                {"family": "haar", "grid_exponent": 2, "tree": TWO_LEVEL_TREE},
+                [],
+                "grid_exponent:",
+            ),
+            ("evt", {**ECHO_CASES["evt"], "levels": [0]}, [], "levels:"),
+            ("classify", {**POINT, "kind": "cwt", "rho": 0.5, "mu": {"c": 1.0}}, [], "tau:"),
+            ("cwt-verify", {**KERNEL, "u_grid": [0, 64]}, [], "u_grid:"),
+            ("cwt-verify", {**KERNEL, "u_grid": [-1, 0.01, 64]}, [], "u_grid:"),
+            ("cwt-verify", {**KERNEL, "u_grid": [0.015625, 64, "inf"]}, [], "u_grid:"),
+            ("cwt-verify", {**KERNEL, "v_count": 0}, [], "v_count:"),
+            ("cwt-verify", {**KERNEL, "depth": 0}, [], "depth:"),
+            # a field no reader reads is named, not left to its default
+            ("sample", {**SAMPLE, "seeed": 5}, [], "seeed: unknown field"),
+            ("sample", SAMPLE, ["--reps", "3"], "reps: unknown field"),
+            ("sample", {**SAMPLE, "tau": {"c": 1.0, "ee": 1.5}}, [], "tau.ee: unknown field"),
+            (
+                "sample",
+                {**SAMPLE, "slab": {**GAUSS, "sgima": 2.0}},
+                [],
+                "slab.sgima: unknown field",
+            ),
+            (
+                "sample",
+                {**SAMPLE, "mode": {"kind": "infinite", "j_max": 5, "n": 64}},
+                [],
+                "mode.n: unknown field",
+            ),
+            (
+                "classify",
+                {"points": [{**POINT, "besov": {**B122, "qq": 1.0}}]},
+                [],
+                "points[0].besov.qq: unknown field",
+            ),
+            (
+                "sweep",
+                {**REPORT_CASES["sweep"], "base": {**SWEEP_BASE, "slab": {**GAUSS, "sgima": 2.0}}},
+                [],
+                "base.slab.sgima: unknown field",
+            ),
+            (
+                "verify",
+                {**VERIFY, "levels": {"start": 4, "stop": 6, "setp": 1}},
+                [],
+                "levels.setp: unknown field",
+            ),
         ],
         ids=[
             "classify-nu-bool",
@@ -801,6 +890,29 @@ class TestErrors:
             "simple-degenerate",
             "moment-slab-moment-infinite",
             "moment-kernel-decay",
+            "regression-n-below-2",
+            "regression-n-below-j0",
+            "j_max-below-j0",
+            "scaling-length",
+            "slope-q-inf",
+            "verify-p-moment-infinite",
+            "verify-level-above-top",
+            "synth-grid-too-coarse",
+            "evt-count-not-above-1",
+            "cwt-mu-without-tau",
+            "u_grid-zero",
+            "u_grid-negative",
+            "u_grid-inf",
+            "v_count-zero",
+            "depth-zero",
+            "typo-seed",
+            "sample-reps",
+            "typo-tau-e",
+            "typo-slab-sigma",
+            "mode-n-under-infinite",
+            "typo-points-besov-q",
+            "typo-sweep-base",
+            "typo-level-range",
         ],
     )
     def test_bad_field_names_its_path(self, capsys, tmp_path, command, cfg, extra, path):
@@ -808,6 +920,19 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith(f"besovlab {command}: config error: {path}")
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("cwt-sample", {**ECHO_CASES["cwt-sample"], "project": None}),
+            ("cwt-verify", {**KERNEL, "u_grid": None, "moment": None}),
+            ("sample", {**SAMPLE, "scaling": None, "mode": None}),
+        ],
+        ids=["project", "u_grid-moment", "scaling-mode"],
+    )
+    def test_null_optional_field_reads_as_absent(self, capsys, tmp_path, command, cfg):
+        code, _, err = run(capsys, command, "--config", write_cfg(tmp_path, cfg))
+        assert code == 0, err
 
     def test_missing_required_field_names_path(self, capsys):
         code, _, err = run(capsys, "classify", "--set", "alpha=2.0")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,10 +230,12 @@ class TestProjection:
         diffs = [s2 + 2.5 * s1] + [r2[j] + 2.5 * r1[j] for j in r1]
         assert math.sqrt(sum(float(np.sum(d**2)) for d in diffs)) <= 1e-12
 
-    def test_matches_kernel_formula(self):
-        # independent route: w_jk from per-atom quadrature of the kernel
+    @pytest.mark.parametrize("a, b", [(6.3, 0.37), (0.37, 0.2), (0.8, 0.9)])
+    def test_matches_kernel_formula(self, a, b):
+        # independent route: w_jk from per-atom quadrature of the kernel;
+        # an atom with a < 1 reaches past the projection row and is clipped
         fam = family("daub4")
-        atom = PoissonAtom(6.3, 0.37, 1.0)
+        atom = PoissonAtom(a, b, 1.0)
         t = project_to_orthogonal([atom], fam, 1, 3)
         _, rows = dense_tree(t)
         for j in (1, 2, 3):
@@ -256,6 +259,22 @@ class TestProjection:
     def test_level_bounds_validated(self):
         with pytest.raises(ValueError, match="j0"):
             project_to_orthogonal([], family("haar"), 3, 2)
+
+    @pytest.mark.parametrize("a", [1e-9, 1e-300])
+    def test_tiny_scale_atom_is_sampled_only_where_it_reaches_the_row(self, a):
+        # the atom spans L / a rescaled units (terabytes of samples at
+        # a = 1e-9); the row and the samples that reach it are 192 values
+        fam = family("daub4")
+        coarse = CoarseTerm(atoms=(PoissonAtom(a, 0.5, 1.0),))
+        project_to_orthogonal([], fam, 1, 4, coarse=coarse)  # fill the table caches
+        tracemalloc.start()
+        try:
+            t = project_to_orthogonal([], fam, 1, 4, coarse=coarse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (t.j0, t.top_level) == (1, 4)
+        assert peak < 2**20  # the fixed cost is the depth-12 cascade grid
 
 
 class TestMomentExperiment:

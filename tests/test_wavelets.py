@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besovlab.sampler import CoefficientTree, Level
-from besovlab.wavelets import FAMILY_NAMES, cascade_eval, family, synthesize
+from besovlab.wavelets import FAMILY_NAMES, cascade_eval, family, synthesize, unit_tables
 
 SQRT2 = math.sqrt(2.0)
 
@@ -21,6 +23,37 @@ def make_tree(j0, rows, scaling=None):
     if scaling is None:
         scaling = np.zeros(2**j0)
     return CoefficientTree(j0, np.asarray(scaling, dtype=np.float64), tuple(levels))
+
+
+def full_grid(t, fam, grid_exponent):
+    """The full-grid rendering: every term interpolated at all ``2^G``
+    points, its argument ``(2^j x - k)`` reduced modulo the level's period."""
+    G = grid_exponent
+    xs, phi_u, psi_u = unit_tables(fam.name, min(max(G, 10), 16))
+    x = np.arange(1 << G) / (1 << G)
+    out = np.zeros(x.size)
+    rows = [(t.j0, range(1 << t.j0), t.scaling, phi_u)]
+    rows += [(lev.j, lev.k, lev.w, psi_u) for lev in t.levels]
+    for j, ks, ws, table in rows:
+        base = np.mod((1 << j) * x, 1 << j)
+        for k, w in zip(ks, ws):
+            arg = np.mod(base - k, 1 << j)
+            out += w * 2.0 ** (j / 2.0) * np.interp(arg, xs, table, left=0.0, right=0.0)
+    return out
+
+
+@st.composite
+def cauchy_trees(draw):
+    """Trees with j0 in 0..3, up to five levels of Cauchy values at a drawn
+    density, and a Cauchy scaling row with some exact zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    j0 = draw(st.integers(0, 3))
+    rows = {}
+    for j in range(j0, j0 + draw(st.integers(0, 5))):
+        keep = rng.random(2**j) < draw(st.floats(0.0, 1.0))
+        rows[j] = dict(zip(np.flatnonzero(keep).tolist(), rng.standard_cauchy(2**j)[keep]))
+    scaling = rng.standard_cauchy(2**j0) * (rng.random(2**j0) < 0.8)
+    return make_tree(j0, rows, scaling=scaling)
 
 
 class TestFilters:
@@ -177,13 +210,23 @@ class TestSynthesize:
         rhs = synthesize(t_sum, fam, 7)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
-    def test_periodic_wrap_of_scaling_row(self):
-        # daub4 scaling functions at j0=0 wrap around the unit interval,
-        # so a lone coefficient still spreads mass across the whole grid
+    def test_scaling_row_spans_the_unit_interval(self):
+        # the daub4 scaling function at j0=0 is supported on all of [0, 1],
+        # so a lone coefficient spreads mass across the whole grid
         t = make_tree(0, {}, scaling=[1.0])
         out = synthesize(t, family("daub4"), 10)
-        # the periodized scaling row integrates to the unrescaled mass
+        # phi_u = sqrt(3) phi(3 x) integrates to 1 / sqrt(3)
         assert float(np.mean(out)) == pytest.approx(
             1.0 / math.sqrt(3.0), rel=2e-2
         )
         assert np.any(out[:10] != 0.0) and np.any(out[-10:] != 0.0)
+
+    @given(t=cauchy_trees(), name=st.sampled_from(FAMILY_NAMES), extra=st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_full_grid_formula_bit_for_bit(self, t, name, extra):
+        # every support lies inside [0, 1]: inside its block a term's
+        # reduced argument is exactly i / span, outside it adds +-0.0
+        fam = family(name)
+        G = t.top_level + 2 + extra
+        got, want = synthesize(t, fam, G), full_grid(t, fam, G)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
