@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .besov import BesovParams
 from .distributions import (
     FrechetTail,
     SlabDistribution,
-    absolute_moment,
+    has_moment,
     sample,
     slab_from_dict,
     slab_to_dict,
@@ -37,7 +38,7 @@ from .lab import ExperimentReport, _check_reps, _column_stats, _level_list, _run
 from .sampler import CoefficientTree, Level, check_dense_size, rng_for
 from .schedules import GrowthKind, LevelSchedule, growth_regime
 from .theory import Decision, Verdict, _decide, _level_exponent, _lq_finite, _not_covered
-from .theory import _threshold, _validate_smoothness, classify_simple
+from .theory import _HALF, _threshold, _validate_smoothness, classify_simple
 from .wavelets import WaveletFamily, cascade_eval, unit_tables
 
 __all__ = [
@@ -205,10 +206,13 @@ def _chain(fam: WaveletFamily, level: int, shift: int, depth: int) -> tuple[int,
 
 def _dyadic_form(a: float, b: float, L: int):
     """``(n, kt)`` when the atom is exactly ``psi_{n, kt}`` in rescaled
-    coordinates, i.e. ``a = 2^n`` and ``a * b * L`` is an integer (``a > 0``)."""
+    coordinates, i.e. ``a = 2^n`` with ``|n| <= 40`` and ``a * b * L`` is an
+    integer (``a > 0``; an infinite ``a`` is not dyadic)."""
     n = math.log2(a)
+    if not abs(n) <= 40:
+        return None
     n_int = round(n)
-    if abs(n_int) > 40 or 2.0**n_int != a:
+    if 2.0**n_int != a:
         return None
     kt = a * b * L
     if kt != round(kt) or abs(kt) > 2**52:
@@ -470,7 +474,7 @@ def moment_bound_experiment(
     check_dense_size(math.log2(fam.support) + lv[-1] + 2, "levels")  # the projection's row
     if not m > 0:
         raise ConfigError("m", f"moment order must be positive, got {m}")
-    if not absolute_moment(spec.slab, m) < math.inf:
+    if not has_moment(spec.slab, m):
         raise ConfigError("m", f"slab lacks a finite moment of order {m:g}")
     expo_kernel = m * (fam.r_plus_rho + 0.5) - 1.0
     if expo_kernel <= 0:
@@ -545,14 +549,15 @@ def classify_cwt(
     if (mu is None) != (tau is None):
         missing = "tau" if tau is None else "mu"
         raise ConfigError(missing, "general classification needs both mu and tau (or neither)")
-    if not (r + rho > (1.0 + alpha) / 2.0):
+    r_rho = Fraction(r) + Fraction(rho)
+    if not r_rho > (1 + Fraction(alpha)) / 2:
         return _not_covered(
             "cwt/kernel-regularity",
             "kernel bound needs r + rho > (1 + alpha)/2; "
             f"got {r + rho:g} <= {(1.0 + alpha) / 2.0:g}",
         )
     tc = tail_class(slab)
-    if isinstance(tc, FrechetTail) and not tc.ell > 2.0 / (r + rho + 0.5):
+    if isinstance(tc, FrechetTail) and not tc.ell > 2 / (r_rho + _HALF):
         return _not_covered(
             "cwt/heavy-tail-gap",
             f"polynomial tail needs ell > 2/(r + rho + 1/2); got ell={tc.ell:g}",
@@ -578,7 +583,7 @@ def classify_cwt(
     # atom count near level j grows like 2^j mu(2^j) = c j^g_mu 2^(j (1 - e_mu)),
     # whose regime depends on c only at c = 0 (no atoms) and is unchanged by
     # clamping at 1
-    regime = growth_regime(mu).kind
+    regime = growth_regime(mu)
     assumptions = (kernel_note, "general nonincreasing mu, tau at dyadic scales")
 
     if regime is GrowthKind.SUMMABLE:
@@ -602,7 +607,7 @@ def classify_cwt(
             assumptions=assumptions,
         )
     gate = bp.p if increases else bp.q
-    if not absolute_moment(slab, gate) < math.inf:
+    if not has_moment(slab, gate):
         return _not_covered(
             "cwt/general-assumption-h",
             f"slab lacks a finite moment of order {gate:g}",

@@ -6,7 +6,8 @@ unit scale convention; a nonzero coefficient is ``tau_j * xi`` with
 needs from a slab is small and explicit:
 
 * the folded cdf ``H_+(x) = P(|xi| <= x)`` and its inverse,
-* absolute moments ``E|xi|^m`` (possibly +inf),
+* absolute moments ``E|xi|^m`` (possibly +inf), and whether one is
+  finite, decided from the tail class alone,
 * the extreme-value tail class: exponential-type tails (Gumbel domain,
   level maxima concentrate after ``b_j`` normalisation) versus polynomial
   tails (Frechet domain with index ``ell``).  The classifiers check the
@@ -41,6 +42,7 @@ __all__ = [
     "cdf_hplus",
     "quantile_hplus",
     "absolute_moment",
+    "has_moment",
     "sample",
     "slab_to_dict",
     "slab_from_dict",
@@ -267,7 +269,8 @@ def quantile_hplus(d: SlabDistribution, u: float) -> float:
 
 
 def absolute_moment(d: SlabDistribution, m: float) -> float:
-    """``E|xi|^m`` for ``m > 0``; returns ``math.inf`` when the moment diverges.
+    """``E|xi|^m`` for ``m > 0``; returns ``math.inf`` when the moment diverges
+    or exceeds the float range (`has_moment` tells the two apart).
 
     Closed forms via the gamma function:
 
@@ -280,26 +283,36 @@ def absolute_moment(d: SlabDistribution, m: float) -> float:
     """
     if not m > 0:
         raise ValueError(f"moment order must be positive, got {m}")
-    if isinstance(d, Gaussian):
-        return d.sigma**m * 2.0 ** (m / 2.0) * math.gamma((m + 1.0) / 2.0) / math.sqrt(math.pi)
-    if isinstance(d, Laplace):
-        return math.gamma(m + 1.0) / d.lam**m
-    if isinstance(d, StudentT):
-        if m >= d.nu:
-            return math.inf
-        return (
-            d.nu ** (m / 2.0)
-            * math.gamma((m + 1.0) / 2.0)
-            * math.gamma((d.nu - m) / 2.0)
-            / (math.sqrt(math.pi) * math.gamma(d.nu / 2.0))
-        )
-    if isinstance(d, Cauchy):
-        if m >= 1.0:
-            return math.inf
-        return 1.0 / math.cos(math.pi * m / 2.0)
-    if isinstance(d, PowerExponential):
-        return math.gamma(1.0 + m / d.m) / d.lam**m
-    raise TypeError(f"not a slab distribution: {d!r}")
+    if not has_moment(d, m):
+        return math.inf
+    try:
+        if isinstance(d, Gaussian):
+            return (
+                d.sigma**m * 2.0 ** (m / 2.0) * math.gamma((m + 1.0) / 2.0) / math.sqrt(math.pi)
+            )
+        if isinstance(d, Laplace):
+            return math.gamma(m + 1.0) / d.lam**m
+        if isinstance(d, StudentT):
+            return (
+                d.nu ** (m / 2.0)
+                * math.gamma((m + 1.0) / 2.0)
+                * math.gamma((d.nu - m) / 2.0)
+                / (math.sqrt(math.pi) * math.gamma(d.nu / 2.0))
+            )
+        if isinstance(d, Cauchy):
+            return 1.0 / math.cos(math.pi * m / 2.0)
+        return math.gamma(1.0 + m / d.m) / d.lam**m  # PowerExponential
+    except (OverflowError, ZeroDivisionError):  # a factor left the float range
+        return math.inf
+
+
+def has_moment(d: SlabDistribution, m: float) -> bool:
+    """Whether ``E|xi|^m < inf`` for ``m > 0``, read off the tail class:
+    an exponential-type tail has every moment, a polynomial tail of index
+    ``ell`` exactly those of order below ``ell``.  ``m`` may be a float or
+    a ``Fraction``; the comparison is exact either way."""
+    tc = tail_class(d)
+    return isinstance(tc, GumbelTail) or m < tc.ell
 
 
 def sample(d: SlabDistribution, rng: np.random.Generator, size: int | tuple = ()) -> np.ndarray:

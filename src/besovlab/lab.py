@@ -38,6 +38,7 @@ from .distributions import (
     FrechetTail,
     SlabDistribution,
     absolute_moment,
+    has_moment,
     quantile_hplus,
     sample,
     slab_to_dict,
@@ -167,7 +168,7 @@ def _growing_levels(pi: LevelSchedule, levels, reps: int, who: str):
     randomly indexed experiment, which needs ``n_j`` increasing to infinity."""
     lv = _level_list(levels)
     _check_reps(reps)
-    if growth_regime(pi).kind is not GrowthKind.INCREASES_TO_INFINITY:
+    if growth_regime(pi) is not GrowthKind.INCREASES_TO_INFINITY:
         raise ConfigError("pi", f"{who} needs an expected count increasing to infinity")
     return lv, {j: (1 << j) * pi.clamped_at(j) for j in lv}
 
@@ -193,9 +194,13 @@ def lln_experiment(
     lv, n_values = _growing_levels(pi, levels, reps, "lln_experiment")
     if not m > 0:
         raise ConfigError("m", f"moment order must be positive, got {m}")
-    nu_m = absolute_moment(slab, m)
-    if not nu_m < math.inf:
+    if not has_moment(slab, m):
         raise ConfigError("m", f"E|xi|^{m:g} is infinite for {type(slab).__name__}")
+    nu_m = absolute_moment(slab, m)
+    if nu_m == math.inf:
+        raise ConfigError(
+            "m", f"E|xi|^{m:g} is finite but overflows a float for {type(slab).__name__}"
+        )
 
     def draw(rng: np.random.Generator, j: int) -> float:
         total = 0.0
@@ -285,7 +290,7 @@ def _level_term_experiment(
     regimes)."""
     lv = _level_list(levels)
     _check_reps(reps)
-    if not math.isinf(bp.p) and not absolute_moment(spec.slab, bp.p) < math.inf:
+    if not math.isinf(bp.p) and not has_moment(spec.slab, bp.p):
         raise ConfigError(
             "besov.p", f"E|xi|^p is infinite for p={bp.p} under {type(spec.slab).__name__}"
         )
@@ -316,7 +321,7 @@ def _level_term_experiment(
     else:
         slope, slope_stderr = None, None
     _, e_pi, g_pi = clamped_exponents(spec.pi)
-    pair = _level_exponent(growth_regime(spec.pi).kind, spec.slab, spec.tau, e_pi, g_pi, bp)
+    pair = _level_exponent(growth_regime(spec.pi), spec.slab, spec.tau, e_pi, g_pi, bp)
     expected = None if pair is None else float(Fraction(power) * pair[0] - Fraction(detrend))
     config = {**spec.to_dict(), "besov": bp.to_dict(), "levels": lv, "reps": reps, "seed": seed}
     return config, stats, slope, slope_stderr, expected, dropped_fraction, empty_tail_votes

@@ -5,7 +5,9 @@ Both hyperparameter sequences of the prior live in this family: the scale
 [0, 1] when used as a probability).  Restricting to this family makes the
 relevant series and suprema exactly decidable from the exponents, which
 the membership classifiers rely on; nothing in the package ever decides
-convergence by numerically summing a sequence.
+convergence by numerically summing a sequence.  `series_verdict` and
+`sup_verdict` are the only code that states the rule; `growth_regime`
+and the classifiers in `theory` call them.
 
 Conventions: ``j^g := 1`` at ``j = 0``; all schedules are over integer
 levels ``j >= 0``.
@@ -22,9 +24,6 @@ from .fields import number
 __all__ = [
     "LevelSchedule",
     "GrowthKind",
-    "GrowthRegime",
-    "SeriesVerdict",
-    "SupVerdict",
     "growth_regime",
     "series_verdict",
     "sup_verdict",
@@ -77,30 +76,16 @@ class LevelSchedule:
         return cls(c=number(d, "c"), e=number(d, "e", 0.0), g=number(d, "g", 0.0))
 
 
-class SeriesVerdict(enum.Enum):
-    CONVERGES = "Converges"
-    DIVERGES = "Diverges"
-
-
-class SupVerdict(enum.Enum):
-    BOUNDED = "Bounded"
-    UNBOUNDED = "Unbounded"
-
-
-def series_verdict(e: float, g: float) -> SeriesVerdict:
-    """Convergence of ``sum_j j^g 2^(-e*j)``: converges iff ``e > 0`` or
+def series_verdict(e: float, g: float) -> bool:
+    """Whether ``sum_j j^g 2^(-e*j)`` converges: iff ``e > 0`` or
     (``e = 0`` and ``g < -1``)."""
-    if e > 0 or (e == 0 and g < -1):
-        return SeriesVerdict.CONVERGES
-    return SeriesVerdict.DIVERGES
+    return e > 0 or (e == 0 and g < -1)
 
 
-def sup_verdict(e: float, g: float) -> SupVerdict:
-    """Boundedness of ``sup_j j^g 2^(-e*j)``: bounded iff ``e > 0`` or
+def sup_verdict(e: float, g: float) -> bool:
+    """Whether ``sup_j j^g 2^(-e*j)`` is finite: iff ``e > 0`` or
     (``e = 0`` and ``g <= 0``)."""
-    if e > 0 or (e == 0 and g <= 0):
-        return SupVerdict.BOUNDED
-    return SupVerdict.UNBOUNDED
+    return e > 0 or (e == 0 and g <= 0)
 
 
 class GrowthKind(enum.Enum):
@@ -108,13 +93,6 @@ class GrowthKind(enum.Enum):
     TENDS_TO_CONSTANT = "TendsToConstant"
     SUMMABLE = "Summable"
     NOT_COVERED = "NotCovered"
-
-
-@dataclass(frozen=True)
-class GrowthRegime:
-    kind: GrowthKind
-    limit: float | None = None
-    reason: str = ""
 
 
 def clamped_exponents(pi: LevelSchedule) -> tuple[float, float, float]:
@@ -139,32 +117,17 @@ def clamped_exponents(pi: LevelSchedule) -> tuple[float, float, float]:
     return 1.0, 0.0, 0.0
 
 
-def growth_regime(pi: LevelSchedule) -> GrowthRegime:
+def growth_regime(pi: LevelSchedule) -> GrowthKind:
     """Regime of ``n_j = 2^j * min(1, pi_j)``, the expected nonzero count.
 
-    Returns one of IncreasesToInfinity, TendsToConstant(limit), Summable,
-    or NotCovered for the gap regime where ``n_j -> 0`` but ``sum n_j``
-    diverges (the theory has no statement there).
+    ``n_j ~ c j^g 2^(-(e-1) j)`` for the clamped exponents, so the
+    predicates at ``(e - 1, g)`` give Summable, IncreasesToInfinity,
+    TendsToConstant, or NotCovered for the gap where ``n_j -> 0`` but
+    ``sum n_j`` diverges (the theory has no statement there).
     """
     c, e, g = clamped_exponents(pi)
-    if c == 0:
-        return GrowthRegime(GrowthKind.SUMMABLE)
-    # n_j ~ c * j^g * 2^(j(1-e))
-    if e < 1:
-        return GrowthRegime(GrowthKind.INCREASES_TO_INFINITY)
-    if e == 1:
-        if g > 0:
-            return GrowthRegime(GrowthKind.INCREASES_TO_INFINITY)
-        if g == 0:
-            return GrowthRegime(GrowthKind.TENDS_TO_CONSTANT, limit=c)
-        if g < -1:
-            return GrowthRegime(GrowthKind.SUMMABLE)
-        return GrowthRegime(
-            GrowthKind.NOT_COVERED,
-            reason=(
-                "expected counts n_j tend to 0 while sum n_j diverges "
-                f"(e={e}, g={g}); no theory case applies"
-            ),
-        )
-    # e > 1: sum_j 2^j pi_j converges geometrically
-    return GrowthRegime(GrowthKind.SUMMABLE)
+    if c == 0 or series_verdict(e - 1, g):
+        return GrowthKind.SUMMABLE
+    if not sup_verdict(e - 1, g):
+        return GrowthKind.INCREASES_TO_INFINITY
+    return GrowthKind.TENDS_TO_CONSTANT if g == 0 else GrowthKind.NOT_COVERED

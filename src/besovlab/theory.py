@@ -4,7 +4,9 @@ Everything here is exact symbolic work on schedule exponents.  With
 ``tau_j = c_t j^{g_t} 2^{-e_t j}`` and ``pi_j`` clamped to [0, 1], every
 criterion in the underlying theory reduces to convergence of a series
 ``sum_j j^G 2^{jE}`` or boundedness of the matching supremum, which is
-decidable from ``(E, G)`` alone (see `schedules`).  Exponents are
+decidable from ``(E, G)`` alone by `schedules.series_verdict` and
+`schedules.sup_verdict` at ``(-E, G)``, which every classifier except the
+cross-check ``classify_simple`` calls directly.  Exponents are
 ``fractions.Fraction`` values of the float inputs, so a verdict is the
 exact answer for those floats, also at a threshold; only the reported
 threshold is rounded.
@@ -46,15 +48,13 @@ from .distributions import (
     GumbelTail,
     Laplace,
     SlabDistribution,
-    absolute_moment,
+    has_moment,
     tail_class,
 )
 from .fields import ConfigError
 from .schedules import (
     GrowthKind,
     LevelSchedule,
-    SeriesVerdict,
-    SupVerdict,
     clamped_exponents,
     growth_regime,
     series_verdict,
@@ -112,17 +112,12 @@ class Verdict:
 _HALF = Fraction(1, 2)
 
 
-def _sup_finite(E: Fraction, G: Fraction) -> bool:
-    """sup_j j^G 2^(jE) < inf"""
-    return sup_verdict(-E, G) is SupVerdict.BOUNDED
-
-
 def _lq_finite(E: Fraction, G: Fraction, q: float) -> bool:
     """sum_j (j^G 2^(jE))^q < inf; for ``q = inf`` the sup criterion."""
     if math.isinf(q):
-        return _sup_finite(E, G)
+        return sup_verdict(-E, G)
     w = Fraction(q)
-    return series_verdict(-w * E, w * G) is SeriesVerdict.CONVERGES
+    return series_verdict(-w * E, w * G)
 
 
 def _inv(x: float) -> Fraction:
@@ -174,10 +169,6 @@ def _level_exponent(
         weight = _inv(tc.ell)
         shift = (1 - Fraction(e_pi)) * weight
     return head + shift, Fraction(tau.g) + Fraction(g_pi) * weight
-
-
-def _has_moment(slab: SlabDistribution, order: float) -> bool:
-    return absolute_moment(slab, order) < math.inf
 
 
 def _validate_smoothness(bp: BesovParams, r: float) -> None:
@@ -242,7 +233,7 @@ def classify_simple(
 
     if beta < 1:
         if not p_inf:
-            if not _has_moment(slab, bp.p):
+            if not has_moment(slab, bp.p):
                 return _not_covered(
                     "simple/assumption-h",
                     f"E|xi|^p is infinite for p={bp.p} under {type(slab).__name__}",
@@ -255,7 +246,7 @@ def classify_simple(
             )
     else:  # beta == 1
         if not q_inf:
-            if not _has_moment(slab, bp.q):
+            if not has_moment(slab, bp.q):
                 return _not_covered(
                     "simple/assumption-h",
                     f"E|xi|^q is infinite for q={bp.q} under {type(slab).__name__}",
@@ -317,12 +308,11 @@ def _case4_constant_q_inf(
         return _decide(True, case_id, threshold, ("E log+ |xi| < inf",))
     if E == 0:
         if tau.g < 0:
-            order = -1.0 / tau.g
             return _decide(
-                _has_moment(slab, order),
+                has_moment(slab, -1 / Fraction(tau.g)),
                 case_id,
                 threshold,
-                (f"moment gate E|xi|^{order:g}",),
+                (f"moment gate E|xi|^{-1.0 / tau.g:g}",),
             )
         return _not_covered(
             case_id,
@@ -357,19 +347,23 @@ def _schedule_case(
     elsewhere.
     """
     _validate_smoothness(bp, r)
-    regime = growth_regime(pi)
-    if regime.kind is GrowthKind.NOT_COVERED:
-        return _not_covered(f"{model}/regime-gap", regime.reason)
-    if regime.kind is GrowthKind.SUMMABLE:
+    kind = growth_regime(pi)
+    _, e_pi, g_pi = clamped_exponents(pi)
+    if kind is GrowthKind.NOT_COVERED:
+        return _not_covered(
+            f"{model}/regime-gap",
+            "expected counts n_j tend to 0 while sum n_j diverges "
+            f"(e={e_pi}, g={g_pi}); no theory case applies",
+        )
+    if kind is GrowthKind.SUMMABLE:
         return Verdict(
             Decision.MEMBER_AS,
             f"{model}/case5",
             assumptions=("sum_j 2^j pi_j < inf: finitely many nonzero coefficients",),
         )
 
-    _, e_pi, g_pi = clamped_exponents(pi)
-    E, G = _level_exponent(regime.kind, slab, tau, e_pi, g_pi, bp)
-    if regime.kind is GrowthKind.TENDS_TO_CONSTANT:
+    E, G = _level_exponent(kind, slab, tau, e_pi, g_pi, bp)
+    if kind is GrowthKind.TENDS_TO_CONSTANT:
         if math.isinf(bp.q):
             return _case4_constant_q_inf(slab, tau, bp, E, f"{model}/case4")
         case_id, name, order = f"{model}/case3", "q", bp.q
@@ -390,7 +384,7 @@ def _schedule_case(
             )
         note = f"Gumbel tail, b_j ~ (log n_j)^(1/{tc.log_power:g})"
         return f"{model}/case2-gumbel", note, E, G, None
-    if not _has_moment(slab, order):
+    if not has_moment(slab, order):
         return _not_covered(
             case_id, f"E|xi|^{name} infinite for {name}={order} under {type(slab).__name__}"
         )
@@ -443,10 +437,10 @@ def classify_three_param(
     """Membership in ``B^s_{inf,q}`` for ``tau_j^2 = C1 j^gamma 2^(-alpha j)``,
     ``pi_j = min(1, C2 2^(-beta j))`` with ``beta in [0, 1)``.
 
-    Only Gaussian and Laplace slabs are covered.  With
-    ``delta = s + 1/2 - alpha/2`` the function is a member iff
-    ``delta < 0``, or ``delta = 0`` together with a ``gamma`` cutoff that
-    separates the two tail weights (``m = 2`` Gaussian, ``m = 1`` Laplace):
+    Only Gaussian and Laplace slabs are covered.  The level term behaves
+    like ``j^(gamma/2 + 1/m) 2^(j delta)`` with ``delta = s + 1/2 - alpha/2``
+    and the tail weight ``m`` (2 Gaussian, 1 Laplace), so the function is a
+    member iff ``delta < 0``, or ``delta = 0`` together with
     ``gamma < -2/q - 2/m`` for finite q, ``gamma <= -2/m`` at ``q = inf``.
     """
     if not 0.0 <= beta < 1.0:
@@ -458,17 +452,10 @@ def classify_three_param(
             "three-param/slab",
             f"three-param route covers Gaussian and Laplace slabs, not {type(slab).__name__}",
         )
-    m = 2.0 if isinstance(slab, Gaussian) else 1.0
+    m = tail_class(slab).log_power
     delta = Fraction(s) + _HALF - Fraction(alpha) / 2
-    threshold = _threshold(bp, delta)
-    if delta < 0:
-        member = True
-    elif delta == 0:
-        cutoff = -2 / Fraction(m) - 2 * _inv(q)
-        member = Fraction(gamma) <= cutoff if math.isinf(q) else Fraction(gamma) < cutoff
-    else:
-        member = False
-    return _decide(member, "three-param/gumbel", threshold, (f"tail weight m={m:g}",))
+    member = _lq_finite(delta, Fraction(gamma) / 2 + 1 / Fraction(m), q)
+    return _decide(member, "three-param/gumbel", _threshold(bp, delta), (f"tail weight m={m:g}",))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +499,7 @@ def classify_regression(
         normalised = True
     if normalised:
         E -= _HALF
-    return _decide(_sup_finite(E, G), case_id, _threshold(bp, E), (note,))
+    return _decide(sup_verdict(-E, G), case_id, _threshold(bp, E), (note,))
 
 
 def no_spike_condition(

@@ -157,6 +157,28 @@ class TestClassify:
         assert verdict["threshold"] == pytest.approx(0.75)
         assert report["config"]["kind"] == "simple"
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            # every Gaussian moment is finite, also where E|xi|^p leaves the float range
+            {**POINT, "slab": {**GAUSS, "sigma": 10.0}, "alpha": 3.0, "besov": {**B122, "p": 200.0}},
+            {**POINT, "alpha": 3.0, "besov": {**B122, "p": 400.0}},
+            # case 4's moment order -1/g_t = 1/0.3 lies exactly below nu, which it rounds to
+            {
+                "kind": "general",
+                "slab": {"family": "student_t", "nu": 3.3333333333333335},
+                "tau": {"c": 1.0, "e": 0.5, "g": -0.3},
+                "pi": {"c": 1.0, "e": 1.0},
+                "besov": {"s": 0.5, "p": 2.0, "q": "inf"},
+                "r": 3.0,
+            },
+        ],
+        ids=["gaussian-moment-overflows", "gaussian-gamma-overflows", "case4-order-below-nu"],
+    )
+    def test_moment_gate_reads_the_tail_index(self, capsys, tmp_path, point):
+        report = run_json(capsys, "classify", "--config", write_cfg(tmp_path, point))
+        assert report["result"]["verdicts"][0]["verdict"]["decision"] == "MemberAS"
+
     def test_points_list_and_csv(self, capsys, tmp_path):
         cfg = {
             "points": [
@@ -431,6 +453,12 @@ class TestVerify:
             tables.append(table.read_bytes())
         assert blobs[0] == blobs[1]
         assert tables[0] == tables[1]
+
+    def test_gaussian_moment_gate_at_a_large_p(self, capsys, tmp_path):
+        # E|xi|^400 is finite for a Gaussian slab, though its closed form overflows
+        cfg = {**ECHO_CASES["verify"], "besov": {**B122, "p": 400.0}}
+        report = run_json(capsys, "verify", "--config", write_cfg(tmp_path, cfg))
+        assert report["result"]["empirical_verdict"] in ("Member", "NotMember", "Inconclusive")
 
     def test_report_shape_and_level_table(self, capsys, tmp_path):
         out_csv = tmp_path / "levels.csv"
@@ -791,6 +819,7 @@ class TestErrors:
             ),
             ("classify", {**POINT, "slab": {"family": "student_t", "nu": "inf"}}, [], "slab:"),
             ("lln", {**ECHO_CASES["lln"], "slab": {"family": "cauchy"}}, [], "m:"),
+            ("lln", {**ECHO_CASES["lln"], "m": 400.0}, [], "m: E|xi|^400 is finite but overflows"),
             ("lln", {**ECHO_CASES["lln"], "pi": {"c": 1.0, "e": 1.5}}, [], "pi:"),
             ("evt", {**ECHO_CASES["evt"], "pi": {"c": 1.0, "e": 1.5}}, [], "pi:"),
             ("classify", {**THREE_PARAM, "beta": 1.5}, [], "beta:"),
@@ -882,6 +911,7 @@ class TestErrors:
             "sample-tau",
             "classify-nu-inf",
             "lln-moment-infinite",
+            "lln-moment-overflows",
             "lln-pi-not-growing",
             "evt-pi-not-growing",
             "three-param-beta",

@@ -144,6 +144,11 @@ class TestKernel:
         with pytest.raises(ValueError, match="scale ratio"):
             kernel_k0(family("haar"), 0.0, 0.0)
 
+    @pytest.mark.parametrize("u", [5e-324, 1e-310])
+    def test_tiny_scale_ratio_is_zero(self, u):
+        # the flipped ratio 1/u is inf, which is not a dyadic scale
+        assert kernel_k0(family("daub4"), u, 0.5) == 0.0
+
 
 class TestKernelBounds:
     def test_haar_sup_bounded_by_one(self):
@@ -354,6 +359,19 @@ class TestClassifyCwt:
         v2 = classify_cwt(Cauchy(), 1.0, 0.5, BesovParams(0.2, math.inf, math.inf), r=4.0, rho=1.6)
         assert v2.case_id != "cwt/heavy-tail-gap"
         assert v2.decision is Decision.NOT_MEMBER_AS
+
+    def test_kernel_gates_are_exact(self):
+        # 1 + 0.1 exceeds (1 + 1.2)/2 and 1.25 exceeds 2/(1 + 0.1 + 1/2) exactly,
+        # though each pair rounds to equal floats
+        v = classify_cwt(GAUSS, 1.2, 0.5, BesovParams(0.3, 2.0, 2.0), r=1.0, rho=0.1)
+        assert v.case_id == "cwt/p-finite"
+        v = classify_cwt(StudentT(1.25), 1.0, 0.5, BesovParams(0.3, 1.0, 1.0), r=1.0, rho=0.1)
+        assert v.case_id == "cwt/p-finite"
+        # at an exact tie each gate still refuses
+        v = classify_cwt(GAUSS, 1.0, 0.5, BesovParams(0.3, 2.0, 2.0), r=0.5, rho=0.5)
+        assert v.case_id == "cwt/kernel-regularity"
+        v = classify_cwt(Cauchy(), 1.0, 0.5, BesovParams(0.3, 1.0, 1.0), r=1.0, rho=0.5)
+        assert v.case_id == "cwt/heavy-tail-gap"
 
     @given(
         slab=st.sampled_from([GAUSS, Laplace(1.0), StudentT(3.0), Cauchy()]),

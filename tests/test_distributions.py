@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from besovlab.distributions import (
     StudentT,
     absolute_moment,
     cdf_hplus,
+    has_moment,
     quantile_hplus,
     sample,
     tail_class,
@@ -100,6 +102,20 @@ def test_absolute_moment_divergence():
     assert absolute_moment(Cauchy(), 1.0) == math.inf
     assert absolute_moment(Cauchy(), 2.0) == math.inf
     assert absolute_moment(Gaussian(1.0), 12.0) < math.inf
+
+
+def test_has_moment_reads_the_tail_index():
+    # finite moments whose closed form leaves the float range
+    for d, m in [(Gaussian(10.0), 200.0), (Gaussian(1.0), 400.0), (Laplace(1e-3), 200.0)]:
+        assert has_moment(d, m)
+        assert absolute_moment(d, m) == math.inf
+    assert has_moment(PowerExponential(0.5), 1e6)
+    assert has_moment(StudentT(3.0), 2.999) and not has_moment(StudentT(3.0), 3.0)
+    assert has_moment(Cauchy(), 0.999) and not has_moment(Cauchy(), 1.0)
+    # exact orders: 1/Fraction(0.3) lies below nu, the float 1/0.3 equals it
+    nu = 3.3333333333333335
+    assert has_moment(StudentT(nu), 1 / Fraction(0.3))
+    assert not has_moment(StudentT(nu), 1 / 0.3)
 
 
 def test_tail_classes():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -308,6 +309,27 @@ def test_three_param_q_inf_admits_gamma_equality():
     assert v.decision is Decision.MEMBER_AS
     v = classify_three_param(Laplace(1.0), 3.0, 0.2, -1.999, 1.0, INF, 3.0)
     assert v.decision is Decision.NOT_MEMBER_AS
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.sampled_from([1.0, 2.0, 3.0, INF]),
+    gaussian=st.booleans(),
+    ulps=st.sampled_from([-1, 0, 1]),
+    s=st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.75]),
+    beta=st.floats(0.0, 0.99),
+)
+def test_three_param_matches_the_gamma_cutoff_at_delta_zero(q, gaussian, ulps, s, beta):
+    slab, m = (Gaussian(1.0), 2) if gaussian else (Laplace(1.0), 1)
+    alpha = 2 * s + 1  # delta = s + 1/2 - alpha/2 = 0 exactly
+    cutoff = -Fraction(2, m) - (0 if math.isinf(q) else 2 / Fraction(q))
+    gamma = float(cutoff)
+    if ulps:
+        gamma = math.nextafter(gamma, ulps * INF)
+    # the cutoff formula classify_three_param used to state itself
+    member = Fraction(gamma) <= cutoff if math.isinf(q) else Fraction(gamma) < cutoff
+    v = classify_three_param(slab, alpha, beta, gamma, s, q, 3.0)
+    assert v.decision is (Decision.MEMBER_AS if member else Decision.NOT_MEMBER_AS)
 
 
 def test_three_param_unsupported_slab():
