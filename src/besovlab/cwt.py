@@ -12,13 +12,18 @@ family becomes the classical integer-shift family ``psi_{j, kL}``.  A dense
 approximation row at a fine depth is filled by point quantisation (atoms
 whose scale is an exact power of two with an integer rescaled shift are
 instead injected through exact filter synthesis chains), and an analysis
-pyramid peels off the detail rows.
+pyramid peels off the detail rows.  Atoms are quantised in blocks: in each
+chunk of the atom list, the atoms sampled at one depth share one table
+lookup and one analysis step per level, and their rows are added into the
+dense row in list order, so the coefficients equal those of an atom-by-atom
+loop bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +44,7 @@ from .sampler import CoefficientTree, Level, check_dense_size, rng_for
 from .schedules import GrowthKind, LevelSchedule, growth_regime
 from .theory import Decision, Verdict, _decide, _level_exponent, _lq_finite, _not_covered
 from .theory import _HALF, _threshold, _validate_smoothness, classify_simple
-from .wavelets import WaveletFamily, cascade_eval, unit_tables
+from .wavelets import WaveletFamily, cascade_eval, family, unit_tables
 
 __all__ = [
     "PoissonAtom",
@@ -256,10 +261,13 @@ def _kernel_row(fam: WaveletFamily, u: float, vs: np.ndarray, depth: int) -> np.
         U = 1.0 / u
         Vs = -u * np.asarray(vs, dtype=np.float64)
     xs, _, vals = unit_tables(fam.name, depth)
-    args = Vs[None, :] + xs[:, None] / U
+    # one shift per row: each row's queries rise, which np.interp's search favours
+    args = Vs[:, None] + xs[None, :] / U
     other = np.interp(args.ravel(), xs, vals, left=0.0, right=0.0).reshape(args.shape)
+    del args  # keep two blocks alive, not three
     step = xs[1] - xs[0]
-    out = (vals @ other) * step / math.sqrt(U)
+    # the product sees the (grid, shift) layout, so its sums round as they always have
+    out = (vals @ np.ascontiguousarray(other.T)) * step / math.sqrt(U)
     inside = (vs > -1.0 / u) & (vs < 1.0)
     return np.where(inside, out, 0.0)
 
@@ -336,17 +344,31 @@ def verify_kernel_bounds(
 # ---------------------------------------------------------------------------
 
 _OVERSAMPLE = 6  # levels by which an atom's quantisation grid is finer than its scale
+_CHUNK_SAMPLES = 1 << 18  # samples the atoms of one chunk hold at most (bar a single atom)
 
 
-def _analysis_down(offset: int, vec: np.ndarray, filt: np.ndarray) -> tuple[int, np.ndarray]:
-    """One analysis step ``out_k = sum_t filt_t in_(2k + t)`` with offsets."""
+def _analysis_rows(off: np.ndarray, rows: np.ndarray, filt: np.ndarray):
+    """One analysis step ``out_k = sum_t filt_t in_(2k + t)`` on every row.
+
+    Row ``i`` holds the inputs from position ``off[i]`` on, zeros past its
+    end.  A row whose inputs start at the other parity gets one leading
+    zero, so one strided slice per tap serves every row.  The taps are added
+    left to right from zero, as `np.correlate` adds them, so each output
+    rounds as the correlation of its row alone would.
+    """
     L = filt.size - 1
-    pad = np.concatenate([np.zeros(L), vec, np.zeros(L)])
-    corr = np.correlate(pad, filt, mode="valid")
-    pos0 = offset - L
-    if pos0 % 2 == 0:
-        return pos0 // 2, corr[0::2]
-    return (pos0 + 1) // 2, corr[1::2]
+    count, n = rows.shape
+    odd = (off - L) & 1
+    pad = np.zeros((count, n + 2 * L + 1))
+    even = odd == 0
+    pad[even, L : L + n] = rows[even]
+    pad[~even, L + 1 : L + 1 + n] = rows[~even]
+    width = (n + L) // 2 + 1
+    out = np.zeros((count, width))
+    term = np.empty_like(out)
+    for t, f in enumerate(filt.tolist()):
+        out += np.multiply(pad[:, t : t + 2 * width - 1 : 2], f, out=term)
+    return (off - L - odd) // 2, out
 
 
 def _take_positions(offset: int, vec: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -355,6 +377,142 @@ def _take_positions(offset: int, vec: np.ndarray, positions: np.ndarray) -> np.n
     out = np.zeros(positions.size)
     out[ok] = vec[idx[ok]]
     return out
+
+
+@lru_cache(maxsize=8)
+def _psi_table(name: str):
+    """``psi`` on the depth-`_TABLE_DEPTH` cascade grid and the slopes
+    `np.interp` uses between its points.  ``psi`` is 0 at ``L`` and the
+    slopes gain a last entry 0, so a query off ``[0, L)`` that reads the
+    last entry gets 0."""
+    grid = cascade_eval(family(name), _TABLE_DEPTH)
+    xs, psi = grid.grid, grid.psi
+    slopes = np.append((psi[1:] - psi[:-1]) / (xs[1:] - xs[:-1]), 0.0)
+    return xs, psi, slopes
+
+
+def _interp_psi(t: np.ndarray, name: str) -> np.ndarray:
+    """``np.interp(t, xs, psi, left=0.0, right=0.0)`` on the cascade grid,
+    bit for bit, without its search.
+
+    The grid is ``xs_i = i 2^-D``, so ``floor(t 2^D)`` is exactly the cell
+    that `np.interp` finds, and the value is its ``slope (t - xs_j) + psi_j``.
+    ``psi`` holds no ``-0.0``, so a query on a grid point, which `np.interp`
+    answers with ``psi_j``, gets the same value; ``psi`` is 0 at ``L``.
+    """
+    xs, psi, slopes = _psi_table(name)
+    last = xs.size - 1
+    u = t * float(1 << _TABLE_DEPTH)
+    np.minimum(u, last, out=u)
+    u[u < 0] = last
+    j = u.astype(np.intp)
+    out = slopes.take(j)
+    d = np.subtract(t, xs.take(j), out=u)
+    out *= d
+    out += psi.take(j)
+    return out
+
+
+class _Atoms:
+    """The atoms to project, as columns, and how each one meets the row.
+
+    An atom is a dyadic chain (``chains``: index -> ``(n, kt)``) or is
+    sampled at ``depth`` on the integers ``[lo, hi]`` (none when ``hi < lo``).
+    The depths come from `math.log2` and every bound from the float
+    operations an atom-by-atom loop would use, so both sample the same points.
+    """
+
+    def __init__(self, atoms: list, fam: WaveletFamily, common: int) -> None:
+        L = fam.support
+        self.fam, self.common, self.size = fam, common, L << common
+        self.mu1 = math.fsum(k * hk for k, hk in enumerate(fam.h)) / math.sqrt(2.0)
+        self.a, self.b, self.omega = np.array([(at.a, at.b, at.omega) for at in atoms]).T
+        self.chains = {}
+        for i in np.flatnonzero(np.frexp(self.a)[0] == 0.5).tolist():  # powers of two
+            dy = _dyadic_form(atoms[i].a, atoms[i].b, L)
+            if dy is not None and dy[0] >= 0:
+                self.chains[i] = dy
+        lg = np.fromiter(map(math.log2, np.maximum(self.a, 1.0).tolist()), float, self.a.size)
+        self.depth = np.maximum(np.ceil(lg) + _OVERSAMPLE, common).astype(np.int64)
+        # only samples in [0, reach] reach the row through the analysis steps
+        deepest = int(self.depth.max())
+        if not float((L << deepest) + (L << (deepest - common))) < 2.0**63:
+            raise ValueError(f"atom scale {self.a.max():g} is too large to project")
+        reach = np.ldexp(float(L), self.depth) + np.ldexp(float(L), self.depth - common)
+        scale = np.ldexp(1.0, self.depth)
+        y0 = self.b * L
+        lo = np.maximum(np.ceil(scale * y0 - self.mu1), 0.0)
+        with np.errstate(over="ignore"):  # L / a is inf for the tiniest scales
+            hi = np.floor(np.minimum(scale * (y0 + L / self.a) - self.mu1, reach))
+        # an atom at the common depth is not analysed: samples past the row are lost
+        at_row = self.depth == common
+        hi[at_row] = np.minimum(hi[at_row], self.size - 1)
+        hi[list(self.chains)] = -1.0
+        self.lo, self.hi = lo.astype(np.int64), hi.astype(np.int64)
+        self.samples = np.maximum(self.hi - self.lo + 1, 0)
+        for i, (n, _) in self.chains.items():
+            self.samples[i] = L << max(common - n, 0)
+
+    def chunks(self):
+        """``[start, stop)`` runs of atoms holding at most `_CHUNK_SAMPLES`
+        samples, or one atom that holds more."""
+        ends = np.cumsum(self.samples)
+        start = 0
+        while start < ends.size:
+            cap = ends[start] - self.samples[start] + _CHUNK_SAMPLES
+            stop = max(int(np.searchsorted(ends, cap, "right")), start + 1)
+            yield start, stop
+            start = stop
+
+    def pieces(self, start: int, stop: int):
+        """Yield ``(offset, values)`` for each atom of ``[start, stop)`` that
+        adds to the row, in list order.  The sampled atoms are computed one
+        block per depth."""
+        out = [None] * (stop - start)
+        for i, (n, kt) in self.chains.items():
+            if start <= i < stop and n < self.common:  # else orthogonal to every kept level
+                off, vec = _chain(self.fam, n, kt, self.common)
+                out[i - start] = off, self.omega[i] * vec
+        idx = start + np.flatnonzero(self.hi[start:stop] >= self.lo[start:stop])
+        h = np.asarray(self.fam.h)
+        for depth in np.unique(self.depth[idx]).tolist():
+            block = idx[self.depth[idx] == depth]
+            off = self.lo[block]
+            if depth == self.common:  # no analysis step: one flat run
+                vals = self._samples(block, depth, flat=True)
+                rows = np.split(vals, np.cumsum(self.samples[block[:-1]]))
+            else:
+                rows = self._samples(block, depth, flat=False)
+                for _ in range(depth - self.common):
+                    off, rows = _analysis_rows(off, rows, h)
+            for i, o, r in zip((block - start).tolist(), off.tolist(), rows):
+                out[i] = o, r
+        return (piece for piece in out if piece is not None)
+
+    def _samples(self, idx: np.ndarray, depth: int, flat: bool) -> np.ndarray:
+        """Samples of the atoms ``idx``, all at ``depth``: one flat run, atom
+        after atom, or one row per atom padded with zeros."""
+        L = self.fam.support
+        a, y0, lo, hi = self.a[idx], self.b[idx] * L, self.lo[idx], self.hi[idx]
+        coef = self.omega[idx] * np.sqrt(a)
+        if flat:
+            n = hi - lo + 1
+            ms = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+            a, y0, coef = np.repeat(a, n), np.repeat(y0, n), np.repeat(coef, n)
+        else:
+            ms = lo[:, None] + np.arange(int((hi - lo).max()) + 1)
+            a, y0, coef = a[:, None], y0[:, None], coef[:, None]
+        # t = a ((ms + mu1) / 2^depth - y0), one operation at a time
+        t = ms + self.mu1
+        t /= 2.0**depth
+        t -= y0
+        t *= a
+        if not flat:
+            t[ms > hi[:, None]] = -1.0  # off the table: the padding reads zero
+        vals = _interp_psi(t, self.fam.name)
+        vals *= coef
+        vals /= math.sqrt(2.0**depth)
+        return vals
 
 
 def project_to_orthogonal(
@@ -372,6 +530,12 @@ def project_to_orthogonal(
     projection contract.  No periodic wrapping: shifts outside ``[0, 2^j)``
     are dropped.  Every atom is reduced to one dense row of ``L 2^(top+2)``
     values, so ``top`` is bounded before anything is built.
+
+    Atoms are projected in chunks of at most `_CHUNK_SAMPLES` samples, in
+    list order.  Inside a chunk the atoms of one depth are sampled in one
+    block and share each analysis step; their rows are then added into the
+    projection row atom by atom, in list order, so every coefficient equals
+    that of an atom-by-atom projection bit for bit.
     """
     if j0 < 0 or top < j0:
         raise ValueError(f"need 0 <= j0 <= top, got j0={j0}, top={top}")
@@ -391,9 +555,6 @@ def project_to_orthogonal(
         )
         return CoefficientTree(j0, scaling, levels)
 
-    grid = cascade_eval(fam, _TABLE_DEPTH)
-    xs, psi = grid.grid, grid.psi  # `grid` builds its arange on every read
-    mu1 = math.fsum(k * hk for k, hk in enumerate(fam.h)) / math.sqrt(2.0)
     h = np.asarray(fam.h)
     g = np.asarray(fam.g)
     common = top + 2  # every atom is reduced to this approximation row, so
@@ -402,44 +563,24 @@ def project_to_orthogonal(
     # analysis output k reads inputs 2k..2k+L, so the kept coefficients
     # read only row positions [0, L 2^common - L]
     row = np.zeros(L << common)
-    for at in all_atoms:
-        dy = _dyadic_form(at.a, at.b, L)
-        if dy is not None and dy[0] >= 0:
-            n, kt = dy
-            if n >= common:
-                continue  # orthogonal to every level up to top
-            off, vec = _chain(fam, n, kt, common)
-            vec = at.omega * vec
-        else:
-            depth = max(common, math.ceil(math.log2(max(at.a, 1.0))) + _OVERSAMPLE)
-            scale = 1 << depth
-            y0 = at.b * L
-            # only samples in [0, reach] reach the row through the analysis below
-            reach = (L << depth) + (L << (depth - common))
-            lo_m = max(math.ceil(scale * y0 - mu1), 0)
-            hi_m = math.floor(min(scale * (y0 + L / at.a) - mu1, reach))
-            if hi_m < lo_m:
-                continue
-            ms = np.arange(lo_m, hi_m + 1)
-            t = at.a * ((ms + mu1) / scale - y0)
-            vals = np.interp(t, xs, psi, left=0.0, right=0.0)
-            off, vec = lo_m, at.omega * math.sqrt(at.a) * vals / math.sqrt(scale)
-            for _ in range(depth - common):
-                off, vec = _analysis_down(off, vec, h)
-        lo, hi = max(off, 0), min(off + vec.size, row.size)
-        if lo < hi:
-            row[lo:hi] += vec[lo - off : hi - off]
+    cols = _Atoms(all_atoms, fam, common)
+    for start, stop in cols.chunks():
+        # in atom order, so each row value adds its terms in the same order
+        for off, vec in cols.pieces(start, stop):
+            lo, hi = max(off, 0), min(off + vec.size, row.size)
+            if lo < hi:
+                row[lo:hi] += vec[lo - off : hi - off]
 
-    offsets, vec = 0, row
+    off, vec = np.zeros(1, np.int64), row[None, :]
     details: dict[int, np.ndarray] = {}
     for j in range(common - 1, j0 - 1, -1):
         if j <= top:
-            d_off, d_vec = _analysis_down(offsets, vec, g)
+            d_off, d_vec = _analysis_rows(off, vec, g)
             positions = L * np.arange(1 << j, dtype=np.int64)
-            details[j] = _take_positions(d_off, d_vec, positions)
-        offsets, vec = _analysis_down(offsets, vec, h)
+            details[j] = _take_positions(int(d_off[0]), d_vec[0], positions)
+        off, vec = _analysis_rows(off, vec, h)
 
-    scaling = _take_positions(offsets, vec, L * np.arange(width0, dtype=np.int64)) + c_w
+    scaling = _take_positions(int(off[0]), vec[0], L * np.arange(width0, dtype=np.int64)) + c_w
     levels = []
     for j in range(j0, top + 1):
         dense = details[j]
@@ -474,11 +615,13 @@ def moment_bound_experiment(
     check_dense_size(math.log2(fam.support) + lv[-1] + 2, "levels")  # the projection's row
     if not m > 0:
         raise ConfigError("m", f"moment order must be positive, got {m}")
+    if math.isinf(m):  # `Fraction` below cannot hold it
+        raise ConfigError("m", f"moment order must be finite, got {m}")
     if not has_moment(spec.slab, m):
         raise ConfigError("m", f"slab lacks a finite moment of order {m:g}")
-    expo_kernel = m * (fam.r_plus_rho + 0.5) - 1.0
-    if expo_kernel <= 0:
+    if not Fraction(m) * (fam.vanishing_moments + Fraction(fam.holder) + _HALF) > 1:
         raise ConfigError("m", "need m (r + rho + 1/2) > 1 for the kernel term to decay")
+    expo_kernel = m * (fam.r_plus_rho + 0.5) - 1.0
 
     def work(rep: int) -> list[float]:
         atoms = sample_atoms(spec, seed, replicate=rep)

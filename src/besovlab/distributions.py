@@ -280,30 +280,67 @@ def absolute_moment(d: SlabDistribution, m: float) -> float:
                             / (sqrt(pi) Gamma(nu/2))
     * Cauchy, m<1:          1 / cos(pi m / 2)
     * PowerExponential:     Gamma(1 + m/m_tail) / lam^m
+
+    The product is kept whenever it is finite; when a factor overflows, the
+    log of the same form (`math.lgamma`) decides, so a moment far below the
+    float range reads 0.0, not ``inf``.
     """
     if not m > 0:
         raise ValueError(f"moment order must be positive, got {m}")
     if not has_moment(d, m):
         return math.inf
     try:
-        if isinstance(d, Gaussian):
-            return (
-                d.sigma**m * 2.0 ** (m / 2.0) * math.gamma((m + 1.0) / 2.0) / math.sqrt(math.pi)
-            )
-        if isinstance(d, Laplace):
-            return math.gamma(m + 1.0) / d.lam**m
-        if isinstance(d, StudentT):
-            return (
-                d.nu ** (m / 2.0)
-                * math.gamma((m + 1.0) / 2.0)
-                * math.gamma((d.nu - m) / 2.0)
-                / (math.sqrt(math.pi) * math.gamma(d.nu / 2.0))
-            )
-        if isinstance(d, Cauchy):
-            return 1.0 / math.cos(math.pi * m / 2.0)
-        return math.gamma(1.0 + m / d.m) / d.lam**m  # PowerExponential
+        direct = _moment_product(d, m)
     except (OverflowError, ZeroDivisionError):  # a factor left the float range
+        direct = math.inf
+    if math.isfinite(direct):
+        return direct
+    # a factor overflowed although the moment may not: the log of the same form
+    try:
+        return math.exp(_log_moment(d, m))
+    except OverflowError:
         return math.inf
+
+
+def _moment_product(d: SlabDistribution, m: float) -> float:
+    if isinstance(d, Gaussian):
+        return (
+            d.sigma**m * 2.0 ** (m / 2.0) * math.gamma((m + 1.0) / 2.0) / math.sqrt(math.pi)
+        )
+    if isinstance(d, Laplace):
+        return math.gamma(m + 1.0) / d.lam**m
+    if isinstance(d, StudentT):
+        return (
+            d.nu ** (m / 2.0)
+            * math.gamma((m + 1.0) / 2.0)
+            * math.gamma((d.nu - m) / 2.0)
+            / (math.sqrt(math.pi) * math.gamma(d.nu / 2.0))
+        )
+    if isinstance(d, Cauchy):
+        return 1.0 / math.cos(math.pi * m / 2.0)
+    return math.gamma(1.0 + m / d.m) / d.lam**m  # PowerExponential
+
+
+def _log_moment(d: SlabDistribution, m: float) -> float:
+    """``log E|xi|^m`` from the same closed forms; Cauchy's never overflows."""
+    if isinstance(d, Gaussian):
+        return (
+            m * math.log(d.sigma)
+            + m / 2.0 * math.log(2.0)
+            + math.lgamma((m + 1.0) / 2.0)
+            - 0.5 * math.log(math.pi)
+        )
+    if isinstance(d, Laplace):
+        return math.lgamma(m + 1.0) - m * math.log(d.lam)
+    if isinstance(d, StudentT):
+        return (
+            m / 2.0 * math.log(d.nu)
+            + math.lgamma((m + 1.0) / 2.0)
+            + math.lgamma((d.nu - m) / 2.0)
+            - 0.5 * math.log(math.pi)
+            - math.lgamma(d.nu / 2.0)
+        )
+    return math.lgamma(1.0 + m / d.m) - m * math.log(d.lam)  # PowerExponential
 
 
 def has_moment(d: SlabDistribution, m: float) -> bool:

@@ -132,8 +132,14 @@ def _mean_stderr(xs: list[float]) -> tuple[float, float]:
     mean = math.fsum(xs) / n
     if n < 2:
         return mean, math.nan
-    var = math.fsum((x - mean) ** 2 for x in xs) / (n - 1)
-    return mean, math.sqrt(var / n)
+    devs = [x - mean for x in xs]
+    k = 0
+    if any(d and not 2.0**-511 <= abs(d) < 2.0**512 for d in devs):
+        # a square would underflow or overflow: square the deviations scaled
+        # by 2^-k, k the exponent of the largest, and undo that after the root
+        k = math.frexp(max(map(abs, devs)))[1]
+    var = math.fsum(math.ldexp(d, -k) ** 2 for d in devs) / (n - 1)
+    return mean, math.ldexp(math.sqrt(var / n), k)
 
 
 def _summarise(j: int, n_value: float, xs: list[float]) -> LevelStat:

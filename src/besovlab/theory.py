@@ -486,7 +486,7 @@ def classify_regression(
     case_id, note, E, G, frechet = case
     normalised = not math.isinf(bp.q)
     if frechet is not None:
-        if normalised and bp.q >= frechet.ell + 1.0:
+        if normalised and Fraction(bp.q) >= Fraction(frechet.ell) + 1:
             return _not_covered(
                 case_id,
                 "regression-mode polynomial tail needs q < ell + 1; "

@@ -179,6 +179,19 @@ class TestClassify:
         report = run_json(capsys, "classify", "--config", write_cfg(tmp_path, point))
         assert report["result"]["verdicts"][0]["verdict"]["decision"] == "MemberAS"
 
+    def test_regression_tail_gate_decided_exactly(self, capsys, tmp_path):
+        # q < ell + 1 exactly, though ell + 1 rounds down to q
+        point = {
+            "kind": "regression",
+            "slab": {"family": "student_t", "nu": 1.7049084564785606},
+            "tau": {"c": 1.0, "e": 1.5},
+            "pi": {"c": 1.0, "e": 0.5},
+            "besov": {"s": 0.5, "p": "inf", "q": 2.7049084564785604},
+            "r": 3.0,
+        }
+        report = run_json(capsys, "classify", "--config", write_cfg(tmp_path, point))
+        assert report["result"]["verdicts"][0]["verdict"]["decision"] == "MemberAS"
+
     def test_points_list_and_csv(self, capsys, tmp_path):
         cfg = {
             "points": [
@@ -543,6 +556,12 @@ class TestExperiments:
         assert report["config"]["reps"] == 7
         assert report["result"]["levels"][0]["count"] > 0
 
+    def test_lln_moment_far_below_the_float_range(self, capsys, tmp_path):
+        # Gamma(200.5) overflows, but E|xi|^400 of N(0, 1e-20) is about 1e-3567
+        cfg = {**ECHO_CASES["lln"], "slab": {**GAUSS, "sigma": 1e-10}, "m": 400.0}
+        report = run_json(capsys, "lln", "--config", write_cfg(tmp_path, cfg))
+        assert report["result"]["expected_ratio"] == 0.0
+
 
 class TestSynth:
     def test_render_matches_csv(self, capsys, tmp_path):
@@ -621,6 +640,14 @@ class TestCwtCommands:
         report = run_json(capsys, "cwt-sample", "--config", write_cfg(tmp_path, cfg))
         tree = sampler.tree_from_dict(report["result"]["tree"])
         assert (tree.j0, tree.top_level) == (1, 4)
+
+    @pytest.mark.parametrize("name, m", [("daub4", 0.3278688524590164), ("daub6", 0.21796939709664764)])
+    def test_moment_gate_decided_exactly(self, capsys, tmp_path, name, m):
+        # m (r + rho + 1/2) > 1 exactly, though the float product is 1
+        cfg = {**ECHO_CASES["cwt-verify"], "family": name}
+        cfg["moment"] = {**cfg["moment"], "m": m}
+        report = run_json(capsys, "cwt-verify", "--config", write_cfg(tmp_path, cfg))
+        assert report["result"]["moment"]["kind"] == "cwt-moment"
 
     def test_verify_kernel_table(self, capsys, tmp_path):
         cfg = {"family": "haar", "v_count": 65, "depth": 10}
@@ -828,6 +855,7 @@ class TestErrors:
             ("classify", {**POINT, "alpha": 0.0, "beta": 0.0}, [], "alpha:"),
             ("cwt-verify", with_moment(spec={**CWT_SPEC, "slab": {"family": "cauchy"}}), [], "moment.m:"),
             ("cwt-verify", with_moment(m=0.1), [], "moment.m:"),
+            ("cwt-verify", with_moment(m="inf"), [], "moment.m:"),
             ("sample", {**SAMPLE, "mode": {"kind": "regression", "n": 0}}, [], "mode.n:"),
             ("sample", {**SAMPLE, "j0": 3, "mode": {"kind": "regression", "n": 4}}, [], "mode.n:"),
             ("sample", {**SAMPLE, "mode": {"kind": "infinite", "j_max": -5}}, [], "mode.j_max:"),
@@ -920,6 +948,7 @@ class TestErrors:
             "simple-degenerate",
             "moment-slab-moment-infinite",
             "moment-kernel-decay",
+            "moment-m-inf",
             "regression-n-below-2",
             "regression-n-below-j0",
             "j_max-below-j0",

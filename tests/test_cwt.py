@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from besovlab import cwt as cwt_module
 from besovlab.besov import BesovParams
 from besovlab.cwt import (
     CoarseTerm,
@@ -22,7 +24,8 @@ from besovlab.cwt import (
 from besovlab.distributions import Cauchy, Gaussian, Laplace, StudentT
 from besovlab.schedules import LevelSchedule
 from besovlab.theory import Decision, classify_general, classify_simple
-from besovlab.wavelets import family
+from besovlab.wavelets import FAMILY_NAMES, cascade_eval, family, unit_tables
+from projection_oracle import project_per_atom
 
 GAUSS = Gaussian(1.0)
 
@@ -32,6 +35,24 @@ def dense_tree(t):
     for lev in t.levels:
         rows[lev.j][lev.k] = lev.w
     return t.scaling.copy(), rows
+
+
+def assert_same_bits(t1, t2):
+    assert (t1.j0, t1.top_level) == (t2.j0, t2.top_level)
+    np.testing.assert_array_equal(t1.scaling.view(np.int64), t2.scaling.view(np.int64))
+    for l1, l2 in zip(t1.levels, t2.levels, strict=True):
+        np.testing.assert_array_equal(l1.k, l2.k)
+        np.testing.assert_array_equal(l1.w.view(np.int64), l2.w.view(np.int64))
+
+
+def kernel_row_by_grid_rows(fam, u, vs, depth):
+    """`_kernel_row` as it was laid out before: one grid point per row."""
+    U, Vs = (u, np.asarray(vs, float)) if u >= 1.0 else (1.0 / u, -u * np.asarray(vs, float))
+    xs, _, vals = unit_tables(fam.name, depth)
+    args = Vs[None, :] + xs[:, None] / U
+    other = np.interp(args.ravel(), xs, vals, left=0.0, right=0.0).reshape(args.shape)
+    out = (vals @ other) * (xs[1] - xs[0]) / math.sqrt(U)
+    return np.where((vs > -1.0 / u) & (vs < 1.0), out, 0.0)
 
 
 def tree_l2_diff(t1, t2):
@@ -149,6 +170,17 @@ class TestKernel:
         # the flipped ratio 1/u is inf, which is not a dyadic scale
         assert kernel_k0(family("daub4"), u, 0.5) == 0.0
 
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_kernel_row_equals_the_grid_row_layout(self, name):
+        fam = family(name)
+        for depth in (10, 12):
+            for u in (2.0**-6, 0.3, 1.0, 1.7, 8.0, 2.0**6):
+                for count in (1, 33):
+                    vs = -1.0 / u + (np.arange(count) + 0.381966) / count * (1.0 + 1.0 / u)
+                    new = cwt_module._kernel_row(fam, u, vs, depth)
+                    old = kernel_row_by_grid_rows(fam, u, vs, depth)
+                    np.testing.assert_array_equal(new.view(np.int64), old.view(np.int64))
+
 
 class TestKernelBounds:
     def test_haar_sup_bounded_by_one(self):
@@ -184,6 +216,27 @@ class TestKernelBounds:
         doc = verify_kernel_bounds(family("haar")).to_dict()
         assert doc["family"] == "haar"
         assert len(doc["u"]) == len(doc["sup"])
+
+
+SCALES = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 1e-300, 1e-9]),
+    st.floats(min_value=1e-3, max_value=1.0),
+    st.floats(min_value=1.0, max_value=2.0**14),
+    st.integers(min_value=-3, max_value=12).map(lambda n: 2.0**n),
+)
+
+
+@st.composite
+def atoms(draw, max_size=12):
+    out = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_size))):
+        a = draw(SCALES)
+        if draw(st.booleans()):  # an integer rescaled shift: dyadic when a is 2^n
+            b = min(draw(st.integers(min_value=0, max_value=64)) / 64.0, 1.0)
+        else:
+            b = draw(st.floats(min_value=0.0, max_value=1.0))
+        out.append(PoissonAtom(a, b, draw(st.floats(min_value=-10.0, max_value=10.0))))
+    return out
 
 
 class TestProjection:
@@ -281,6 +334,76 @@ class TestProjection:
         assert (t.j0, t.top_level) == (1, 4)
         assert peak < 2**20  # the fixed cost is the depth-12 cascade grid
 
+    @given(
+        name=st.sampled_from(FAMILY_NAMES),
+        j0=st.integers(min_value=0, max_value=3),
+        extra=st.integers(min_value=0, max_value=6),
+        free=atoms(),
+        fixed=atoms(max_size=3),
+        c_w=st.floats(min_value=-2.0, max_value=2.0),
+        chunk=st.sampled_from([1, 2**9, 2**12, 2**18]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_equal_the_per_atom_loop_bit_for_bit(
+        self, name, j0, extra, free, fixed, c_w, chunk
+    ):
+        fam = family(name)
+        coarse = CoarseTerm(c_w=c_w, atoms=tuple(fixed))
+        with mock.patch.object(cwt_module, "_CHUNK_SAMPLES", chunk):
+            t = project_to_orthogonal(free, fam, j0, j0 + extra, coarse=coarse)
+        assert_same_bits(t, project_per_atom(free, fam, j0, j0 + extra, coarse=coarse))
+
+    @pytest.mark.parametrize(
+        "name, j0, top, a_max", [("haar", 4, 10, 2.0**13), ("daub4", 4, 10, 2.0**13),
+                                 ("daub6", 2, 9, 2.0**13), ("daub8", 1, 8, 2.0**14)]
+    )
+    def test_sampled_realisations_equal_the_per_atom_loop(self, name, j0, top, a_max):
+        fam = family(name)
+        spec = CwtSpec(4.0, 0.5, 1.0, 1.0, GAUSS, a0=1.0, a_max=a_max)
+        for rep in range(2):
+            found = sample_atoms(spec, seed=8, replicate=rep)
+            assert_same_bits(
+                project_to_orthogonal(found, fam, j0, top), project_per_atom(found, fam, j0, top)
+            )
+
+    def test_chunks_bound_the_memory_of_many_tiny_scale_atoms(self):
+        # 2,000 atoms of 3,072 samples each: 6.1M samples, about 330 MiB at
+        # once; chunks of at most 2^18 samples keep the peak near 20 MiB
+        fam = family("daub4")
+        found = [PoissonAtom(1e-9, 0.5, 1.0)] * 2000
+        project_to_orthogonal(found[:2], fam, 1, 9)  # fill the table caches
+        tracemalloc.start()
+        try:
+            project_to_orthogonal(found, fam, 1, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**25
+
+    def test_an_atom_too_coarse_for_int64_positions_is_refused(self):
+        with pytest.raises(ValueError, match="too large to project"):
+            project_to_orthogonal([PoissonAtom(2.0**70 * 1.1, 0.3, 1.0)], family("daub4"), 1, 4)
+
+    @given(
+        name=st.sampled_from(FAMILY_NAMES),
+        t=st.lists(
+            st.one_of(
+                st.floats(min_value=-1.0, max_value=8.0),
+                st.integers(min_value=0, max_value=7 << 12).map(lambda i: i / 4096.0),
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300]),
+            ),
+            min_size=1,
+            max_size=50,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_psi_lookup_equals_np_interp(self, name, t):
+        grid = cascade_eval(family(name), 12)
+        t = np.array(t)
+        want = np.interp(t, grid.grid, grid.psi, left=0.0, right=0.0)
+        got = cwt_module._interp_psi(t, name)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestMomentExperiment:
     def test_decay_slope_matches_dominant_exponent(self):
@@ -312,6 +435,17 @@ class TestMomentExperiment:
         total1 = sum(st.mean for st in r1.levels)
         total2 = sum(st.mean for st in r2.levels)
         assert total2 / total1 == pytest.approx(2.0, rel=0.15)
+
+    @pytest.mark.parametrize("name, m", [("daub4", 0.3278688524590164), ("daub6", 0.21796939709664764)])
+    def test_kernel_gate_is_exact(self, name, m):
+        # m (r + rho + 1/2) exceeds 1 exactly, though the float product rounds to 1
+        spec = CwtSpec(1.0, 0.5, 1.0, 1.0, GAUSS, a0=1.0, a_max=16.0)
+        report = moment_bound_experiment(spec, family(name), m, levels=range(2, 4), reps=2)
+        assert report.kind == "cwt-moment"
+        with pytest.raises(ValueError, match="kernel term"):
+            moment_bound_experiment(
+                spec, family(name), math.nextafter(m, 0.0), levels=range(2, 4), reps=2
+            )
 
     def test_preconditions(self):
         spec = CwtSpec(1.0, 0.5, 1.0, 1.0, Cauchy(), a0=1.0, a_max=64.0)

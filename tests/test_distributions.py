@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -116,6 +116,50 @@ def test_has_moment_reads_the_tail_index():
     nu = 3.3333333333333335
     assert has_moment(StudentT(nu), 1 / Fraction(0.3))
     assert not has_moment(StudentT(nu), 1 / 0.3)
+
+
+def test_absolute_moment_falls_back_to_the_log_form():
+    # Gamma(200.5) overflows a float, though these moments do not
+    assert absolute_moment(Gaussian(1e-10), 400.0) == 0.0
+    mpmath.mp.dps = 30
+    want = mpmath.mpf(0.1) ** 400 * mpmath.mpf(2) ** 200 * mpmath.gamma(200.5) / mpmath.sqrt(mpmath.pi)
+    assert absolute_moment(Gaussian(0.1), 400.0) == pytest.approx(float(want), rel=1e-9)
+    want = mpmath.gamma(201) / mpmath.mpf(10.0) ** 200
+    assert absolute_moment(Laplace(10.0), 200.0) == pytest.approx(float(want), rel=1e-9)
+
+
+def closed_form(d, m):
+    """`absolute_moment`'s product alone, as it read before the log form."""
+    if isinstance(d, Gaussian):
+        return d.sigma**m * 2.0 ** (m / 2.0) * math.gamma((m + 1.0) / 2.0) / math.sqrt(math.pi)
+    if isinstance(d, Laplace):
+        return math.gamma(m + 1.0) / d.lam**m
+    if isinstance(d, StudentT):
+        return (
+            d.nu ** (m / 2.0)
+            * math.gamma((m + 1.0) / 2.0)
+            * math.gamma((d.nu - m) / 2.0)
+            / (math.sqrt(math.pi) * math.gamma(d.nu / 2.0))
+        )
+    return math.gamma(1.0 + m / d.m) / d.lam**m
+
+
+@given(
+    slab=st.sampled_from(
+        [Gaussian(0.01), Gaussian(1.0), Gaussian(30.0), Laplace(0.05), Laplace(3.0),
+         StudentT(3.0), StudentT(250.0), PowerExponential(0.5, 2.0), PowerExponential(1.7, 0.2)]
+    ),
+    m=st.floats(min_value=0.01, max_value=400.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_absolute_moment_keeps_every_finite_product(slab, m):
+    assume(has_moment(slab, m))
+    try:
+        direct = closed_form(slab, m)
+    except OverflowError:
+        direct = math.inf
+    assume(math.isfinite(direct))
+    assert absolute_moment(slab, m) == direct
 
 
 def test_tail_classes():

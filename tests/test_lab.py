@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from besovlab.besov import BesovParams, level_terms
 from besovlab.cwt import CwtSpec, moment_bound_experiment
@@ -13,6 +15,7 @@ from besovlab.distributions import (
     StudentT,
 )
 from besovlab.lab import (
+    _mean_stderr,
     _summarise,
     empirical_membership,
     evt_experiment,
@@ -85,6 +88,27 @@ def test_lln_rejects_infinite_moment_and_wrong_regime():
 # ---------------------------------------------------------------------------
 # extreme-value normalisation
 # ---------------------------------------------------------------------------
+
+def test_mean_stderr_survives_deviations_whose_squares_leave_the_float_range():
+    # (1e-170)^2 underflows to 0.0; the same values scaled by 2^600 do not
+    xs = [1e-170, 3e-170, 5e-171]
+    mean, stderr = _mean_stderr(xs)
+    _, scaled = _mean_stderr([math.ldexp(x, 600) for x in xs])
+    assert stderr > 0.0
+    assert stderr == pytest.approx(math.ldexp(scaled, -600), rel=1e-15)
+    # (1e200)^2 overflows: the same scaling keeps the square finite
+    assert _mean_stderr([1e200, -1e200, 3e200])[1] == pytest.approx(2e200 / math.sqrt(3.0))
+
+
+@given(xs=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_mean_stderr_is_the_plain_formula_when_no_square_underflows(xs):
+    n = len(xs)
+    mean = math.fsum(xs) / n
+    assume(all(x == mean or abs(x - mean) > 1e-140 for x in xs))
+    plain = math.sqrt(math.fsum((x - mean) ** 2 for x in xs) / (n - 1) / n)
+    assert _mean_stderr(xs) == (mean, plain)
+
 
 def test_evt_laplace_ratio_concentrates_at_one():
     report = evt_experiment(

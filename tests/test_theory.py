@@ -409,6 +409,28 @@ def test_regression_cauchy_q_admissibility():
     assert ok.covered
 
 
+def test_regression_tail_gate_is_exact():
+    # ell + 1 rounds down to q, though q < ell + 1 exactly
+    tau, pi = LevelSchedule(1.0, 1.5), LevelSchedule(1.0, 0.5)
+    v = classify_regression(
+        StudentT(1.7049084564785606), tau, pi, bp(0.5, INF, 2.7049084564785604), 3.0
+    )
+    assert v.decision is Decision.MEMBER_AS
+
+
+@given(ell=st.floats(min_value=1.0, max_value=40.0), step=st.sampled_from([-1, 0, 1]))
+@settings(max_examples=200, deadline=None)
+def test_regression_tail_gate_equals_the_fraction_comparison(ell, step):
+    q = ell + 1.0
+    if step:
+        q = math.nextafter(q, step * INF)
+    tau, pi = LevelSchedule(1.0, 1.5), LevelSchedule(1.0, 0.5)
+    v = classify_regression(StudentT(ell), tau, pi, bp(0.5, INF, q), 3.0)
+    refused = "needs q < ell + 1" in v.reason
+    assert refused == (Fraction(q) >= Fraction(ell) + 1)
+    assert refused or v.covered
+
+
 def test_regression_constant_count_case():
     # n_j -> const: member iff s <= 1/p for constant tau
     tau = LevelSchedule(1.0, 0.0, 0.0)
