@@ -107,12 +107,11 @@ class CwtSpec:
     coarse: CoarseTerm = field(default_factory=CoarseTerm)
 
     def __post_init__(self) -> None:
-        if self.c_mu < 0:
-            raise ValueError(f"intensity constant must be >= 0, got {self.c_mu}")
-        if self.c_tau < 0:
-            raise ValueError(f"amplitude constant must be >= 0, got {self.c_tau}")
-        if self.beta < 0 or self.alpha < 0:
-            raise ValueError("mu and tau must be nonincreasing: need alpha, beta >= 0")
+        # c_mu, c_tau >= 0 are constants; alpha, beta >= 0 keep mu and tau nonincreasing
+        for name in ("c_mu", "beta", "c_tau", "alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(name, f"{name} must be finite and >= 0, got {value}")
         if not (0 < self.a0 < self.a_max):
             raise ValueError(f"need 0 < a0 < a_max, got a0={self.a0}, a_max={self.a_max}")
 
@@ -692,6 +691,9 @@ def classify_cwt(
     if (mu is None) != (tau is None):
         missing = "tau" if tau is None else "mu"
         raise ConfigError(missing, "general classification needs both mu and tau (or neither)")
+    for name, value in (("alpha", alpha), ("beta", beta), ("r", r), ("rho", rho)):
+        if not math.isfinite(value):
+            raise ConfigError(name, f"{name} must be finite, got {value}")
     r_rho = Fraction(r) + Fraction(rho)
     if not r_rho > (1 + Fraction(alpha)) / 2:
         return _not_covered(

@@ -5,20 +5,20 @@ Everything here is exact symbolic work on schedule exponents.  With
 criterion in the underlying theory reduces to convergence of a series
 ``sum_j j^G 2^{jE}`` or boundedness of the matching supremum, which is
 decidable from ``(E, G)`` alone by `schedules.series_verdict` and
-`schedules.sup_verdict` at ``(-E, G)``, which every classifier except the
-cross-check ``classify_simple`` calls directly.  Exponents are
+`schedules.sup_verdict` at ``(-E, G)``, which every classifier calls
+directly or, for the dyadic family, through `classify_general`.  Exponents are
 ``fractions.Fraction`` values of the float inputs, so a verdict is the
 exact answer for those floats, also at a threshold; only the reported
 threshold is rounded.
 
 The classifier family:
 
-* ``classify_simple``      dyadic two-exponent parametrisation
-  (``tau_j^2 = C1 4^{-alpha j/2}``-style, ``pi_j = min(1, C2 2^{-beta j})``),
-  implemented as its own explicit decision table so it can serve as an
-  independent cross-check of ``classify_general``.
 * ``classify_general``     arbitrary schedules, five cases split by the
   growth of the expected nonzero count ``n_j = 2^j pi_j``.
+* ``classify_simple``      dyadic two-exponent parametrisation
+  (``tau_j = 2^{-alpha j/2}``, ``pi_j = min(1, 2^{-beta j})``):
+  ``classify_general`` on those schedules, its cases relabelled by the
+  dyadic cells.
 * ``classify_three_param`` the three-hyperparameter family at
   ``p = inf`` with a polynomial tweak ``j^gamma`` on the variance
   (Gaussian and Laplace slabs only).
@@ -192,101 +192,6 @@ def _not_covered(
 
 
 # ---------------------------------------------------------------------------
-# simple two-exponent parametrisation, straight from the decision table
-# ---------------------------------------------------------------------------
-
-def classify_simple(
-    slab: SlabDistribution, alpha: float, beta: float, bp: BesovParams, r: float
-) -> Verdict:
-    """Membership for ``tau_j = sqrt(C1) 2^(-alpha j/2)``,
-    ``pi_j = min(1, C2 2^(-beta j))``.
-
-    The decision is a threshold on ``s``:
-
-        T = (alpha - 1)/2 + beta/p - delta_H,
-
-    where ``delta_H = (1 - beta)/ell`` for polynomial-tail slabs at
-    ``p = inf`` and 0 otherwise.  Equality ``s = T`` is admitted only in
-    the cell ``beta < 1, p < inf, q = inf``; at ``beta = 1, q = inf`` the
-    threshold condition is only sufficient.
-    """
-    if alpha < 0:
-        raise ConfigError("alpha", f"alpha must be >= 0, got {alpha}")
-    if beta < 0:
-        raise ConfigError("beta", f"beta must be >= 0, got {beta}")
-    if alpha == 0 and beta == 0:
-        raise ConfigError("alpha", "alpha + beta must be positive (degenerate prior otherwise)")
-    _validate_smoothness(bp, r)
-
-    if beta > 1:
-        return Verdict(
-            Decision.MEMBER_AS,
-            "simple/summable",
-            assumptions=("sum_j 2^j pi_j < inf: finitely many nonzero coefficients",),
-        )
-
-    tc = tail_class(slab)
-    frechet = isinstance(tc, FrechetTail)
-    p_inf = math.isinf(bp.p)
-    q_inf = math.isinf(bp.q)
-    assumptions: list[str] = []
-
-    if beta < 1:
-        if not p_inf:
-            if not has_moment(slab, bp.p):
-                return _not_covered(
-                    "simple/assumption-h",
-                    f"E|xi|^p is infinite for p={bp.p} under {type(slab).__name__}",
-                )
-            assumptions.append(f"E|xi|^{bp.p:g} < inf")
-        elif frechet and not q_inf and bp.q >= tc.ell:
-            return _not_covered(
-                "simple/assumption-h",
-                f"polynomial tail needs q < ell; got q={bp.q}, ell={tc.ell}",
-            )
-    else:  # beta == 1
-        if not q_inf:
-            if not has_moment(slab, bp.q):
-                return _not_covered(
-                    "simple/assumption-h",
-                    f"E|xi|^q is infinite for q={bp.q} under {type(slab).__name__}",
-                )
-            assumptions.append(f"E|xi|^{bp.q:g} < inf")
-        else:
-            assumptions.append("E log+ |xi| < inf")
-
-    # s - T in exact arithmetic
-    excess = Fraction(bp.s) + _HALF - Fraction(alpha) / 2 - Fraction(beta) * _inv(bp.p)
-    if frechet and p_inf:
-        excess += (1 - Fraction(beta)) * _inv(tc.ell)
-    threshold = _threshold(bp, excess)
-
-    if beta == 1.0 and q_inf:
-        if excess < 0:
-            return Verdict(
-                Decision.SUFFICIENT_ONLY_MEMBER,
-                "simple/n-const-q-inf",
-                threshold,
-                reason="threshold condition is sufficient only in this cell",
-                assumptions=tuple(assumptions),
-            )
-        return _not_covered(
-            "simple/n-const-q-inf",
-            "above the sufficient threshold the theory is silent here",
-            threshold,
-        )
-
-    if beta < 1.0 and not p_inf and q_inf:
-        member = excess <= 0
-    else:
-        member = excess < 0
-    cell = "simple/p-inf-frechet" if (frechet and p_inf) else (
-        "simple/p-inf-gumbel" if p_inf else "simple/p-finite"
-    )
-    return _decide(member, cell, threshold, assumptions)
-
-
-# ---------------------------------------------------------------------------
 # general schedules: five cases split on the growth of n_j = 2^j pi_j
 # ---------------------------------------------------------------------------
 
@@ -422,6 +327,45 @@ def classify_general(
 
 
 # ---------------------------------------------------------------------------
+# the dyadic two-exponent family: the general route under its own labels
+# ---------------------------------------------------------------------------
+
+def classify_simple(
+    slab: SlabDistribution, alpha: float, beta: float, bp: BesovParams, r: float
+) -> Verdict:
+    """Membership for ``tau_j = sqrt(C1) 2^(-alpha j/2)``,
+    ``pi_j = min(1, C2 2^(-beta j))``: `classify_general` on those
+    schedules, its cases relabelled by the dyadic cells.
+
+    The decision is a threshold on ``s``, ``T = (alpha - 1)/2 + beta/p -
+    delta_H`` with ``delta_H = (1 - beta)/ell`` for polynomial-tail slabs
+    at ``p = inf`` and 0 otherwise.  At ``beta = 1, q = inf`` (case 4) the
+    threshold condition is only sufficient.
+    """
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(name, f"{name} must be finite and >= 0, got {value}")
+    if alpha == 0 and beta == 0:
+        raise ConfigError("alpha", "alpha + beta must be positive (degenerate prior otherwise)")
+    if alpha / 2 * 2 != alpha:  # a subnormal alpha whose last bit is set
+        raise ConfigError("alpha", f"alpha/2 is not exact in floats for alpha={alpha}")
+    v = classify_general(slab, LevelSchedule(1.0, alpha / 2), LevelSchedule(1.0, beta), bp, r)
+    case = v.case_id.split("/", 1)[1]
+    if case == "case4" and v.decision is Decision.MEMBER_AS:
+        reason = "threshold condition is sufficient only in this cell"
+        v = replace(v, decision=Decision.SUFFICIENT_ONLY_MEMBER, reason=reason)
+    cell = {"case5": "summable", "case4": "n-const-q-inf"}.get(case)
+    if cell is None:
+        if not v.covered and v.threshold is None:
+            cell = "assumption-h"
+        elif not math.isinf(bp.p):
+            cell = "p-finite"
+        else:
+            cell = "p-inf-frechet" if isinstance(tail_class(slab), FrechetTail) else "p-inf-gumbel"
+    return replace(v, case_id="simple/" + cell)
+
+
+# ---------------------------------------------------------------------------
 # three-hyperparameter family (p = inf, polynomial variance tweak)
 # ---------------------------------------------------------------------------
 
@@ -443,6 +387,9 @@ def classify_three_param(
     member iff ``delta < 0``, or ``delta = 0`` together with
     ``gamma < -2/q - 2/m`` for finite q, ``gamma <= -2/m`` at ``q = inf``.
     """
+    for name, value in (("alpha", alpha), ("gamma", gamma)):
+        if not math.isfinite(value):
+            raise ConfigError(name, f"{name} must be finite, got {value}")
     if not 0.0 <= beta < 1.0:
         raise ConfigError("beta", f"beta must lie in [0, 1), got {beta}")
     bp = BesovParams(s=s, p=math.inf, q=q)

@@ -8,24 +8,45 @@ the sufficient-only cell at ``beta = 1, q = inf``, the moment-assumption
 gates, and the summable regime ``beta > 1``.
 
 ``s_spec`` is either a float (absolute smoothness) or a pair
-``("at" | "below" | "above", offset)`` resolved against the classifier's
-own threshold so boundary rows are float-exact.
+``("at" | "below" | "above", offset)`` resolved against the oracle's
+threshold so boundary rows are float-exact.
+
+`simple_table` is a hand-written decision table for the same family.  The
+shipped ``classify_simple`` relabels ``classify_general``; the table does
+not go through that case split, so cross-checks against it compare two
+independent routes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from besovlab.besov import BesovParams
 from besovlab.distributions import (
     Cauchy,
+    FrechetTail,
     Gaussian,
     Laplace,
     PowerExponential,
+    SlabDistribution,
     StudentT,
+    has_moment,
+    tail_class,
 )
-from besovlab.theory import Verdict, classify_simple
+from besovlab.fields import ConfigError
+from besovlab.theory import (
+    _HALF,
+    Decision,
+    Verdict,
+    _decide,
+    _inv,
+    _not_covered,
+    _threshold,
+    _validate_smoothness,
+    classify_simple,
+)
 
 INF = math.inf
 
@@ -107,16 +128,108 @@ ROWS = [
 R_DEFAULT = 3.0
 
 
+def simple_table(
+    slab: SlabDistribution, alpha: float, beta: float, bp: BesovParams, r: float
+) -> Verdict:
+    """Membership for ``tau_j = sqrt(C1) 2^(-alpha j/2)``,
+    ``pi_j = min(1, C2 2^(-beta j))``.
+
+    The decision is a threshold on ``s``:
+
+        T = (alpha - 1)/2 + beta/p - delta_H,
+
+    where ``delta_H = (1 - beta)/ell`` for polynomial-tail slabs at
+    ``p = inf`` and 0 otherwise.  Equality ``s = T`` is admitted only in
+    the cell ``beta < 1, p < inf, q = inf``; at ``beta = 1, q = inf`` the
+    threshold condition is only sufficient.
+    """
+    if alpha < 0:
+        raise ConfigError("alpha", f"alpha must be >= 0, got {alpha}")
+    if beta < 0:
+        raise ConfigError("beta", f"beta must be >= 0, got {beta}")
+    if alpha == 0 and beta == 0:
+        raise ConfigError("alpha", "alpha + beta must be positive (degenerate prior otherwise)")
+    _validate_smoothness(bp, r)
+
+    if beta > 1:
+        return Verdict(
+            Decision.MEMBER_AS,
+            "simple/summable",
+            assumptions=("sum_j 2^j pi_j < inf: finitely many nonzero coefficients",),
+        )
+
+    tc = tail_class(slab)
+    frechet = isinstance(tc, FrechetTail)
+    p_inf = math.isinf(bp.p)
+    q_inf = math.isinf(bp.q)
+    assumptions: list[str] = []
+
+    if beta < 1:
+        if not p_inf:
+            if not has_moment(slab, bp.p):
+                return _not_covered(
+                    "simple/assumption-h",
+                    f"E|xi|^p is infinite for p={bp.p} under {type(slab).__name__}",
+                )
+            assumptions.append(f"E|xi|^{bp.p:g} < inf")
+        elif frechet and not q_inf and bp.q >= tc.ell:
+            return _not_covered(
+                "simple/assumption-h",
+                f"polynomial tail needs q < ell; got q={bp.q}, ell={tc.ell}",
+            )
+    else:  # beta == 1
+        if not q_inf:
+            if not has_moment(slab, bp.q):
+                return _not_covered(
+                    "simple/assumption-h",
+                    f"E|xi|^q is infinite for q={bp.q} under {type(slab).__name__}",
+                )
+            assumptions.append(f"E|xi|^{bp.q:g} < inf")
+        else:
+            assumptions.append("E log+ |xi| < inf")
+
+    # s - T in exact arithmetic
+    excess = Fraction(bp.s) + _HALF - Fraction(alpha) / 2 - Fraction(beta) * _inv(bp.p)
+    if frechet and p_inf:
+        excess += (1 - Fraction(beta)) * _inv(tc.ell)
+    threshold = _threshold(bp, excess)
+
+    if beta == 1.0 and q_inf:
+        if excess < 0:
+            return Verdict(
+                Decision.SUFFICIENT_ONLY_MEMBER,
+                "simple/n-const-q-inf",
+                threshold,
+                reason="threshold condition is sufficient only in this cell",
+                assumptions=tuple(assumptions),
+            )
+        return _not_covered(
+            "simple/n-const-q-inf",
+            "above the sufficient threshold the theory is silent here",
+            threshold,
+        )
+
+    if beta < 1.0 and not p_inf and q_inf:
+        member = excess <= 0
+    else:
+        member = excess < 0
+    cell = "simple/p-inf-frechet" if (frechet and p_inf) else (
+        "simple/p-inf-gumbel" if p_inf else "simple/p-finite"
+    )
+    return _decide(member, cell, threshold, assumptions)
+
+
+
 def resolve_s(row: TableRow, r: float = R_DEFAULT) -> float:
     """Turn an ``s_spec`` into a concrete smoothness value.
 
-    Boundary specs are resolved against the classifier's own threshold so
-    that ``("at", 0.0)`` lands exactly on the float the classifier
-    compares against.
+    Boundary specs are resolved against the oracle's threshold, which the
+    shipped classifier must share, so that ``("at", 0.0)`` lands exactly on
+    the float both compare against.
     """
     if isinstance(row.s_spec, tuple):
         kind, offset = row.s_spec
-        probe = classify_simple(
+        probe = simple_table(
             row.slab, row.alpha, row.beta, BesovParams(0.01, row.p, row.q), r
         )
         assert probe.threshold is not None, f"{row.label}: no threshold to anchor on"

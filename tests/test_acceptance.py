@@ -19,9 +19,9 @@ from besovlab.cli import main
 from besovlab.distributions import Cauchy, Gaussian, Laplace, PowerExponential, StudentT
 from besovlab.sampler import CoefficientTree, Level
 from besovlab.schedules import LevelSchedule
-from besovlab.theory import Decision, classify_general, classify_regression, classify_simple
+from besovlab.theory import Decision, classify_general, classify_regression
 
-from table_fixture import ROWS, R_DEFAULT, resolve_s, run_row
+from table_fixture import ROWS, R_DEFAULT, resolve_s, run_row, simple_table
 
 INF = math.inf
 
@@ -69,7 +69,7 @@ def test_c02_simple_equals_general_on_200_random_points():
             q = grid[rng.integers(len(grid))]
             slab = slabs[rng.integers(len(slabs))]
             bp = BesovParams(s, p, q)
-            simple = classify_simple(slab, alpha, beta, bp, 3.0)
+            simple = simple_table(slab, alpha, beta, bp, 3.0)
             general = classify_general(
                 slab, LevelSchedule(1.0, alpha / 2.0), LevelSchedule(1.0, beta), bp, 3.0
             )

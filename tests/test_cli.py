@@ -82,6 +82,7 @@ THREE_PARAM = {
     "r": 3.0,
 }
 GENERAL = {**POINT, "kind": "general", "tau": {"c": 1.0}, "pi": {"c": 1.0}}
+CWT_POINT = {**POINT, "kind": "cwt", "rho": 0.5}
 # a tree with a level above 0, where 2^(j s') can overflow
 TWO_LEVEL_TREE = {
     "j0": 0,
@@ -915,6 +916,37 @@ class TestErrors:
                 [],
                 "levels.setp: unknown field",
             ),
+            # a non-finite exponent is refused at its field before any exact arithmetic
+            ("classify", {**POINT, "alpha": math.inf}, [], "alpha:"),
+            ("classify", {**POINT, "alpha": math.nan}, [], "alpha:"),
+            ("classify", {**POINT, "beta": math.inf}, [], "beta:"),
+            ("classify", {**THREE_PARAM, "alpha": math.inf}, [], "alpha:"),
+            ("classify", {**THREE_PARAM, "gamma": math.inf}, [], "gamma:"),
+            ("classify", {**THREE_PARAM, "gamma": math.nan}, [], "gamma:"),
+            ("classify", {**CWT_POINT, "alpha": math.inf}, [], "alpha:"),
+            ("classify", {**CWT_POINT, "beta": math.nan}, [], "beta:"),
+            ("classify", {**CWT_POINT, "rho": math.inf}, [], "rho:"),
+            ("classify", {**CWT_POINT, "rho": math.nan}, [], "rho:"),
+            ("classify", {**CWT_POINT, "r": math.inf}, [], "r:"),
+            (
+                "sweep",
+                {"base": {**SWEEP_BASE, "beta": 0.5}, "vary": {"alpha": [2.0, math.inf]}},
+                [],
+                "base.alpha:",
+            ),
+            ("sweep", {"base": SWEEP_BASE, "vary": {"beta": [0.5, math.nan]}}, [], "base.beta:"),
+            ("cwt-sample", {"spec": {**CWT_SPEC, "alpha": math.nan}}, [], "spec.alpha:"),
+            ("cwt-sample", {"spec": {**CWT_SPEC, "alpha": math.inf}}, [], "spec.alpha:"),
+            ("cwt-sample", {"spec": {**CWT_SPEC, "beta": math.nan}}, [], "spec.beta:"),
+            ("cwt-sample", {"spec": {**CWT_SPEC, "beta": math.inf}}, [], "spec.beta:"),
+            ("cwt-sample", {"spec": {**CWT_SPEC, "c_mu": math.nan}}, [], "spec.c_mu:"),
+            ("cwt-sample", {"spec": {**CWT_SPEC, "c_tau": math.inf}}, [], "spec.c_tau:"),
+            (
+                "cwt-verify",
+                with_moment(spec={**CWT_SPEC, "alpha": math.nan}),
+                [],
+                "moment.spec.alpha:",
+            ),
         ],
         ids=[
             "classify-nu-bool",
@@ -972,6 +1004,26 @@ class TestErrors:
             "typo-points-besov-q",
             "typo-sweep-base",
             "typo-level-range",
+            "simple-alpha-inf",
+            "simple-alpha-nan",
+            "simple-beta-inf",
+            "three-param-alpha-inf",
+            "three-param-gamma-inf",
+            "three-param-gamma-nan",
+            "cwt-alpha-inf",
+            "cwt-beta-nan",
+            "cwt-rho-inf",
+            "cwt-rho-nan",
+            "cwt-r-inf",
+            "sweep-alpha-inf",
+            "sweep-beta-nan",
+            "cwt-sample-alpha-nan",
+            "cwt-sample-alpha-inf",
+            "cwt-sample-beta-nan",
+            "cwt-sample-beta-inf",
+            "cwt-sample-c_mu-nan",
+            "cwt-sample-c_tau-inf",
+            "moment-spec-alpha-nan",
         ],
     )
     def test_bad_field_names_its_path(self, capsys, tmp_path, command, cfg, extra, path):

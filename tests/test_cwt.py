@@ -23,9 +23,10 @@ from besovlab.cwt import (
 )
 from besovlab.distributions import Cauchy, Gaussian, Laplace, StudentT
 from besovlab.schedules import LevelSchedule
-from besovlab.theory import Decision, classify_general, classify_simple
+from besovlab.theory import Decision, classify_general
 from besovlab.wavelets import FAMILY_NAMES, cascade_eval, family, unit_tables
 from projection_oracle import project_per_atom
+from table_fixture import simple_table
 
 GAUSS = Gaussian(1.0)
 
@@ -74,7 +75,7 @@ class TestModelTypes:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="a0"):
             CwtSpec(1.0, 0.5, 1.0, 1.0, GAUSS, a0=8.0, a_max=4.0)
-        with pytest.raises(ValueError, match="nonincreasing"):
+        with pytest.raises(ValueError, match="beta must be finite and >= 0"):
             CwtSpec(1.0, -0.5, 1.0, 1.0, GAUSS, a0=1.0, a_max=4.0)
 
     def test_spec_round_trip(self):
@@ -609,7 +610,7 @@ class TestClassifyCwt:
         cwt_v = classify_cwt(slab, alpha, beta, bp, r=r, rho=rho)
         if cwt_v.case_id in ("cwt/kernel-regularity", "cwt/heavy-tail-gap"):
             return
-        simple_v = classify_simple(slab, alpha, beta, bp, r=r)
+        simple_v = simple_table(slab, alpha, beta, bp, r=r)
         assert cwt_v.decision is simple_v.decision
         if simple_v.threshold is not None:
             assert cwt_v.threshold == pytest.approx(simple_v.threshold)

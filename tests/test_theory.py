@@ -13,6 +13,7 @@ from besovlab.distributions import (
     PowerExponential,
     StudentT,
 )
+from besovlab.fields import ConfigError
 from besovlab.schedules import LevelSchedule
 from besovlab.theory import (
     Decision,
@@ -23,7 +24,7 @@ from besovlab.theory import (
     no_spike_condition,
 )
 
-from table_fixture import ROWS, run_row
+from table_fixture import ROWS, run_row, simple_table
 
 INF = math.inf
 
@@ -83,6 +84,27 @@ def test_simple_rejects_bad_inputs():
         classify_simple(Gaussian(1.0), 3.0, 0.5, bp(3.0, 2, 2), 3.0)  # s >= r
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, path",
+    [(INF, 0.5, "alpha"), (math.nan, 0.5, "alpha"), (3.0, INF, "beta"), (3.0, math.nan, "beta")],
+)
+def test_simple_refuses_non_finite_exponents(alpha, beta, path):
+    with pytest.raises(ConfigError) as err:
+        classify_simple(Gaussian(1.0), alpha, beta, bp(1.0, 2, 2), 3.0)
+    assert err.value.path == path
+
+
+def test_simple_refuses_an_alpha_whose_half_rounds():
+    # at s = 1/2, p = 1, beta = 1 the exponent is -alpha/2: the table reads
+    # 5e-324 as a member, while alpha/2 = 0 would read it as none
+    b = bp(0.5, 1.0, 2.0)
+    assert simple_table(Gaussian(1.0), 5e-324, 1.0, b, 3.0).decision is Decision.MEMBER_AS
+    with pytest.raises(ConfigError) as err:
+        classify_simple(Gaussian(1.0), 5e-324, 1.0, b, 3.0)
+    assert err.value.path == "alpha"
+    assert classify_simple(Gaussian(1.0), 1e-323, 1.0, b, 3.0).decision is Decision.MEMBER_AS
+
+
 # ---------------------------------------------------------------------------
 # classify_general anchor examples
 # ---------------------------------------------------------------------------
@@ -91,7 +113,7 @@ def test_general_matches_simple_on_dyadic_schedules():
     tau = LevelSchedule(1.0, 1.5, 0.0)   # 2^(-1.5 j) = 2^(-alpha j / 2), alpha = 3
     pi = LevelSchedule(1.0, 0.5, 0.0)    # beta = 0.5
     v = classify_general(Gaussian(1.0), tau, pi, bp(1.0, 2, 2), 3.0)
-    w = classify_simple(Gaussian(1.0), 3.0, 0.5, bp(1.0, 2, 2), 3.0)
+    w = simple_table(Gaussian(1.0), 3.0, 0.5, bp(1.0, 2, 2), 3.0)
     assert v.decision is Decision.MEMBER_AS
     assert v.decision == w.decision
     assert v.threshold == pytest.approx(w.threshold)
@@ -161,7 +183,7 @@ def test_general_case4_exponential_growth_needs_only_log_moment():
 
 
 # ---------------------------------------------------------------------------
-# consistency between the two routes
+# consistency with the independent decision table (tests/table_fixture.py)
 # ---------------------------------------------------------------------------
 
 GRID_P_Q = [1.0, 2.0, 3.0, INF]
@@ -180,7 +202,7 @@ GRID_P_Q = [1.0, 2.0, 3.0, INF]
 )
 def test_simple_equals_general_on_the_dyadic_family(alpha, beta, s, p, q, slab, c_t, c_pi):
     assume(alpha + beta > 0)
-    simple = classify_simple(slab, alpha, beta, bp(s, p, q), 3.0)
+    simple = simple_table(slab, alpha, beta, bp(s, p, q), 3.0)
     general = classify_general(
         slab,
         LevelSchedule(c_t, alpha / 2.0, 0.0),
@@ -205,11 +227,53 @@ def test_simple_and_general_agree_where_rounding_splits_the_threshold():
     # (1.1 - 1)/2 rounds above 0.05 while 0.05 + 0.5 - 0.55 rounds to 0:
     # both routes must read the sign of the exact sum s - T
     b = bp(0.05, 1.0, 1.0)
-    simple = classify_simple(Gaussian(1.0), 1.1, 0.0, b, 3.0)
+    simple = simple_table(Gaussian(1.0), 1.1, 0.0, b, 3.0)
     general = classify_general(
         Gaussian(1.0), LevelSchedule(1.0, 0.55, 0.0), LevelSchedule(1.0, 0.0, 0.0), b, 3.0
     )
     assert simple.decision is general.decision is Decision.MEMBER_AS
+
+
+GRID_SLABS = SLABS + [PowerExponential(0.7, 1.0)]
+GRID_ALPHAS = [0.0, 0.5, 2.0 / 3.0, 1.1, 3.0]
+GRID_BETAS = [0.0, 1.0 / 3.0, 0.5, 0.9, 1.0, 1.2]
+GRID_S = [0.05, 0.7, 1.6]
+
+
+def _grid_points():
+    """Every grid cell at a few fixed ``s`` and, where the table reports a
+    threshold ``T`` inside ``(0, r)``, at ``T`` and its two neighbours."""
+    for slab in GRID_SLABS:
+        for alpha in GRID_ALPHAS:
+            for beta in GRID_BETAS:
+                if alpha == beta == 0:
+                    continue
+                for p in GRID_P_Q:
+                    for q in GRID_P_Q:
+                        probe = simple_table(slab, alpha, beta, bp(0.01, p, q), 3.0)
+                        ss = list(GRID_S)
+                        t = probe.threshold
+                        if t is not None:
+                            ss += [x for x in (math.nextafter(t, -INF), t, math.nextafter(t, INF))
+                                   if 0 < x < 3.0]
+                        for s in ss:
+                            yield slab, alpha, beta, bp(s, p, q)
+
+
+def test_simple_equals_the_table_at_every_threshold_and_its_neighbours():
+    checked = at_threshold = 0
+    for slab, alpha, beta, b in _grid_points():
+        want = simple_table(slab, alpha, beta, b, 3.0)
+        got = classify_simple(slab, alpha, beta, b, 3.0)
+        where = (type(slab).__name__, alpha, beta, b)
+        assert (got.decision, got.case_id, got.threshold) == (
+            want.decision,
+            want.case_id,
+            want.threshold,
+        ), where
+        checked += 1
+        at_threshold += b.s == want.threshold
+    assert checked > 5000 and at_threshold > 1000
 
 
 def test_general_decides_a_rounded_quotient_exactly():
