@@ -34,12 +34,11 @@ class BesovParams:
     q: float
 
     def __post_init__(self) -> None:
-        if not self.s > 0:
-            raise ValueError(f"s must be positive, got {self.s}")
+        if not 0 < self.s < math.inf:
+            raise ConfigError("s", f"s must be finite and positive, got {self.s}")
         for name, v in (("p", self.p), ("q", self.q)):
-            ok = v == math.inf or (math.isfinite(v) and v >= 1)
-            if not ok:
-                raise ValueError(f"{name} must be in [1, inf], got {v}")
+            if not v >= 1:
+                raise ConfigError(name, f"{name} must be in [1, inf], got {v}")
 
     @property
     def s_prime(self) -> float:

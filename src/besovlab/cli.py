@@ -231,9 +231,17 @@ def _cmd_sweep(cfg: dict, args, threads: int):
         point = dict(base)
         for name, value in zip(names, combo):
             _set_dotted(point, name, value, f"vary.{name}")
-        with under("base"):
-            resolved, verdict = _classify_point(point)
-            _check_known(point, resolved)
+        try:
+            with under("base"):
+                resolved, verdict = _classify_point(point)
+                _check_known(point, resolved)
+        except ConfigError as exc:
+            # a value set by `vary` is named by its key, the deepest (last sorted) one
+            inner = exc.path.removeprefix("base.") + "."
+            varied = [n for n in names if inner.startswith(n + ".")]
+            if varied:
+                exc.path = "vary." + varied[-1]
+            raise
         flagged = flagged or verdict.decision is theory.Decision.NOT_COVERED
         found = {
             "decision": verdict.decision.value,

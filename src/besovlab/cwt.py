@@ -41,9 +41,8 @@ from .distributions import (
 from .fields import ConfigError, array, block, number, under
 from .lab import ExperimentReport, _check_reps, _column_stats, _level_list, _run_reps, _slope_fit
 from .sampler import CoefficientTree, Level, check_dense_size, rng_for
-from .schedules import GrowthKind, LevelSchedule, growth_regime
-from .theory import Decision, Verdict, _decide, _level_exponent, _lq_finite, _not_covered
-from .theory import _HALF, _threshold, _validate_smoothness, classify_simple
+from .schedules import LevelSchedule
+from .theory import _HALF, Decision, Verdict, _not_covered, classify_general, classify_simple
 from .wavelets import WaveletFamily, cascade_eval, family, unit_tables
 
 __all__ = [
@@ -112,8 +111,10 @@ class CwtSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(name, f"{name} must be finite and >= 0, got {value}")
-        if not (0 < self.a0 < self.a_max):
-            raise ValueError(f"need 0 < a0 < a_max, got a0={self.a0}, a_max={self.a_max}")
+        if not 0 < self.a0 < math.inf:
+            raise ConfigError("a0", f"a0 must be finite and > 0, got {self.a0}")
+        if not self.a0 < self.a_max < math.inf:
+            raise ConfigError("a_max", f"a_max must be finite and > a0={self.a0}, got {self.a_max}")
 
     def intensity_total(self) -> float:
         """``integral of mu over [a0, a_max]`` (the Poisson mean count)."""
@@ -686,7 +687,9 @@ def classify_cwt(
     With the default power family the thresholds coincide with the
     orthogonal classifier (same heavier-tail shift convention).  Passing
     ``mu`` and ``tau`` switches to the general nonincreasing family, which
-    is only covered for ``p < infinity``.
+    is only covered for ``p < infinity``: `classify_general` on ``(tau, mu)``,
+    its cases relabelled ``cwt/general-*``.  An increasing ``mu`` is a
+    `ConfigError` at ``mu``.
     """
     if (mu is None) != (tau is None):
         missing = "tau" if tau is None else "mu"
@@ -724,39 +727,23 @@ def classify_cwt(
             "general intensity families are only treated for p < infinity",
             assumptions=(kernel_note,),
         )
-    _validate_smoothness(bp, r)
-    # atom count near level j grows like 2^j mu(2^j) = c j^g_mu 2^(j (1 - e_mu)),
-    # whose regime depends on c only at c = 0 (no atoms) and is unchanged by
-    # clamping at 1
-    regime = growth_regime(mu)
+    if mu.c > 0 and (mu.e < 0 or (mu.e == 0 and mu.g > 0)):
+        raise ConfigError("mu", f"mu must be nonincreasing, got e={mu.e}, g={mu.g}")
+    # clamping pi at 1 leaves a nonincreasing mu's exponents, so its regime, unchanged
+    v = classify_general(slab, tau, mu, bp, r)
+    case = v.case_id.split("/", 1)[1]
     assumptions = (kernel_note, "general nonincreasing mu, tau at dyadic scales")
-
-    if regime is GrowthKind.SUMMABLE:
-        return Verdict(
-            Decision.MEMBER_AS,
-            "cwt/general-summable",
-            reason="sum of 2^j mu(2^j) converges: finitely many atoms in total",
-            assumptions=assumptions,
-        )
-    if regime is GrowthKind.NOT_COVERED:
-        return _not_covered(
-            "cwt/general-regime-gap",
-            "2^j mu(2^j) neither grows, settles, nor is summable",
-            assumptions=assumptions,
-        )
-    increases = regime is GrowthKind.INCREASES_TO_INFINITY
-    if math.isinf(bp.q) and not increases:
-        return _not_covered(
-            "cwt/general-q-inf",
-            "q = infinity needs 2^j mu(2^j) increasing to infinity",
-            assumptions=assumptions,
-        )
-    gate = bp.p if increases else bp.q
-    if not has_moment(slab, gate):
-        return _not_covered(
-            "cwt/general-assumption-h",
-            f"slab lacks a finite moment of order {gate:g}",
-            assumptions=assumptions,
-        )
-    E, G = _level_exponent(regime, slab, tau, mu.e, mu.g, bp)
-    return _decide(_lq_finite(E, G, bp.q), "cwt/general", _threshold(bp, E), assumptions)
+    if case == "case5":
+        reason = "sum of 2^j mu(2^j) converges: finitely many atoms in total"
+        return Verdict(Decision.MEMBER_AS, "cwt/general-summable", None, reason, assumptions)
+    if case == "regime-gap":
+        reason = "2^j mu(2^j) neither grows, settles, nor is summable"
+        return _not_covered("cwt/general-regime-gap", reason, assumptions=assumptions)
+    if case == "case4":
+        reason = "q = infinity needs 2^j mu(2^j) increasing to infinity"
+        return _not_covered("cwt/general-q-inf", reason, assumptions=assumptions)
+    if not v.covered:  # the moment gate of case 1 (order p) or case 3 (order q)
+        order = bp.p if case == "case1" else bp.q
+        reason = f"slab lacks a finite moment of order {order:g}"
+        return _not_covered("cwt/general-assumption-h", reason, assumptions=assumptions)
+    return replace(v, case_id="cwt/general", assumptions=assumptions)

@@ -6,15 +6,17 @@ criterion in the underlying theory reduces to convergence of a series
 ``sum_j j^G 2^{jE}`` or boundedness of the matching supremum, which is
 decidable from ``(E, G)`` alone by `schedules.series_verdict` and
 `schedules.sup_verdict` at ``(-E, G)``, which every classifier calls
-directly or, for the dyadic family, through `classify_general`.  Exponents are
-``fractions.Fraction`` values of the float inputs, so a verdict is the
-exact answer for those floats, also at a threshold; only the reported
-threshold is rounded.
+directly or, for the dyadic and continuous families, through
+`classify_general`.  Exponents are ``fractions.Fraction`` values of the
+float inputs, so a verdict is the exact answer for those floats, also at
+a threshold; only the reported threshold is rounded.
 
 The classifier family:
 
 * ``classify_general``     arbitrary schedules, five cases split by the
-  growth of the expected nonzero count ``n_j = 2^j pi_j``.
+  growth of the expected nonzero count ``n_j = 2^j pi_j``;
+  ``cwt.classify_cwt`` relabels it on ``(tau, mu)`` for the continuous
+  model, whose atom count ``2^j mu(2^j)`` near level ``j`` plays ``n_j``.
 * ``classify_simple``      dyadic two-exponent parametrisation
   (``tau_j = 2^{-alpha j/2}``, ``pi_j = min(1, 2^{-beta j})``):
   ``classify_general`` on those schedules, its cases relabelled by the

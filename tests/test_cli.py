@@ -830,7 +830,7 @@ class TestErrors:
                 "sweep",
                 {**REPORT_CASES["sweep"], "vary": {"beta": [0.5], "r": [3.0, 1.0]}},
                 [],
-                "base.r:",
+                "vary.r:",
             ),
             ("cwt-verify", with_moment(m=-1.0), [], "moment.m:"),
             (
@@ -932,9 +932,36 @@ class TestErrors:
                 "sweep",
                 {"base": {**SWEEP_BASE, "beta": 0.5}, "vary": {"alpha": [2.0, math.inf]}},
                 [],
-                "base.alpha:",
+                "vary.alpha:",
             ),
-            ("sweep", {"base": SWEEP_BASE, "vary": {"beta": [0.5, math.nan]}}, [], "base.beta:"),
+            ("sweep", {"base": SWEEP_BASE, "vary": {"beta": [0.5, math.nan]}}, [], "vary.beta:"),
+            (
+                "sweep",
+                {"base": {**SWEEP_BASE, "beta": 0.5}, "vary": {"besov.p": [2.0, 0.5]}},
+                [],
+                "vary.besov.p:",
+            ),
+            ("classify", {**POINT, "besov": {**B122, "s": math.nan}}, [], "besov.s:"),
+            ("classify", {**POINT, "besov": {**B122, "s": math.inf}}, [], "besov.s:"),
+            ("classify", {**POINT, "besov": {**B122, "p": 0.5}}, [], "besov.p:"),
+            ("classify", {**POINT, "besov": {**B122, "q": math.nan}}, [], "besov.q:"),
+            # the general continuous route covers nonincreasing mu only
+            (
+                "classify",
+                {**CWT_POINT, "mu": {"c": 1.0, "e": -0.5}, "tau": {"c": 1.0, "e": 1.5}},
+                [],
+                "mu:",
+            ),
+            (
+                "classify",
+                {"points": [POINT, {**CWT_POINT, "mu": {"c": 1.0, "e": -0.5}, "tau": {"c": 1.0}}]},
+                [],
+                "points[1].mu:",
+            ),
+            ("cwt-sample", {"spec": {**CWT_SPEC, "a_max": math.inf}}, [], "spec.a_max:"),
+            ("cwt-sample", {"spec": {**CWT_SPEC, "a_max": 0.5}}, [], "spec.a_max:"),
+            ("cwt-sample", {"spec": {**CWT_SPEC, "a0": 0.0}}, [], "spec.a0:"),
+            ("cwt-sample", {"spec": {**CWT_SPEC, "a0": math.nan}}, [], "spec.a0:"),
             ("cwt-sample", {"spec": {**CWT_SPEC, "alpha": math.nan}}, [], "spec.alpha:"),
             ("cwt-sample", {"spec": {**CWT_SPEC, "alpha": math.inf}}, [], "spec.alpha:"),
             ("cwt-sample", {"spec": {**CWT_SPEC, "beta": math.nan}}, [], "spec.beta:"),
@@ -1017,6 +1044,17 @@ class TestErrors:
             "cwt-r-inf",
             "sweep-alpha-inf",
             "sweep-beta-nan",
+            "sweep-dotted-vary-key",
+            "besov-s-nan",
+            "besov-s-inf",
+            "besov-p-below-1",
+            "besov-q-nan",
+            "cwt-mu-increasing",
+            "points-cwt-mu-increasing",
+            "cwt-sample-a_max-inf",
+            "cwt-sample-a_max-below-a0",
+            "cwt-sample-a0-zero",
+            "cwt-sample-a0-nan",
             "cwt-sample-alpha-nan",
             "cwt-sample-alpha-inf",
             "cwt-sample-beta-nan",

@@ -22,6 +22,7 @@ from besovlab.cwt import (
     verify_kernel_bounds,
 )
 from besovlab.distributions import Cauchy, Gaussian, Laplace, StudentT
+from besovlab.fields import ConfigError
 from besovlab.schedules import LevelSchedule
 from besovlab.theory import Decision, classify_general
 from besovlab.wavelets import FAMILY_NAMES, cascade_eval, family, unit_tables
@@ -559,6 +560,11 @@ class TestClassifyCwt:
         )
         assert v0.decision is Decision.MEMBER_AS
         assert v0.case_id == "cwt/general-summable"
+        v0 = classify_cwt(
+            GAUSS, 3.0, 0.5, bp, r=2.5, rho=0.5,
+            mu=LevelSchedule(0.0, -1.0), tau=LevelSchedule(1.0, 1.5),
+        )
+        assert v0.case_id == "cwt/general-summable"
         v2 = classify_cwt(
             GAUSS, 3.0, 0.5, bp, r=2.5, rho=0.5,
             mu=LevelSchedule(1.0, 1.0, -0.5), tau=LevelSchedule(1.0, 1.5),
@@ -587,6 +593,16 @@ class TestClassifyCwt:
             mu=LevelSchedule(1.0, 0.5), tau=LevelSchedule(1.0, 1.5),
         )
         assert v2.decision in (Decision.MEMBER_AS, Decision.NOT_MEMBER_AS)
+
+    @pytest.mark.parametrize("mu", [LevelSchedule(1.0, -0.5), LevelSchedule(0.5, 0.0, 0.5)])
+    def test_increasing_mu_is_refused(self, mu):
+        # classify_general would read min(1, mu), a family the route does not cover
+        with pytest.raises(ConfigError) as info:
+            classify_cwt(
+                GAUSS, 1.0, 0.5, BesovParams(0.75, 2.0, 2.0), r=2.5, rho=0.5,
+                mu=mu, tau=LevelSchedule(1.0, 1.5),
+            )
+        assert info.value.path == "mu"
 
     def test_mu_and_tau_come_together(self):
         with pytest.raises(ValueError, match="both"):

@@ -9,6 +9,7 @@ MODULES = [
     "besovlab.besov",
     "besovlab.cwt",
     "besovlab.distributions",
+    "besovlab.fields",
     "besovlab.lab",
     "besovlab.sampler",
     "besovlab.schedules",
