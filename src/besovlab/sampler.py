@@ -350,17 +350,30 @@ def _column(item, key: str, types: set, what: str) -> list:
     return values
 
 
+def _finite(values: np.ndarray, key: str) -> None:
+    """A `ConfigError` at ``key.format(i)`` for the first value ``values[i]``
+    that is infinite or NaN."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise ConfigError(key.format(i), f"expected a finite number, got {values[i]}")
+
+
 def _level_from_dict(item) -> Level:
     """A level in the columnar v2 form (it has ``k``) or the v1 form
     ``{"j", "entries": [[k, w], ...]}``."""
     j = integer(item, "j")
     if "k" in item:
-        return Level(j, _column(item, "k", {int}, "integers"), _column(item, "w", _NUMBER, "numbers"))
+        lev = Level(j, _column(item, "k", {int}, "integers"), _column(item, "w", _NUMBER, "numbers"))
+        _finite(lev.w, "w[{}]")
+        return lev
     entries = array(item, "entries")
     for e in entries:
         if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) in _NUMBER):
             raise ValueError(f"entry {e!r} at level {j} is not an [integer k, number w] pair")
-    return Level(j, [e[0] for e in entries], [e[1] for e in entries])
+    lev = Level(j, [e[0] for e in entries], [e[1] for e in entries])
+    _finite(lev.w, "entries[{}][1]")
+    return lev
 
 
 def tree_from_dict(doc: dict) -> CoefficientTree:
@@ -371,7 +384,9 @@ def tree_from_dict(doc: dict) -> CoefficientTree:
     items = array(doc, "levels")
     with under("levels"):
         levels = tuple(block(_level_from_dict, items, i) for i in range(len(items)))
-    return CoefficientTree(j0, np.asarray(numbers(doc, "scaling"), dtype=np.float64), levels)
+    scaling = np.asarray(numbers(doc, "scaling"), dtype=np.float64)
+    _finite(scaling, "scaling[{}]")
+    return CoefficientTree(j0, scaling, levels)
 
 
 def tree_to_csv_rows(t: CoefficientTree) -> list[tuple[int, int, float]]:

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from besovlab.besov import BesovParams, besov_seq_norm, level_terms, vector_p_norm
+from besovlab import besov
+from besovlab.besov import BesovParams, _exact_sum, besov_seq_norm, level_terms, vector_p_norm
 from besovlab.distributions import Gaussian, StudentT
 from besovlab.fields import ConfigError
 from besovlab.sampler import CoefficientTree, Infinite, Level, PriorSpec, sample_tree
@@ -176,6 +177,99 @@ def test_level_p_norm_overflow_guard():
     vals = np.array([1e200, 1e199])
     assert math.isfinite(vector_p_norm(vals, 4.0))
     assert vector_p_norm(vals, INF) == 1e200
+
+
+def fsum_bits(values):
+    """``math.fsum(values)`` as its hex form, or "overflow"."""
+    try:
+        return math.fsum(values).hex()
+    except OverflowError:
+        return "overflow"
+
+
+def exact_sum_bits(x):
+    """`_exact_sum` of the array ``x`` as its hex form, or "overflow"."""
+    try:
+        return _exact_sum(x).hex()
+    except OverflowError:
+        return "overflow"
+
+
+# nonnegative finite floats over the whole exponent range, with the ends and
+# zero drawn often
+NONNEGATIVE = st.one_of(
+    st.floats(min_value=0.0, max_value=1e308),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e308]),
+    st.floats(min_value=0.0, max_value=1e-300),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@given(st.lists(NONNEGATIVE, max_size=300))
+@example([])
+@example([0.0])
+@example([5e-324])
+@example([1e308])
+@example([1e-310, 3e-320, 5e-324, 0.0])
+@example([5e-324, 1e308, 1.0, 5e-324])
+@example([1.0, 2.0**-53, 2.0**-53])  # left-to-right addition gives 1.0
+@example([1e308, 1e308])  # both overflow
+@settings(max_examples=300, deadline=None)
+def test_exact_sum_equals_fsum(values):
+    assert exact_sum_bits(np.array(values)) == fsum_bits(values)
+
+
+def test_exact_sum_of_a_million_normal_squares():
+    x = np.random.default_rng(11).standard_normal(10**6) ** 2
+    assert exact_sum_bits(x) == fsum_bits(x.tolist())
+
+
+def test_exact_sum_of_cauchy_powers():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        x = np.abs(rng.standard_cauchy(int(rng.integers(1, 5000)))) ** rng.uniform(1.0, 8.0)
+        assert exact_sum_bits(x) == fsum_bits(x.tolist())
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 9, 10, 100])
+def test_exact_sum_over_slices(monkeypatch, size):
+    # many slices of 3 values, whose buckets add up across slices
+    monkeypatch.setattr(besov, "_SLICE", 3)
+    rng = np.random.default_rng(size)
+    x = np.concatenate([rng.random(size), [1.0 - 2.0**-53] * size, [5e-324] * size])
+    assert exact_sum_bits(x) == fsum_bits(x.tolist())
+
+
+def old_vector_p_norm(values, p):
+    """`vector_p_norm` as it read with ``math.fsum``, for finite ``p``."""
+    mags = np.abs(values)
+    top = float(np.max(mags))
+    if top == 0.0:
+        return 0.0
+    return top * math.fsum(((mags / top) ** p).tolist()) ** (1.0 / p)
+
+
+@given(
+    st.lists(st.floats(min_value=-1e308, max_value=1e308), min_size=1, max_size=200),
+    st.one_of(st.sampled_from([1.0, 2.0, 3.0, 8.0]), st.floats(min_value=1.0, max_value=40.0)),
+)
+@settings(max_examples=200, deadline=None)
+def test_vector_p_norm_is_unchanged_bit_for_bit(values, p):
+    x = np.array(values)
+    before = x.copy()
+    assert vector_p_norm(x, p).hex() == old_vector_p_norm(x, p).hex()
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+@pytest.mark.parametrize(
+    "values", [[1.0, INF], [-INF, 2.0], [math.nan, 1.0], [0.0, math.nan, INF]]
+)
+def test_vector_p_norm_of_a_non_finite_value_is_nan(values, p):
+    # no RuntimeWarning either: the suite turns one into an error
+    x = np.array(values)
+    assert math.isnan(vector_p_norm(x, p))
+    assert np.array_equal(x, np.array(values), equal_nan=True)
 
 
 def test_level_weight_overflow_names_besov_s():

@@ -95,6 +95,23 @@ KERNEL = {"family": "daub4", "v_count": 17, "depth": 8}
 SWEEP_BASE = {"slab": GAUSS, "alpha": 2.0, "besov": B122, "r": 3.0}
 
 
+SYNTH = REPORT_CASES["synth"]
+
+
+def tree_with(w=0.75, scaling=1.0, v1=False):
+    """A two-level tree whose second level holds ``w`` at its second position,
+    in the columnar form or the v1 ``entries`` form."""
+    levels = [(0, [0], [0.5]), (1, [0, 1], [0.25, w])]
+    if v1:
+        levels = [{"j": j, "entries": [list(e) for e in zip(k, ws)]} for j, k, ws in levels]
+    else:
+        levels = [{"j": j, "k": k, "w": ws} for j, k, ws in levels]
+    return {"j0": 0, "scaling": [scaling], "levels": levels}
+
+
+_V1_PATH = "tree.levels[1].entries[1][1]:"
+
+
 def with_moment(**fields):
     """The cwt-verify case with ``fields`` replaced in its moment block."""
     case = ECHO_CASES["cwt-verify"]
@@ -974,6 +991,13 @@ class TestErrors:
                 [],
                 "moment.spec.alpha:",
             ),
+            # a non-finite tree value is refused where the tree is read, in both formats
+            ("norm", {"besov": B122, "tree": tree_with(w=math.inf)}, [], "tree.levels[1].w[1]:"),
+            ("norm", {"besov": B122, "tree": tree_with(w=math.nan, v1=True)}, [], _V1_PATH),
+            ("norm", {"besov": B122, "tree": tree_with(scaling=-math.inf)}, [], "tree.scaling[0]:"),
+            ("synth", {**SYNTH, "tree": tree_with(w=-math.inf)}, [], "tree.levels[1].w[1]:"),
+            ("synth", {**SYNTH, "tree": tree_with(w=math.inf, v1=True)}, [], _V1_PATH),
+            ("synth", {**SYNTH, "tree": tree_with(scaling=math.nan)}, [], "tree.scaling[0]:"),
         ],
         ids=[
             "classify-nu-bool",
@@ -1062,6 +1086,12 @@ class TestErrors:
             "cwt-sample-c_mu-nan",
             "cwt-sample-c_tau-inf",
             "moment-spec-alpha-nan",
+            "norm-w-inf",
+            "norm-v1-w-nan",
+            "norm-scaling-inf",
+            "synth-w-inf",
+            "synth-v1-w-inf",
+            "synth-scaling-nan",
         ],
     )
     def test_bad_field_names_its_path(self, capsys, tmp_path, command, cfg, extra, path):

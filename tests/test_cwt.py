@@ -30,6 +30,15 @@ from projection_oracle import project_per_atom
 from table_fixture import simple_table
 
 GAUSS = Gaussian(1.0)
+# classify_cwt's label for each case of classify_general on (tau, mu); a case
+# 1 or 3 whose moment gate fails reads cwt/general-assumption-h
+GENERAL_LABELS = {
+    "case1": "cwt/general",
+    "case3": "cwt/general",
+    "case4": "cwt/general-q-inf",
+    "case5": "cwt/general-summable",
+    "regime-gap": "cwt/general-regime-gap",
+}
 
 
 def dense_tree(t):
@@ -521,20 +530,34 @@ class TestClassifyCwt:
         q=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
     )
     @example(slab=GAUSS, c_mu=1.0, e_mu=0.5, g_mu=0.0, e_tau=1.5, g_tau=0.0, s=1.0, p=2.0, q=2.0)
+    @example(slab=GAUSS, c_mu=1.0, e_mu=1.0, g_mu=0.0, e_tau=1.5, g_tau=0.0, s=1.0, p=2.0, q=math.inf)
+    @example(slab=Cauchy(), c_mu=1.0, e_mu=0.5, g_mu=0.0, e_tau=1.5, g_tau=0.0, s=1.0, p=2.0, q=2.0)
+    @example(slab=GAUSS, c_mu=1.0, e_mu=2.0, g_mu=0.0, e_tau=1.5, g_tau=0.0, s=1.0, p=2.0, q=2.0)
+    @example(slab=GAUSS, c_mu=1.0, e_mu=1.0, g_mu=-0.5, e_tau=1.5, g_tau=0.0, s=1.0, p=2.0, q=2.0)
+    @example(slab=Cauchy(), c_mu=1.0, e_mu=1.0, g_mu=0.0, e_tau=1.5, g_tau=0.0, s=1.0, p=1.0, q=2.0)
+    @example(slab=GAUSS, c_mu=1.0, e_mu=1.0, g_mu=0.0, e_tau=1.5, g_tau=0.0, s=1.0, p=2.0, q=2.0)
     @settings(max_examples=200, deadline=None)
     def test_general_route_matches_classify_general(
         self, slab, c_mu, e_mu, g_mu, e_tau, g_tau, s, p, q
     ):
-        # min(1, mu) has the exponents of mu itself unless mu stays at 1
+        # an increasing mu (e = 0 with g > 0) is refused at mu
         assume(e_mu > 0 or g_mu <= 0)
         bp = BesovParams(s, p, q)
         mu, tau = LevelSchedule(c_mu, e_mu, g_mu), LevelSchedule(1.0, e_tau, g_tau)
         cwt_v = classify_cwt(slab, 3.0, 0.5, bp, r=2.5, rho=0.5, mu=mu, tau=tau)
-        # the orthogonal model has a constant-count case at q = inf; cwt does not
-        assume(cwt_v.case_id != "cwt/general-q-inf")
         general = classify_general(slab, tau, mu, bp, 2.5)
-        assert cwt_v.decision is general.decision
-        assert cwt_v.threshold == general.threshold
+        case = general.case_id.split("/", 1)[1]
+        if case in ("case1", "case3") and not general.covered:
+            assert cwt_v.case_id == "cwt/general-assumption-h"
+        else:
+            assert cwt_v.case_id == GENERAL_LABELS[case]
+        if case == "case4":
+            # the orthogonal model has a constant-count case at q = inf; cwt does not
+            assert cwt_v.decision is Decision.NOT_COVERED
+            assert cwt_v.threshold is None
+        else:
+            assert cwt_v.decision is general.decision
+            assert cwt_v.threshold == general.threshold
 
     def test_general_route_decides_a_rounding_tie_exactly(self):
         # 0.05 + 0.5 - 0.55 rounds to 0, so G = 1 > 0 would fail the sup;
