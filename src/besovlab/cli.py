@@ -283,6 +283,12 @@ def _cmd_norm(cfg: dict, args, threads: int):
     return echo, result, None, False
 
 
+def _run_echo(report: lab.ExperimentReport, reps: int, seed: int, **fields) -> dict:
+    """An experiment's echo: ``fields``, then the ``reps`` and ``seed`` it
+    ran with and its ``levels`` as the report's sorted distinct levels."""
+    return {**fields, "levels": [ls.j for ls in report.levels], "reps": reps, "seed": seed}
+
+
 def _level_csv(report: lab.ExperimentReport):
     header = ["j", "count", "n_value", "mean", "stderr", "median", "q25", "q75"]
     rows = [
@@ -308,7 +314,7 @@ def _cmd_verify(cfg: dict, args, threads: int):
     report = runner(spec, bp, levels, reps=reps, seed=seed, threads=threads)
     verdict = report.theory_verdict or {}
     flagged = verdict.get("decision") == theory.Decision.NOT_COVERED.value
-    echo = {**report.config, "check": check}
+    echo = _run_echo(report, reps, seed, **spec.to_dict(), besov=bp.to_dict(), check=check)
     return echo, report.to_dict(), _level_csv(report), flagged
 
 
@@ -320,7 +326,9 @@ def _cmd_lln(cfg: dict, args, threads: int):
     reps = integer(cfg, "reps", 50)
     seed = integer(cfg, "seed", 0)
     report = lab.lln_experiment(slab, pi, m, levels, reps=reps, seed=seed, threads=threads)
-    return report.config, report.to_dict(), _level_csv(report), False
+    slab_doc = distributions.slab_to_dict(slab)
+    echo = _run_echo(report, reps, seed, slab=slab_doc, pi=pi.to_dict(), m=m)
+    return echo, report.to_dict(), _level_csv(report), False
 
 
 def _cmd_evt(cfg: dict, args, threads: int):
@@ -330,7 +338,8 @@ def _cmd_evt(cfg: dict, args, threads: int):
     reps = integer(cfg, "reps", 100)
     seed = integer(cfg, "seed", 0)
     report = lab.evt_experiment(slab, pi, levels, reps=reps, seed=seed, threads=threads)
-    return report.config, report.to_dict(), _level_csv(report), False
+    echo = _run_echo(report, reps, seed, slab=distributions.slab_to_dict(slab), pi=pi.to_dict())
+    return echo, report.to_dict(), _level_csv(report), False
 
 
 def _cmd_synth(cfg: dict, args, threads: int):
@@ -393,8 +402,7 @@ def _cmd_cwt_verify(cfg: dict, args, threads: int):
             report = cwt.moment_bound_experiment(
                 spec, fam, m, levels, reps=reps, seed=seed, threads=threads
             )
-        # the family is echoed once, at the top level
-        echo["moment"] = {k: v for k, v in report.config.items() if k != "family"}
+        echo["moment"] = _run_echo(report, reps, seed, spec=spec.to_dict(), m=m)
         result["moment"] = report.to_dict()
     header = ["u", "sup"]
     rows = [[u, s] for u, s in zip(bounds.u, bounds.sup)]

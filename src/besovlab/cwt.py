@@ -651,14 +651,7 @@ def moment_bound_experiment(
     expected = -min(expo_kernel, m * spec.alpha / 2.0 + spec.beta)
     return ExperimentReport(
         kind="cwt-moment",
-        config={
-            "spec": spec.to_dict(),
-            "family": fam.name,
-            "m": m,
-            "levels": lv,
-            "reps": reps,
-            "seed": seed,
-        },
+        reps=reps,
         levels=stats,
         slope=slope,
         slope_stderr=slope_err,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +41,6 @@ from .distributions import (
     has_moment,
     quantile_hplus,
     sample,
-    slab_to_dict,
     tail_class,
 )
 from .fields import ConfigError
@@ -59,6 +58,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 22  # cap per-draw memory at 32 MiB of float64
+_WINDOW = 1024  # replicates a thread pool holds at once, each a pending future
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class LevelStat:
 @dataclass(frozen=True)
 class ExperimentReport:
     kind: str
-    config: dict  # resolved inputs, in the CLI's config schema; not in `to_dict`
+    reps: int  # replicates run; not in `to_dict`
     levels: tuple[LevelStat, ...]
     expected_ratio: float | None = None
     slope: float | None = None
@@ -93,8 +93,13 @@ class ExperimentReport:
     dropped_fraction: float = 0.0
     degenerate: bool = False
 
+    @property
+    def config(self) -> dict:
+        """``{"reps": reps}``, the one input ``perfbench/trace_shim.py`` reads back."""
+        return {"reps": self.reps}
+
     def to_dict(self) -> dict:
-        out = {k: v for k, v in vars(self).items() if k != "config"}
+        out = {k: v for k, v in vars(self).items() if k != "reps"}
         return {**out, "levels": [ls.to_dict() for ls in self.levels]}
 
 
@@ -115,11 +120,16 @@ def _check_reps(reps: int) -> None:
 
 
 def _run_reps(reps: int, threads: int, work):
-    """Run ``work(rep)`` for each replicate, results in replicate order."""
+    """Run ``work(rep)`` for each replicate, results in replicate order; a
+    pool takes the replicates `_WINDOW` at a time, so its pending futures
+    stay bounded whatever ``reps`` is."""
     if threads <= 1:
         return [work(rep) for rep in range(reps)]
+    out = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, range(reps)))
+        for start in range(0, reps, _WINDOW):
+            out += pool.map(work, range(start, min(start + _WINDOW, reps)))
+    return out
 
 
 def _level_rows(lv: list[int], reps: int, seed: int, threads: int, draw):
@@ -215,15 +225,7 @@ def lln_experiment(
         return total / n_values[j]
 
     stats = _column_stats(lv, n_values, _level_rows(lv, reps, seed, threads, draw))
-    config = {
-        "slab": slab_to_dict(slab),
-        "pi": pi.to_dict(),
-        "m": m,
-        "levels": lv,
-        "reps": reps,
-        "seed": seed,
-    }
-    return ExperimentReport("lln", config, stats, expected_ratio=nu_m)
+    return ExperimentReport("lln", reps, stats, expected_ratio=nu_m)
 
 
 def evt_experiment(
@@ -255,14 +257,7 @@ def evt_experiment(
     stats = _column_stats(lv, n_values, _level_rows(lv, reps, seed, threads, draw))
     tc = tail_class(slab)
     expected = math.log(2.0) ** (-1.0 / tc.ell) if isinstance(tc, FrechetTail) else 1.0
-    config = {
-        "slab": slab_to_dict(slab),
-        "pi": pi.to_dict(),
-        "levels": lv,
-        "reps": reps,
-        "seed": seed,
-    }
-    return ExperimentReport("evt", config, stats, expected_ratio=expected)
+    return ExperimentReport("evt", reps, stats, expected_ratio=expected)
 
 
 def _slope_fit(points: list[tuple[int, float]]) -> float | None:
@@ -280,6 +275,7 @@ def _slope_fit(points: list[tuple[int, float]]) -> float | None:
 
 
 def _level_term_experiment(
+    kind: str,
     spec: PriorSpec,
     bp: BesovParams,
     power: float,
@@ -288,12 +284,13 @@ def _level_term_experiment(
     reps: int,
     seed: int,
     threads: int,
-):
-    """Shared core: per-replicate ``power * log2`` level terms and their
-    mean slope less ``detrend``, returned with the resolved config of the
-    run and the expected slope ``power * E - detrend`` for the level
-    exponent ``E`` of the symbolic classifiers (None outside their
-    regimes)."""
+) -> tuple[ExperimentReport, int]:
+    """Shared core: per-replicate ``power * log2`` level terms, their mean
+    slope less ``detrend`` and the expected slope ``power * E - detrend``
+    for the level exponent ``E`` of the symbolic classifiers (None outside
+    their regimes).  Returns the report, degenerate when no slope was fitted
+    or over 20% of (replicate, level) pairs were empty, and the count of
+    replicates whose upper half of levels was empty."""
     lv = _level_list(levels)
     _check_reps(reps)
     if not math.isinf(bp.p) and not has_moment(spec.slab, bp.p):
@@ -318,8 +315,7 @@ def _level_term_experiment(
     slopes = [fit for fit in fits if fit is not None]
     upper_half = range(len(lv) // 2, len(lv))
     empty_tail_votes = sum(all(row[i] is None for i in upper_half) for row in rows)
-    dropped = sum(y is None for row in rows for y in row)
-    dropped_fraction = dropped / (reps * len(lv))
+    dropped = sum(y is None for row in rows for y in row) / (reps * len(lv))
 
     if len(slopes) >= 2:
         slope, slope_stderr = _mean_stderr(slopes)
@@ -329,8 +325,17 @@ def _level_term_experiment(
     _, e_pi, g_pi = clamped_exponents(spec.pi)
     pair = _level_exponent(growth_regime(spec.pi), spec.slab, spec.tau, e_pi, g_pi, bp)
     expected = None if pair is None else float(Fraction(power) * pair[0] - Fraction(detrend))
-    config = {**spec.to_dict(), "besov": bp.to_dict(), "levels": lv, "reps": reps, "seed": seed}
-    return config, stats, slope, slope_stderr, expected, dropped_fraction, empty_tail_votes
+    report = ExperimentReport(
+        kind,
+        reps,
+        stats,
+        slope=slope,
+        slope_stderr=slope_stderr,
+        expected_slope=expected,
+        dropped_fraction=dropped,
+        degenerate=dropped > 0.2 or slope is None,
+    )
+    return report, empty_tail_votes
 
 
 def exponent_regression(
@@ -349,19 +354,8 @@ def exponent_regression(
     """
     if math.isinf(bp.q):
         raise ConfigError("besov.q", "exponent_regression needs q < inf; use empirical_membership")
-    config, stats, slope, slope_stderr, expected, dropped, _ = _level_term_experiment(
-        spec, bp, bp.q, 0.0, levels, reps, seed, threads
-    )
-    return ExperimentReport(
-        "exponent_regression",
-        config,
-        stats,
-        slope=slope,
-        slope_stderr=slope_stderr,
-        expected_slope=expected,
-        dropped_fraction=dropped,
-        degenerate=dropped > 0.2 or slope is None,
-    )
+    kind = "exponent_regression"
+    return _level_term_experiment(kind, spec, bp, bp.q, 0.0, levels, reps, seed, threads)[0]
 
 
 def empirical_membership(
@@ -387,24 +381,21 @@ def empirical_membership(
     power = 1.0 if math.isinf(bp.q) else bp.q
     regression_mode = isinstance(spec.mode, Regression)
     detrend = power / 2.0 if regression_mode else 0.0
-    config, stats, slope, slope_stderr, expected, dropped, empty_votes = _level_term_experiment(
-        spec, bp, power, detrend, levels, reps, seed, threads
+    report, empty_votes = _level_term_experiment(
+        "empirical_membership", spec, bp, power, detrend, levels, reps, seed, threads
     )
-
-    if empty_votes >= 0.9 * reps:
+    slope, slope_stderr = report.slope, report.slope_stderr
+    empty_tail = empty_votes >= 0.9 * reps
+    if empty_tail:
         verdict = "Converges"
-        degenerate = True
-    elif slope is None or slope_stderr is None:
+    elif slope is None:
         verdict = "Inconclusive"
-        degenerate = True
+    elif slope < -3.0 * slope_stderr:
+        verdict = "Converges"
+    elif slope > 3.0 * slope_stderr:
+        verdict = "Diverges"
     else:
-        degenerate = dropped > 0.2
-        if slope < -3.0 * slope_stderr:
-            verdict = "Converges"
-        elif slope > 3.0 * slope_stderr:
-            verdict = "Diverges"
-        else:
-            verdict = "Inconclusive"
+        verdict = "Inconclusive"
 
     classify = classify_regression if regression_mode else classify_general
     theory = classify(spec.slab, spec.tau, spec.pi, bp, math.inf)
@@ -417,16 +408,10 @@ def empirical_membership(
     else:
         agree = False
 
-    return ExperimentReport(
-        "empirical_membership",
-        config,
-        stats,
-        slope=slope,
-        slope_stderr=slope_stderr,
-        expected_slope=expected,
+    return replace(
+        report,
         empirical_verdict=verdict,
         theory_verdict=theory.to_dict(),
         agree=agree,
-        dropped_fraction=dropped,
-        degenerate=degenerate,
+        degenerate=report.degenerate or empty_tail,
     )

@@ -311,6 +311,7 @@ def sample_tree(
         scaling_arr = np.asarray(list(scaling), dtype=np.float64)
         if scaling_arr.size != 1 << j0:
             raise ConfigError("scaling", f"expected 2^{j0} values, got {scaling_arr.size}")
+        _finite(scaling_arr, "scaling[{}]")
 
     levels = []
     for j in range(j0, top + 1):

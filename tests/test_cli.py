@@ -26,7 +26,8 @@ CWT_SPEC = {
     "a_max": 16.0,
 }
 TINY_TREE = {"j0": 0, "scaling": [1.0], "levels": [{"j": 0, "entries": [[0, 0.5]]}]}
-# one small config per subcommand that has a config to replay
+# one small config per subcommand that has a config to replay, keyed by the
+# subcommand, or by ``<subcommand>/<variant>`` for a further one
 ECHO_CASES = {
     "classify": {"slab": GAUSS, "alpha": 2.0, "beta": 0.5, "besov": B122, "r": 3.0},
     "sample": {
@@ -45,6 +46,16 @@ ECHO_CASES = {
         "levels": {"start": 4, "stop": 6},
         "reps": 4,
         "check": "membership",
+    },
+    "verify/slope": {
+        "slab": GAUSS,
+        "tau": {"c": 1.0, "e": 1.5},
+        "pi": {"c": 1.0, "e": 0.5},
+        "besov": B122,
+        "levels": [4, 6],
+        "mode": {"kind": "regression", "n": 256},
+        "reps": 4,
+        "check": "slope",
     },
     "lln": {"slab": GAUSS, "pi": {"c": 1.0, "e": 0.5}, "m": 2.0, "levels": [4, 5], "reps": 3},
     "evt": {"slab": {"family": "laplace", "lam": 1.0}, "pi": {"c": 1.0}, "levels": [5, 6], "reps": 3},
@@ -116,6 +127,11 @@ def with_moment(**fields):
     """The cwt-verify case with ``fields`` replaced in its moment block."""
     case = ECHO_CASES["cwt-verify"]
     return {**case, "moment": {**case["moment"], **fields}}
+
+
+def command_of(case):
+    """The subcommand of an `ECHO_CASES` or `REPORT_CASES` key."""
+    return case.partition("/")[0]
 
 
 def strict_json(text):
@@ -251,10 +267,11 @@ class TestClassify:
         assert code == 3
         assert json.loads(out)["result"]["verdicts"][0]["verdict"]["decision"] == "NotCovered"
 
-    @pytest.mark.parametrize("command", list(ECHO_CASES))
-    def test_echo_is_a_valid_config(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize("case", list(ECHO_CASES))
+    def test_echo_is_a_valid_config(self, capsys, tmp_path, case):
         first, second = tmp_path / "first.json", tmp_path / "second.json"
-        cfg = write_cfg(tmp_path, ECHO_CASES[command])
+        cfg = write_cfg(tmp_path, ECHO_CASES[case])
+        command = command_of(case)
         report = run_json(capsys, command, "--config", cfg, "--out", str(first))
         echo = write_cfg(tmp_path, report["config"], name="echo.json")
         run_json(capsys, command, "--config", echo, "--out", str(second))
@@ -489,7 +506,7 @@ class TestVerify:
         # E|xi|^400 is finite for a Gaussian slab, though its closed form overflows
         cfg = {**ECHO_CASES["verify"], "besov": {**B122, "p": 400.0}}
         report = run_json(capsys, "verify", "--config", write_cfg(tmp_path, cfg))
-        assert report["result"]["empirical_verdict"] in ("Member", "NotMember", "Inconclusive")
+        assert report["result"]["empirical_verdict"] in ("Converges", "Diverges", "Inconclusive")
 
     def test_report_shape_and_level_table(self, capsys, tmp_path):
         out_csv = tmp_path / "levels.csv"
@@ -573,6 +590,12 @@ class TestExperiments:
         )
         assert report["config"]["reps"] == 7
         assert report["result"]["levels"][0]["count"] > 0
+
+    def test_levels_are_echoed_sorted_and_distinct(self, capsys, tmp_path):
+        cfg = {**ECHO_CASES["lln"], "levels": [12, 8, 10, 8]}
+        report = run_json(capsys, "lln", "--config", write_cfg(tmp_path, cfg))
+        assert report["config"]["levels"] == [8, 10, 12]
+        assert [ls["j"] for ls in report["result"]["levels"]] == [8, 10, 12]
 
     def test_lln_moment_far_below_the_float_range(self, capsys, tmp_path):
         # Gamma(200.5) overflows, but E|xi|^400 of N(0, 1e-20) is about 1e-3567
@@ -696,9 +719,10 @@ class TestCwtCommands:
 
 
 class TestReports:
-    @pytest.mark.parametrize("command", list(REPORT_CASES))
-    def test_report_is_strict_json(self, capsys, tmp_path, command):
-        path = write_cfg(tmp_path, REPORT_CASES[command])
+    @pytest.mark.parametrize("case", list(REPORT_CASES))
+    def test_report_is_strict_json(self, capsys, tmp_path, case):
+        path = write_cfg(tmp_path, REPORT_CASES[case])
+        command = command_of(case)
         code, out, err = run(capsys, command, "--config", path)
         assert code == 0, err
         assert strict_json(out)["command"] == command
@@ -933,6 +957,8 @@ class TestErrors:
                 [],
                 "levels.setp: unknown field",
             ),
+            # the family is read once, at the top level
+            ("cwt-verify", with_moment(family="daub4"), [], "moment.family: unknown field"),
             # a non-finite exponent is refused at its field before any exact arithmetic
             ("classify", {**POINT, "alpha": math.inf}, [], "alpha:"),
             ("classify", {**POINT, "alpha": math.nan}, [], "alpha:"),
@@ -998,6 +1024,25 @@ class TestErrors:
             ("synth", {**SYNTH, "tree": tree_with(w=-math.inf)}, [], "tree.levels[1].w[1]:"),
             ("synth", {**SYNTH, "tree": tree_with(w=math.inf, v1=True)}, [], _V1_PATH),
             ("synth", {**SYNTH, "tree": tree_with(scaling=math.nan)}, [], "tree.scaling[0]:"),
+            # and so is one of the scaling values `sample` is given
+            (
+                "sample",
+                {**SAMPLE, "scaling": [1.0, math.inf, 0.0, 0.0]},
+                [],
+                "scaling[1]: expected a finite number, got inf",
+            ),
+            (
+                "sample",
+                {**SAMPLE, "scaling": [1.0, math.nan, 0.0, 0.0]},
+                [],
+                "scaling[1]: expected a finite number, got nan",
+            ),
+            (
+                "sample",
+                {**SAMPLE, "scaling": [1.0, "inf", 0.0, 0.0]},
+                [],
+                "scaling[1]: expected a finite number, got inf",
+            ),
         ],
         ids=[
             "classify-nu-bool",
@@ -1055,6 +1100,7 @@ class TestErrors:
             "typo-points-besov-q",
             "typo-sweep-base",
             "typo-level-range",
+            "moment-family",
             "simple-alpha-inf",
             "simple-alpha-nan",
             "simple-beta-inf",
@@ -1092,6 +1138,9 @@ class TestErrors:
             "synth-w-inf",
             "synth-v1-w-inf",
             "synth-scaling-nan",
+            "sample-scaling-inf",
+            "sample-scaling-nan",
+            "sample-scaling-inf-string",
         ],
     )
     def test_bad_field_names_its_path(self, capsys, tmp_path, command, cfg, extra, path):

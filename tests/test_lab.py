@@ -1,10 +1,14 @@
 import json
 import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from besovlab import lab
 from besovlab.besov import BesovParams, level_terms
 from besovlab.cwt import CwtSpec, moment_bound_experiment
 from besovlab.distributions import (
@@ -16,6 +20,7 @@ from besovlab.distributions import (
 )
 from besovlab.lab import (
     _mean_stderr,
+    _run_reps,
     _summarise,
     empirical_membership,
     evt_experiment,
@@ -279,6 +284,26 @@ def test_membership_sup_mode_uses_unit_power():
     assert report.agree is True
 
 
+@pytest.mark.parametrize(
+    "pi, levels, verdict, fitted",
+    [
+        # summable counts: the upper half of the levels is empty in every replicate
+        ((2.0, 0.0), range(8, 13), "Converges", False),
+        # one level: no slope to fit
+        ((0.0, 0.0), [8], "Inconclusive", False),
+        # constant counts: a slope is fitted, but about a third of the pairs are empty
+        ((1.0, 0.0), range(6, 14), "Converges", True),
+    ],
+    ids=["empty-upper-half", "one-level", "dropped-above-a-fifth"],
+)
+def test_membership_flags_degenerate_runs(pi, levels, verdict, fitted):
+    spec = spec_of(Gaussian(1.0), LevelSchedule(1.0, 1.5, 0.0), LevelSchedule(1.0, *pi))
+    report = empirical_membership(spec, BesovParams(1.0, 2, 2), levels=levels, reps=20, seed=3)
+    assert (report.empirical_verdict, report.degenerate) == (verdict, True)
+    assert (report.slope is not None) == fitted
+    assert fitted <= (report.dropped_fraction > 0.2)
+
+
 def test_membership_regression_mode_detrends_by_the_sample_rate():
     spec = PriorSpec(
         tau=LevelSchedule(0.7),
@@ -325,6 +350,30 @@ def test_reports_identical_across_thread_counts():
         for n in (1, 2)
     ]
     assert moments[0].to_dict() == moments[1].to_dict()
+
+
+def test_run_reps_windows_the_pool(monkeypatch):
+    monkeypatch.setattr(lab, "_WINDOW", 3)
+    lock = threading.Lock()
+    submitted = []
+    peak = [0]  # most futures submitted and not yet finished at once
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            future = super().submit(fn, *args)
+            with lock:
+                submitted.append(future)
+                peak[0] = max(peak[0], sum(not f.done() for f in submitted))
+            return future
+
+    def work(rep):
+        time.sleep(0.002)  # slower than submitting, so an unwindowed map queues every rep
+        return rep * rep
+
+    monkeypatch.setattr(lab, "ThreadPoolExecutor", Pool)
+    assert _run_reps(10, 2, work) == [work(rep) for rep in range(10)]
+    assert len(submitted) == 10
+    assert peak[0] <= 3
 
 
 def test_reports_change_with_seed():
