@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import besov, cwt, distributions, lab, sampler, theory, wavelets
-from .fields import ConfigError, block, integer, number, numbers, obj, string, under
+from .fields import ConfigError, block, integer, natural, number, numbers, obj, string, under
 from .schedules import LevelSchedule
 
 EXIT_OK = 0
@@ -257,9 +257,9 @@ def _cmd_sweep(cfg: dict, args, threads: int):
 
 def _cmd_sample(cfg: dict, args, threads: int):
     spec = sampler.PriorSpec.from_dict(cfg)
-    j0 = integer(cfg, "j0")
-    seed = integer(cfg, "seed", 0)
-    replicate = integer(cfg, "replicate", 0)
+    j0 = natural(cfg, "j0")
+    seed = natural(cfg, "seed", 0)
+    replicate = natural(cfg, "replicate", 0)
     scaling = numbers(cfg, "scaling", None)
     tree = sampler.sample_tree(spec, j0, scaling, seed=seed, replicate=replicate)
     echo = {**spec.to_dict(), "j0": j0, "seed": seed, "replicate": replicate}
@@ -306,7 +306,7 @@ def _cmd_verify(cfg: dict, args, threads: int):
         cfg = {**cfg, "mode": {"kind": "infinite", "j_max": max(levels)}}
     spec = sampler.PriorSpec.from_dict(cfg)
     reps = integer(cfg, "reps", 100)
-    seed = integer(cfg, "seed", 0)
+    seed = natural(cfg, "seed", 0)
     check = string(cfg, "check", "slope")
     if check not in ("slope", "membership"):
         raise ConfigError("check", f"expected 'slope' or 'membership', got {check!r}")
@@ -324,7 +324,7 @@ def _cmd_lln(cfg: dict, args, threads: int):
     m = number(cfg, "m")
     levels = _levels(cfg, default=list(range(8, 19)))
     reps = integer(cfg, "reps", 50)
-    seed = integer(cfg, "seed", 0)
+    seed = natural(cfg, "seed", 0)
     report = lab.lln_experiment(slab, pi, m, levels, reps=reps, seed=seed, threads=threads)
     slab_doc = distributions.slab_to_dict(slab)
     echo = _run_echo(report, reps, seed, slab=slab_doc, pi=pi.to_dict(), m=m)
@@ -336,7 +336,7 @@ def _cmd_evt(cfg: dict, args, threads: int):
     pi = block(LevelSchedule.from_dict, cfg, "pi")
     levels = _levels(cfg, default=list(range(8, 19)))
     reps = integer(cfg, "reps", 100)
-    seed = integer(cfg, "seed", 0)
+    seed = natural(cfg, "seed", 0)
     report = lab.evt_experiment(slab, pi, levels, reps=reps, seed=seed, threads=threads)
     echo = _run_echo(report, reps, seed, slab=distributions.slab_to_dict(slab), pi=pi.to_dict())
     return echo, report.to_dict(), _level_csv(report), False
@@ -361,8 +361,8 @@ def _cmd_synth(cfg: dict, args, threads: int):
 
 def _cmd_cwt_sample(cfg: dict, args, threads: int):
     spec = block(cwt.CwtSpec.from_dict, cfg, "spec")
-    seed = integer(cfg, "seed", 0)
-    replicate = integer(cfg, "replicate", 0)
+    seed = natural(cfg, "seed", 0)
+    replicate = natural(cfg, "replicate", 0)
     atoms = cwt.sample_atoms(spec, seed, replicate)
     rows = cwt.atoms_to_rows(atoms)
     echo = {"spec": spec.to_dict(), "seed": seed, "replicate": replicate}
@@ -398,7 +398,7 @@ def _cmd_cwt_verify(cfg: dict, args, threads: int):
             m = number(moment, "m")
             levels = _levels(moment)
             reps = integer(moment, "reps", 50)
-            seed = integer(moment, "seed", 0)
+            seed = natural(moment, "seed", 0)
             report = cwt.moment_bound_experiment(
                 spec, fam, m, levels, reps=reps, seed=seed, threads=threads
             )

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["ConfigError", "under", "block", "number", "integer", "string", "obj", "array", "numbers"]
+__all__ = [
+    "ConfigError", "under", "block", "number", "integer", "natural", "string", "obj", "array",
+    "numbers",
+]
 
 _MISSING = object()
 
@@ -115,6 +118,14 @@ integer = _reader(int, "an integer")
 string = _reader(str, "a string")
 obj = _reader(dict, "a JSON object")
 array = _reader(list, "a list")
+
+
+def natural(d, key, default=_MISSING) -> int:
+    """An integer >= 0: a seed, a replicate, a level."""
+    v = integer(d, key, default)
+    if v is not default and v < 0:
+        raise ConfigError(key, f"expected an integer >= 0, got {v}")
+    return v
 
 
 def numbers(d, key, default=_MISSING) -> list[float]:

@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 22  # cap per-draw memory at 32 MiB of float64
-_WINDOW = 1024  # replicates a thread pool holds at once, each a pending future
 
 
 @dataclass(frozen=True)
@@ -120,16 +119,20 @@ def _check_reps(reps: int) -> None:
 
 
 def _run_reps(reps: int, threads: int, work):
-    """Run ``work(rep)`` for each replicate, results in replicate order; a
-    pool takes the replicates `_WINDOW` at a time, so its pending futures
-    stay bounded whatever ``reps`` is."""
-    if threads <= 1:
-        return [work(rep) for rep in range(reps)]
-    out = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for start in range(0, reps, _WINDOW):
-            out += pool.map(work, range(start, min(start + _WINDOW, reps)))
-    return out
+    """Run ``work(rep)`` for each replicate, results in replicate order.
+    Worker ``t`` of ``threads`` runs the replicates
+    ``[reps*t//threads, reps*(t+1)//threads)`` as one loop, so the pool holds
+    at most ``threads`` tasks and the error raised is the earliest failing
+    replicate's; ``threads <= 1`` runs that loop in the calling thread."""
+    n = max(threads, 1)
+
+    def block(t: int) -> list:
+        return [work(rep) for rep in range(reps * t // n, reps * (t + 1) // n)]
+
+    if n == 1:
+        return block(0)
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        return [x for part in pool.map(block, range(n)) for x in part]
 
 
 def _level_rows(lv: list[int], reps: int, seed: int, threads: int, draw):

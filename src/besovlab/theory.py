@@ -381,13 +381,13 @@ def classify_three_param(
     r: float,
 ) -> Verdict:
     """Membership in ``B^s_{inf,q}`` for ``tau_j^2 = C1 j^gamma 2^(-alpha j)``,
-    ``pi_j = min(1, C2 2^(-beta j))`` with ``beta in [0, 1)``.
+    ``pi_j = min(1, C2 2^(-beta j))`` with ``beta in [0, 1)``:
+    `classify_general` on those schedules, relabelled.
 
-    Only Gaussian and Laplace slabs are covered.  The level term behaves
-    like ``j^(gamma/2 + 1/m) 2^(j delta)`` with ``delta = s + 1/2 - alpha/2``
-    and the tail weight ``m`` (2 Gaussian, 1 Laplace), so the function is a
-    member iff ``delta < 0``, or ``delta = 0`` together with
-    ``gamma < -2/q - 2/m`` for finite q, ``gamma <= -2/m`` at ``q = inf``.
+    Only Gaussian and Laplace slabs are covered, so the general route's
+    Gumbel cell decides: the level term behaves like
+    ``j^(gamma/2 + 1/m) 2^(j (s + 1/2 - alpha/2))`` with the tail weight
+    ``m`` (2 Gaussian, 1 Laplace).
     """
     for name, value in (("alpha", alpha), ("gamma", gamma)):
         if not math.isfinite(value):
@@ -401,10 +401,13 @@ def classify_three_param(
             "three-param/slab",
             f"three-param route covers Gaussian and Laplace slabs, not {type(slab).__name__}",
         )
+    # halving a subnormal alpha or gamma may round, yet no verdict moves:
+    # s > 0 keeps s + 1/2 - alpha/2 away from 0, and gamma/2 + 1/m stays
+    # near 1/m, far above the bound it is tested against
+    tau = LevelSchedule(1.0, alpha / 2, gamma / 2)
+    v = classify_general(slab, tau, LevelSchedule(1.0, beta), bp, r)
     m = tail_class(slab).log_power
-    delta = Fraction(s) + _HALF - Fraction(alpha) / 2
-    member = _lq_finite(delta, Fraction(gamma) / 2 + 1 / Fraction(m), q)
-    return _decide(member, "three-param/gumbel", _threshold(bp, delta), (f"tail weight m={m:g}",))
+    return replace(v, case_id="three-param/gumbel", assumptions=(f"tail weight m={m:g}",))
 
 
 # ---------------------------------------------------------------------------

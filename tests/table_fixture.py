@@ -14,7 +14,9 @@ threshold so boundary rows are float-exact.
 `simple_table` is a hand-written decision table for the same family.  The
 shipped ``classify_simple`` relabels ``classify_general``; the table does
 not go through that case split, so cross-checks against it compare two
-independent routes.
+independent routes.  `three_param_formula` plays the same part for
+``classify_three_param``: the closed form that classifier once stated
+itself, in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -218,6 +220,28 @@ def simple_table(
     )
     return _decide(member, cell, threshold, assumptions)
 
+
+def three_param_formula(
+    slab: SlabDistribution, alpha: float, gamma: float, s: float, q: float
+) -> Verdict:
+    """``classify_three_param`` for a Gaussian or Laplace slab with valid
+    inputs, by its closed form.
+
+    With ``delta = s + 1/2 - alpha/2`` and the tail weight ``m`` (2 Gaussian,
+    1 Laplace) the function is a member iff ``delta < 0``, or ``delta = 0``
+    together with ``gamma < -2/q - 2/m`` for finite q, ``gamma <= -2/m`` at
+    ``q = inf``.  The threshold is ``(alpha - 1)/2``, rounded once.
+    """
+    m = tail_class(slab).log_power
+    delta = Fraction(s) + _HALF - Fraction(alpha) / 2
+    if delta:
+        member = delta < 0
+    elif math.isinf(q):
+        member = Fraction(gamma) <= -2 / Fraction(m)
+    else:
+        member = Fraction(gamma) < -2 / Fraction(m) - 2 / Fraction(q)
+    threshold = float(Fraction(alpha) / 2 - _HALF)
+    return _decide(member, "three-param/gumbel", threshold, (f"tail weight m={m:g}",))
 
 
 def resolve_s(row: TableRow, r: float = R_DEFAULT) -> float:

@@ -1043,6 +1043,14 @@ class TestErrors:
                 [],
                 "scaling[1]: expected a finite number, got inf",
             ),
+            ("sample", SAMPLE, ["--seed", "-1"], "seed: expected an integer >= 0, got -1"),
+            ("sample", SAMPLE, ["--set", "replicate=-2"], "replicate: expected an integer >= 0"),
+            ("sample", {**SAMPLE, "j0": -1}, [], "j0: expected an integer >= 0, got -1"),
+            ("cwt-sample", {**ECHO_CASES["cwt-sample"], "replicate": -1}, [], "replicate:"),
+            ("evt", ECHO_CASES["evt"], ["--seed", "-5"], "seed: expected an integer >= 0"),
+            ("lln", ECHO_CASES["lln"], ["--seed", "-1"], "seed:"),
+            ("verify", VERIFY, ["--seed", "-1"], "seed:"),
+            ("cwt-verify", with_moment(seed=-1), [], "moment.seed: expected an integer >= 0"),
         ],
         ids=[
             "classify-nu-bool",
@@ -1141,6 +1149,14 @@ class TestErrors:
             "sample-scaling-inf",
             "sample-scaling-nan",
             "sample-scaling-inf-string",
+            "sample-seed-negative",
+            "sample-replicate-negative",
+            "sample-j0-negative",
+            "cwt-sample-replicate-negative",
+            "evt-seed-negative",
+            "lln-seed-negative",
+            "verify-seed-negative",
+            "moment-seed-negative",
         ],
     )
     def test_bad_field_names_its_path(self, capsys, tmp_path, command, cfg, extra, path):

@@ -15,7 +15,6 @@ from besovlab.cwt import (
     PoissonAtom,
     atoms_to_rows,
     classify_cwt,
-    kernel_k0,
     moment_bound_experiment,
     project_to_orthogonal,
     sample_atoms,
@@ -26,6 +25,7 @@ from besovlab.fields import ConfigError
 from besovlab.schedules import LevelSchedule
 from besovlab.theory import Decision, classify_general
 from besovlab.wavelets import FAMILY_NAMES, cascade_eval, family, unit_tables
+from kernel_oracle import kernel_k0
 from projection_oracle import project_per_atom
 from table_fixture import simple_table
 

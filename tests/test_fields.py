@@ -5,7 +5,7 @@ import math
 import pytest
 
 from besovlab.distributions import Gaussian, slab_from_dict
-from besovlab.fields import ConfigError, block, integer, number, numbers, string, under
+from besovlab.fields import ConfigError, block, integer, natural, number, numbers, string, under
 from besovlab.sampler import PriorSpec, tree_from_dict
 from besovlab.schedules import LevelSchedule
 
@@ -38,6 +38,10 @@ def test_integer_and_string_are_strict():
     assert message(integer, {"n": 4.0}, "n") == "n: expected an integer, got 4.0"
     assert message(integer, {"n": True}, "n") == "n: expected an integer, got True"
     assert message(string, {"s": 1}, "s") == "s: expected a string, got 1"
+    assert natural({"seed": 0}, "seed") == 0
+    assert natural({}, "seed", 7) == 7
+    assert message(natural, {"seed": -1}, "seed") == "seed: expected an integer >= 0, got -1"
+    assert message(natural, {"seed": 1.0}, "seed") == "seed: expected an integer, got 1.0"
 
 
 def test_missing_field_and_non_object():

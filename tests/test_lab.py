@@ -1,6 +1,5 @@
 import json
 import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -352,28 +351,39 @@ def test_reports_identical_across_thread_counts():
     assert moments[0].to_dict() == moments[1].to_dict()
 
 
-def test_run_reps_windows_the_pool(monkeypatch):
-    monkeypatch.setattr(lab, "_WINDOW", 3)
-    lock = threading.Lock()
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+@pytest.mark.parametrize("reps", [2, 3, 7, 10])
+def test_run_reps_equals_the_serial_loop(reps, threads):
+    def work(rep):
+        return [rep, rep * rep]
+
+    assert _run_reps(reps, threads, work) == [work(rep) for rep in range(reps)]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+def test_run_reps_submits_one_task_per_thread(monkeypatch, threads):
     submitted = []
-    peak = [0]  # most futures submitted and not yet finished at once
 
     class Pool(ThreadPoolExecutor):
         def submit(self, fn, *args):
-            future = super().submit(fn, *args)
-            with lock:
-                submitted.append(future)
-                peak[0] = max(peak[0], sum(not f.done() for f in submitted))
-            return future
-
-    def work(rep):
-        time.sleep(0.002)  # slower than submitting, so an unwindowed map queues every rep
-        return rep * rep
+            submitted.append(args)
+            return super().submit(fn, *args)
 
     monkeypatch.setattr(lab, "ThreadPoolExecutor", Pool)
-    assert _run_reps(10, 2, work) == [work(rep) for rep in range(10)]
-    assert len(submitted) == 10
-    assert peak[0] <= 3
+    assert _run_reps(10, threads, lambda rep: rep * rep) == [rep * rep for rep in range(10)]
+    assert len(submitted) == (0 if threads == 1 else threads)  # one thread: no pool
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+def test_run_reps_raises_the_earliest_error(threads):
+    def work(rep):
+        if rep in (4, 6, 9):
+            time.sleep(0.01 if rep == 4 else 0.0)  # a later block fails first
+            raise ValueError(f"rep {rep}")
+        return rep
+
+    with pytest.raises(ValueError, match="^rep 4$"):
+        _run_reps(10, threads, work)
 
 
 def test_reports_change_with_seed():

@@ -24,7 +24,7 @@ from besovlab.theory import (
     no_spike_condition,
 )
 
-from table_fixture import ROWS, run_row, simple_table
+from table_fixture import ROWS, run_row, simple_table, three_param_formula
 
 INF = math.inf
 
@@ -415,17 +415,41 @@ def test_three_param_rejects_beta_one():
     q=st.sampled_from(GRID_P_Q),
     gaussian=st.booleans(),
 )
-def test_three_param_equals_general_schedule_route(alpha, beta, gamma, s, q, gaussian):
+def test_three_param_equals_its_formula(alpha, beta, gamma, s, q, gaussian):
     slab = Gaussian(1.0) if gaussian else Laplace(1.0)
-    direct = classify_three_param(slab, alpha, beta, gamma, s, q, 3.0)
-    via_general = classify_general(
-        slab,
-        LevelSchedule(1.0, alpha / 2.0, gamma / 2.0),
-        LevelSchedule(1.0, beta, 0.0),
-        bp(s, INF, q),
-        3.0,
-    )
-    assert direct.decision == via_general.decision
+    v = classify_three_param(slab, alpha, beta, gamma, s, q, 3.0)
+    assert v == three_param_formula(slab, alpha, gamma, s, q)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, INF])
+@pytest.mark.parametrize("gaussian", [True, False])
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_three_param_equals_its_formula_at_the_threshold(q, gaussian, ulps):
+    slab = Gaussian(1.0) if gaussian else Laplace(1.0)
+    for alpha in (1.5, 3.0, 4.25):
+        s = (alpha - 1) / 2  # exact: delta = 0
+        if ulps:
+            s = math.nextafter(s, ulps * INF)
+        for gamma in (-3.0, -2.0, -1.0, 0.0):
+            v = classify_three_param(slab, alpha, 0.5, gamma, s, q, 3.0)
+            assert v == three_param_formula(slab, alpha, gamma, s, q), (alpha, gamma)
+            assert v.threshold == (alpha - 1) / 2
+
+
+TINY = [5e-324, 1.5e-323, -5e-324, -1.5e-323, math.ulp(0.0) * 2**51 + 5e-324]
+
+
+@pytest.mark.parametrize("q", [1.0, INF])
+@pytest.mark.parametrize("gaussian", [True, False])
+@pytest.mark.parametrize("tiny", TINY)
+def test_three_param_equals_its_formula_at_subnormal_exponents(q, gaussian, tiny):
+    # tiny/2 rounds (the last bit is set), so the schedule carries an
+    # exponent half an ulp off the exact one; decision and threshold stay
+    slab = Gaussian(1.0) if gaussian else Laplace(1.0)
+    assert tiny / 2 * 2 != tiny
+    for alpha, gamma, s in ((abs(tiny), 0.0, 0.25), (3.0, tiny, 1.0), (3.0, tiny, 0.75)):
+        v = classify_three_param(slab, alpha, 0.5, gamma, s, q, 3.0)
+        assert v == three_param_formula(slab, alpha, gamma, s, q)
 
 
 # ---------------------------------------------------------------------------
