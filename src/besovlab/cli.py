@@ -371,8 +371,8 @@ def _cmd_cwt_sample(cfg: dict, args, threads: int):
     if project is not None:
         with under("project"):
             fam = block(wavelets.family, project, "family")
-            j0 = integer(project, "j0")
-            top = integer(project, "top")
+            j0 = natural(project, "j0")
+            top = natural(project, "top")
             tree = cwt.project_to_orthogonal(atoms, fam, j0, top, spec.coarse)
         echo["project"] = {"family": fam.name, "j0": j0, "top": top}
         result["tree"] = sampler.tree_to_dict(tree)

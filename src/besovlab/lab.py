@@ -40,7 +40,7 @@ from .distributions import (
     absolute_moment,
     has_moment,
     quantile_hplus,
-    sample,
+    sample_abs,
     tail_class,
 )
 from .fields import ConfigError
@@ -175,10 +175,11 @@ def _column_stats(lv: list[int], n_values: dict, rows) -> tuple[LevelStat, ...]:
 
 
 def _abs_chunks(slab: SlabDistribution, rng: np.random.Generator, count: int):
-    """``|xi|`` for ``count`` slab draws, in pieces of at most `_CHUNK` values."""
+    """``|xi|`` for ``count`` slab draws, drawn from the folded law
+    (`sample_abs`), in pieces of at most `_CHUNK` values."""
     while count > 0:
         take = min(count, _CHUNK)
-        yield np.abs(sample(slab, rng, take))
+        yield sample_abs(slab, rng, take)
         count -= take
 
 

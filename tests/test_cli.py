@@ -1047,6 +1047,18 @@ class TestErrors:
             ("sample", SAMPLE, ["--set", "replicate=-2"], "replicate: expected an integer >= 0"),
             ("sample", {**SAMPLE, "j0": -1}, [], "j0: expected an integer >= 0, got -1"),
             ("cwt-sample", {**ECHO_CASES["cwt-sample"], "replicate": -1}, [], "replicate:"),
+            (
+                "cwt-sample",
+                {**ECHO_CASES["cwt-sample"], "project": {"family": "daub4", "j0": -1, "top": 3}},
+                [],
+                "project.j0: expected an integer >= 0, got -1",
+            ),
+            (
+                "cwt-sample",
+                {**ECHO_CASES["cwt-sample"], "project": {"family": "daub4", "j0": 0, "top": -2}},
+                [],
+                "project.top: expected an integer >= 0, got -2",
+            ),
             ("evt", ECHO_CASES["evt"], ["--seed", "-5"], "seed: expected an integer >= 0"),
             ("lln", ECHO_CASES["lln"], ["--seed", "-1"], "seed:"),
             ("verify", VERIFY, ["--seed", "-1"], "seed:"),
@@ -1153,6 +1165,8 @@ class TestErrors:
             "sample-replicate-negative",
             "sample-j0-negative",
             "cwt-sample-replicate-negative",
+            "cwt-sample-project-j0-negative",
+            "cwt-sample-project-top-negative",
             "evt-seed-negative",
             "lln-seed-negative",
             "verify-seed-negative",

@@ -21,6 +21,7 @@ from besovlab.distributions import (
     has_moment,
     quantile_hplus,
     sample,
+    sample_abs,
     tail_class,
     _betainc_reg,
 )
@@ -175,13 +176,28 @@ def test_tail_classes():
     [Gaussian(1.0), Laplace(1.0), StudentT(3.0), Cauchy(), PowerExponential(1.5, 2.0)],
 )
 def test_sampler_matches_cdf_ks(d):
-    rng = np.random.default_rng(20260826)
-    xs = np.abs(sample(d, rng, size=100_000))
-    xs.sort()
-    ecdf = np.arange(1, xs.size + 1) / xs.size
-    theo = np.array([cdf_hplus(d, float(x)) for x in xs[:: 100]])
-    ks = np.max(np.abs(ecdf[::100] - theo))
-    assert ks <= 0.02
+    """Folded signed draws and `sample_abs`'s magnitudes both follow ``H_+``."""
+    for draw in (lambda *a: np.abs(sample(*a)), sample_abs):
+        xs = draw(d, np.random.default_rng(20260826), 100_000)
+        assert xs.min() >= 0.0
+        xs.sort()
+        ecdf = np.arange(1, xs.size + 1) / xs.size
+        theo = np.array([cdf_hplus(d, float(x)) for x in xs[:: 100]])
+        ks = np.max(np.abs(ecdf[::100] - theo))
+        assert ks <= 0.02
+
+
+@pytest.mark.parametrize(
+    "d",
+    [Gaussian(1.5), StudentT(3.0), Cauchy(), PowerExponential(0.5, 1.0), PowerExponential(2.0, 3.0)],
+)
+@pytest.mark.parametrize("seed", [0, 7, 20260826])
+def test_sample_abs_folds_the_signed_stream(d, seed):
+    """Only Laplace has its own magnitude stream: for every other family
+    `sample_abs` is ``np.abs(sample(...))`` for the same seed, bit for bit."""
+    folded = sample_abs(d, np.random.default_rng(seed), 4096)
+    signed = sample(d, np.random.default_rng(seed), 4096)
+    assert folded.tobytes() == np.abs(signed).tobytes()
 
 
 @pytest.mark.parametrize("d", [StudentT(3.0), StudentT(1.5), Cauchy()])

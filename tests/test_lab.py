@@ -3,6 +3,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from besovlab.distributions import (
     Laplace,
     PowerExponential,
     StudentT,
+    sample,
 )
 from besovlab.lab import (
     _mean_stderr,
@@ -342,6 +344,17 @@ def test_reports_identical_across_thread_counts():
                              threads=2)
     assert evt_one.to_dict() == evt_two.to_dict()
 
+    # a Laplace slab reads its magnitudes from Exp(lam), sample_abs's own stream
+    lln_laplace = [
+        json.dumps(
+            lln_experiment(Laplace(2.0), LevelSchedule(1.0, 0.5, 0.0), 1.5, levels=[9, 11],
+                           reps=7, seed=4, threads=n).to_dict(),
+            sort_keys=True,
+        )
+        for n in (1, 2, 3)
+    ]
+    assert lln_laplace == lln_laplace[:1] * 3
+
     cwt_spec = CwtSpec(3.0, 0.5, 1.0, 1.0, Gaussian(1.0), a0=1.0, a_max=16.0)
     moments = [
         moment_bound_experiment(cwt_spec, family("daub4"), 2.0, levels=[2, 3, 4], reps=4, seed=2,
@@ -349,6 +362,20 @@ def test_reports_identical_across_thread_counts():
         for n in (1, 2)
     ]
     assert moments[0].to_dict() == moments[1].to_dict()
+
+
+@pytest.mark.parametrize(
+    "slab",
+    [Gaussian(1.5), StudentT(3.0), Cauchy(), PowerExponential(0.5, 1.0), PowerExponential(2.0, 3.0)],
+)
+def test_abs_chunks_fold_the_signed_stream_across_chunks(monkeypatch, slab):
+    """Without a Laplace slab, a draw spanning several chunks reads the
+    stream the signed draws read, chunk after chunk."""
+    monkeypatch.setattr(lab, "_CHUNK", 1000)
+    got = np.concatenate(list(lab._abs_chunks(slab, np.random.default_rng(5), 2500)))
+    rng = np.random.default_rng(5)
+    want = np.concatenate([np.abs(sample(slab, rng, take)) for take in (1000, 1000, 500)])
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 8])
