@@ -26,6 +26,7 @@ import numpy as np
 
 from . import besov, cwt, distributions, lab, sampler, theory, wavelets
 from .fields import ConfigError, block, integer, natural, number, numbers, obj, string, under
+from .lab import _MAX_THREADS
 from .schedules import LevelSchedule
 
 EXIT_OK = 0
@@ -34,9 +35,6 @@ EXIT_NOT_COVERED = 3
 EXIT_IO = 4
 
 _ENV_THREADS = "BESOVLAB_THREADS"
-# bounds the OS threads one replicate loop starts; a constant, not the CPU
-# count, so a run that is valid on one host is valid on every host
-_MAX_THREADS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +43,8 @@ _MAX_THREADS = 64
 
 
 def _levels(cfg: dict, default=None) -> list[int]:
-    """``levels``: a nonempty list of integers or ``{start, stop}``; a stop
-    above the highest level a draw supports fails before the list is built."""
+    """``levels``: a nonempty list of integers >= 0 or ``{start, stop}``; a
+    stop above the highest level a draw supports fails before the list is built."""
     doc = cfg.get("levels", default)
     with under("levels"):
         if isinstance(doc, dict):
@@ -54,13 +52,13 @@ def _levels(cfg: dict, default=None) -> list[int]:
             for key in sorted(doc.keys() - {"start", "stop"}):
                 if doc[key] is not None:
                     raise ConfigError(key, "unknown field")
-            start, stop = integer(doc, "start"), integer(doc, "stop")
+            start, stop = natural(doc, "start"), natural(doc, "stop")
             if stop < start:
                 raise ConfigError("", f"stop {stop} below start {start}")
             sampler._check_level(stop, "stop")
             return list(range(start, stop + 1))
         if isinstance(doc, list) and doc:
-            return [integer(doc, i) for i in range(len(doc))]
+            return [natural(doc, i) for i in range(len(doc))]
         raise ConfigError("", "expected a nonempty list or {start, stop}")
 
 
@@ -480,8 +478,6 @@ def _resolve_config(args) -> dict:
 def _fmt_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)

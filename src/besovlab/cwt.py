@@ -39,7 +39,7 @@ from .distributions import (
     tail_class,
 )
 from .fields import ConfigError, array, block, number, under
-from .lab import ExperimentReport, _check_reps, _column_stats, _level_list, _run_reps, _slope_fit
+from .lab import ExperimentReport, _column_stats, _level_list, _run_reps, _slope_fit
 from .sampler import CoefficientTree, Level, check_dense_size, rng_for
 from .schedules import LevelSchedule
 from .theory import _HALF, Decision, Verdict, _not_covered, classify_general, classify_simple
@@ -582,8 +582,7 @@ def moment_bound_experiment(
     the fit; ``dropped_fraction`` is their share.  Replicates run on up to
     ``threads`` workers; the report is the same for every thread count.
     """
-    lv = _level_list(levels)
-    _check_reps(reps)
+    lv = _level_list(levels, reps)
     check_dense_size(math.log2(fam.support) + lv[-1] + 2, "levels")  # the projection's row
     if not m > 0:
         raise ConfigError("m", f"moment order must be positive, got {m}")
@@ -604,22 +603,16 @@ def moment_bound_experiment(
     stats = _column_stats(lv, {j: float(1 << j) for j in lv}, _run_reps(reps, threads, work))
     # fit on the replicate-averaged moments; the delta method propagates
     # their standard errors through log2 into the least-squares slope
-    pts = [(st.j, math.log2(st.mean)) for st in stats if st.mean and st.mean > 0]
-    slope = _slope_fit(pts)
+    fitted = [st for st in stats if st.mean and st.mean > 0]
+    slope = _slope_fit([(st.j, math.log2(st.mean)) for st in fitted])
     slope_err = None
     if slope is not None:
-        xs = [float(j) for j, _ in pts]
-        xbar = math.fsum(xs) / len(xs)
-        sxx = math.fsum((x - xbar) ** 2 for x in xs)
-        by_j = {st.j: st for st in stats}
+        xbar = math.fsum(st.j for st in fitted) / len(fitted)
+        sxx = math.fsum((st.j - xbar) ** 2 for st in fitted)
         var = 0.0
-        for j, _ in pts:
-            st = by_j[j]
-            if st.stderr is None or math.isnan(st.stderr):
-                var = math.nan
-                break
-            var += ((j - xbar) / sxx * st.stderr / (st.mean * math.log(2.0))) ** 2
-        slope_err = math.sqrt(var) if not math.isnan(var) else None
+        for st in fitted:
+            var += ((st.j - xbar) / sxx * st.stderr / (st.mean * math.log(2.0))) ** 2
+        slope_err = math.sqrt(var)
     expected = -min(expo_kernel, m * spec.alpha / 2.0 + spec.beta)
     return ExperimentReport(
         kind="cwt-moment",
@@ -628,7 +621,7 @@ def moment_bound_experiment(
         slope=slope,
         slope_stderr=slope_err,
         expected_slope=expected,
-        dropped_fraction=(len(stats) - len(pts)) / len(stats),
+        dropped_fraction=(len(stats) - len(fitted)) / len(stats),
     )
 
 

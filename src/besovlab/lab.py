@@ -44,7 +44,15 @@ from .distributions import (
     tail_class,
 )
 from .fields import ConfigError
-from .sampler import PriorSpec, Regression, _check_level, draw_count, draw_level, rng_for
+from .sampler import (
+    PriorSpec,
+    Regression,
+    _check_level,
+    check_draw_size,
+    draw_count,
+    draw_level,
+    rng_for,
+)
 from .schedules import GrowthKind, LevelSchedule, clamped_exponents, growth_regime
 from .theory import _level_exponent, classify_general, classify_regression
 
@@ -58,6 +66,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 22  # cap per-draw memory at 32 MiB of float64
+# bounds the OS threads one replicate loop starts; a constant, not the CPU
+# count, so a run that is valid on one host is valid on every host
+_MAX_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -102,20 +113,18 @@ class ExperimentReport:
         return {**out, "levels": [ls.to_dict() for ls in self.levels]}
 
 
-def _level_list(levels) -> list[int]:
-    """The sorted distinct levels of an experiment; errors name ``levels``."""
+def _level_list(levels, reps: int) -> list[int]:
+    """The sorted distinct levels of an experiment, once its ``levels`` and
+    ``reps`` are checked; errors name the field."""
     out = sorted({int(j) for j in levels})
     if not out:
         raise ConfigError("levels", "need at least one level")
     if out[0] < 0:
         raise ConfigError("levels", f"levels must be >= 0, got {out[0]}")
     _check_level(out[-1], "levels")
-    return out
-
-
-def _check_reps(reps: int) -> None:
     if reps < 2:
         raise ConfigError("reps", f"need at least 2 replicates for a standard error, got {reps}")
+    return out
 
 
 def _run_reps(reps: int, threads: int, work):
@@ -123,16 +132,18 @@ def _run_reps(reps: int, threads: int, work):
     Worker ``t`` of ``threads`` runs the replicates
     ``[reps*t//threads, reps*(t+1)//threads)`` as one loop, so the pool holds
     at most ``threads`` tasks and the error raised is the earliest failing
-    replicate's; ``threads <= 1`` runs that loop in the calling thread."""
-    n = max(threads, 1)
+    replicate's; one thread runs that loop in the calling thread.  A
+    ``threads`` outside ``[1, _MAX_THREADS]`` is refused before any starts."""
+    if not 1 <= threads <= _MAX_THREADS:
+        raise ConfigError("threads", f"expected an integer in [1, {_MAX_THREADS}], got {threads}")
 
     def block(t: int) -> list:
-        return [work(rep) for rep in range(reps * t // n, reps * (t + 1) // n)]
+        return [work(rep) for rep in range(reps * t // threads, reps * (t + 1) // threads)]
 
-    if n == 1:
+    if threads == 1:
         return block(0)
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return [x for part in pool.map(block, range(n)) for x in part]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return [x for part in pool.map(block, range(threads)) for x in part]
 
 
 def _level_rows(lv: list[int], reps: int, seed: int, threads: int, draw):
@@ -185,11 +196,12 @@ def _abs_chunks(slab: SlabDistribution, rng: np.random.Generator, count: int):
 
 def _growing_levels(pi: LevelSchedule, levels, reps: int, who: str):
     """Level list and expected counts ``n_j = 2^j min(1, pi_j)`` of a
-    randomly indexed experiment, which needs ``n_j`` increasing to infinity."""
-    lv = _level_list(levels)
-    _check_reps(reps)
+    randomly indexed experiment, which needs ``n_j`` increasing to infinity
+    and at most 2^24 expected draws per replicate."""
+    lv = _level_list(levels, reps)
     if growth_regime(pi) is not GrowthKind.INCREASES_TO_INFINITY:
         raise ConfigError("pi", f"{who} needs an expected count increasing to infinity")
+    check_draw_size(pi, lv, "levels")
     return lv, {j: (1 << j) * pi.clamped_at(j) for j in lv}
 
 
@@ -295,8 +307,7 @@ def _level_term_experiment(
     their regimes).  Returns the report, degenerate when no slope was fitted
     or over 20% of (replicate, level) pairs were empty, and the count of
     replicates whose upper half of levels was empty."""
-    lv = _level_list(levels)
-    _check_reps(reps)
+    lv = _level_list(levels, reps)
     if not math.isinf(bp.p) and not has_moment(spec.slab, bp.p):
         raise ConfigError(
             "besov.p", f"E|xi|^p is infinite for p={bp.p} under {type(spec.slab).__name__}"
@@ -304,7 +315,7 @@ def _level_term_experiment(
     top = spec.top_level()
     if lv[-1] > top:
         raise ConfigError("levels", f"level {lv[-1]} exceeds the model's top level {top}")
-    spec.check_draw_size(lv, "levels")
+    check_draw_size(spec.pi, lv, "levels")
 
     def draw(rng: np.random.Generator, j: int) -> float | None:
         vals = draw_level(spec, rng, j)

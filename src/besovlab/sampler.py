@@ -41,6 +41,7 @@ __all__ = [
     "draw_count",
     "draw_level",
     "check_dense_size",
+    "check_draw_size",
     "nonzero_counts",
     "rng_for",
     "tree_to_dict",
@@ -162,6 +163,23 @@ def check_dense_size(log2_size: float, blame: str) -> None:
         )
 
 
+def check_draw_size(pi: LevelSchedule, levels: Iterable[int], blame: str) -> None:
+    """Reject a draw over ``levels`` before it allocates anything when its
+    expected nonzero count ``sum_j 2^j min(1, pi_j)`` exceeds 2^24 or a
+    level is above 62; ``blame`` is the config field that chose the
+    levels."""
+    total = 0.0
+    for j in levels:
+        _check_level(j, blame)
+        total += math.ldexp(pi.clamped_at(j), j)
+        if total > _MAX_EXPECTED_NONZEROS:
+            raise ConfigError(
+                blame,
+                f"more than {_MAX_EXPECTED_NONZEROS} nonzero coefficients "
+                f"expected by level {j}; lower the top level or pi",
+            )
+
+
 def _mode_from_dict(d) -> Mode:
     """``{"kind": "infinite", "j_max": J}`` or ``{"kind": "regression", "n": n}``."""
     kind = string(d, "kind")
@@ -201,22 +219,6 @@ class PriorSpec:
             slab=block(slab_from_dict, d, "slab"),
             mode=block(_mode_from_dict, d, "mode", None) or cls.mode,
         )
-
-    def check_draw_size(self, levels: Iterable[int], blame: str) -> None:
-        """Reject a draw over ``levels`` before it allocates anything when its
-        expected nonzero count ``sum_j 2^j min(1, pi_j)`` exceeds 2^24 or a
-        level is above 62; ``blame`` is the config field that chose the
-        levels."""
-        total = 0.0
-        for j in levels:
-            _check_level(j, blame)
-            total += math.ldexp(self.pi.clamped_at(j), j)
-            if total > _MAX_EXPECTED_NONZEROS:
-                raise ConfigError(
-                    blame,
-                    f"more than {_MAX_EXPECTED_NONZEROS} nonzero coefficients "
-                    f"expected by level {j}; lower the top level or pi",
-                )
 
     def top_level(self) -> int:
         if isinstance(self.mode, Infinite):
@@ -303,7 +305,7 @@ def sample_tree(
         raise ConfigError(
             "mode.n", f"regression mode needs n >= 2^(j0+1) = {2 ** (j0 + 1)}, got {spec.mode.n}"
         )
-    spec.check_draw_size(range(j0, top + 1), "mode")
+    check_draw_size(spec.pi, range(j0, top + 1), "mode")
     check_dense_size(j0, "j0")  # the scaling row
     if scaling is None:
         scaling_arr = np.zeros(2**j0)

@@ -188,11 +188,11 @@ class CascadeGrid:
 
 
 @lru_cache(maxsize=32)
-def _cascade_cached(name: str, depth: int) -> CascadeGrid:
-    return _cascade_build(family(name), depth)
-
-
-def _cascade_build(fam: WaveletFamily, depth: int) -> CascadeGrid:
+def cascade_eval(fam: WaveletFamily, depth: int) -> CascadeGrid:
+    """Sample phi and psi at spacing ``2^-depth`` over ``[0, L]``, cached per
+    ``(fam, depth)``."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     L = fam.support
     h = np.asarray(fam.h)
     g = np.asarray(fam.g)
@@ -214,13 +214,6 @@ def _cascade_build(fam: WaveletFamily, depth: int) -> CascadeGrid:
         ok = (idx >= 0) & (idx < n)
         psi[ok] += _SQRT2 * g[k] * phi[idx[ok]]
     return CascadeGrid(fam, depth, phi, psi)
-
-
-def cascade_eval(fam: WaveletFamily, depth: int) -> CascadeGrid:
-    """Sample phi and psi at spacing ``2^-depth`` over ``[0, L]``."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    return _cascade_cached(fam.name, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -26,18 +26,28 @@ CWT_SPEC = {
     "a_max": 16.0,
 }
 TINY_TREE = {"j0": 0, "scaling": [1.0], "levels": [{"j": 0, "entries": [[0, 0.5]]}]}
+KERNEL = {"family": "daub4", "v_count": 17, "depth": 8}
+POINT = {"slab": GAUSS, "alpha": 2.0, "beta": 0.5, "besov": B122, "r": 3.0}
+SAMPLE = {
+    "slab": GAUSS,
+    "tau": {"c": 1.0, "e": 1.5},
+    "pi": {"c": 1.0, "e": 0.5},
+    "j0": 2,
+    "mode": {"kind": "regression", "n": 256},
+    "seed": 4,
+}
 # one small config per subcommand that has a config to replay, keyed by the
 # subcommand, or by ``<subcommand>/<variant>`` for a further one
 ECHO_CASES = {
-    "classify": {"slab": GAUSS, "alpha": 2.0, "beta": 0.5, "besov": B122, "r": 3.0},
-    "sample": {
-        "slab": GAUSS,
-        "tau": {"c": 1.0, "e": 1.5},
-        "pi": {"c": 1.0, "e": 0.5},
-        "j0": 2,
-        "mode": {"kind": "regression", "n": 256},
-        "seed": 4,
+    "classify": POINT,
+    "classify/student_t": {**POINT, "slab": {"family": "student_t", "nu": 3.0}},
+    "classify/cauchy": {**POINT, "slab": {"family": "cauchy"}},
+    "classify/power_exponential": {
+        **POINT,
+        "slab": {"family": "power_exponential", "m": 1.5, "lam": 2.0},
     },
+    "sample": SAMPLE,
+    "sample/scaling": {**SAMPLE, "scaling": [1.0, -0.5, 0.25, 0.0]},
     "verify": {
         "slab": GAUSS,
         "tau": {"c": 1.0, "e": 1.5},
@@ -65,11 +75,10 @@ ECHO_CASES = {
         "project": {"family": "daub4", "j0": 1, "top": 3},
     },
     "cwt-verify": {
-        "family": "daub4",
-        "v_count": 17,
-        "depth": 8,
+        **KERNEL,
         "moment": {"spec": CWT_SPEC, "m": 2.0, "levels": [2, 3], "reps": 3},
     },
+    "cwt-verify/u_grid": {**KERNEL, "u_grid": [0.015625, 0.5, 2.0, 64.0]},
 }
 # one config for every subcommand
 REPORT_CASES = {
@@ -81,7 +90,6 @@ REPORT_CASES = {
     "norm": {"besov": B122, "tree": TINY_TREE},
     "synth": {"family": "haar", "grid_exponent": 4, "tree": TINY_TREE},
 }
-POINT = ECHO_CASES["classify"]
 THREE_PARAM = {
     "kind": "three_param",
     "slab": GAUSS,
@@ -100,9 +108,7 @@ TWO_LEVEL_TREE = {
     "scaling": [1.0],
     "levels": [{"j": 0, "entries": [[0, 0.5]]}, {"j": 1, "entries": [[1, 0.25]]}],
 }
-SAMPLE = ECHO_CASES["sample"]
 VERIFY = ECHO_CASES["verify"]
-KERNEL = {"family": "daub4", "v_count": 17, "depth": 8}
 SWEEP_BASE = {"slab": GAUSS, "alpha": 2.0, "besov": B122, "r": 3.0}
 
 
@@ -1063,6 +1069,63 @@ class TestErrors:
             ("lln", ECHO_CASES["lln"], ["--seed", "-1"], "seed:"),
             ("verify", VERIFY, ["--seed", "-1"], "seed:"),
             ("cwt-verify", with_moment(seed=-1), [], "moment.seed: expected an integer >= 0"),
+            # a negative level is named at its element
+            (
+                "lln",
+                {**ECHO_CASES["lln"], "levels": [-1]},
+                [],
+                "levels[0]: expected an integer >= 0, got -1",
+            ),
+            (
+                "evt",
+                {**ECHO_CASES["evt"], "levels": [5, -3]},
+                [],
+                "levels[1]: expected an integer >= 0",
+            ),
+            (
+                "verify",
+                {**VERIFY, "levels": {"start": -2, "stop": 6}},
+                [],
+                "levels.start: expected an integer >= 0, got -2",
+            ),
+            (
+                "verify",
+                {**VERIFY, "levels": {"start": 0, "stop": -1}},
+                [],
+                "levels.stop: expected an integer >= 0, got -1",
+            ),
+            (
+                "cwt-verify",
+                with_moment(levels=[-1, 2]),
+                [],
+                "moment.levels[0]: expected an integer >= 0",
+            ),
+            (
+                "verify",
+                {**VERIFY, "levels": {"start": 6, "stop": 4}},
+                [],
+                "levels: stop 4 below start 6",
+            ),
+            ("lln", {**ECHO_CASES["lln"], "levels": []}, [], "levels: expected a nonempty list"),
+            ("classify", {**POINT, "kind": "bogus"}, [], "kind: unknown kind 'bogus'"),
+            ("classify", {"points": []}, [], "points: expected a nonempty list of objects"),
+            ("sweep", {"base": SWEEP_BASE, "vary": {}}, [], "vary: expected a nonempty object"),
+            (
+                "sweep",
+                {"base": SWEEP_BASE, "vary": {"beta": 0.5}},
+                [],
+                "vary.beta: expected a nonempty list",
+            ),
+            (
+                "sweep",
+                {"base": SWEEP_BASE, "vary": {"beta": []}},
+                [],
+                "vary.beta: expected a nonempty list",
+            ),
+            ("verify", {**VERIFY, "check": "bogus"}, [], "check: expected 'slope' or 'membership'"),
+            ("cwt-verify", {**KERNEL, "u_grid": []}, [], "u_grid: expected a nonempty list"),
+            ("classify", POINT, ["--set", "alpha.x=1"], "--set alpha.x: 'alpha' is not an object"),
+            ("classify", [POINT], [], "--config "),
         ],
         ids=[
             "classify-nu-bool",
@@ -1171,6 +1234,22 @@ class TestErrors:
             "lln-seed-negative",
             "verify-seed-negative",
             "moment-seed-negative",
+            "lln-level-negative",
+            "evt-level-negative",
+            "verify-start-negative",
+            "verify-stop-negative",
+            "moment-level-negative",
+            "verify-stop-below-start",
+            "lln-levels-empty",
+            "classify-kind-unknown",
+            "classify-points-empty",
+            "sweep-vary-empty",
+            "sweep-vary-not-a-list",
+            "sweep-vary-empty-list",
+            "verify-check-unknown",
+            "u_grid-empty",
+            "set-through-a-number",
+            "config-not-an-object",
         ],
     )
     def test_bad_field_names_its_path(self, capsys, tmp_path, command, cfg, extra, path):
@@ -1293,6 +1372,17 @@ class TestErrors:
                 {**SPARSE_DEEP, "pi": {"c": 1e-15}, "levels": [70], "reps": 2},
                 "levels: level 70",
             ),
+            # 2^40 draws per replicate: refused at once, as verify refuses them
+            (
+                "lln",
+                {"slab": GAUSS, "pi": {"c": 1.0}, "m": 2.0, "levels": [40], "reps": 2},
+                "levels: more than",
+            ),
+            (
+                "evt",
+                {"slab": GAUSS, "pi": {"c": 1.0}, "levels": [40], "reps": 2},
+                "levels: more than",
+            ),
             (
                 "cwt-verify",
                 {"family": "daub4", "v_count": 2**40},
@@ -1315,6 +1405,8 @@ class TestErrors:
             "verify-level-cap",
             "lln-level-cap",
             "evt-level-cap",
+            "lln-draw-cap",
+            "evt-draw-cap",
             "cwt-verify-v_count",
             "cwt-sample-intensity",
         ],
@@ -1402,6 +1494,15 @@ class TestErrors:
                 {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "k": [0]}]},
                 "tree.levels[0].w: required field is missing",
             ),
+            ("{not json", "tree.json: invalid JSON"),
+            (
+                {"j0": 0, "scaling": [0.0], "levels": [{"j": 1, "k": [], "w": []}]},
+                "tree: levels must cover [j0, J] contiguously; expected 0, got 1",
+            ),
+            (
+                {"j0": 0, "scaling": [0.0], "levels": [{"j": -1, "k": [], "w": []}]},
+                "tree.levels[0]: level index must be >= 0, got -1",
+            ),
         ],
         ids=[
             "result-not-an-object",
@@ -1415,11 +1516,14 @@ class TestErrors:
             "v2-string-value",
             "v2-length-mismatch",
             "v2-missing-w",
+            "invalid-json",
+            "levels-not-contiguous",
+            "level-negative",
         ],
     )
     def test_malformed_tree_file_names_the_level(self, capsys, tmp_path, doc, message):
         tree_file = tmp_path / "tree.json"
-        tree_file.write_text(json.dumps(doc))
+        tree_file.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, out, err = run(
             capsys, "norm", "--set", f"besov={json.dumps(B122)}", "--tree", str(tree_file)
         )

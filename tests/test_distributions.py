@@ -127,6 +127,11 @@ def test_absolute_moment_falls_back_to_the_log_form():
     assert absolute_moment(Gaussian(0.1), 400.0) == pytest.approx(float(want), rel=1e-9)
     want = mpmath.gamma(201) / mpmath.mpf(10.0) ** 200
     assert absolute_moment(Laplace(10.0), 200.0) == pytest.approx(float(want), rel=1e-9)
+    # Gamma(200) overflows: the log form gives 1.00502512562818..., close to 400/398
+    assert absolute_moment(StudentT(400.0), 2.0) == pytest.approx(400.0 / 398.0, rel=1e-12)
+    want = mpmath.gamma(201) / mpmath.mpf(100.0) ** 200
+    got = absolute_moment(PowerExponential(1.0, 100.0), 200.0)
+    assert got == pytest.approx(float(want), rel=1e-9)
 
 
 def closed_form(d, m):

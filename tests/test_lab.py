@@ -19,6 +19,7 @@ from besovlab.distributions import (
     StudentT,
     sample,
 )
+from besovlab.fields import ConfigError
 from besovlab.lab import (
     _mean_stderr,
     _run_reps,
@@ -411,6 +412,34 @@ def test_run_reps_raises_the_earliest_error(threads):
 
     with pytest.raises(ValueError, match="^rep 4$"):
         _run_reps(10, threads, work)
+
+
+@pytest.mark.parametrize(
+    "levels, reps, path, reason",
+    [
+        ([], 2, "levels", "need at least one level"),
+        ([4, -1], 2, "levels", "levels must be >= 0, got -1"),
+        ([4, 70], 1, "levels", "level 70 is above 62, the highest level a draw supports"),
+        ([4, 5], 1, "reps", "need at least 2 replicates for a standard error, got 1"),
+    ],
+)
+def test_level_list_checks_levels_then_reps(levels, reps, path, reason):
+    with pytest.raises(ConfigError) as info:
+        lab._level_list(levels, reps)
+    assert (info.value.path, info.value.reason) == (path, reason)
+
+
+@pytest.mark.parametrize("threads", [0, 65])
+def test_thread_count_outside_its_bound_is_refused(monkeypatch, threads):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(lab, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(ConfigError) as info:
+        lln_experiment(Gaussian(1.0), LevelSchedule(1.0, 0.5, 0.0), 2.0, levels=[4, 5], reps=2,
+                       threads=threads)
+    assert info.value.path == "threads"
+    assert info.value.reason == f"expected an integer in [1, 64], got {threads}"
 
 
 def test_reports_change_with_seed():
