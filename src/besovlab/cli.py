@@ -87,6 +87,15 @@ def _check_known(doc, echo) -> None:
                 _check_known(value, echo[key])
 
 
+def _read_json(flag: str, path: str):
+    """The JSON document in the file ``path`` that option ``flag`` names."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{flag} {path}", f"invalid JSON ({exc})") from exc
+
+
 def _load_tree(cfg: dict, args) -> tuple[dict, "sampler.CoefficientTree"]:
     """Tree from --tree FILE or the inline ``tree`` field (not both).
 
@@ -97,11 +106,7 @@ def _load_tree(cfg: dict, args) -> tuple[dict, "sampler.CoefficientTree"]:
     if getattr(args, "tree", None):
         if doc is not None:
             raise ConfigError("tree", "give an inline tree or --tree FILE, not both")
-        with open(args.tree, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"--tree {args.tree}", f"invalid JSON ({exc})") from exc
+        doc = _read_json("--tree", args.tree)
         if isinstance(doc, dict) and "j0" not in doc:
             node = doc.get("result", doc)
             doc = node.get("tree", doc) if isinstance(node, dict) else None
@@ -459,11 +464,7 @@ def _apply_override(cfg: dict, item: str) -> None:
 def _resolve_config(args) -> dict:
     cfg: dict = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"--config {args.config}", f"invalid JSON ({exc})") from exc
+        cfg = _read_json("--config", args.config)
         if not isinstance(cfg, dict):
             raise ConfigError(f"--config {args.config}", "top level must be a JSON object")
     for item in args.overrides:

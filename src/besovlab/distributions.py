@@ -273,8 +273,8 @@ def quantile_hplus(d: SlabDistribution, u: float) -> float:
 
 
 def absolute_moment(d: SlabDistribution, m: float) -> float:
-    """``E|xi|^m`` for ``m > 0``; returns ``math.inf`` when the moment diverges
-    or exceeds the float range (`has_moment` tells the two apart).
+    """``E|xi|^m`` for a finite ``m > 0``; returns ``math.inf`` when the moment
+    diverges or exceeds the float range (`has_moment` tells the two apart).
 
     Closed forms via the gamma function:
 
@@ -291,6 +291,8 @@ def absolute_moment(d: SlabDistribution, m: float) -> float:
     """
     if not m > 0:
         raise ValueError(f"moment order must be positive, got {m}")
+    if math.isinf(m):
+        raise ValueError(f"moment order must be finite, got {m}")
     if not has_moment(d, m):
         return math.inf
     try:

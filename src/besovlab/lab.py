@@ -226,6 +226,8 @@ def lln_experiment(
     lv, n_values = _growing_levels(pi, levels, reps, "lln_experiment")
     if not m > 0:
         raise ConfigError("m", f"moment order must be positive, got {m}")
+    if math.isinf(m):
+        raise ConfigError("m", f"moment order must be finite, got {m}")
     if not has_moment(slab, m):
         raise ConfigError("m", f"E|xi|^{m:g} is infinite for {type(slab).__name__}")
     nu_m = absolute_moment(slab, m)

@@ -74,7 +74,8 @@ class Level:
         if k.shape != w.shape or k.ndim != 1:
             raise ValueError("positions and values must be 1-d arrays of equal length")
         if k.size:
-            if k[0] < 0 or k[-1] >= 2**self.j:
+            # no int64 position reaches 2^63; 2**j of a huge j would not fit in memory
+            if k[0] < 0 or (self.j < 63 and k[-1] >= 1 << self.j):
                 raise ValueError(f"positions out of range [0, 2^{self.j}) at level {self.j}")
             if np.any(np.diff(k) <= 0):
                 raise ValueError(f"positions must be strictly increasing at level {self.j}")
@@ -94,7 +95,7 @@ class CoefficientTree:
         object.__setattr__(self, "levels", tuple(self.levels))
         if self.j0 < 0:
             raise ValueError(f"j0 must be >= 0, got {self.j0}")
-        if scaling.shape != (2**self.j0,):
+        if self.j0 > 62 or scaling.shape != (1 << self.j0,):  # no array holds 2^63 values
             raise ValueError(
                 f"scaling must hold 2^{self.j0} values, got shape {scaling.shape}"
             )
@@ -363,26 +364,17 @@ def _finite(values: np.ndarray, key: str) -> None:
 
 
 def _level_from_dict(item) -> Level:
-    """A level in the columnar v2 form (it has ``k``) or the v1 form
-    ``{"j", "entries": [[k, w], ...]}``."""
+    """A level in the columnar form ``{"j", "k": [...], "w": [...]}``."""
     j = integer(item, "j")
-    if "k" in item:
-        lev = Level(j, _column(item, "k", {int}, "integers"), _column(item, "w", _NUMBER, "numbers"))
-        _finite(lev.w, "w[{}]")
-        return lev
-    entries = array(item, "entries")
-    for e in entries:
-        if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) in _NUMBER):
-            raise ValueError(f"entry {e!r} at level {j} is not an [integer k, number w] pair")
-    lev = Level(j, [e[0] for e in entries], [e[1] for e in entries])
-    _finite(lev.w, "entries[{}][1]")
+    lev = Level(j, _column(item, "k", {int}, "integers"), _column(item, "w", _NUMBER, "numbers"))
+    _finite(lev.w, "w[{}]")
     return lev
 
 
 def tree_from_dict(doc: dict) -> CoefficientTree:
-    """Inverse of `tree_to_dict`; also reads the v1 level form.  A malformed
-    document raises a `ConfigError` led by the failing field path, e.g.
-    ``levels[2].k: expected a list of integers, got 0.5``."""
+    """Inverse of `tree_to_dict`.  A malformed document raises a `ConfigError`
+    led by the failing field path, e.g. ``levels[2].k: expected a list of
+    integers, got 0.5``."""
     j0 = integer(doc, "j0")
     items = array(doc, "levels")
     with under("levels"):

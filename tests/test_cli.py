@@ -25,7 +25,7 @@ CWT_SPEC = {
     "a0": 1.0,
     "a_max": 16.0,
 }
-TINY_TREE = {"j0": 0, "scaling": [1.0], "levels": [{"j": 0, "entries": [[0, 0.5]]}]}
+TINY_TREE = {"j0": 0, "scaling": [1.0], "levels": [{"j": 0, "k": [0], "w": [0.5]}]}
 KERNEL = {"family": "daub4", "v_count": 17, "depth": 8}
 POINT = {"slab": GAUSS, "alpha": 2.0, "beta": 0.5, "besov": B122, "r": 3.0}
 SAMPLE = {
@@ -106,7 +106,7 @@ CWT_POINT = {**POINT, "kind": "cwt", "rho": 0.5}
 TWO_LEVEL_TREE = {
     "j0": 0,
     "scaling": [1.0],
-    "levels": [{"j": 0, "entries": [[0, 0.5]]}, {"j": 1, "entries": [[1, 0.25]]}],
+    "levels": [{"j": 0, "k": [0], "w": [0.5]}, {"j": 1, "k": [1], "w": [0.25]}],
 }
 VERIFY = ECHO_CASES["verify"]
 SWEEP_BASE = {"slab": GAUSS, "alpha": 2.0, "besov": B122, "r": 3.0}
@@ -115,18 +115,10 @@ SWEEP_BASE = {"slab": GAUSS, "alpha": 2.0, "besov": B122, "r": 3.0}
 SYNTH = REPORT_CASES["synth"]
 
 
-def tree_with(w=0.75, scaling=1.0, v1=False):
-    """A two-level tree whose second level holds ``w`` at its second position,
-    in the columnar form or the v1 ``entries`` form."""
-    levels = [(0, [0], [0.5]), (1, [0, 1], [0.25, w])]
-    if v1:
-        levels = [{"j": j, "entries": [list(e) for e in zip(k, ws)]} for j, k, ws in levels]
-    else:
-        levels = [{"j": j, "k": k, "w": ws} for j, k, ws in levels]
+def tree_with(w=0.75, scaling=1.0):
+    """A two-level tree whose second level holds ``w`` at its second position."""
+    levels = [{"j": 0, "k": [0], "w": [0.5]}, {"j": 1, "k": [0, 1], "w": [0.25, w]}]
     return {"j0": 0, "scaling": [scaling], "levels": levels}
-
-
-_V1_PATH = "tree.levels[1].entries[1][1]:"
 
 
 def with_moment(**fields):
@@ -389,19 +381,21 @@ class TestSampleNorm:
             tree, besov.BesovParams(1.0, 2.0, 2.0)
         )
 
-    def test_v1_tree_file_reads_as_its_v2_encoding(self, capsys, tmp_path):
-        v1 = tmp_path / "v1.json"
-        v1.write_text(json.dumps(TWO_LEVEL_TREE))
-        v2 = tmp_path / "v2.json"
-        v2_doc = sampler.tree_to_dict(sampler.tree_from_dict(TWO_LEVEL_TREE))
-        assert v2_doc["levels"][1] == {"j": 1, "k": [1], "w": [0.25]}
-        v2.write_text(json.dumps(v2_doc))
-        for args in (
-            ["norm", "--set", f"besov={json.dumps(B122)}"],
-            ["synth", "--set", "family=haar", "--set", "grid_exponent=4"],
-        ):
-            results = [run_json(capsys, *args, "--tree", str(path))["result"] for path in (v1, v2)]
-            assert results[0] == results[1]
+    def test_v1_entries_tree_is_refused_at_its_first_level(self, capsys, tmp_path):
+        # the per-entry form ``{"j", "entries": [[k, w], ...]}`` is not read
+        v1 = {"j0": 0, "scaling": [1.0], "levels": [{"j": 0, "entries": [[0, 0.5]]}]}
+        v1_file = write_cfg(tmp_path, v1, "v1.json")
+        for command in ("norm", "synth"):
+            cfg = {key: value for key, value in REPORT_CASES[command].items() if key != "tree"}
+            inline = ["--config", write_cfg(tmp_path, {**cfg, "tree": v1}, "inline.json")]
+            from_file = ["--config", write_cfg(tmp_path, cfg), "--tree", v1_file]
+            for args in (inline, from_file):
+                code, out, err = run(capsys, command, *args)
+                assert (code, out) == (2, "")
+                assert err.startswith(
+                    f"besovlab {command}: config error: "
+                    "tree.levels[0].k: required field is missing"
+                )
 
     @pytest.mark.parametrize("command", ["norm", "synth"])
     def test_inline_tree_and_tree_file_are_refused(self, capsys, tmp_path, command):
@@ -743,7 +737,7 @@ class TestReports:
                     "tree": {
                         "j0": 0,
                         "scaling": [1e308],
-                        "levels": [{"j": 0, "entries": [[0, 1e308]]}],
+                        "levels": [{"j": 0, "k": [0], "w": [1e308]}],
                     },
                 },
             ),
@@ -895,6 +889,7 @@ class TestErrors:
             ("classify", {**POINT, "slab": {"family": "student_t", "nu": "inf"}}, [], "slab:"),
             ("lln", {**ECHO_CASES["lln"], "slab": {"family": "cauchy"}}, [], "m:"),
             ("lln", {**ECHO_CASES["lln"], "m": 400.0}, [], "m: E|xi|^400 is finite but overflows"),
+            ("lln", ECHO_CASES["lln"], ["--set", "m=inf"], "m: moment order must be finite, got inf"),
             ("lln", {**ECHO_CASES["lln"], "pi": {"c": 1.0, "e": 1.5}}, [], "pi:"),
             ("evt", {**ECHO_CASES["evt"], "pi": {"c": 1.0, "e": 1.5}}, [], "pi:"),
             ("classify", {**THREE_PARAM, "beta": 1.5}, [], "beta:"),
@@ -1023,12 +1018,12 @@ class TestErrors:
                 [],
                 "moment.spec.alpha:",
             ),
-            # a non-finite tree value is refused where the tree is read, in both formats
+            # a non-finite tree value is refused where the tree is read
             ("norm", {"besov": B122, "tree": tree_with(w=math.inf)}, [], "tree.levels[1].w[1]:"),
-            ("norm", {"besov": B122, "tree": tree_with(w=math.nan, v1=True)}, [], _V1_PATH),
+            ("norm", {"besov": B122, "tree": tree_with(w=math.nan)}, [], "tree.levels[1].w[1]:"),
             ("norm", {"besov": B122, "tree": tree_with(scaling=-math.inf)}, [], "tree.scaling[0]:"),
             ("synth", {**SYNTH, "tree": tree_with(w=-math.inf)}, [], "tree.levels[1].w[1]:"),
-            ("synth", {**SYNTH, "tree": tree_with(w=math.inf, v1=True)}, [], _V1_PATH),
+            ("synth", {**SYNTH, "tree": tree_with(w=math.inf)}, [], "tree.levels[1].w[1]:"),
             ("synth", {**SYNTH, "tree": tree_with(scaling=math.nan)}, [], "tree.scaling[0]:"),
             # and so is one of the scaling values `sample` is given
             (
@@ -1151,6 +1146,7 @@ class TestErrors:
             "classify-nu-inf",
             "lln-moment-infinite",
             "lln-moment-overflows",
+            "lln-moment-order-inf",
             "lln-pi-not-growing",
             "evt-pi-not-growing",
             "three-param-beta",
@@ -1216,10 +1212,10 @@ class TestErrors:
             "cwt-sample-c_tau-inf",
             "moment-spec-alpha-nan",
             "norm-w-inf",
-            "norm-v1-w-nan",
+            "norm-w-nan",
             "norm-scaling-inf",
             "synth-w-inf",
-            "synth-v1-w-inf",
+            "synth-w-plus-inf",
             "synth-scaling-nan",
             "sample-scaling-inf",
             "sample-scaling-nan",
@@ -1455,19 +1451,11 @@ class TestErrors:
         [
             ({"result": [1]}, "tree: supply --tree FILE"),
             (
-                {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "entries": [[0]]}]},
-                "tree.levels[0]: entry [0] at level 0",
+                {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "k": [0.5], "w": [1.0]}]},
+                "tree.levels[0].k: expected a list of integers, got 0.5",
             ),
             (
-                {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "entries": [[0.5, 1.0]]}]},
-                "tree.levels[0]: entry [0.5, 1.0] at level 0",
-            ),
-            (
-                {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "entries": [[0, "1.5"]]}]},
-                "tree.levels[0]: entry [0, '1.5'] at level 0",
-            ),
-            (
-                {"j0": 0, "scaling": [0.0], "levels": [{"j": 0.5, "entries": []}]},
+                {"j0": 0, "scaling": [0.0], "levels": [{"j": 0.5, "k": [], "w": []}]},
                 "tree.levels[0].j: expected an integer",
             ),
             (
@@ -1475,8 +1463,8 @@ class TestErrors:
                 "tree.levels[0]: expected a JSON object",
             ),
             (
-                {"j0": 0, "scaling": [0.0], "levels": [{"j": 0}]},
-                "tree.levels[0].entries: required field is missing",
+                {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "w": [1.0]}]},
+                "tree.levels[0].k: required field is missing",
             ),
             (
                 {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "k": [True], "w": [1.0]}]},
@@ -1506,9 +1494,7 @@ class TestErrors:
         ],
         ids=[
             "result-not-an-object",
-            "short-entry",
             "fractional-position",
-            "string-value",
             "fractional-j",
             "level-not-an-object",
             "missing-entries",

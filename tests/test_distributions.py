@@ -105,6 +105,16 @@ def test_absolute_moment_divergence():
     assert absolute_moment(Gaussian(1.0), 12.0) < math.inf
 
 
+@pytest.mark.parametrize(
+    "d",
+    [Gaussian(1.0), Laplace(1.0), PowerExponential(2.0), StudentT(3.0)],
+    ids=["gaussian", "laplace", "power_exponential", "student_t"],
+)
+def test_absolute_moment_refuses_an_infinite_order(d):
+    with pytest.raises(ValueError, match="moment order must be finite, got inf"):
+        absolute_moment(d, math.inf)
+
+
 def test_has_moment_reads_the_tail_index():
     # finite moments whose closed form leaves the float range
     for d, m in [(Gaussian(10.0), 200.0), (Gaussian(1.0), 400.0), (Laplace(1e-3), 200.0)]:

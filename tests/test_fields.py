@@ -82,5 +82,5 @@ def test_from_dicts_name_the_nested_field():
         "slab.sigma: expected a number, got '2'"
     )
     assert message(slab_from_dict, {"family": "normal"}) == "family: unknown slab family: 'normal'"
-    tree = {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "entries": [[0, 1.0]]}, {"j": 1}]}
-    assert message(tree_from_dict, tree) == "levels[1].entries: required field is missing"
+    tree = {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "k": [0], "w": [1.0]}, {"j": 1}]}
+    assert message(tree_from_dict, tree) == "levels[1].k: required field is missing"

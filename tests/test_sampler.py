@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,25 @@ def test_invalid_levels_rejected():
         sample_tree(spec, j0=5, seed=0)
     with pytest.raises(ValueError):
         sample_tree(spec, j0=-1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"j0": 10**8, "scaling": [0.0], "levels": []},
+        {"j0": 0, "scaling": [0.0], "levels": [{"j": 10**8, "k": [0], "w": [1.0]}]},
+    ],
+    ids=["j0", "level-j"],
+)
+def test_huge_level_index_is_refused_without_computing_its_width(doc):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            tree_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_tree_validation():
