@@ -5,7 +5,9 @@ optionally patched by repeated ``--set key.path=value`` overrides and by
 the ergonomic flags ``--seed`` / ``--reps``.  The run writes a JSON
 report whose ``config`` block is the fully resolved input (defaults
 filled in), so any report can be replayed by feeding that block back as
-the config.  ``--csv`` additionally writes the subcommand's plot-ready
+the config; a ``--tree FILE`` is echoed as a ``{path, sha256}`` reference
+that the replay reads again.  No output file may be an input file or the
+other output.  ``--csv`` additionally writes the subcommand's plot-ready
 table with floats at 17 significant digits.
 
 Exit codes: 0 success, 2 usage or malformed config, 3 a classifier
@@ -87,33 +89,80 @@ def _check_known(doc, echo) -> None:
                 _check_known(value, echo[key])
 
 
-def _read_json(flag: str, path: str):
-    """The JSON document in the file ``path`` that option ``flag`` names."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{flag} {path}", f"invalid JSON ({exc})") from exc
+def _read_json(flag: str, path: str, data: bytes | None = None):
+    """The JSON document in the file ``path`` that option ``flag`` names,
+    decoded from ``data`` when the caller has read the file's bytes."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{flag} {path}", f"not UTF-8 text ({exc})") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{flag} {path}", f"invalid JSON ({exc})") from exc
+
+
+def _read_tree(flag: str, path: str, sha256: str | None = None) -> tuple[object, dict]:
+    """The tree document in the file ``path`` (a bare tree, or a ``sample``
+    report with the tree under ``result.tree``) and the reference that
+    echoes it, ``{"path", "sha256"}``.  A digest other than ``sha256`` (when
+    given) fails at ``sha256`` before the bytes are decoded."""
+    import hashlib  # it loads OpenSSL, ~4 MB of RSS that only a run reading a tree pays
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
+    if sha256 is not None and digest != sha256:
+        raise ConfigError("sha256", f"{path} has digest {digest}, not the one recorded")
+    doc = _read_json(flag, path, data)
+    if isinstance(doc, dict) and "j0" not in doc:
+        node = doc.get("result", doc)
+        doc = node.get("tree", doc) if isinstance(node, dict) else None
+    return doc, {"path": path, "sha256": digest}
 
 
 def _load_tree(cfg: dict, args) -> tuple[dict, "sampler.CoefficientTree"]:
-    """Tree from --tree FILE or the inline ``tree`` field (not both).
+    """Echo and tree of --tree FILE or of the ``tree`` field (not both).
 
-    A file may hold a bare tree document or a report from ``sample``
-    (the tree is then under ``result.tree``).
+    The field holds a tree document, echoed as given, or a reference
+    ``{"path", "sha256"}`` to a tree file, which is read again and must
+    still have that digest.  A file is echoed as a reference, its path as
+    given.
     """
-    doc = cfg.get("tree")
+    doc = echo = cfg.get("tree")
     if getattr(args, "tree", None):
         if doc is not None:
             raise ConfigError("tree", "give an inline tree or --tree FILE, not both")
-        doc = _read_json("--tree", args.tree)
-        if isinstance(doc, dict) and "j0" not in doc:
-            node = doc.get("result", doc)
-            doc = node.get("tree", doc) if isinstance(node, dict) else None
+        doc, echo = _read_tree("--tree", args.tree)
+    elif isinstance(doc, dict) and "path" in doc:
+        with under("tree"):
+            doc, echo = _read_tree("path", string(doc, "path"), string(doc, "sha256"))
     if not isinstance(doc, dict) or "j0" not in doc:
         raise ConfigError("tree", "supply --tree FILE or an inline 'tree' document")
     with under("tree"):
-        return doc, sampler.tree_from_dict(doc)
+        return echo, sampler.tree_from_dict(doc)
+
+
+def _same_file(a: str, b: str) -> bool:
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(cfg: dict, args) -> None:
+    """Refuse an output file that is an input file or the other output."""
+    files = [("--config", args.config), ("--tree", getattr(args, "tree", None))]
+    ref = cfg.get("tree")
+    if isinstance(ref, dict) and isinstance(ref.get("path"), str):
+        files.append(("tree.path", ref["path"]))
+    for flag, path in (("--out", args.out), ("--csv", args.csv)):
+        for other, named in files:
+            if path and named and _same_file(path, named):
+                raise ConfigError(flag, f"{path} is also the {other} file")
+        files.append((flag, path))
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +259,15 @@ def _cmd_classify(cfg: dict, args, threads: int):
         ]
     }
     header = ["index", "kind", "decision", "case_id", "threshold"]
-    rows = [
-        [i, resolved["kind"], verdict.decision.value, verdict.case_id, verdict.threshold]
-        for i, (resolved, verdict) in enumerate(pairs)
-    ]
+    columns = (
+        list(range(len(pairs))),
+        [resolved["kind"] for resolved, _ in pairs],
+        [verdict.decision.value for _, verdict in pairs],
+        [verdict.case_id for _, verdict in pairs],
+        [verdict.threshold for _, verdict in pairs],
+    )
     flagged = any(v.decision is theory.Decision.NOT_COVERED for _, v in pairs)
-    return echo, result, (header, rows), flagged
+    return echo, result, (header, [columns]), flagged
 
 
 def _cmd_sweep(cfg: dict, args, threads: int):
@@ -227,7 +279,6 @@ def _cmd_sweep(cfg: dict, args, threads: int):
     for name in names:
         if not isinstance(vary[name], list) or not vary[name]:
             raise ConfigError(f"vary.{name}", "expected a nonempty list of values")
-    rows = []
     records = []
     flagged = False
     for combo in itertools.product(*(vary[name] for name in names)):
@@ -251,11 +302,12 @@ def _cmd_sweep(cfg: dict, args, threads: int):
             "case_id": verdict.case_id,
             "threshold": verdict.threshold,
         }
-        rows.append(list(combo) + list(found.values()))
         records.append({"overrides": dict(zip(names, combo)), **found})
     echo = {"base": {**base, "kind": base.get("kind", "simple")}, "vary": {n: vary[n] for n in names}}
     header = names + ["decision", "case_id", "threshold"]
-    return echo, {"rows": records}, (header, rows), flagged
+    columns = [[r["overrides"][n] for r in records] for n in names]
+    columns += [[r[key] for r in records] for key in header[len(names) :]]
+    return echo, {"rows": records}, (header, [columns]), flagged
 
 
 def _cmd_sample(cfg: dict, args, threads: int):
@@ -268,20 +320,17 @@ def _cmd_sample(cfg: dict, args, threads: int):
     echo = {**spec.to_dict(), "j0": j0, "seed": seed, "replicate": replicate}
     if scaling is not None:
         echo["scaling"] = scaling
-    result = {
-        "tree": sampler.tree_to_dict(tree),
-        "nonzero_counts": sampler.nonzero_counts(tree).tolist(),
-    }
-    header = ["j", "k", "w"]
-    rows = sampler.tree_to_csv_rows(tree)
-    return echo, result, (header, rows), False
+    doc = sampler.tree_to_dict(tree)
+    result = {"tree": doc, "nonzero_counts": sampler.nonzero_counts(tree).tolist()}
+    blocks = [(itertools.repeat(lev["j"]), lev["k"], lev["w"]) for lev in doc["levels"]]
+    return echo, result, (["j", "k", "w"], blocks), False
 
 
 def _cmd_norm(cfg: dict, args, threads: int):
     bp = block(besov.BesovParams.from_dict, cfg, "besov")
-    doc, tree = _load_tree(cfg, args)
+    tree_echo, tree = _load_tree(cfg, args)
     value = besov.besov_seq_norm(tree, bp)
-    echo = {"besov": bp.to_dict(), "tree": doc}
+    echo = {"besov": bp.to_dict(), "tree": tree_echo}
     result = {"norm": value, "nonzero_counts": sampler.nonzero_counts(tree).tolist()}
     return echo, result, None, False
 
@@ -294,11 +343,7 @@ def _run_echo(report: lab.ExperimentReport, reps: int, seed: int, **fields) -> d
 
 def _level_csv(report: lab.ExperimentReport):
     header = ["j", "count", "n_value", "mean", "stderr", "median", "q25", "q75"]
-    rows = [
-        [ls.j, ls.count, ls.n_value, ls.mean, ls.stderr, ls.median, ls.q25, ls.q75]
-        for ls in report.levels
-    ]
-    return header, rows
+    return header, [[[getattr(ls, name) for ls in report.levels] for name in header]]
 
 
 def _cmd_verify(cfg: dict, args, threads: int):
@@ -348,18 +393,16 @@ def _cmd_evt(cfg: dict, args, threads: int):
 def _cmd_synth(cfg: dict, args, threads: int):
     fam = block(wavelets.family, cfg, "family")
     grid_exponent = integer(cfg, "grid_exponent")
-    doc, tree = _load_tree(cfg, args)
+    tree_echo, tree = _load_tree(cfg, args)
     values = wavelets.synthesize(tree, fam, grid_exponent)
     xs = np.arange(values.size) / float(values.size)
-    echo = {"family": fam.name, "grid_exponent": grid_exponent, "tree": doc}
+    echo = {"family": fam.name, "grid_exponent": grid_exponent, "tree": tree_echo}
     result = {
         "count": int(values.size),
         "energy": float(np.mean(values * values)),
         "sup": float(np.max(np.abs(values))) if values.size else 0.0,
     }
-    header = ["x", "value"]
-    rows = list(zip(xs.tolist(), values.tolist()))
-    return echo, result, (header, rows), False
+    return echo, result, (["x", "value"], [(xs.tolist(), values.tolist())]), False
 
 
 def _cmd_cwt_sample(cfg: dict, args, threads: int):
@@ -367,7 +410,9 @@ def _cmd_cwt_sample(cfg: dict, args, threads: int):
     seed = natural(cfg, "seed", 0)
     replicate = natural(cfg, "replicate", 0)
     atoms = cwt.sample_atoms(spec, seed, replicate)
-    rows = cwt.atoms_to_rows(atoms)
+    header = ["a", "b", "omega"]
+    columns = [[getattr(at, name) for at in atoms] for name in header]
+    rows = [[at.a, at.b, at.omega] for at in atoms]
     echo = {"spec": spec.to_dict(), "seed": seed, "replicate": replicate}
     result = {"intensity": spec.intensity_total(), "count": len(atoms), "atoms": rows}
     project = obj(cfg, "project", None)
@@ -379,7 +424,7 @@ def _cmd_cwt_sample(cfg: dict, args, threads: int):
             tree = cwt.project_to_orthogonal(atoms, fam, j0, top, spec.coarse)
         echo["project"] = {"family": fam.name, "j0": j0, "top": top}
         result["tree"] = sampler.tree_to_dict(tree)
-    return echo, result, (["a", "b", "omega"], rows), False
+    return echo, result, (header, [columns]), False
 
 
 def _cmd_cwt_verify(cfg: dict, args, threads: int):
@@ -407,9 +452,7 @@ def _cmd_cwt_verify(cfg: dict, args, threads: int):
             )
         echo["moment"] = _run_echo(report, reps, seed, spec=spec.to_dict(), m=m)
         result["moment"] = report.to_dict()
-    header = ["u", "sup"]
-    rows = [[u, s] for u, s in zip(bounds.u, bounds.sup)]
-    return echo, result, (header, rows), False
+    return echo, result, (["u", "sup"], [(bounds.u.tolist(), bounds.sup.tolist())]), False
 
 
 _DISPATCH = {
@@ -484,21 +527,45 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _fmt_column(col: tuple) -> list[str]:
-    """``_fmt_cell`` of each cell, in one pass for an all-float or all-int column."""
+_QUOTED = frozenset(',"\r\n')
+
+
+def _fmt_text(value) -> str:
+    """``_fmt_cell`` of ``value``, quoted as ``csv.writer`` quotes a field."""
+    text = _fmt_cell(value)
+    if _QUOTED.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _fmt_column(col) -> tuple[str, list | None]:
+    """A column as a ``str.format`` field and the values it takes: an
+    all-float column keeps its floats for ``.17g`` and an all-int one its
+    ints; any other column becomes its cells' text.  A constant column,
+    ``itertools.repeat(value)``, is formatted once into the field itself."""
+    if isinstance(col, itertools.repeat):
+        return _fmt_text(next(col)).replace("{", "{{").replace("}", "}}"), None
     types = set(map(type, col))
     if types == {float}:
-        return list(map(format, col, itertools.repeat(".17g")))
+        return "{:.17g}", col
     if types == {int}:
-        return list(map(str, col))
-    return list(map(_fmt_cell, col))
+        return "{:d}", col
+    return "{}", list(map(_fmt_text, col))
 
 
-def _write_csv(path: str, header: list[str], rows: list) -> None:
+def _write_csv(path: str, header: list[str], blocks: list) -> None:
+    """The CSV table ``header`` then each block's rows, byte for byte as
+    ``csv.writer`` writes the ``_fmt_cell`` text of the cells.  A block is a
+    sequence of equal-length columns, one of them at least not constant."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*map(_fmt_column, zip(*rows))))
+        csv.writer(fh).writerow(header)
+        for block in blocks:
+            pairs = list(map(_fmt_column, block))
+            columns = [values for _, values in pairs if values is not None]
+            if [field for field, _ in pairs] == ["{}"]:  # csv.writer quotes a lone empty field
+                columns = [[cell or '""' for cell in columns[0]]]
+            line = ",".join(field for field, _ in pairs) + "\r\n"
+            fh.write("".join(map(line.format, *columns)))
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -603,6 +670,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _resolve_config(args)
+        _check_outputs(cfg, args)
         echo, result, table, flagged = _DISPATCH[args.command](cfg, args, threads)
         _check_known(cfg, echo)
         report = {"command": args.command, "config": echo, "result": result}

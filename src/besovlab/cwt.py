@@ -55,7 +55,6 @@ __all__ = [
     "verify_kernel_bounds",
     "moment_bound_experiment",
     "classify_cwt",
-    "atoms_to_rows",
 ]
 
 
@@ -175,11 +174,6 @@ def sample_atoms(spec: CwtSpec, seed: int, replicate: int = 0) -> list[PoissonAt
     xi = sample(spec.slab, rng, count)
     tau = math.sqrt(spec.c_tau) * a ** (-spec.alpha / 2.0)
     return list(map(PoissonAtom, a.tolist(), b.tolist(), (tau * xi).tolist()))
-
-
-def atoms_to_rows(atoms) -> list[tuple[float, float, float]]:
-    """(a, b, omega) rows for CSV export."""
-    return [(at.a, at.b, at.omega) for at in atoms]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ under any parallel schedule.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -46,7 +45,6 @@ __all__ = [
     "rng_for",
     "tree_to_dict",
     "tree_from_dict",
-    "tree_to_csv_rows",
 ]
 
 
@@ -382,11 +380,3 @@ def tree_from_dict(doc: dict) -> CoefficientTree:
     scaling = np.asarray(numbers(doc, "scaling"), dtype=np.float64)
     _finite(scaling, "scaling[{}]")
     return CoefficientTree(j0, scaling, levels)
-
-
-def tree_to_csv_rows(t: CoefficientTree) -> list[tuple[int, int, float]]:
-    """Flat (j, k, w) rows for the wavelet part of the tree."""
-    rows = []
-    for lev in t.levels:
-        rows += zip(itertools.repeat(lev.j), lev.k.tolist(), lev.w.tolist())
-    return rows

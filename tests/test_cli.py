@@ -1,8 +1,11 @@
 """End-to-end tests of the command line front end."""
 
 import csv
+import hashlib
+import itertools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besovlab import besov, distributions, sampler, schedules, theory
-from besovlab.cli import _encode, _fmt_cell, _fmt_column, main
+from besovlab.cli import _encode, _fmt_cell, _write_csv, main
 
 GAUSS = {"family": "gaussian", "sigma": 1.0}
 B122 = {"s": 1.0, "p": 2.0, "q": 2.0}
@@ -448,6 +451,60 @@ class TestSampleNorm:
             1 for row in rows if row[0] == "3"
         )
 
+    @pytest.mark.parametrize("command", ["norm", "synth"])
+    def test_tree_file_is_echoed_as_a_reference_that_replays(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(TWO_LEVEL_TREE))
+        cfg = {key: value for key, value in REPORT_CASES[command].items() if key != "tree"}
+        cfg = write_cfg(tmp_path, cfg)
+        args = ["--config", cfg, "--tree", "tree.json", "--out", "first.json"]
+        first = run_json(capsys, command, *args)
+        digest = hashlib.sha256(tree.read_bytes()).hexdigest()
+        assert first["config"]["tree"] == {"path": "tree.json", "sha256": digest}
+        echo = write_cfg(tmp_path, first["config"], "echo.json")
+        run_json(capsys, command, "--config", echo, "--out", "second.json")
+        assert (tmp_path / "second.json").read_bytes() == (tmp_path / "first.json").read_bytes()
+        # one byte of the tree changed: the reference no longer holds
+        tree.write_bytes(tree.read_bytes().replace(b"0.25", b"0.35"))
+        code, out, err = run(capsys, command, "--config", echo)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"besovlab {command}: config error: tree.sha256: tree.json has digest"
+        )
+        tree.unlink()
+        code, out, err = run(capsys, command, "--config", echo)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"besovlab {command}: i/o error:")
+
+    @pytest.mark.parametrize("source", ["--tree", "reference"])
+    def test_out_naming_the_tree_file_is_refused(self, capsys, tmp_path, source):
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(TWO_LEVEL_TREE))
+        ref = {"path": str(tree), "sha256": hashlib.sha256(tree.read_bytes()).hexdigest()}
+        args = ["--tree", str(tree)] if source == "--tree" else ["--set", f"tree={json.dumps(ref)}"]
+        out_file = os.path.join(str(tmp_path), ".", "tree.json")
+        before = tree.read_bytes()
+        code, out, err = run(
+            capsys, "norm", "--set", f"besov={json.dumps(B122)}", *args, "--out", out_file
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("besovlab norm: config error: --out: ")
+        assert tree.read_bytes() == before
+
+    def test_csv_naming_the_out_file_is_refused(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "sample", *self.SAMPLE_ARGS, "--out", str(report), "--csv", str(report)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"besovlab sample: config error: --csv: {report} is also the --out file"
+        )
+        assert not report.exists()
+
     def test_csv_flag_rejected_without_table(self, capsys, tmp_path):
         tree = tmp_path / "tree.json"
         run_json(capsys, "sample", *self.SAMPLE_ARGS, "--out", str(tree))
@@ -775,6 +832,33 @@ def trees(draw):
     return sampler.CoefficientTree(j0, scaling, levels)
 
 
+CSV_TEXT = st.text(st.sampled_from(',"\r\n {}x') | st.characters(codec="utf-8"), max_size=6)
+CSV_COLUMNS = {
+    "float": st.floats(),
+    "int": st.integers(),
+    "mixed": st.none() | st.booleans() | st.integers() | FINITE | CSV_TEXT,
+}
+
+
+@st.composite
+def csv_blocks(draw):
+    """A block of equal-length columns for `_write_csv`, and its rows."""
+    size = draw(st.integers(0, 5))
+    kinds = draw(st.lists(st.sampled_from([*CSV_COLUMNS, "constant"]), min_size=1, max_size=4))
+    if set(kinds) == {"constant"}:
+        kinds.append("mixed")
+    columns, cells = [], []
+    for kind in kinds:
+        if kind == "constant":
+            value = draw(CSV_COLUMNS["mixed"])
+            columns.append(itertools.repeat(value))
+            cells.append([value] * size)
+        else:
+            cells.append(draw(st.lists(CSV_COLUMNS[kind], min_size=size, max_size=size)))
+            columns.append(cells[-1])
+    return columns, [[col[i] for col in cells] for i in range(size)]
+
+
 class TestWriters:
     @given(doc=JSON_DOCS)
     @settings(max_examples=300, deadline=None)
@@ -794,13 +878,20 @@ class TestWriters:
             assert np.array_equal(got.w, want.w)
 
     @given(
-        col=st.lists(FINITE, min_size=1)
-        | st.lists(st.integers(), min_size=1)
-        | st.lists(st.none() | st.booleans() | st.integers() | FINITE | st.text(max_size=4), min_size=1)
+        header=st.lists(CSV_TEXT, min_size=1, max_size=4),
+        blocks=st.lists(csv_blocks(), max_size=4),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_csv_column_format_is_the_cell_format(self, col):
-        assert _fmt_column(tuple(col)) == [_fmt_cell(v) for v in col]
+    @settings(max_examples=300, deadline=None)
+    def test_csv_writer_is_csv_writer(self, tmp_path_factory, header, blocks):
+        folder = tmp_path_factory.mktemp("csv")
+        mine, theirs = folder / "mine.csv", folder / "theirs.csv"
+        _write_csv(str(mine), header, [columns for columns, _ in blocks])
+        with open(theirs, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for _, rows in blocks:
+                writer.writerows([_fmt_cell(v) for v in row] for row in rows)
+        assert mine.read_bytes() == theirs.read_bytes()
 
     def test_layout(self):
         doc = {"b": {"y": 1, "x": [1.5, -2]}, "a": [], "levels": [{"j": 3, "k": [], "w": []}, [1]]}
@@ -1483,6 +1574,7 @@ class TestErrors:
                 "tree.levels[0].w: required field is missing",
             ),
             ("{not json", "tree.json: invalid JSON"),
+            (json.dumps(TINY_TREE).encode("utf-16"), "tree.json: not UTF-8 text"),
             (
                 {"j0": 0, "scaling": [0.0], "levels": [{"j": 1, "k": [], "w": []}]},
                 "tree: levels must cover [j0, J] contiguously; expected 0, got 1",
@@ -1503,13 +1595,17 @@ class TestErrors:
             "v2-length-mismatch",
             "v2-missing-w",
             "invalid-json",
+            "utf-16",
             "levels-not-contiguous",
             "level-negative",
         ],
     )
     def test_malformed_tree_file_names_the_level(self, capsys, tmp_path, doc, message):
         tree_file = tmp_path / "tree.json"
-        tree_file.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        if isinstance(doc, bytes):
+            tree_file.write_bytes(doc)
+        else:
+            tree_file.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, out, err = run(
             capsys, "norm", "--set", f"besov={json.dumps(B122)}", "--tree", str(tree_file)
         )
@@ -1523,6 +1619,13 @@ class TestErrors:
         code, _, err = run(capsys, "classify", "--config", str(bad))
         assert code == 2
         assert "invalid JSON" in err
+
+    def test_config_that_is_not_utf8_names_the_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "classify", "--config", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"besovlab classify: config error: --config {bad}: not UTF-8 text")
 
     def test_missing_config_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "classify", "--config", str(tmp_path / "absent.json"))

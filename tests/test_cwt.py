@@ -13,7 +13,6 @@ from besovlab.cwt import (
     CoarseTerm,
     CwtSpec,
     PoissonAtom,
-    atoms_to_rows,
     classify_cwt,
     moment_bound_experiment,
     project_to_orthogonal,
@@ -134,8 +133,6 @@ class TestSampleAtoms:
         for at in atoms:
             assert 2.0 <= at.a <= 32.0
             assert 0.0 <= at.b <= 1.0
-        rows = atoms_to_rows(atoms)
-        assert rows[0] == (atoms[0].a, atoms[0].b, atoms[0].omega)
 
     def test_log_intensity_branch(self):
         spec = CwtSpec(2.0, 1.0, 1.0, 1.0, GAUSS, a0=1.0, a_max=math.e)

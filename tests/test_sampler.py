@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import tracemalloc
@@ -5,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from besovlab.cli import main
 from besovlab.distributions import Gaussian, Laplace
 from besovlab.sampler import (
     CoefficientTree,
@@ -16,7 +18,6 @@ from besovlab.sampler import (
     rng_for,
     sample_tree,
     tree_from_dict,
-    tree_to_csv_rows,
     tree_to_dict,
 )
 from besovlab.schedules import LevelSchedule
@@ -187,13 +188,20 @@ def test_json_format_shape():
     assert doc == {"j0": 0, "scaling": [1.0], "levels": [{"j": 0, "k": [0], "w": [2.5]}]}
 
 
-def test_csv_round_trip():
+def test_csv_round_trip(tmp_path):
     spec = spec_with(LevelSchedule(1.0, 0.5, 0.0), mode=Infinite(9))
     t = sample_tree(spec, j0=3, seed=13)
-    rows = tree_to_csv_rows(t)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**spec.to_dict(), "j0": 3, "seed": 13}))
+    table = tmp_path / "tree.csv"
+    report = tmp_path / "report.json"
+    assert main(["sample", "--config", str(cfg), "--out", str(report), "--csv", str(table)]) == 0
+    with open(table, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["j", "k", "w"]
     assert len(rows) == int(nonzero_counts(t).sum())
     for lev in t.levels:
-        mine = [(k, w) for j, k, w in rows if j == lev.j]
+        mine = [(int(k), float(w)) for j, k, w in rows if int(j) == lev.j]
         assert [k for k, _ in mine] == lev.k.tolist()
         assert [w for _, w in mine] == lev.w.tolist()
 
