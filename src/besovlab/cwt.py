@@ -181,6 +181,9 @@ def sample_atoms(spec: CwtSpec, seed: int, replicate: int = 0) -> list[PoissonAt
 # ---------------------------------------------------------------------------
 
 _TABLE_DEPTH = 12  # cascade depth of the psi tables used by quadrature and projection
+# values one block of kernel shifts, or the atoms of one projection chunk, hold
+# at most (bar a single shift or atom)
+_CHUNK_SAMPLES = 1 << 18
 
 
 def _synthesis_up(offset: int, vec: np.ndarray, filt: np.ndarray) -> tuple[int, np.ndarray]:
@@ -219,7 +222,12 @@ def _dyadic_form(a: float, b: float, L: int):
 
 
 def _kernel_row(fam: WaveletFamily, u: float, vs: np.ndarray, depth: int) -> np.ndarray:
-    """Quadrature kernel values for one ``u`` and many shifts."""
+    """Quadrature kernel values for one ``u`` and many shifts.
+
+    The shifts go in blocks of at most `_CHUNK_SAMPLES` interpolated values
+    (one shift if a row holds more).  Each shift's value is the numpy row sum
+    of its own products, so it does not depend on the block size or the BLAS.
+    """
     if u >= 1.0:
         U = u
         Vs = np.asarray(vs, dtype=np.float64)
@@ -227,13 +235,15 @@ def _kernel_row(fam: WaveletFamily, u: float, vs: np.ndarray, depth: int) -> np.
         U = 1.0 / u
         Vs = -u * np.asarray(vs, dtype=np.float64)
     xs, _, vals = unit_tables(fam.name, depth)
-    # one shift per row: each row's queries rise, which np.interp's search favours
-    args = Vs[:, None] + xs[None, :] / U
-    other = np.interp(args.ravel(), xs, vals, left=0.0, right=0.0).reshape(args.shape)
-    del args  # keep two blocks alive, not three
-    step = xs[1] - xs[0]
-    # the product sees the (grid, shift) layout, so its sums round as they always have
-    out = (vals @ np.ascontiguousarray(other.T)) * step / math.sqrt(U)
+    xu = xs / U
+    per = max(1, _CHUNK_SAMPLES // xs.size)
+    sums = np.empty(Vs.size)
+    for start in range(0, Vs.size, per):
+        # one shift per row: each row's queries rise, which np.interp's search favours
+        other = np.interp(Vs[start : start + per, None] + xu, xs, vals, left=0.0, right=0.0)
+        other *= vals
+        sums[start : start + per] = other.sum(axis=1)
+    out = sums * (xs[1] - xs[0]) / math.sqrt(U)
     inside = (vs > -1.0 / u) & (vs < 1.0)
     return np.where(inside, out, 0.0)
 
@@ -268,15 +278,17 @@ def verify_kernel_bounds(
     if u_grid is None:
         u_grid = 2.0 ** np.arange(-6, 7)
     u_grid = np.asarray(u_grid, dtype=np.float64)
-    if not np.all(np.isfinite(u_grid) & (u_grid > 0)):
-        raise ConfigError("u_grid", "every scale ratio must be finite and > 0")
+    # the bound `_dyadic_form` uses: past it u^(+-exponent) overflows the constants
+    if not np.all((u_grid >= 2.0**-40) & (u_grid <= 2.0**40)):
+        raise ConfigError("u_grid", "every scale ratio must lie in [2^-40, 2^40]")
     if u_grid.min() > 2.0**-6 or u_grid.max() < 2.0**6:
         raise ConfigError("u_grid", "must span [2^-6, 2^6]")
     if v_count < 1:
         raise ConfigError("v_count", f"need at least one shift, got {v_count}")
     if depth < 1:
         raise ConfigError("depth", f"depth must be >= 1, got {depth}")
-    # each kernel row interpolates (shift count) x (L 2^depth + 1) values
+    # each kernel row interpolates (shift count) x (L 2^depth + 1) values in
+    # bounded blocks, so this cap bounds the work, not the size of one array
     check_dense_size(math.log2(v_count) + math.log2(fam.support) + depth, "v_count x 2^depth")
     sups = np.empty(u_grid.size)
     for i, u in enumerate(u_grid):
@@ -310,7 +322,6 @@ def verify_kernel_bounds(
 # ---------------------------------------------------------------------------
 
 _OVERSAMPLE = 6  # levels by which an atom's quantisation grid is finer than its scale
-_CHUNK_SAMPLES = 1 << 18  # samples the atoms of one chunk hold at most (bar a single atom)
 
 
 def _analysis_rows(off: np.ndarray, rows: np.ndarray, filt: np.ndarray):

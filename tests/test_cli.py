@@ -1013,6 +1013,10 @@ class TestErrors:
             ("cwt-verify", {**KERNEL, "u_grid": [0, 64]}, [], "u_grid:"),
             ("cwt-verify", {**KERNEL, "u_grid": [-1, 0.01, 64]}, [], "u_grid:"),
             ("cwt-verify", {**KERNEL, "u_grid": [0.015625, 64, "inf"]}, [], "u_grid:"),
+            # u^(+-exponent) of an entry off [2^-40, 2^40] overflows the constants
+            ("cwt-verify", {**KERNEL, "u_grid": [5e-324, 1.0, 64.0]}, [], "u_grid:"),
+            ("cwt-verify", {**KERNEL, "u_grid": [1e-300, 64]}, [], "u_grid:"),
+            ("cwt-verify", {**KERNEL, "u_grid": [0.015625, 1e300]}, [], "u_grid:"),
             ("cwt-verify", {**KERNEL, "v_count": 0}, [], "v_count:"),
             ("cwt-verify", {**KERNEL, "depth": 0}, [], "depth:"),
             # a field no reader reads is named, not left to its default
@@ -1260,6 +1264,9 @@ class TestErrors:
             "u_grid-zero",
             "u_grid-negative",
             "u_grid-inf",
+            "u_grid-subnormal",
+            "u_grid-tiny",
+            "u_grid-huge",
             "v_count-zero",
             "depth-zero",
             "typo-seed",

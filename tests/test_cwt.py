@@ -179,7 +179,8 @@ class TestKernel:
         assert kernel_k0(family("daub4"), u, 0.5) == 0.0
 
     @pytest.mark.parametrize("name", FAMILY_NAMES)
-    def test_kernel_row_equals_the_grid_row_layout(self, name):
+    def test_kernel_row_is_close_to_the_grid_row_layout(self, name):
+        # the row sums add in another order than the BLAS product did
         fam = family(name)
         for depth in (10, 12):
             for u in (2.0**-6, 0.3, 1.0, 1.7, 8.0, 2.0**6):
@@ -187,7 +188,17 @@ class TestKernel:
                     vs = -1.0 / u + (np.arange(count) + 0.381966) / count * (1.0 + 1.0 / u)
                     new = cwt_module._kernel_row(fam, u, vs, depth)
                     old = kernel_row_by_grid_rows(fam, u, vs, depth)
-                    np.testing.assert_array_equal(new.view(np.int64), old.view(np.int64))
+                    assert np.max(np.abs(new - old)) <= 1e-11 * np.max(np.abs(old))
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_kernel_row_does_not_depend_on_the_block_size(self, name):
+        fam = family(name)
+        for u in (0.3, 1.7):
+            vs = -1.0 / u + (np.arange(45) + 0.381966) / 45 * (1.0 + 1.0 / u)
+            blocks = cwt_module._kernel_row(fam, u, vs, 12)
+            with mock.patch.object(cwt_module, "_CHUNK_SAMPLES", 1):  # one shift per block
+                single = cwt_module._kernel_row(fam, u, vs, 12)
+            np.testing.assert_array_equal(blocks.view(np.int64), single.view(np.int64))
 
 
 class TestKernelBounds:
@@ -219,6 +230,29 @@ class TestKernelBounds:
     def test_grid_must_span_contract_window(self):
         with pytest.raises(ValueError, match="span"):
             verify_kernel_bounds(family("haar"), u_grid=[0.5, 1.0, 2.0])
+
+    def test_memory_is_bounded_by_the_block(self):
+        fam = family("daub8")
+        verify_kernel_bounds(fam, [2.0**-6, 2.0**6], v_count=3)  # fill the table caches
+        tracemalloc.start()
+        try:
+            verify_kernel_bounds(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # a 257 x 28,673 block would be 56 MiB
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_scale_ratios_at_the_ends_of_the_range_are_finite(self, name):
+        grid = [2.0**-40, 2.0**-6, 2.0**6, 2.0**40]
+        with np.errstate(over="raise", invalid="raise"):
+            doc = verify_kernel_bounds(family(name), grid, v_count=9, depth=8)
+        assert all(map(math.isfinite, (doc.c_high, doc.c_low)))
+
+    @pytest.mark.parametrize("u", [2.0**-41, 2.0**41, math.nan])
+    def test_scale_ratio_off_the_range_is_refused(self, u):
+        with pytest.raises(ConfigError, match=r"\[2\^-40, 2\^40\]"):
+            verify_kernel_bounds(family("haar"), [2.0**-6, u, 2.0**6], v_count=3, depth=4)
 
     def test_report_serialises(self):
         doc = verify_kernel_bounds(family("haar")).to_dict()
