@@ -27,7 +27,8 @@ import sys
 import numpy as np
 
 from . import besov, cwt, distributions, lab, sampler, theory, wavelets
-from .fields import ConfigError, block, integer, natural, number, numbers, obj, string, under
+from .fields import ConfigError, Doc, array, block, integer, known, natural, number, numbers
+from .fields import obj, string, under
 from .lab import _MAX_THREADS
 from .schedules import LevelSchedule
 
@@ -44,49 +45,18 @@ _ENV_THREADS = "BESOVLAB_THREADS"
 # ---------------------------------------------------------------------------
 
 
-def _levels(cfg: dict, default=None) -> list[int]:
+def _levels(doc) -> list[int]:
     """``levels``: a nonempty list of integers >= 0 or ``{start, stop}``; a
     stop above the highest level a draw supports fails before the list is built."""
-    doc = cfg.get("levels", default)
-    with under("levels"):
-        if isinstance(doc, dict):
-            # echoed as a list, so the walk of `_check_known` cannot see these keys
-            for key in sorted(doc.keys() - {"start", "stop"}):
-                if doc[key] is not None:
-                    raise ConfigError(key, "unknown field")
-            start, stop = natural(doc, "start"), natural(doc, "stop")
-            if stop < start:
-                raise ConfigError("", f"stop {stop} below start {start}")
-            sampler._check_level(stop, "stop")
-            return list(range(start, stop + 1))
-        if isinstance(doc, list) and doc:
-            return [natural(doc, i) for i in range(len(doc))]
-        raise ConfigError("", "expected a nonempty list or {start, stop}")
-
-
-def _check_known(doc, echo) -> None:
-    """Raise at the first key of the config ``doc`` that its resolved
-    ``echo`` lacks: every field a subcommand reads is echoed, so that key
-    was never read.  Objects present on both sides and lists of equal
-    length are walked; a null value reads as absent or fails in its own
-    reader, so it is skipped."""
-    if doc is echo:  # echoed as read: a tree or a sweep's lists
-        return
-    if isinstance(doc, dict) and isinstance(echo, dict):
-        keys = doc
-    elif isinstance(doc, list) and isinstance(echo, list) and len(doc) == len(echo):
-        keys = range(len(doc))
-    else:
-        return
-    for key in keys:
-        value = doc[key]
-        if value is None:
-            continue
-        if isinstance(key, str) and key not in echo:
-            raise ConfigError(key, "unknown field")
-        if isinstance(value, (dict, list)):
-            with under(key):
-                _check_known(value, echo[key])
+    if isinstance(doc, dict):
+        start, stop = natural(doc, "start"), natural(doc, "stop")
+        if stop < start:
+            raise ConfigError("", f"stop {stop} below start {start}")
+        sampler._check_level(stop, "stop")
+        return list(range(start, stop + 1))
+    if isinstance(doc, list) and doc:
+        return [natural(doc, i) for i in range(len(doc))]
+    raise ConfigError("", "expected a nonempty list or {start, stop}")
 
 
 def _read_json(flag: str, path: str, data: bytes | None = None):
@@ -100,7 +70,7 @@ def _read_json(flag: str, path: str, data: bytes | None = None):
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{flag} {path}", f"not UTF-8 text ({exc})") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=Doc)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{flag} {path}", f"invalid JSON ({exc})") from exc
 
@@ -132,14 +102,16 @@ def _load_tree(cfg: dict, args) -> tuple[dict, "sampler.CoefficientTree"]:
     still have that digest.  A file is echoed as a reference, its path as
     given.
     """
-    doc = echo = cfg.get("tree")
+    doc = echo = obj(cfg, "tree", None)
     if getattr(args, "tree", None):
         if doc is not None:
             raise ConfigError("tree", "give an inline tree or --tree FILE, not both")
         doc, echo = _read_tree("--tree", args.tree)
-    elif isinstance(doc, dict) and "path" in doc:
+    elif doc is not None and "path" in doc:
         with under("tree"):
-            doc, echo = _read_tree("path", string(doc, "path"), string(doc, "sha256"))
+            path, sha256 = string(doc, "path"), string(doc, "sha256")
+            known(doc)
+            doc, echo = _read_tree("path", path, sha256)
     if not isinstance(doc, dict) or "j0" not in doc:
         raise ConfigError("tree", "supply --tree FILE or an inline 'tree' document")
     with under("tree"):
@@ -244,8 +216,8 @@ def _classify_point(point: dict) -> tuple[dict, theory.Verdict]:
 
 def _cmd_classify(cfg: dict, args, threads: int):
     if "points" in cfg:
-        raw = cfg["points"]
-        if not isinstance(raw, list) or not raw:
+        raw = array(cfg, "points")
+        if not raw:
             raise ConfigError("points", "expected a nonempty list of objects")
         with under("points"):
             pairs = [block(_classify_point, raw, i) for i in range(len(raw))]
@@ -253,6 +225,7 @@ def _cmd_classify(cfg: dict, args, threads: int):
     else:
         pairs = [_classify_point(cfg)]
         echo = pairs[0][0]
+    known(cfg)
     result = {
         "verdicts": [
             {"point": resolved, "verdict": verdict.to_dict()} for resolved, verdict in pairs
@@ -279,16 +252,17 @@ def _cmd_sweep(cfg: dict, args, threads: int):
     for name in names:
         if not isinstance(vary[name], list) or not vary[name]:
             raise ConfigError(f"vary.{name}", "expected a nonempty list of values")
+    known(cfg)
     records = []
     flagged = False
     for combo in itertools.product(*(vary[name] for name in names)):
-        point = dict(base)
+        point = Doc(base)
         for name, value in zip(names, combo):
             _set_dotted(point, name, value, f"vary.{name}")
         try:
             with under("base"):
                 resolved, verdict = _classify_point(point)
-                _check_known(point, resolved)
+                known(point)
         except ConfigError as exc:
             # a value set by `vary` is named by its key, the deepest (last sorted) one
             inner = exc.path.removeprefix("base.") + "."
@@ -316,6 +290,7 @@ def _cmd_sample(cfg: dict, args, threads: int):
     seed = natural(cfg, "seed", 0)
     replicate = natural(cfg, "replicate", 0)
     scaling = numbers(cfg, "scaling", None)
+    known(cfg)
     tree = sampler.sample_tree(spec, j0, scaling, seed=seed, replicate=replicate)
     echo = {**spec.to_dict(), "j0": j0, "seed": seed, "replicate": replicate}
     if scaling is not None:
@@ -329,6 +304,7 @@ def _cmd_sample(cfg: dict, args, threads: int):
 def _cmd_norm(cfg: dict, args, threads: int):
     bp = block(besov.BesovParams.from_dict, cfg, "besov")
     tree_echo, tree = _load_tree(cfg, args)
+    known(cfg)
     value = besov.besov_seq_norm(tree, bp)
     echo = {"besov": bp.to_dict(), "tree": tree_echo}
     result = {"norm": value, "nonzero_counts": sampler.nonzero_counts(tree).tolist()}
@@ -348,16 +324,17 @@ def _level_csv(report: lab.ExperimentReport):
 
 def _cmd_verify(cfg: dict, args, threads: int):
     bp = block(besov.BesovParams.from_dict, cfg, "besov")
-    levels = _levels(cfg)
+    levels = block(_levels, cfg, "levels")
+    spec = sampler.PriorSpec.from_dict(cfg)
     # without a mode, the infinite model is cut at the highest level checked
     if cfg.get("mode") is None:
-        cfg = {**cfg, "mode": {"kind": "infinite", "j_max": max(levels)}}
-    spec = sampler.PriorSpec.from_dict(cfg)
+        spec = sampler.PriorSpec(spec.tau, spec.pi, spec.slab, sampler.Infinite(max(levels)))
     reps = integer(cfg, "reps", 100)
     seed = natural(cfg, "seed", 0)
     check = string(cfg, "check", "slope")
     if check not in ("slope", "membership"):
         raise ConfigError("check", f"expected 'slope' or 'membership', got {check!r}")
+    known(cfg)
     runner = lab.exponent_regression if check == "slope" else lab.empirical_membership
     report = runner(spec, bp, levels, reps=reps, seed=seed, threads=threads)
     verdict = report.theory_verdict or {}
@@ -370,9 +347,10 @@ def _cmd_lln(cfg: dict, args, threads: int):
     slab = block(distributions.slab_from_dict, cfg, "slab")
     pi = block(LevelSchedule.from_dict, cfg, "pi")
     m = number(cfg, "m")
-    levels = _levels(cfg, default=list(range(8, 19)))
+    levels = block(_levels, cfg, "levels", list(range(8, 19)))
     reps = integer(cfg, "reps", 50)
     seed = natural(cfg, "seed", 0)
+    known(cfg)
     report = lab.lln_experiment(slab, pi, m, levels, reps=reps, seed=seed, threads=threads)
     slab_doc = distributions.slab_to_dict(slab)
     echo = _run_echo(report, reps, seed, slab=slab_doc, pi=pi.to_dict(), m=m)
@@ -382,9 +360,10 @@ def _cmd_lln(cfg: dict, args, threads: int):
 def _cmd_evt(cfg: dict, args, threads: int):
     slab = block(distributions.slab_from_dict, cfg, "slab")
     pi = block(LevelSchedule.from_dict, cfg, "pi")
-    levels = _levels(cfg, default=list(range(8, 19)))
+    levels = block(_levels, cfg, "levels", list(range(8, 19)))
     reps = integer(cfg, "reps", 100)
     seed = natural(cfg, "seed", 0)
+    known(cfg)
     report = lab.evt_experiment(slab, pi, levels, reps=reps, seed=seed, threads=threads)
     echo = _run_echo(report, reps, seed, slab=distributions.slab_to_dict(slab), pi=pi.to_dict())
     return echo, report.to_dict(), _level_csv(report), False
@@ -394,6 +373,7 @@ def _cmd_synth(cfg: dict, args, threads: int):
     fam = block(wavelets.family, cfg, "family")
     grid_exponent = integer(cfg, "grid_exponent")
     tree_echo, tree = _load_tree(cfg, args)
+    known(cfg)
     values = wavelets.synthesize(tree, fam, grid_exponent)
     xs = np.arange(values.size) / float(values.size)
     echo = {"family": fam.name, "grid_exponent": grid_exponent, "tree": tree_echo}
@@ -405,26 +385,38 @@ def _cmd_synth(cfg: dict, args, threads: int):
     return echo, result, (["x", "value"], [(xs.tolist(), values.tolist())]), False
 
 
+def _project(doc) -> tuple[wavelets.WaveletFamily, int, int]:
+    """``project``: the basis family, and the levels ``j0`` and ``top``."""
+    return block(wavelets.family, doc, "family"), natural(doc, "j0"), natural(doc, "top")
+
+
 def _cmd_cwt_sample(cfg: dict, args, threads: int):
     spec = block(cwt.CwtSpec.from_dict, cfg, "spec")
     seed = natural(cfg, "seed", 0)
     replicate = natural(cfg, "replicate", 0)
+    project = block(_project, cfg, "project", None)
+    known(cfg)
     atoms = cwt.sample_atoms(spec, seed, replicate)
     header = ["a", "b", "omega"]
     columns = [[getattr(at, name) for at in atoms] for name in header]
     rows = [[at.a, at.b, at.omega] for at in atoms]
     echo = {"spec": spec.to_dict(), "seed": seed, "replicate": replicate}
     result = {"intensity": spec.intensity_total(), "count": len(atoms), "atoms": rows}
-    project = obj(cfg, "project", None)
     if project is not None:
+        fam, j0, top = project
         with under("project"):
-            fam = block(wavelets.family, project, "family")
-            j0 = natural(project, "j0")
-            top = natural(project, "top")
             tree = cwt.project_to_orthogonal(atoms, fam, j0, top, spec.coarse)
         echo["project"] = {"family": fam.name, "j0": j0, "top": top}
         result["tree"] = sampler.tree_to_dict(tree)
     return echo, result, (header, [columns]), False
+
+
+def _moment(doc) -> tuple:
+    """``moment``: the spec, ``m``, levels, replicates and seed of a moment experiment."""
+    spec = block(cwt.CwtSpec.from_dict, doc, "spec")
+    m = number(doc, "m")
+    levels = block(_levels, doc, "levels")
+    return spec, m, levels, integer(doc, "reps", 50), natural(doc, "seed", 0)
 
 
 def _cmd_cwt_verify(cfg: dict, args, threads: int):
@@ -434,19 +426,16 @@ def _cmd_cwt_verify(cfg: dict, args, threads: int):
     u_grid = numbers(cfg, "u_grid", None)
     if u_grid is not None and not u_grid:
         raise ConfigError("u_grid", "expected a nonempty list of scale ratios")
+    moment = block(_moment, cfg, "moment", None)
+    known(cfg)
     bounds = cwt.verify_kernel_bounds(fam, u_grid, v_count=v_count, depth=depth)
     echo: dict = {"family": fam.name, "v_count": v_count, "depth": depth}
     if u_grid is not None:
         echo["u_grid"] = u_grid
     result: dict = {"kernel": bounds.to_dict()}
-    moment = obj(cfg, "moment", None)
     if moment is not None:
+        spec, m, levels, reps, seed = moment
         with under("moment"):
-            spec = block(cwt.CwtSpec.from_dict, moment, "spec")
-            m = number(moment, "m")
-            levels = _levels(moment)
-            reps = integer(moment, "reps", 50)
-            seed = natural(moment, "seed", 0)
             report = cwt.moment_bound_experiment(
                 spec, fam, m, levels, reps=reps, seed=seed, threads=threads
             )
@@ -488,7 +477,7 @@ def _set_dotted(doc: dict, dotted: str, value, blame: str) -> None:
         child = node.get(part, {})
         if not isinstance(child, dict):
             raise ConfigError(blame, f"{part!r} is not an object")
-        node[part] = dict(child)
+        node[part] = Doc(child)
         node = node[part]
     node[last] = value
 
@@ -498,14 +487,14 @@ def _apply_override(cfg: dict, item: str) -> None:
     if not sep or not key:
         raise ConfigError(f"--set {item!r}", "expected KEY.PATH=VALUE")
     try:
-        value = json.loads(raw)
+        value = json.loads(raw, object_hook=Doc)
     except json.JSONDecodeError:
         value = raw
     _set_dotted(cfg, key, value, f"--set {key}")
 
 
 def _resolve_config(args) -> dict:
-    cfg: dict = {}
+    cfg = Doc()
     if args.config:
         cfg = _read_json("--config", args.config)
         if not isinstance(cfg, dict):
@@ -672,7 +661,6 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         _check_outputs(cfg, args)
         echo, result, table, flagged = _DISPATCH[args.command](cfg, args, threads)
-        _check_known(cfg, echo)
         report = {"command": args.command, "config": echo, "result": result}
         try:
             text = _encode(report) + "\n"

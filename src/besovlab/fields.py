@@ -7,7 +7,9 @@ the same way everywhere: a `ConfigError` that renders as
 an int for a list element); `block` and `under` put the enclosing block's
 key in front.  Numbers refuse booleans and strings other than
 ``"inf"``/``"infinity"``.  A missing field reads as the default when one
-is given, and so does a null one whose default is None.
+is given, and so does a null one whose default is None.  A `Doc` records
+the keys its readers read; `known` refuses a non-null key none read, and
+`block` calls it on each object it parses.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "ConfigError", "under", "block", "number", "integer", "natural", "string", "obj", "array",
-    "numbers",
+    "ConfigError", "Doc", "known", "under", "block", "number", "integer", "natural", "string",
+    "obj", "array", "numbers",
 ]
 
 _MISSING = object()
@@ -69,12 +71,30 @@ class under:
         return False
 
 
+class Doc(dict):
+    """A JSON object whose ``read`` set holds the keys a reader has read."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.read = set()
+
+
+def known(d) -> None:
+    """Raise at the first non-null key of the `Doc` ``d`` that no reader read."""
+    if isinstance(d, Doc):
+        for key, value in d.items():
+            if value is not None and key not in d.read:
+                raise ConfigError(key, "unknown field")
+
+
 def _value(d, key, default):
     if isinstance(key, int):  # an element of a list the caller has checked
         return d[key]
     if not isinstance(d, dict):
         raise ConfigError("", f"expected a JSON object, got {d!r}")
     if key in d:
+        if isinstance(d, Doc):
+            d.read.add(key)
         return d[key]
     if default is _MISSING:
         raise ConfigError(key, "required field is missing")
@@ -82,12 +102,14 @@ def _value(d, key, default):
 
 
 def block(parse, d, key, default=_MISSING):
-    """``parse(d[key])``, any error it raises led by ``key``."""
+    """``parse(d[key])``, then `known` of ``d[key]``; any error is led by ``key``."""
     value = _value(d, key, default)
     if value is default:
         return default
     with under(key):
-        return parse(value)
+        parsed = parse(value)
+        known(value)
+        return parsed
 
 
 def number(d, key, default=_MISSING) -> float:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besovlab import besov, distributions, sampler, schedules, theory
+from besovlab import besov, cwt, distributions, lab, sampler, schedules, theory, wavelets
 from besovlab.cli import _encode, _fmt_cell, _write_csv, main
 
 GAUSS = {"family": "gaussian", "sigma": 1.0}
@@ -112,6 +112,10 @@ TWO_LEVEL_TREE = {
     "levels": [{"j": 0, "k": [0], "w": [0.5]}, {"j": 1, "k": [1], "w": [0.25]}],
 }
 VERIFY = ECHO_CASES["verify"]
+PROJECT = ECHO_CASES["cwt-sample"]["project"]
+# a slab and a tree level that hold a key no reader reads
+STRAY_SLAB = {**GAUSS, "sgima": 2.0}
+STRAY_LEVEL_TREE = {**TINY_TREE, "levels": [{"j": 0, "k": [0], "w": [0.5], "n": 1}]}
 SWEEP_BASE = {"slab": GAUSS, "alpha": 2.0, "besov": B122, "r": 3.0}
 
 
@@ -1055,6 +1059,25 @@ class TestErrors:
             ),
             # the family is read once, at the top level
             ("cwt-verify", with_moment(family="daub4"), [], "moment.family: unknown field"),
+            # a tree level, a tree reference and a value a sweep varies are read, so checked
+            (
+                "norm",
+                {"besov": B122, "tree": STRAY_LEVEL_TREE},
+                [],
+                "tree.levels[0].n: unknown field",
+            ),
+            (
+                "norm",
+                {"besov": B122, "tree": {"path": "tree.json", "sha256": "0" * 64, "md5": "0"}},
+                [],
+                "tree.md5: unknown field",
+            ),
+            (
+                "sweep",
+                {"base": SWEEP_BASE, "vary": {"beta": [0.5], "slab": [GAUSS, STRAY_SLAB]}},
+                [],
+                "vary.slab: unknown field",
+            ),
             # a non-finite exponent is refused at its field before any exact arithmetic
             ("classify", {**POINT, "alpha": math.inf}, [], "alpha:"),
             ("classify", {**POINT, "alpha": math.nan}, [], "alpha:"),
@@ -1278,6 +1301,9 @@ class TestErrors:
             "typo-sweep-base",
             "typo-level-range",
             "moment-family",
+            "typo-tree-level",
+            "typo-tree-reference",
+            "typo-vary-value",
             "simple-alpha-inf",
             "simple-alpha-nan",
             "simple-beta-inf",
@@ -1351,6 +1377,88 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith(f"besovlab {command}: config error: {path}")
+
+    @pytest.mark.parametrize(
+        "command, cfg, path",
+        [
+            ("sample", {**SAMPLE, "seeed": 1}, "seeed"),
+            ("sample", {**SAMPLE, "tau": {"c": 1.0, "ee": 1.5}}, "tau.ee"),
+            ("norm", {**REPORT_CASES["norm"], "seeed": 1}, "seeed"),
+            ("norm", {**REPORT_CASES["norm"], "besov": {**B122, "qq": 1.0}}, "besov.qq"),
+            ("synth", {**SYNTH, "seeed": 1}, "seeed"),
+            ("synth", {**SYNTH, "tree": STRAY_LEVEL_TREE}, "tree.levels[0].n"),
+            ("verify", {**VERIFY, "seeed": 1}, "seeed"),
+            ("verify", {**VERIFY, "levels": {"start": 4, "stop": 6, "setp": 1}}, "levels.setp"),
+            ("verify", {**ECHO_CASES["verify/slope"], "seeed": 1}, "seeed"),
+            (
+                "verify",
+                {**ECHO_CASES["verify/slope"], "mode": {"kind": "regression", "n": 256, "j": 1}},
+                "mode.j",
+            ),
+            ("lln", {**ECHO_CASES["lln"], "seeed": 1}, "seeed"),
+            ("lln", {**ECHO_CASES["lln"], "pi": {"c": 1.0, "f": 0.5}}, "pi.f"),
+            ("evt", {**ECHO_CASES["evt"], "seeed": 1}, "seeed"),
+            ("evt", {**ECHO_CASES["evt"], "slab": {"family": "laplace", "lamm": 1.0}}, "slab.lamm"),
+            ("cwt-sample", {**ECHO_CASES["cwt-sample"], "seeed": 1}, "seeed"),
+            (
+                "cwt-sample",
+                {**ECHO_CASES["cwt-sample"], "project": {**PROJECT, "tpo": 3}},
+                "project.tpo",
+            ),
+            ("cwt-verify", {**ECHO_CASES["cwt-verify"], "seeed": 1}, "seeed"),
+            ("cwt-verify", with_moment(rep=5), "moment.rep"),
+        ],
+        ids=[
+            "sample-top",
+            "sample-nested",
+            "norm-top",
+            "norm-nested",
+            "synth-top",
+            "synth-nested",
+            "membership-top",
+            "membership-nested",
+            "slope-top",
+            "slope-nested",
+            "lln-top",
+            "lln-nested",
+            "evt-top",
+            "evt-nested",
+            "cwt-sample-top",
+            "cwt-sample-nested",
+            "cwt-verify-top",
+            "cwt-verify-nested",
+        ],
+    )
+    def test_unknown_field_is_refused_before_any_computation(
+        self, capsys, tmp_path, monkeypatch, command, cfg, path
+    ):
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before the config was checked")
+
+        entry_points = {
+            sampler: ["sample_tree"],
+            besov: ["besov_seq_norm"],
+            wavelets: ["synthesize"],
+            lab: [
+                "empirical_membership",
+                "exponent_regression",
+                "lln_experiment",
+                "evt_experiment",
+            ],
+            cwt: [
+                "sample_atoms",
+                "project_to_orthogonal",
+                "verify_kernel_bounds",
+                "moment_bound_experiment",
+            ],
+        }
+        for module, names in entry_points.items():
+            for name in names:
+                monkeypatch.setattr(module, name, computed)
+        code, out, err = run(capsys, command, "--config", write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"besovlab {command}: config error: {path}: unknown field\n"
 
     @pytest.mark.parametrize(
         "command, cfg",
@@ -1459,11 +1567,15 @@ class TestErrors:
                 {**SPARSE_DEEP, "besov": B122, "levels": [60, 70], "reps": 2},
                 "levels: level 70 is above 62",
             ),
-            ("lln", {**SPARSE_DEEP, "m": 2.0, "levels": [70], "reps": 2}, "levels: level 70"),
+            (
+                "lln",
+                {"slab": GAUSS, "pi": SPARSE_DEEP["pi"], "m": 2.0, "levels": [70], "reps": 2},
+                "levels: level 70",
+            ),
             # evt needs n_j > 1: about 10^6 expected nonzeros at level 70
             (
                 "evt",
-                {**SPARSE_DEEP, "pi": {"c": 1e-15}, "levels": [70], "reps": 2},
+                {"slab": GAUSS, "pi": {"c": 1e-15}, "levels": [70], "reps": 2},
                 "levels: level 70",
             ),
             # 2^40 draws per replicate: refused at once, as verify refuses them
@@ -1516,17 +1628,18 @@ class TestErrors:
         assert out == ""
         assert message in err
 
-    @pytest.mark.parametrize("command", ["sample", "verify"])
-    def test_overflowing_tau_names_its_field(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize(
+        "command, fields",
+        [("sample", {"j0": 1}), ("verify", {"besov": B122, "levels": [2, 3, 4], "reps": 2})],
+        ids=["sample", "verify"],
+    )
+    def test_overflowing_tau_names_its_field(self, capsys, tmp_path, command, fields):
         cfg = {
             "slab": GAUSS,
             "tau": {"c": 1.0, "g": 1000.0},  # 3^1000 overflows a float
             "pi": {"c": 0.5},
-            "j0": 1,
             "mode": {"kind": "infinite", "j_max": 5},
-            "besov": B122,
-            "levels": [2, 3, 4],
-            "reps": 2,
+            **fields,
         }
         code, out, err = run(capsys, command, "--config", write_cfg(tmp_path, cfg))
         assert code == 2

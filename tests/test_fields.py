@@ -5,7 +5,9 @@ import math
 import pytest
 
 from besovlab.distributions import Gaussian, slab_from_dict
-from besovlab.fields import ConfigError, block, integer, natural, number, numbers, string, under
+from besovlab.fields import (
+    ConfigError, Doc, block, integer, known, natural, number, numbers, string, under,
+)
 from besovlab.sampler import PriorSpec, tree_from_dict
 from besovlab.schedules import LevelSchedule
 
@@ -84,3 +86,20 @@ def test_from_dicts_name_the_nested_field():
     assert message(slab_from_dict, {"family": "normal"}) == "family: unknown slab family: 'normal'"
     tree = {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "k": [0], "w": [1.0]}, {"j": 1}]}
     assert message(tree_from_dict, tree) == "levels[1].k: required field is missing"
+
+
+def test_known_refuses_the_first_unread_value_in_document_order():
+    doc = Doc({"c": 1.0, "e": None, "f": 2.0, "g": 3.0})
+    number(doc, "c")
+    assert message(known, doc) == "f: unknown field"  # a null value reads as absent
+    number(doc, "f")
+    number(doc, "g")
+    known(doc)
+    known({"x": 1.0})  # a plain dict records no reads, so nothing is refused
+
+
+def test_block_refuses_a_key_its_parser_did_not_read():
+    doc = Doc({"tau": Doc({"c": 1.0, "ee": 1.5}), "pi": Doc({"c": 1.0, "e": 0.5})})
+    assert message(block, LevelSchedule.from_dict, doc, "tau") == "tau.ee: unknown field"
+    assert block(LevelSchedule.from_dict, doc, "pi") == LevelSchedule(1.0, 0.5)
+    assert doc.read == {"tau", "pi"}
