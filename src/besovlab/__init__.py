@@ -12,8 +12,6 @@ from .distributions import (
     Laplace,
     PowerExponential,
     StudentT,
-    slab_from_dict,
-    slab_to_dict,
 )
 from .sampler import (
     CoefficientTree,
@@ -49,8 +47,6 @@ __all__ = [
     "classify_general",
     "classify_simple",
     "sample_tree",
-    "slab_from_dict",
-    "slab_to_dict",
     "tree_from_dict",
     "tree_to_dict",
 ]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ConfigError, number
+from .fields import ConfigError
 from .sampler import CoefficientTree
 
 __all__ = ["BesovParams", "vector_p_norm", "level_term", "level_terms", "besov_seq_norm"]
@@ -48,14 +48,6 @@ class BesovParams:
     @property
     def inv_p(self) -> float:
         return 0.0 if math.isinf(self.p) else 1.0 / self.p
-
-    def to_dict(self) -> dict:
-        enc = lambda v: "inf" if math.isinf(v) else v
-        return {"s": self.s, "p": enc(self.p), "q": enc(self.q)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BesovParams":
-        return cls(s=number(d, "s"), p=number(d, "p"), q=number(d, "q"))
 
 
 # values per bincount pass.  A bucket sums at most this many 27-bit halves, so

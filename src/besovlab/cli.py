@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -43,6 +45,119 @@ _ENV_THREADS = "BESOVLAB_THREADS"
 # ---------------------------------------------------------------------------
 # config readers
 # ---------------------------------------------------------------------------
+
+# tag key -> (tag -> class, refusal of an unknown tag): a tagged block names
+# its class by the string under its tag key
+_TAGGED = {
+    "family": (
+        {"gaussian": distributions.Gaussian, "laplace": distributions.Laplace,
+         "student_t": distributions.StudentT, "cauchy": distributions.Cauchy,
+         "power_exponential": distributions.PowerExponential},
+        "unknown slab family: {!r}",
+    ),
+    "kind": (
+        {"infinite": sampler.Infinite, "regression": sampler.Regression},
+        "expected 'infinite' or 'regression', got {!r}",
+    ),
+}
+_TAG_OF = {cls: (key, tag) for key, (classes, _) in _TAGGED.items() for tag, cls in classes.items()}
+
+
+@functools.cache
+def _plan(cls) -> tuple:
+    """``(name, reader)`` of each field of ``cls`` in order, a default bound to its reader."""
+    plan = []
+    for f in dataclasses.fields(cls):
+        read = _FIELD_READERS[f.type]
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        if default is not dataclasses.MISSING:
+            read = functools.partial(read, default=default)
+        plan.append((f.name, read))
+    return tuple(plan)
+
+
+def _read(cls, d):
+    """The dataclass ``cls`` from the config object ``d``: its fields in
+    declaration order, each by the reader of its annotation; a field with a
+    default may be left out."""
+    return cls(*[read(d, name) for name, read in _plan(cls)])
+
+
+def _tagged(key: str):
+    """A parser of the block whose class the string under ``key`` names."""
+    classes, refusal = _TAGGED[key]
+
+    def parse(d):
+        tag = string(d, key)
+        if tag not in classes:
+            raise ConfigError(key, refusal.format(tag))
+        return _read(classes[tag], d)
+
+    return parse
+
+
+def _nested(parse):
+    """A field reader of the block ``parse`` reads; a null or missing block
+    reads as the default, when the field has one."""
+
+    def read(d, key, default=None):
+        if default is None:
+            return block(parse, d, key)
+        return block(parse, d, key, None) or default
+
+    return read
+
+
+def _atom(row) -> cwt.PoissonAtom:
+    if not (isinstance(row, list) and len(row) == 3):
+        raise ValueError(f"expected an [a, b, omega] triple, got {row!r}")
+    return cwt.PoissonAtom(*(number(row, i) for i in range(3)))
+
+
+def _atoms(d, key, default):
+    """A list of `_atom` rows, each error named by its index."""
+    rows = array(d, key, default)
+    with under(key):
+        return tuple(block(_atom, rows, i) for i in range(len(rows)))
+
+
+_besov = _nested(functools.partial(_read, besov.BesovParams))
+_schedule = _nested(functools.partial(_read, LevelSchedule))
+_slab = _nested(_tagged("family"))
+_spec = _nested(functools.partial(_read, cwt.CwtSpec))
+
+# a dataclass field's annotation, as written (the model modules postpone
+# annotations, so `dataclasses.fields` gives them as strings) -> its reader
+_FIELD_READERS = {
+    "float": number,
+    "int": integer,
+    "LevelSchedule": _schedule,
+    "SlabDistribution": _slab,
+    "Mode": _nested(_tagged("kind")),
+    "CoarseTerm": _nested(functools.partial(_read, cwt.CoarseTerm)),
+    "tuple[PoissonAtom, ...]": _atoms,
+}
+
+
+def _echo(value):
+    """The config block `_read` reads back as ``value``: a dataclass becomes
+    its fields and its tag, a `PoissonAtom` ``[a, b, omega]`` and an infinite
+    number ``"inf"``; a dict or tuple is echoed item by item."""
+    if isinstance(value, float):
+        return "inf" if value == math.inf else value
+    if isinstance(value, cwt.PoissonAtom):
+        return [value.a, value.b, value.omega]
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
+    if isinstance(value, dict):
+        return {name: _echo(v) for name, v in value.items()}
+    if dataclasses.is_dataclass(value):
+        doc = _echo(vars(value))
+        if type(value) in _TAG_OF:
+            key, tag = _TAG_OF[type(value)]
+            doc[key] = tag
+        return doc
+    return value
 
 
 def _levels(doc) -> list[int]:
@@ -115,7 +230,9 @@ def _load_tree(cfg: dict, args) -> tuple[dict, "sampler.CoefficientTree"]:
     if not isinstance(doc, dict) or "j0" not in doc:
         raise ConfigError("tree", "supply --tree FILE or an inline 'tree' document")
     with under("tree"):
-        return echo, sampler.tree_from_dict(doc)
+        tree = sampler.tree_from_dict(doc)
+        known(doc)
+    return echo, tree
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -141,72 +258,54 @@ def _check_outputs(cfg: dict, args) -> None:
 # classify points
 # ---------------------------------------------------------------------------
 
-# kind -> (number fields, object fields, classifier).  Every kind also takes
-# ``slab`` and the number ``r``; the classifier gets the slab, then ``r`` and
-# every other field by name.  Object fields marked "?" may be left out.
+# kind -> (fields read after ``slab`` and ``r``, classifier).  The classifier
+# gets every field by name; a field marked "?" may be left out.  A field is a
+# number unless `_BLOCKS` names its block reader.
 _CLASSIFY = {
     "simple": (
-        ("alpha", "beta"),
-        ("besov",),
+        ("alpha", "beta", "besov"),
         lambda slab, r, alpha, beta, besov: theory.classify_simple(slab, alpha, beta, besov, r),
     ),
     "general": (
-        (),
         ("tau", "pi", "besov"),
         lambda slab, r, tau, pi, besov: theory.classify_general(slab, tau, pi, besov, r),
     ),
     "three_param": (
         ("alpha", "beta", "gamma", "s", "q"),
-        (),
         lambda slab, r, alpha, beta, gamma, s, q: theory.classify_three_param(
             slab, alpha, beta, gamma, s, q, r
         ),
     ),
     "regression": (
-        (),
         ("tau", "pi", "besov"),
         lambda slab, r, tau, pi, besov: theory.classify_regression(slab, tau, pi, besov, r),
     ),
     "no_spike": (
-        (),
         ("tau", "besov"),
         lambda slab, r, tau, besov: theory.no_spike_condition(slab, tau, besov, r),
     ),
     "cwt": (
-        ("alpha", "beta", "rho"),
-        ("besov", "mu?", "tau?"),
+        ("alpha", "beta", "rho", "besov", "mu?", "tau?"),
         lambda slab, r, alpha, beta, rho, besov, mu=None, tau=None: cwt.classify_cwt(
             slab, alpha, beta, besov, r, rho, mu=mu, tau=tau
         ),
     ),
 }
-_OBJECT_FIELDS = {
-    "besov": besov.BesovParams.from_dict,
-    "tau": LevelSchedule.from_dict,
-    "pi": LevelSchedule.from_dict,
-    "mu": LevelSchedule.from_dict,
-}
+_BLOCKS = {"slab": _slab, "besov": _besov, "tau": _schedule, "pi": _schedule, "mu": _schedule}
 
 
-def _classify_point(point: dict) -> tuple[dict, theory.Verdict]:
-    """Resolve one classification request; returns (echoed point, verdict)."""
+def _classify_point(point: dict) -> tuple[str, dict, theory.Verdict]:
+    """Resolve one classification request: its kind, the fields it read and its verdict."""
     kind = string(point, "kind", "simple")
     if kind not in _CLASSIFY:
         raise ConfigError("kind", f"unknown kind {kind!r}; choose from {', '.join(_CLASSIFY)}")
-    number_fields, objects, classify = _CLASSIFY[kind]
-    slab = block(distributions.slab_from_dict, point, "slab")
-    resolved: dict = {"kind": kind, "slab": distributions.slab_to_dict(slab)}
+    names, classify = _CLASSIFY[kind]
     fields = {}
-    for name in ("r",) + number_fields:
-        fields[name] = number(point, name)
-        resolved[name] = "inf" if math.isinf(fields[name]) else fields[name]
-    for name in objects:
+    for name in ("slab", "r") + names:
         name, optional = name.rstrip("?"), name.endswith("?")
-        if optional and name not in point:
-            continue
-        fields[name] = block(_OBJECT_FIELDS[name], point, name)
-        resolved[name] = fields[name].to_dict()
-    return resolved, classify(slab, **fields)
+        if not (optional and name not in point):
+            fields[name] = _BLOCKS.get(name, number)(point, name)
+    return kind, fields, classify(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -220,26 +319,27 @@ def _cmd_classify(cfg: dict, args, threads: int):
         if not raw:
             raise ConfigError("points", "expected a nonempty list of objects")
         with under("points"):
-            pairs = [block(_classify_point, raw, i) for i in range(len(raw))]
-        echo = {"points": [resolved for resolved, _ in pairs]}
+            points = [block(_classify_point, raw, i) for i in range(len(raw))]
     else:
-        pairs = [_classify_point(cfg)]
-        echo = pairs[0][0]
+        points = [_classify_point(cfg)]
     known(cfg)
+    echoes = [_echo({"kind": kind, **fields}) for kind, fields, _ in points]
+    echo = {"points": echoes} if "points" in cfg else echoes[0]
+    verdicts = [verdict for _, _, verdict in points]
     result = {
         "verdicts": [
-            {"point": resolved, "verdict": verdict.to_dict()} for resolved, verdict in pairs
+            {"point": point, "verdict": verdict.to_dict()} for point, verdict in zip(echoes, verdicts)
         ]
     }
     header = ["index", "kind", "decision", "case_id", "threshold"]
     columns = (
-        list(range(len(pairs))),
-        [resolved["kind"] for resolved, _ in pairs],
-        [verdict.decision.value for _, verdict in pairs],
-        [verdict.case_id for _, verdict in pairs],
-        [verdict.threshold for _, verdict in pairs],
+        list(range(len(points))),
+        [kind for kind, _, _ in points],
+        [verdict.decision.value for verdict in verdicts],
+        [verdict.case_id for verdict in verdicts],
+        [verdict.threshold for verdict in verdicts],
     )
-    flagged = any(v.decision is theory.Decision.NOT_COVERED for _, v in pairs)
+    flagged = any(v.decision is theory.Decision.NOT_COVERED for v in verdicts)
     return echo, result, (header, [columns]), flagged
 
 
@@ -261,7 +361,7 @@ def _cmd_sweep(cfg: dict, args, threads: int):
             _set_dotted(point, name, value, f"vary.{name}")
         try:
             with under("base"):
-                resolved, verdict = _classify_point(point)
+                _, _, verdict = _classify_point(point)
                 known(point)
         except ConfigError as exc:
             # a value set by `vary` is named by its key, the deepest (last sorted) one
@@ -285,14 +385,14 @@ def _cmd_sweep(cfg: dict, args, threads: int):
 
 
 def _cmd_sample(cfg: dict, args, threads: int):
-    spec = sampler.PriorSpec.from_dict(cfg)
+    spec = _read(sampler.PriorSpec, cfg)
     j0 = natural(cfg, "j0")
     seed = natural(cfg, "seed", 0)
     replicate = natural(cfg, "replicate", 0)
     scaling = numbers(cfg, "scaling", None)
     known(cfg)
     tree = sampler.sample_tree(spec, j0, scaling, seed=seed, replicate=replicate)
-    echo = {**spec.to_dict(), "j0": j0, "seed": seed, "replicate": replicate}
+    echo = {**_echo(spec), "j0": j0, "seed": seed, "replicate": replicate}
     if scaling is not None:
         echo["scaling"] = scaling
     doc = sampler.tree_to_dict(tree)
@@ -302,11 +402,11 @@ def _cmd_sample(cfg: dict, args, threads: int):
 
 
 def _cmd_norm(cfg: dict, args, threads: int):
-    bp = block(besov.BesovParams.from_dict, cfg, "besov")
+    bp = _besov(cfg, "besov")
     tree_echo, tree = _load_tree(cfg, args)
     known(cfg)
     value = besov.besov_seq_norm(tree, bp)
-    echo = {"besov": bp.to_dict(), "tree": tree_echo}
+    echo = {"besov": _echo(bp), "tree": tree_echo}
     result = {"norm": value, "nonzero_counts": sampler.nonzero_counts(tree).tolist()}
     return echo, result, None, False
 
@@ -323,9 +423,9 @@ def _level_csv(report: lab.ExperimentReport):
 
 
 def _cmd_verify(cfg: dict, args, threads: int):
-    bp = block(besov.BesovParams.from_dict, cfg, "besov")
+    bp = _besov(cfg, "besov")
     levels = block(_levels, cfg, "levels")
-    spec = sampler.PriorSpec.from_dict(cfg)
+    spec = _read(sampler.PriorSpec, cfg)
     # without a mode, the infinite model is cut at the highest level checked
     if cfg.get("mode") is None:
         spec = sampler.PriorSpec(spec.tau, spec.pi, spec.slab, sampler.Infinite(max(levels)))
@@ -339,33 +439,32 @@ def _cmd_verify(cfg: dict, args, threads: int):
     report = runner(spec, bp, levels, reps=reps, seed=seed, threads=threads)
     verdict = report.theory_verdict or {}
     flagged = verdict.get("decision") == theory.Decision.NOT_COVERED.value
-    echo = _run_echo(report, reps, seed, **spec.to_dict(), besov=bp.to_dict(), check=check)
+    echo = _run_echo(report, reps, seed, **_echo(spec), besov=_echo(bp), check=check)
     return echo, report.to_dict(), _level_csv(report), flagged
 
 
 def _cmd_lln(cfg: dict, args, threads: int):
-    slab = block(distributions.slab_from_dict, cfg, "slab")
-    pi = block(LevelSchedule.from_dict, cfg, "pi")
+    slab = _slab(cfg, "slab")
+    pi = _schedule(cfg, "pi")
     m = number(cfg, "m")
     levels = block(_levels, cfg, "levels", list(range(8, 19)))
     reps = integer(cfg, "reps", 50)
     seed = natural(cfg, "seed", 0)
     known(cfg)
     report = lab.lln_experiment(slab, pi, m, levels, reps=reps, seed=seed, threads=threads)
-    slab_doc = distributions.slab_to_dict(slab)
-    echo = _run_echo(report, reps, seed, slab=slab_doc, pi=pi.to_dict(), m=m)
+    echo = _run_echo(report, reps, seed, slab=_echo(slab), pi=_echo(pi), m=m)
     return echo, report.to_dict(), _level_csv(report), False
 
 
 def _cmd_evt(cfg: dict, args, threads: int):
-    slab = block(distributions.slab_from_dict, cfg, "slab")
-    pi = block(LevelSchedule.from_dict, cfg, "pi")
+    slab = _slab(cfg, "slab")
+    pi = _schedule(cfg, "pi")
     levels = block(_levels, cfg, "levels", list(range(8, 19)))
     reps = integer(cfg, "reps", 100)
     seed = natural(cfg, "seed", 0)
     known(cfg)
     report = lab.evt_experiment(slab, pi, levels, reps=reps, seed=seed, threads=threads)
-    echo = _run_echo(report, reps, seed, slab=distributions.slab_to_dict(slab), pi=pi.to_dict())
+    echo = _run_echo(report, reps, seed, slab=_echo(slab), pi=_echo(pi))
     return echo, report.to_dict(), _level_csv(report), False
 
 
@@ -391,7 +490,7 @@ def _project(doc) -> tuple[wavelets.WaveletFamily, int, int]:
 
 
 def _cmd_cwt_sample(cfg: dict, args, threads: int):
-    spec = block(cwt.CwtSpec.from_dict, cfg, "spec")
+    spec = _spec(cfg, "spec")
     seed = natural(cfg, "seed", 0)
     replicate = natural(cfg, "replicate", 0)
     project = block(_project, cfg, "project", None)
@@ -400,7 +499,7 @@ def _cmd_cwt_sample(cfg: dict, args, threads: int):
     header = ["a", "b", "omega"]
     columns = [[getattr(at, name) for at in atoms] for name in header]
     rows = [[at.a, at.b, at.omega] for at in atoms]
-    echo = {"spec": spec.to_dict(), "seed": seed, "replicate": replicate}
+    echo = {"spec": _echo(spec), "seed": seed, "replicate": replicate}
     result = {"intensity": spec.intensity_total(), "count": len(atoms), "atoms": rows}
     if project is not None:
         fam, j0, top = project
@@ -413,7 +512,7 @@ def _cmd_cwt_sample(cfg: dict, args, threads: int):
 
 def _moment(doc) -> tuple:
     """``moment``: the spec, ``m``, levels, replicates and seed of a moment experiment."""
-    spec = block(cwt.CwtSpec.from_dict, doc, "spec")
+    spec = _spec(doc, "spec")
     m = number(doc, "m")
     levels = block(_levels, doc, "levels")
     return spec, m, levels, integer(doc, "reps", 50), natural(doc, "seed", 0)
@@ -439,7 +538,7 @@ def _cmd_cwt_verify(cfg: dict, args, threads: int):
             report = cwt.moment_bound_experiment(
                 spec, fam, m, levels, reps=reps, seed=seed, threads=threads
             )
-        echo["moment"] = _run_echo(report, reps, seed, spec=spec.to_dict(), m=m)
+        echo["moment"] = _run_echo(report, reps, seed, spec=_echo(spec), m=m)
         result["moment"] = report.to_dict()
     return echo, result, (["u", "sup"], [(bounds.u.tolist(), bounds.sup.tolist())]), False
 

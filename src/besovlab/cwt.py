@@ -29,16 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from .besov import BesovParams
-from .distributions import (
-    FrechetTail,
-    SlabDistribution,
-    has_moment,
-    sample,
-    slab_from_dict,
-    slab_to_dict,
-    tail_class,
-)
-from .fields import ConfigError, array, block, number, under
+from .distributions import FrechetTail, SlabDistribution, has_moment, sample, tail_class
+from .fields import ConfigError
 from .lab import ExperimentReport, _column_stats, _level_list, _run_reps, _slope_fit
 from .sampler import CoefficientTree, Level, check_dense_size, rng_for
 from .schedules import LevelSchedule
@@ -75,6 +67,8 @@ class PoissonAtom:
             raise ValueError(f"atom scale must be finite and > 0, got {self.a}")
         if not (0.0 <= self.b <= 1.0):
             raise ValueError(f"atom shift must lie in [0, 1], got {self.b}")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"atom mark must be finite, got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +77,10 @@ class CoarseTerm:
 
     c_w: float = 0.0
     atoms: tuple[PoissonAtom, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.c_w):
+            raise ConfigError("c_w", f"c_w must be finite, got {self.c_w}")
 
 
 @dataclass(frozen=True)
@@ -120,38 +118,6 @@ class CwtSpec:
             return self.c_mu * math.log(self.a_max / self.a0)
         e = 1.0 - self.beta
         return self.c_mu * (self.a_max**e - self.a0**e) / e
-
-    def to_dict(self) -> dict:
-        atoms = [[at.a, at.b, at.omega] for at in self.coarse.atoms]
-        coarse = {"c_w": self.coarse.c_w, "atoms": atoms}
-        return {**vars(self), "slab": slab_to_dict(self.slab), "coarse": coarse}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CwtSpec":
-        """Inverse of `to_dict`; a missing or null ``coarse`` is empty."""
-        return cls(
-            c_mu=number(d, "c_mu"),
-            beta=number(d, "beta"),
-            c_tau=number(d, "c_tau"),
-            alpha=number(d, "alpha"),
-            slab=block(slab_from_dict, d, "slab"),
-            a0=number(d, "a0"),
-            a_max=number(d, "a_max"),
-            coarse=block(_coarse_from_dict, d, "coarse", None) or CoarseTerm(),
-        )
-
-
-def _atom_from_row(row) -> PoissonAtom:
-    if not (isinstance(row, list) and len(row) == 3):
-        raise ValueError(f"expected an [a, b, omega] triple, got {row!r}")
-    return PoissonAtom(*(number(row, i) for i in range(3)))
-
-
-def _coarse_from_dict(d: dict) -> CoarseTerm:
-    rows = array(d, "atoms", [])
-    with under("atoms"):
-        atoms = tuple(block(_atom_from_row, rows, i) for i in range(len(rows)))
-    return CoarseTerm(c_w=number(d, "c_w", 0.0), atoms=atoms)
 
 
 def sample_atoms(spec: CwtSpec, seed: int, replicate: int = 0) -> list[PoissonAtom]:

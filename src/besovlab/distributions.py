@@ -29,8 +29,6 @@ from typing import Union
 
 import numpy as np
 
-from .fields import ConfigError, number, string
-
 __all__ = [
     "Gaussian",
     "Laplace",
@@ -48,8 +46,6 @@ __all__ = [
     "has_moment",
     "sample",
     "sample_abs",
-    "slab_to_dict",
-    "slab_from_dict",
 ]
 
 
@@ -387,34 +383,3 @@ def sample_abs(d: SlabDistribution, rng: np.random.Generator, size: int | tuple 
     if isinstance(d, Laplace):
         return rng.standard_exponential(size=size) / d.lam
     return np.abs(sample(d, rng, size))
-
-
-def slab_to_dict(d: SlabDistribution) -> dict:
-    """Serialise a slab to a plain dict (for JSON reports and configs)."""
-    if isinstance(d, Gaussian):
-        return {"family": "gaussian", "sigma": d.sigma}
-    if isinstance(d, Laplace):
-        return {"family": "laplace", "lam": d.lam}
-    if isinstance(d, StudentT):
-        return {"family": "student_t", "nu": d.nu}
-    if isinstance(d, Cauchy):
-        return {"family": "cauchy"}
-    if isinstance(d, PowerExponential):
-        return {"family": "power_exponential", "m": d.m, "lam": d.lam}
-    raise TypeError(f"not a slab distribution: {d!r}")
-
-
-def slab_from_dict(spec: dict) -> SlabDistribution:
-    """Inverse of `slab_to_dict`."""
-    family = string(spec, "family")
-    if family == "gaussian":
-        return Gaussian(sigma=number(spec, "sigma", 1.0))
-    if family == "laplace":
-        return Laplace(lam=number(spec, "lam", 1.0))
-    if family == "student_t":
-        return StudentT(nu=number(spec, "nu"))
-    if family == "cauchy":
-        return Cauchy()
-    if family == "power_exponential":
-        return PowerExponential(m=number(spec, "m"), lam=number(spec, "lam", 1.0))
-    raise ConfigError("family", f"unknown slab family: {family!r}")

@@ -26,8 +26,8 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .distributions import SlabDistribution, sample as slab_sample, slab_from_dict, slab_to_dict
-from .fields import ConfigError, array, block, integer, numbers, string, under
+from .distributions import SlabDistribution, sample as slab_sample
+from .fields import ConfigError, array, block, integer, numbers, under
 from .schedules import LevelSchedule
 
 __all__ = [
@@ -126,13 +126,10 @@ class Regression:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError(f"regression needs n >= 2, got {self.n}")
+            raise ConfigError("n", f"regression needs n >= 2, got {self.n}")
 
 
 Mode = Union[Infinite, Regression]
-
-# mode kind -> (its integer field, mode type)
-_MODES = {"infinite": ("j_max", Infinite), "regression": ("n", Regression)}
 
 # Largest expected nonzero count of one draw: about 256 MB of positions and
 # values, plus at most four permuted positions per nonzero on dense levels.
@@ -179,45 +176,12 @@ def check_draw_size(pi: LevelSchedule, levels: Iterable[int], blame: str) -> Non
             )
 
 
-def _mode_from_dict(d) -> Mode:
-    """``{"kind": "infinite", "j_max": J}`` or ``{"kind": "regression", "n": n}``."""
-    kind = string(d, "kind")
-    if kind not in _MODES:
-        raise ConfigError("kind", f"expected 'infinite' or 'regression', got {kind!r}")
-    name, mode_type = _MODES[kind]
-    value = integer(d, name)
-    with under(name):
-        return mode_type(value)
-
-
 @dataclass(frozen=True)
 class PriorSpec:
     tau: LevelSchedule
     pi: LevelSchedule
     slab: SlabDistribution
     mode: Mode = Infinite(12)
-
-    def to_dict(self) -> dict:
-        """The prior as a config block; `from_dict` reads it back."""
-        kind = "infinite" if isinstance(self.mode, Infinite) else "regression"
-        mode = {"kind": kind, **vars(self.mode)}
-        return {
-            "slab": slab_to_dict(self.slab),
-            "tau": self.tau.to_dict(),
-            "pi": self.pi.to_dict(),
-            "mode": mode,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PriorSpec":
-        """Inverse of `to_dict`; a missing or null ``mode`` is ``Infinite(12)``.
-        Errors are `ConfigError`s naming the failing field (``mode.j_max``)."""
-        return cls(
-            tau=block(LevelSchedule.from_dict, d, "tau"),
-            pi=block(LevelSchedule.from_dict, d, "pi"),
-            slab=block(slab_from_dict, d, "slab"),
-            mode=block(_mode_from_dict, d, "mode", None) or cls.mode,
-        )
 
     def top_level(self) -> int:
         if isinstance(self.mode, Infinite):

@@ -19,8 +19,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .fields import number
-
 __all__ = [
     "LevelSchedule",
     "GrowthKind",
@@ -67,13 +65,6 @@ class LevelSchedule:
         """``min(1, value_at(j))`` — the probability reading of the schedule;
         a value that overflows a float reads as 1."""
         return min(1.0, self.value_at(j))
-
-    def to_dict(self) -> dict:
-        return {"c": self.c, "e": self.e, "g": self.g}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LevelSchedule":
-        return cls(c=number(d, "c"), e=number(d, "e", 0.0), g=number(d, "g", 0.0))
 
 
 def series_verdict(e: float, g: float) -> bool:

@@ -287,5 +287,4 @@ def test_params_validation():
         BesovParams(1.0, 2.0, -1.0)
     bp = BesovParams(1.0, INF, 2.0)
     assert bp.s_prime == pytest.approx(1.5)
-    assert BesovParams.from_dict(bp.to_dict()) == bp
 

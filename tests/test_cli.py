@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besovlab import besov, cwt, distributions, lab, sampler, schedules, theory, wavelets
-from besovlab.cli import _encode, _fmt_cell, _write_csv, main
+from besovlab.cli import _TAG_OF, _echo, _encode, _fmt_cell, _read, _tagged, _write_csv, main
+from besovlab.fields import Doc, block
 
 GAUSS = {"family": "gaussian", "sigma": 1.0}
 B122 = {"s": 1.0, "p": 2.0, "q": 2.0}
@@ -334,6 +335,62 @@ class TestSweep:
             assert row[2] == direct.decision.value
             assert float(row[4]) == pytest.approx(direct.threshold)
         assert len(report["result"]["rows"]) == 6
+
+    def test_two_axes_in_one_block(self, capsys, tmp_path):
+        base = {"kind": "general", "slab": GAUSS, "tau": {"c": 1.0, "e": 1.0, "g": 0.5},
+                "pi": {"c": 1.0, "e": 0.5}, "besov": B122, "r": 3.0}
+        cfg = {"base": base, "vary": {"tau.e": [0.5, 1.5, 2.5], "tau.g": [-2.0, 0.0, 1.0]}}
+        report = run_json(capsys, "sweep", "--config", write_cfg(tmp_path, cfg))
+        rows = report["result"]["rows"]
+        assert len(rows) == 9
+        for row in rows:
+            e, g = row["overrides"]["tau.e"], row["overrides"]["tau.g"]
+            point = {**base, "tau": {"c": 1.0, "e": e, "g": g}}
+            direct = run_json(capsys, "classify", "--config", write_cfg(tmp_path, point))
+            verdict = direct["result"]["verdicts"][0]["verdict"]
+            assert {key: row[key] for key in ("decision", "case_id", "threshold")} == {
+                key: verdict[key] for key in ("decision", "case_id", "threshold")
+            }
+        assert len({row["threshold"] for row in rows}) > 1  # the varied values are read
+
+
+# one value of each config block type `cli._read` builds
+CONFIG_BLOCKS = {
+    "gaussian": distributions.Gaussian(2.0),
+    "laplace": distributions.Laplace(0.5),
+    "student_t": distributions.StudentT(3.0),
+    "cauchy": distributions.Cauchy(),
+    "power_exponential": distributions.PowerExponential(1.5, 2.0),
+    "infinite": sampler.Infinite(9),
+    "regression": sampler.Regression(600),
+    "schedule": schedules.LevelSchedule(2.5, 1.25, -0.75),
+    "besov-inf": besov.BesovParams(1.0, math.inf, math.inf),
+    "prior-infinite": sampler.PriorSpec(
+        schedules.LevelSchedule(0.5, 0.75, -1.0),
+        schedules.LevelSchedule(2.0, 1.5),
+        distributions.Laplace(0.5),
+        sampler.Infinite(9),
+    ),
+    "prior-regression": sampler.PriorSpec(
+        schedules.LevelSchedule(0.5, 0.75, -1.0),
+        schedules.LevelSchedule(2.0, 1.5),
+        distributions.PowerExponential(0.5),
+        sampler.Regression(600),
+    ),
+    "cwt-coarse": cwt.CwtSpec(
+        2.0, 0.5, 3.0, 1.5, distributions.Laplace(2.0), a0=2.0, a_max=64.0,
+        coarse=cwt.CoarseTerm(1.5, (cwt.PoissonAtom(4.0, 0.25, -1.0), cwt.PoissonAtom(2.0, 1.0, 0.5))),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", list(CONFIG_BLOCKS.values()), ids=list(CONFIG_BLOCKS))
+def test_config_block_round_trips(value):
+    text = json.dumps(_echo(value), allow_nan=False)
+    tag = _TAG_OF.get(type(value))
+    parse = _tagged(tag[0]) if tag else (lambda doc: _read(type(value), doc))
+    # `block` also refuses any echoed key the reader does not read
+    assert block(parse, {"block": json.loads(text, object_hook=Doc)}, "block") == value
 
 
 class TestSampleNorm:
@@ -1239,6 +1296,28 @@ class TestErrors:
             ("cwt-verify", {**KERNEL, "u_grid": []}, [], "u_grid: expected a nonempty list"),
             ("classify", POINT, ["--set", "alpha.x=1"], "--set alpha.x: 'alpha' is not an object"),
             ("classify", [POINT], [], "--config "),
+            # the top level of a tree document, inline or in a --tree file
+            ("norm", {"besov": B122, "tree": {**TINY_TREE, "extra": 1}}, [], "tree.extra: unknown field"),
+            ("norm", {"besov": B122}, ["--tree", {**TINY_TREE, "extra": 1}], "tree.extra: unknown field"),
+            # a non-finite coarse term is refused where it is read
+            (
+                "cwt-sample",
+                {"spec": {**CWT_SPEC, "coarse": {"c_w": "inf"}}},
+                [],
+                "spec.coarse.c_w: c_w must be finite, got inf",
+            ),
+            (
+                "cwt-sample",
+                {"spec": {**CWT_SPEC, "coarse": {"atoms": [[4.0, 0.25, 1.0], [2.0, 0.5, math.nan]]}}},
+                [],
+                "spec.coarse.atoms[1]: atom mark must be finite, got nan",
+            ),
+            (
+                "cwt-verify",
+                with_moment(spec={**CWT_SPEC, "coarse": {"c_w": -math.inf}}),
+                [],
+                "moment.spec.coarse.c_w: c_w must be finite, got -inf",
+            ),
         ],
         ids=[
             "classify-nu-bool",
@@ -1370,9 +1449,16 @@ class TestErrors:
             "u_grid-empty",
             "set-through-a-number",
             "config-not-an-object",
+            "typo-tree-top",
+            "typo-tree-file-top",
+            "coarse-c_w-inf",
+            "coarse-omega-nan",
+            "moment-coarse-c_w-inf",
         ],
     )
     def test_bad_field_names_its_path(self, capsys, tmp_path, command, cfg, extra, path):
+        # a document in ``extra`` is written to a file, and its path passed instead
+        extra = [write_cfg(tmp_path, a, "doc.json") if isinstance(a, dict) else a for a in extra]
         code, out, err = run(capsys, command, "--config", write_cfg(tmp_path, cfg), *extra)
         assert code == 2
         assert out == ""
@@ -1459,6 +1545,34 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err == f"besovlab {command}: config error: {path}: unknown field\n"
+
+    @pytest.mark.parametrize(
+        "command, cfg, path",
+        [
+            (
+                "cwt-sample",
+                {**ECHO_CASES["cwt-sample"], "spec": {**CWT_SPEC, "coarse": {"c_w": "inf"}}},
+                "spec.coarse.c_w",
+            ),
+            (
+                "cwt-verify",
+                with_moment(spec={**CWT_SPEC, "coarse": {"atoms": [[4.0, 0.25, "inf"]]}}),
+                "moment.spec.coarse.atoms[0]",
+            ),
+        ],
+        ids=["c_w", "moment-omega"],
+    )
+    def test_non_finite_coarse_term_is_refused_before_any_draw(
+        self, capsys, tmp_path, monkeypatch, command, cfg, path
+    ):
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before the coarse term was checked")
+
+        for name in ("sample_atoms", "project_to_orthogonal", "verify_kernel_bounds"):
+            monkeypatch.setattr(cwt, name, computed)
+        code, out, err = run(capsys, command, "--config", write_cfg(tmp_path, cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"besovlab {command}: config error: {path}: ")
 
     @pytest.mark.parametrize(
         "command, cfg",

@@ -4,12 +4,17 @@ import math
 
 import pytest
 
-from besovlab.distributions import Gaussian, slab_from_dict
+from besovlab.cli import _read, _tagged
+from besovlab.distributions import Gaussian
 from besovlab.fields import (
     ConfigError, Doc, block, integer, known, natural, number, numbers, string, under,
 )
 from besovlab.sampler import PriorSpec, tree_from_dict
 from besovlab.schedules import LevelSchedule
+
+
+def schedule(doc):
+    return _read(LevelSchedule, doc)
 
 
 def message(call, *args):
@@ -54,7 +59,7 @@ def test_missing_field_and_non_object():
 def test_paths_join_keys_with_dots_and_indices_without():
     def read(doc):
         with under("points"):
-            return [block(LevelSchedule.from_dict, doc, i) for i in range(len(doc))]
+            return [block(schedule, doc, i) for i in range(len(doc))]
 
     assert message(read, [{"c": 1.0}, {"c": 1.0, "e": True}]) == (
         "points[1].e: expected a number, got True"
@@ -77,13 +82,13 @@ def test_under_leads_key_errors_and_validator_errors_with_the_block():
 
 def test_from_dicts_name_the_nested_field():
     doc = {"tau": {"c": 1.0}, "pi": {"c": 1.0}, "slab": {"family": "gaussian"}}
-    assert message(PriorSpec.from_dict, {**doc, "mode": {"kind": "infinite"}}) == (
+    assert message(_read, PriorSpec, {**doc, "mode": {"kind": "infinite"}}) == (
         "mode.j_max: required field is missing"
     )
-    assert message(PriorSpec.from_dict, {**doc, "slab": {"family": "gaussian", "sigma": "2"}}) == (
+    assert message(_read, PriorSpec, {**doc, "slab": {"family": "gaussian", "sigma": "2"}}) == (
         "slab.sigma: expected a number, got '2'"
     )
-    assert message(slab_from_dict, {"family": "normal"}) == "family: unknown slab family: 'normal'"
+    assert message(_tagged("family"), {"family": "normal"}) == "family: unknown slab family: 'normal'"
     tree = {"j0": 0, "scaling": [0.0], "levels": [{"j": 0, "k": [0], "w": [1.0]}, {"j": 1}]}
     assert message(tree_from_dict, tree) == "levels[1].k: required field is missing"
 
@@ -100,6 +105,6 @@ def test_known_refuses_the_first_unread_value_in_document_order():
 
 def test_block_refuses_a_key_its_parser_did_not_read():
     doc = Doc({"tau": Doc({"c": 1.0, "ee": 1.5}), "pi": Doc({"c": 1.0, "e": 0.5})})
-    assert message(block, LevelSchedule.from_dict, doc, "tau") == "tau.ee: unknown field"
-    assert block(LevelSchedule.from_dict, doc, "pi") == LevelSchedule(1.0, 0.5)
+    assert message(block, schedule, doc, "tau") == "tau.ee: unknown field"
+    assert block(schedule, doc, "pi") == LevelSchedule(1.0, 0.5)
     assert doc.read == {"tau", "pi"}

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from besovlab.cli import main
-from besovlab.distributions import Gaussian, Laplace
+from besovlab.cli import _echo, main
+from besovlab.distributions import Gaussian
 from besovlab.sampler import (
     CoefficientTree,
     Infinite,
@@ -154,13 +154,6 @@ def test_tree_validation():
         CoefficientTree(1, np.zeros(3), ())  # wrong scaling width
 
 
-@pytest.mark.parametrize("mode", [Infinite(9), Regression(600)], ids=["infinite", "regression"])
-def test_prior_spec_dict_round_trip(mode):
-    spec = spec_with(LevelSchedule(0.5, 0.75, -1.0), LevelSchedule(2.0, 1.5), Laplace(0.5), mode)
-    doc = json.loads(json.dumps(spec.to_dict()))
-    assert PriorSpec.from_dict(doc) == spec
-
-
 def test_oversized_draw_rejected():
     dense = spec_with(LevelSchedule(1.0), mode=Infinite(48))
     with pytest.raises(ValueError, match="mode: more than"):
@@ -192,7 +185,7 @@ def test_csv_round_trip(tmp_path):
     spec = spec_with(LevelSchedule(1.0, 0.5, 0.0), mode=Infinite(9))
     t = sample_tree(spec, j0=3, seed=13)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**spec.to_dict(), "j0": 3, "seed": 13}))
+    cfg.write_text(json.dumps({**_echo(spec), "j0": 3, "seed": 13}))
     table = tmp_path / "tree.csv"
     report = tmp_path / "report.json"
     assert main(["sample", "--config", str(cfg), "--out", str(report), "--csv", str(table)]) == 0

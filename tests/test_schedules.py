@@ -148,11 +148,6 @@ def test_clamped_matches_values_eventually():
             assert sched.clamped_at(j) == pytest.approx(expect, rel=1e-12)
 
 
-def test_schedule_serialization_round_trip():
-    s = LevelSchedule(2.5, 1.25, -0.75)
-    assert LevelSchedule.from_dict(s.to_dict()) == s
-
-
 def test_schedule_validation():
     with pytest.raises(ValueError):
         LevelSchedule(-1.0)
