@@ -5,10 +5,11 @@ optionally patched by repeated ``--set key.path=value`` overrides and by
 the ergonomic flags ``--seed`` / ``--reps``.  The run writes a JSON
 report whose ``config`` block is the fully resolved input (defaults
 filled in), so any report can be replayed by feeding that block back as
-the config; a ``--tree FILE`` is echoed as a ``{path, sha256}`` reference
-that the replay reads again.  No output file may be an input file or the
-other output.  ``--csv`` additionally writes the subcommand's plot-ready
-table with floats at 17 significant digits.
+the config.  ``--tree FILE`` is shorthand for the tree reference
+``{"path": FILE}``, which is echoed with the file's ``sha256`` for the
+replay to check.  No output file may be an input file or the other
+output.  ``--csv`` additionally writes the subcommand's plot-ready table
+with floats at 17 significant digits (``norm`` has none).
 
 Exit codes: 0 success, 2 usage or malformed config, 3 a classifier
 returned NotCovered and ``--strict`` was given, 4 I/O failure.
@@ -38,8 +39,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NOT_COVERED = 3
 EXIT_IO = 4
-
-_ENV_THREADS = "BESOVLAB_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +160,9 @@ def _echo(value):
 
 
 def _levels(doc) -> list[int]:
-    """``levels``: a nonempty list of integers >= 0 or ``{start, stop}``; a
-    stop above the highest level a draw supports fails before the list is built."""
+    """``levels``, sorted and distinct: a nonempty list of integers >= 0 or
+    ``{start, stop}``; a stop above the highest level a draw supports fails
+    before the list is built."""
     if isinstance(doc, dict):
         start, stop = natural(doc, "start"), natural(doc, "stop")
         if stop < start:
@@ -170,7 +170,7 @@ def _levels(doc) -> list[int]:
         sampler._check_level(stop, "stop")
         return list(range(start, stop + 1))
     if isinstance(doc, list) and doc:
-        return [natural(doc, i) for i in range(len(doc))]
+        return sorted({natural(doc, i) for i in range(len(doc))})
     raise ConfigError("", "expected a nonempty list or {start, stop}")
 
 
@@ -190,7 +190,7 @@ def _read_json(flag: str, path: str, data: bytes | None = None):
         raise ConfigError(f"{flag} {path}", f"invalid JSON ({exc})") from exc
 
 
-def _read_tree(flag: str, path: str, sha256: str | None = None) -> tuple[object, dict]:
+def _read_tree(path: str, sha256: str | None) -> tuple[object, dict]:
     """The tree document in the file ``path`` (a bare tree, or a ``sample``
     report with the tree under ``result.tree``) and the reference that
     echoes it, ``{"path", "sha256"}``.  A digest other than ``sha256`` (when
@@ -202,31 +202,27 @@ def _read_tree(flag: str, path: str, sha256: str | None = None) -> tuple[object,
     digest = hashlib.sha256(data).hexdigest()
     if sha256 is not None and digest != sha256:
         raise ConfigError("sha256", f"{path} has digest {digest}, not the one recorded")
-    doc = _read_json(flag, path, data)
+    doc = _read_json("path", path, data)
     if isinstance(doc, dict) and "j0" not in doc:
         node = doc.get("result", doc)
         doc = node.get("tree", doc) if isinstance(node, dict) else None
     return doc, {"path": path, "sha256": digest}
 
 
-def _load_tree(cfg: dict, args) -> tuple[dict, "sampler.CoefficientTree"]:
-    """Echo and tree of --tree FILE or of the ``tree`` field (not both).
+def _load_tree(cfg: dict) -> tuple[dict, "sampler.CoefficientTree"]:
+    """Echo and tree of the ``tree`` field.
 
     The field holds a tree document, echoed as given, or a reference
-    ``{"path", "sha256"}`` to a tree file, which is read again and must
-    still have that digest.  A file is echoed as a reference, its path as
-    given.
+    ``{"path", "sha256"}`` to a tree file, whose digest is checked when
+    ``sha256`` is given.  A file is echoed as a reference, its path as
+    given and its digest filled in.
     """
     doc = echo = obj(cfg, "tree", None)
-    if getattr(args, "tree", None):
-        if doc is not None:
-            raise ConfigError("tree", "give an inline tree or --tree FILE, not both")
-        doc, echo = _read_tree("--tree", args.tree)
-    elif doc is not None and "path" in doc:
+    if doc is not None and "path" in doc:
         with under("tree"):
-            path, sha256 = string(doc, "path"), string(doc, "sha256")
+            path, sha256 = string(doc, "path"), string(doc, "sha256", None)
             known(doc)
-            doc, echo = _read_tree("path", path, sha256)
+            doc, echo = _read_tree(path, sha256)
     if not isinstance(doc, dict) or "j0" not in doc:
         raise ConfigError("tree", "supply --tree FILE or an inline 'tree' document")
     with under("tree"):
@@ -243,7 +239,7 @@ def _same_file(a: str, b: str) -> bool:
 
 def _check_outputs(cfg: dict, args) -> None:
     """Refuse an output file that is an input file or the other output."""
-    files = [("--config", args.config), ("--tree", getattr(args, "tree", None))]
+    files = [("--config", args.config)]
     ref = cfg.get("tree")
     if isinstance(ref, dict) and isinstance(ref.get("path"), str):
         files.append(("tree.path", ref["path"]))
@@ -258,38 +254,17 @@ def _check_outputs(cfg: dict, args) -> None:
 # classify points
 # ---------------------------------------------------------------------------
 
-# kind -> (fields read after ``slab`` and ``r``, classifier).  The classifier
-# gets every field by name; a field marked "?" may be left out.  A field is a
-# number unless `_BLOCKS` names its block reader.
+# kind -> (module, name of its classifier, fields read after ``slab`` and
+# ``r``).  The classifier is looked up when called and gets every field by
+# name; a field marked "?" may be left out.  A field is a number unless
+# `_BLOCKS` names its block reader.
 _CLASSIFY = {
-    "simple": (
-        ("alpha", "beta", "besov"),
-        lambda slab, r, alpha, beta, besov: theory.classify_simple(slab, alpha, beta, besov, r),
-    ),
-    "general": (
-        ("tau", "pi", "besov"),
-        lambda slab, r, tau, pi, besov: theory.classify_general(slab, tau, pi, besov, r),
-    ),
-    "three_param": (
-        ("alpha", "beta", "gamma", "s", "q"),
-        lambda slab, r, alpha, beta, gamma, s, q: theory.classify_three_param(
-            slab, alpha, beta, gamma, s, q, r
-        ),
-    ),
-    "regression": (
-        ("tau", "pi", "besov"),
-        lambda slab, r, tau, pi, besov: theory.classify_regression(slab, tau, pi, besov, r),
-    ),
-    "no_spike": (
-        ("tau", "besov"),
-        lambda slab, r, tau, besov: theory.no_spike_condition(slab, tau, besov, r),
-    ),
-    "cwt": (
-        ("alpha", "beta", "rho", "besov", "mu?", "tau?"),
-        lambda slab, r, alpha, beta, rho, besov, mu=None, tau=None: cwt.classify_cwt(
-            slab, alpha, beta, besov, r, rho, mu=mu, tau=tau
-        ),
-    ),
+    "simple": (theory, "classify_simple", ("alpha", "beta", "besov")),
+    "general": (theory, "classify_general", ("tau", "pi", "besov")),
+    "three_param": (theory, "classify_three_param", ("alpha", "beta", "gamma", "s", "q")),
+    "regression": (theory, "classify_regression", ("tau", "pi", "besov")),
+    "no_spike": (theory, "no_spike_condition", ("tau", "besov")),
+    "cwt": (cwt, "classify_cwt", ("alpha", "beta", "rho", "besov", "mu?", "tau?")),
 }
 _BLOCKS = {"slab": _slab, "besov": _besov, "tau": _schedule, "pi": _schedule, "mu": _schedule}
 
@@ -299,13 +274,13 @@ def _classify_point(point: dict) -> tuple[str, dict, theory.Verdict]:
     kind = string(point, "kind", "simple")
     if kind not in _CLASSIFY:
         raise ConfigError("kind", f"unknown kind {kind!r}; choose from {', '.join(_CLASSIFY)}")
-    names, classify = _CLASSIFY[kind]
+    module, classifier, names = _CLASSIFY[kind]
     fields = {}
     for name in ("slab", "r") + names:
         name, optional = name.rstrip("?"), name.endswith("?")
         if not (optional and name not in point):
             fields[name] = _BLOCKS.get(name, number)(point, name)
-    return kind, fields, classify(**fields)
+    return kind, fields, getattr(module, classifier)(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +288,7 @@ def _classify_point(point: dict) -> tuple[str, dict, theory.Verdict]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_classify(cfg: dict, args, threads: int):
+def _cmd_classify(cfg: dict, threads: int):
     if "points" in cfg:
         raw = array(cfg, "points")
         if not raw:
@@ -343,7 +318,7 @@ def _cmd_classify(cfg: dict, args, threads: int):
     return echo, result, (header, [columns]), flagged
 
 
-def _cmd_sweep(cfg: dict, args, threads: int):
+def _cmd_sweep(cfg: dict, threads: int):
     base = obj(cfg, "base")
     vary = obj(cfg, "vary")
     if not vary:
@@ -384,37 +359,31 @@ def _cmd_sweep(cfg: dict, args, threads: int):
     return echo, {"rows": records}, (header, [columns]), flagged
 
 
-def _cmd_sample(cfg: dict, args, threads: int):
+def _cmd_sample(cfg: dict, threads: int):
     spec = _read(sampler.PriorSpec, cfg)
     j0 = natural(cfg, "j0")
     seed = natural(cfg, "seed", 0)
     replicate = natural(cfg, "replicate", 0)
     scaling = numbers(cfg, "scaling", None)
     known(cfg)
-    tree = sampler.sample_tree(spec, j0, scaling, seed=seed, replicate=replicate)
     echo = {**_echo(spec), "j0": j0, "seed": seed, "replicate": replicate}
     if scaling is not None:
         echo["scaling"] = scaling
+    tree = sampler.sample_tree(spec, j0, scaling, seed=seed, replicate=replicate)
     doc = sampler.tree_to_dict(tree)
     result = {"tree": doc, "nonzero_counts": sampler.nonzero_counts(tree).tolist()}
     blocks = [(itertools.repeat(lev["j"]), lev["k"], lev["w"]) for lev in doc["levels"]]
     return echo, result, (["j", "k", "w"], blocks), False
 
 
-def _cmd_norm(cfg: dict, args, threads: int):
+def _cmd_norm(cfg: dict, threads: int):
     bp = _besov(cfg, "besov")
-    tree_echo, tree = _load_tree(cfg, args)
+    tree_echo, tree = _load_tree(cfg)
     known(cfg)
-    value = besov.besov_seq_norm(tree, bp)
     echo = {"besov": _echo(bp), "tree": tree_echo}
+    value = besov.besov_seq_norm(tree, bp)
     result = {"norm": value, "nonzero_counts": sampler.nonzero_counts(tree).tolist()}
     return echo, result, None, False
-
-
-def _run_echo(report: lab.ExperimentReport, reps: int, seed: int, **fields) -> dict:
-    """An experiment's echo: ``fields``, then the ``reps`` and ``seed`` it
-    ran with and its ``levels`` as the report's sorted distinct levels."""
-    return {**fields, "levels": [ls.j for ls in report.levels], "reps": reps, "seed": seed}
 
 
 def _level_csv(report: lab.ExperimentReport):
@@ -422,28 +391,29 @@ def _level_csv(report: lab.ExperimentReport):
     return header, [[[getattr(ls, name) for ls in report.levels] for name in header]]
 
 
-def _cmd_verify(cfg: dict, args, threads: int):
+def _cmd_verify(cfg: dict, threads: int):
     bp = _besov(cfg, "besov")
     levels = block(_levels, cfg, "levels")
     spec = _read(sampler.PriorSpec, cfg)
     # without a mode, the infinite model is cut at the highest level checked
     if cfg.get("mode") is None:
-        spec = sampler.PriorSpec(spec.tau, spec.pi, spec.slab, sampler.Infinite(max(levels)))
+        spec = sampler.PriorSpec(spec.tau, spec.pi, spec.slab, sampler.Infinite(levels[-1]))
     reps = integer(cfg, "reps", 100)
     seed = natural(cfg, "seed", 0)
     check = string(cfg, "check", "slope")
     if check not in ("slope", "membership"):
         raise ConfigError("check", f"expected 'slope' or 'membership', got {check!r}")
     known(cfg)
+    echo = {**_echo(spec), "besov": _echo(bp), "check": check}
+    echo.update(levels=levels, reps=reps, seed=seed)
     runner = lab.exponent_regression if check == "slope" else lab.empirical_membership
     report = runner(spec, bp, levels, reps=reps, seed=seed, threads=threads)
     verdict = report.theory_verdict or {}
     flagged = verdict.get("decision") == theory.Decision.NOT_COVERED.value
-    echo = _run_echo(report, reps, seed, **_echo(spec), besov=_echo(bp), check=check)
     return echo, report.to_dict(), _level_csv(report), flagged
 
 
-def _cmd_lln(cfg: dict, args, threads: int):
+def _cmd_lln(cfg: dict, threads: int):
     slab = _slab(cfg, "slab")
     pi = _schedule(cfg, "pi")
     m = number(cfg, "m")
@@ -451,31 +421,31 @@ def _cmd_lln(cfg: dict, args, threads: int):
     reps = integer(cfg, "reps", 50)
     seed = natural(cfg, "seed", 0)
     known(cfg)
+    echo = _echo(dict(slab=slab, pi=pi, m=m, levels=levels, reps=reps, seed=seed))
     report = lab.lln_experiment(slab, pi, m, levels, reps=reps, seed=seed, threads=threads)
-    echo = _run_echo(report, reps, seed, slab=_echo(slab), pi=_echo(pi), m=m)
     return echo, report.to_dict(), _level_csv(report), False
 
 
-def _cmd_evt(cfg: dict, args, threads: int):
+def _cmd_evt(cfg: dict, threads: int):
     slab = _slab(cfg, "slab")
     pi = _schedule(cfg, "pi")
     levels = block(_levels, cfg, "levels", list(range(8, 19)))
     reps = integer(cfg, "reps", 100)
     seed = natural(cfg, "seed", 0)
     known(cfg)
+    echo = _echo(dict(slab=slab, pi=pi, levels=levels, reps=reps, seed=seed))
     report = lab.evt_experiment(slab, pi, levels, reps=reps, seed=seed, threads=threads)
-    echo = _run_echo(report, reps, seed, slab=_echo(slab), pi=_echo(pi))
     return echo, report.to_dict(), _level_csv(report), False
 
 
-def _cmd_synth(cfg: dict, args, threads: int):
+def _cmd_synth(cfg: dict, threads: int):
     fam = block(wavelets.family, cfg, "family")
     grid_exponent = integer(cfg, "grid_exponent")
-    tree_echo, tree = _load_tree(cfg, args)
+    tree_echo, tree = _load_tree(cfg)
     known(cfg)
+    echo = {"family": fam.name, "grid_exponent": grid_exponent, "tree": tree_echo}
     values = wavelets.synthesize(tree, fam, grid_exponent)
     xs = np.arange(values.size) / float(values.size)
-    echo = {"family": fam.name, "grid_exponent": grid_exponent, "tree": tree_echo}
     result = {
         "count": int(values.size),
         "energy": float(np.mean(values * values)),
@@ -489,36 +459,36 @@ def _project(doc) -> tuple[wavelets.WaveletFamily, int, int]:
     return block(wavelets.family, doc, "family"), natural(doc, "j0"), natural(doc, "top")
 
 
-def _cmd_cwt_sample(cfg: dict, args, threads: int):
+def _cmd_cwt_sample(cfg: dict, threads: int):
     spec = _spec(cfg, "spec")
     seed = natural(cfg, "seed", 0)
     replicate = natural(cfg, "replicate", 0)
     project = block(_project, cfg, "project", None)
     known(cfg)
+    echo = {"spec": _echo(spec), "seed": seed, "replicate": replicate}
+    if project is not None:
+        fam, j0, top = project
+        echo["project"] = {"family": fam.name, "j0": j0, "top": top}
     atoms = cwt.sample_atoms(spec, seed, replicate)
     header = ["a", "b", "omega"]
     columns = [[getattr(at, name) for at in atoms] for name in header]
     rows = [[at.a, at.b, at.omega] for at in atoms]
-    echo = {"spec": _echo(spec), "seed": seed, "replicate": replicate}
     result = {"intensity": spec.intensity_total(), "count": len(atoms), "atoms": rows}
     if project is not None:
-        fam, j0, top = project
         with under("project"):
             tree = cwt.project_to_orthogonal(atoms, fam, j0, top, spec.coarse)
-        echo["project"] = {"family": fam.name, "j0": j0, "top": top}
         result["tree"] = sampler.tree_to_dict(tree)
     return echo, result, (header, [columns]), False
 
 
-def _moment(doc) -> tuple:
-    """``moment``: the spec, ``m``, levels, replicates and seed of a moment experiment."""
-    spec = _spec(doc, "spec")
-    m = number(doc, "m")
-    levels = block(_levels, doc, "levels")
-    return spec, m, levels, integer(doc, "reps", 50), natural(doc, "seed", 0)
+def _moment(doc) -> dict:
+    """``moment``: the arguments of `cwt.moment_bound_experiment` but the family, by name."""
+    spec, m, levels = _spec(doc, "spec"), number(doc, "m"), block(_levels, doc, "levels")
+    reps, seed = integer(doc, "reps", 50), natural(doc, "seed", 0)
+    return dict(spec=spec, m=m, levels=levels, reps=reps, seed=seed)
 
 
-def _cmd_cwt_verify(cfg: dict, args, threads: int):
+def _cmd_cwt_verify(cfg: dict, threads: int):
     fam = block(wavelets.family, cfg, "family")
     v_count = integer(cfg, "v_count", 257)
     depth = integer(cfg, "depth", 12)
@@ -527,18 +497,16 @@ def _cmd_cwt_verify(cfg: dict, args, threads: int):
         raise ConfigError("u_grid", "expected a nonempty list of scale ratios")
     moment = block(_moment, cfg, "moment", None)
     known(cfg)
-    bounds = cwt.verify_kernel_bounds(fam, u_grid, v_count=v_count, depth=depth)
     echo: dict = {"family": fam.name, "v_count": v_count, "depth": depth}
     if u_grid is not None:
         echo["u_grid"] = u_grid
+    if moment is not None:
+        echo["moment"] = _echo(moment)
+    bounds = cwt.verify_kernel_bounds(fam, u_grid, v_count=v_count, depth=depth)
     result: dict = {"kernel": bounds.to_dict()}
     if moment is not None:
-        spec, m, levels, reps, seed = moment
         with under("moment"):
-            report = cwt.moment_bound_experiment(
-                spec, fam, m, levels, reps=reps, seed=seed, threads=threads
-            )
-        echo["moment"] = _run_echo(report, reps, seed, spec=_echo(spec), m=m)
+            report = cwt.moment_bound_experiment(fam=fam, threads=threads, **moment)
         result["moment"] = report.to_dict()
     return echo, result, (["u", "sup"], [(bounds.u.tolist(), bounds.sup.tolist())]), False
 
@@ -567,11 +535,13 @@ def _set_dotted(doc: dict, dotted: str, value, blame: str) -> None:
 
     Each object on the path is replaced by a shallow copy (a missing one
     by a new object), so objects ``doc`` shares with another document are
-    left unchanged; ``blame`` leads the error when the path runs through a
-    non-object.
+    left unchanged; ``blame`` leads the error when the path has an empty
+    key or runs through a non-object.
     """
     node = doc
-    *parents, last = dotted.split(".")
+    *parents, last = keys = dotted.split(".")
+    if "" in keys:
+        raise ConfigError(blame, f"empty key in the dotted path {dotted!r}")
     for part in parents:
         child = node.get(part, {})
         if not isinstance(child, dict):
@@ -604,6 +574,10 @@ def _resolve_config(args) -> dict:
         cfg["seed"] = args.seed
     if args.reps is not None:
         cfg["reps"] = args.reps
+    if args.tree is not None:
+        if cfg.get("tree") is not None:
+            raise ConfigError("tree", "give an inline tree or --tree FILE, not both")
+        cfg["tree"] = Doc({"path": args.tree})
     return cfg
 
 
@@ -716,8 +690,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help=f"worker cap for replicate loops, 1 to {_MAX_THREADS} (default ${_ENV_THREADS} or 1)",
+        default=1,
+        help=f"worker cap for replicate loops, 1 to {_MAX_THREADS} (default 1)",
     )
     common.add_argument(
         "--strict",
@@ -725,13 +699,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exit 3 when any verdict is NotCovered",
     )
     common.add_argument("--out", metavar="FILE", help="write the JSON report here (default stdout)")
-    common.add_argument("--csv", metavar="FILE", help="also write the subcommand's CSV table")
+    common.set_defaults(csv=None, tree=None)
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name in _DISPATCH:
         p = sub.add_parser(name, parents=[common], help=_COMMAND_HELP[name])
+        if name != "norm":
+            p.add_argument("--csv", metavar="FILE", help="also write the subcommand's CSV table")
         if name in ("norm", "synth"):
-            p.add_argument("--tree", metavar="FILE", help="tree file (bare tree or a 'sample' report)")
+            p.add_argument("--tree", metavar="FILE", help='shorthand for tree={"path": FILE}')
     return parser
 
 
@@ -743,23 +719,15 @@ def main(argv=None) -> int:
         code = exc.code
         return EXIT_OK if code in (0, None) else EXIT_USAGE
 
-    threads, source = args.threads, "--threads"
-    if threads is None:
-        raw = os.environ.get(_ENV_THREADS, "1")
-        source = f"${_ENV_THREADS}"
-        try:
-            threads = int(raw)
-        except ValueError:
-            print(f"besovlab: {source}={raw!r} is not an integer", file=sys.stderr)
-            return EXIT_USAGE
-    if not 1 <= threads <= _MAX_THREADS:
-        print(f"besovlab: {source} must be in [1, {_MAX_THREADS}], got {threads}", file=sys.stderr)
+    if not 1 <= args.threads <= _MAX_THREADS:
+        bound = f"--threads must be in [1, {_MAX_THREADS}], got {args.threads}"
+        print(f"besovlab: {bound}", file=sys.stderr)
         return EXIT_USAGE
 
     try:
         cfg = _resolve_config(args)
         _check_outputs(cfg, args)
-        echo, result, table, flagged = _DISPATCH[args.command](cfg, args, threads)
+        echo, result, table, flagged = _DISPATCH[args.command](cfg, args.threads)
         report = {"command": args.command, "config": echo, "result": result}
         try:
             text = _encode(report) + "\n"
@@ -771,10 +739,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"besovlab {args.command}: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-    if args.csv and table is None:
-        print(f"besovlab {args.command}: no CSV table for this subcommand", file=sys.stderr)
-        return EXIT_USAGE
 
     try:
         if args.out:

@@ -111,6 +111,12 @@ class CwtSpec:
             raise ConfigError("a0", f"a0 must be finite and > 0, got {self.a0}")
         if not self.a0 < self.a_max < math.inf:
             raise ConfigError("a_max", f"a_max must be finite and > a0={self.a0}, got {self.a_max}")
+        try:  # tau is largest at a0
+            top = math.sqrt(self.c_tau) * self.a0 ** (-self.alpha / 2.0)
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ConfigError("alpha", "the mark scale sqrt(c_tau) a0^(-alpha/2) overflows a float")
 
     def intensity_total(self) -> float:
         """``integral of mu over [a0, a_max]`` (the Poisson mean count)."""
@@ -122,7 +128,8 @@ class CwtSpec:
 
 def sample_atoms(spec: CwtSpec, seed: int, replicate: int = 0) -> list[PoissonAtom]:
     """Draw one realisation of the marked Poisson process; a mean count
-    above the dense-array cap is rejected before anything is drawn."""
+    above the dense-array cap is rejected before anything is drawn, and a
+    mark that overflows a float is a `ConfigError` at ``spec``."""
     lam = spec.intensity_total()
     if lam > 0:
         check_dense_size(math.log2(lam), "spec")
@@ -138,8 +145,12 @@ def sample_atoms(spec: CwtSpec, seed: int, replicate: int = 0) -> list[PoissonAt
         a = (spec.a0**e + u * (spec.a_max**e - spec.a0**e)) ** (1.0 / e)
     b = rng.random(count)
     xi = sample(spec.slab, rng, count)
-    tau = math.sqrt(spec.c_tau) * a ** (-spec.alpha / 2.0)
-    return list(map(PoissonAtom, a.tolist(), b.tolist(), (tau * xi).tolist()))
+    try:
+        with np.errstate(over="raise"):
+            omega = math.sqrt(spec.c_tau) * a ** (-spec.alpha / 2.0) * xi
+    except FloatingPointError:
+        raise ConfigError("spec", "a mark scale times a slab draw overflows a float") from None
+    return list(map(PoissonAtom, a.tolist(), b.tolist(), omega.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +615,7 @@ def classify_cwt(
     slab: SlabDistribution,
     alpha: float,
     beta: float,
-    bp: BesovParams,
+    besov: BesovParams,
     r: float,
     rho: float,
     *,
@@ -642,7 +653,7 @@ def classify_cwt(
     kernel_note = f"kernel decay exponent r + rho + 1/2 = {r + rho + 0.5:g}"
 
     if mu is None:
-        base = classify_simple(slab, alpha, beta, bp, r)
+        base = classify_simple(slab, alpha, beta, besov, r)
         return replace(
             base,
             case_id="cwt/" + base.case_id.split("/", 1)[1],
@@ -650,7 +661,7 @@ def classify_cwt(
         )
 
     # general nonincreasing (mu, tau), read at dyadic scales a = 2^j
-    if math.isinf(bp.p):
+    if math.isinf(besov.p):
         return _not_covered(
             "cwt/general-p-inf",
             "general intensity families are only treated for p < infinity",
@@ -659,7 +670,7 @@ def classify_cwt(
     if mu.c > 0 and (mu.e < 0 or (mu.e == 0 and mu.g > 0)):
         raise ConfigError("mu", f"mu must be nonincreasing, got e={mu.e}, g={mu.g}")
     # clamping pi at 1 leaves a nonincreasing mu's exponents, so its regime, unchanged
-    v = classify_general(slab, tau, mu, bp, r)
+    v = classify_general(slab, tau, mu, besov, r)
     case = v.case_id.split("/", 1)[1]
     assumptions = (kernel_note, "general nonincreasing mu, tau at dyadic scales")
     if case == "case5":
@@ -672,7 +683,7 @@ def classify_cwt(
         reason = "q = infinity needs 2^j mu(2^j) increasing to infinity"
         return _not_covered("cwt/general-q-inf", reason, assumptions=assumptions)
     if not v.covered:  # the moment gate of case 1 (order p) or case 3 (order q)
-        order = bp.p if case == "case1" else bp.q
+        order = besov.p if case == "case1" else besov.q
         reason = f"slab lacks a finite moment of order {order:g}"
         return _not_covered("cwt/general-assumption-h", reason, assumptions=assumptions)
     return replace(v, case_id="cwt/general", assumptions=assumptions)

@@ -69,6 +69,9 @@ _CHUNK = 1 << 22  # cap per-draw memory at 32 MiB of float64
 # bounds the OS threads one replicate loop starts; a constant, not the CPU
 # count, so a run that is valid on one host is valid on every host
 _MAX_THREADS = 64
+# bounds the per-level results an experiment holds until it ends, replicates
+# times levels: a result costs at most 96 bytes, so 2^22 of them about 400 MB
+_MAX_RESULTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,8 @@ class ExperimentReport:
 
 def _level_list(levels, reps: int) -> list[int]:
     """The sorted distinct levels of an experiment, once its ``levels`` and
-    ``reps`` are checked; errors name the field."""
+    ``reps`` are checked (at most `_MAX_RESULTS` results in all); errors
+    name the field."""
     out = sorted({int(j) for j in levels})
     if not out:
         raise ConfigError("levels", "need at least one level")
@@ -124,6 +128,9 @@ def _level_list(levels, reps: int) -> list[int]:
     _check_level(out[-1], "levels")
     if reps < 2:
         raise ConfigError("reps", f"need at least 2 replicates for a standard error, got {reps}")
+    if reps * len(out) > _MAX_RESULTS:
+        reason = f"reps x levels = {reps} x {len(out)} exceeds the {_MAX_RESULTS} results kept"
+        raise ConfigError("reps", reason)
     return out
 
 

@@ -302,7 +302,7 @@ def classify_general(
     slab: SlabDistribution,
     tau: LevelSchedule,
     pi: LevelSchedule,
-    bp: BesovParams,
+    besov: BesovParams,
     r: float,
 ) -> Verdict:
     """Membership under arbitrary schedule hyperparameters (infinite model).
@@ -311,21 +311,21 @@ def classify_general(
     function is a member when ``sum_j (j^G 2^(jE))^q`` converges, or for
     ``q = inf`` when ``sup_j j^G 2^(jE)`` is finite.
     """
-    case = _schedule_case("general", slab, tau, pi, bp, r)
+    case = _schedule_case("general", slab, tau, pi, besov, r)
     if isinstance(case, Verdict):
         return case
     case_id, note, E, G, frechet = case
-    weight = bp.q
+    weight = besov.q
     if frechet is not None:
-        if math.isinf(bp.q):
+        if math.isinf(besov.q):
             # the a.s. supremum of c_j * Frechet(ell) variables is finite
             # exactly when sum c_j^ell converges (Borel-Cantelli both ways)
             weight = frechet.ell
-        elif bp.q >= frechet.ell:
+        elif besov.q >= frechet.ell:
             return _not_covered(
-                case_id, f"polynomial tail needs q < ell; got q={bp.q}, ell={frechet.ell}"
+                case_id, f"polynomial tail needs q < ell; got q={besov.q}, ell={frechet.ell}"
             )
-    return _decide(_lq_finite(E, G, weight), case_id, _threshold(bp, E), (note,))
+    return _decide(_lq_finite(E, G, weight), case_id, _threshold(besov, E), (note,))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +333,7 @@ def classify_general(
 # ---------------------------------------------------------------------------
 
 def classify_simple(
-    slab: SlabDistribution, alpha: float, beta: float, bp: BesovParams, r: float
+    slab: SlabDistribution, alpha: float, beta: float, besov: BesovParams, r: float
 ) -> Verdict:
     """Membership for ``tau_j = sqrt(C1) 2^(-alpha j/2)``,
     ``pi_j = min(1, C2 2^(-beta j))``: `classify_general` on those
@@ -351,7 +351,7 @@ def classify_simple(
         raise ConfigError("alpha", "alpha + beta must be positive (degenerate prior otherwise)")
     if alpha / 2 * 2 != alpha:  # a subnormal alpha whose last bit is set
         raise ConfigError("alpha", f"alpha/2 is not exact in floats for alpha={alpha}")
-    v = classify_general(slab, LevelSchedule(1.0, alpha / 2), LevelSchedule(1.0, beta), bp, r)
+    v = classify_general(slab, LevelSchedule(1.0, alpha / 2), LevelSchedule(1.0, beta), besov, r)
     case = v.case_id.split("/", 1)[1]
     if case == "case4" and v.decision is Decision.MEMBER_AS:
         reason = "threshold condition is sufficient only in this cell"
@@ -360,7 +360,7 @@ def classify_simple(
     if cell is None:
         if not v.covered and v.threshold is None:
             cell = "assumption-h"
-        elif not math.isinf(bp.p):
+        elif not math.isinf(besov.p):
             cell = "p-finite"
         else:
             cell = "p-inf-frechet" if isinstance(tail_class(slab), FrechetTail) else "p-inf-gumbel"
@@ -418,7 +418,7 @@ def classify_regression(
     slab: SlabDistribution,
     tau: LevelSchedule,
     pi: LevelSchedule,
-    bp: BesovParams,
+    besov: BesovParams,
     r: float,
 ) -> Verdict:
     """Almost-sure membership in the large-n limit of the regression prior.
@@ -432,30 +432,30 @@ def classify_regression(
     infinite model's (`_level_exponent`), except for polynomial tails at
     ``p = inf``.
     """
-    case = _schedule_case("regression", slab, tau, pi, bp, r)
+    case = _schedule_case("regression", slab, tau, pi, besov, r)
     if isinstance(case, Verdict):
         return case
     case_id, note, E, G, frechet = case
-    normalised = not math.isinf(bp.q)
+    normalised = not math.isinf(besov.q)
     if frechet is not None:
-        if normalised and Fraction(bp.q) >= Fraction(frechet.ell) + 1:
+        if normalised and Fraction(besov.q) >= Fraction(frechet.ell) + 1:
             return _not_covered(
                 case_id,
                 "regression-mode polynomial tail needs q < ell + 1; "
-                f"got q={bp.q}, ell={frechet.ell}",
+                f"got q={besov.q}, ell={frechet.ell}",
             )
         # level maxima scale with n_j itself, normalised at every q
         _, e_pi, g_pi = clamped_exponents(pi)
-        E = Fraction(bp.s) + _HALF - Fraction(tau.e) - (1 - Fraction(e_pi))
+        E = Fraction(besov.s) + _HALF - Fraction(tau.e) - (1 - Fraction(e_pi))
         G = Fraction(tau.g) - Fraction(g_pi)
         normalised = True
     if normalised:
         E -= _HALF
-    return _decide(sup_verdict(-E, G), case_id, _threshold(bp, E), (note,))
+    return _decide(sup_verdict(-E, G), case_id, _threshold(besov, E), (note,))
 
 
 def no_spike_condition(
-    slab: SlabDistribution, tau: LevelSchedule, bp: BesovParams, r: float
+    slab: SlabDistribution, tau: LevelSchedule, besov: BesovParams, r: float
 ) -> Verdict:
     """Membership when every coefficient is nonzero (``pi_j = 1``).
 
@@ -463,5 +463,5 @@ def no_spike_condition(
     schedule; with ``n_j = 2^j`` this lands in case 1 (finite p) or
     case 2 (p = inf).
     """
-    inner = classify_general(slab, tau, LevelSchedule(1.0), bp, r)
+    inner = classify_general(slab, tau, LevelSchedule(1.0), besov, r)
     return replace(inner, case_id="no-spike/" + inner.case_id.split("/", 1)[1])

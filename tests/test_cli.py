@@ -118,6 +118,17 @@ PROJECT = ECHO_CASES["cwt-sample"]["project"]
 STRAY_SLAB = {**GAUSS, "sgima": 2.0}
 STRAY_LEVEL_TREE = {**TINY_TREE, "levels": [{"j": 0, "k": [0], "w": [0.5], "n": 1}]}
 SWEEP_BASE = {"slab": GAUSS, "alpha": 2.0, "besov": B122, "r": 3.0}
+# a largest mark scale sqrt(c_tau) a0^(-alpha/2) of 10^600
+HUGE_MARK_SPEC = {**CWT_SPEC, "alpha": 4.0, "a0": 1e-300, "a_max": 1e-299}
+# a largest mark scale of 10^307, and about 140 atoms with Cauchy marks
+OVERFLOWING_MARK_SPEC = {
+    **CWT_SPEC,
+    "c_mu": 1e155,
+    "alpha": 2.0,
+    "slab": {"family": "cauchy"},
+    "a0": 1e-307,
+    "a_max": 1e-306,
+}
 
 
 SYNTH = REPORT_CASES["synth"]
@@ -285,6 +296,25 @@ class TestClassify:
         # the config is echoed once, at the top level
         assert "config" not in report["result"]
         assert "config" not in report["result"].get("moment", {})
+
+    @pytest.mark.parametrize(
+        "module, name, point",
+        [
+            (theory, "classify_simple", POINT),
+            (theory, "classify_three_param", THREE_PARAM),
+            (cwt, "classify_cwt", CWT_POINT),
+        ],
+    )
+    def test_classifier_is_looked_up_when_called(
+        self, capsys, tmp_path, monkeypatch, module, name, point
+    ):
+        # a wrapper set on the module after import, as a tracer sets one, is called
+        calls = []
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda **fields: calls.append(fields) or original(**fields))
+        run_json(capsys, "classify", "--config", write_cfg(tmp_path, point))
+        assert len(calls) == 1
+        assert set(calls[0]) == {key for key in point if key != "kind"}
 
     def test_matches_library_call(self, capsys, tmp_path):
         cfg = {
@@ -463,13 +493,13 @@ class TestSampleNorm:
 
     @pytest.mark.parametrize("command", ["norm", "synth"])
     def test_inline_tree_and_tree_file_are_refused(self, capsys, tmp_path, command):
-        cfg = {**REPORT_CASES[command], "tree": TWO_LEVEL_TREE}
         tree_file = write_cfg(tmp_path, TINY_TREE, "tree.json")
-        code, out, err = run(
-            capsys, command, "--config", write_cfg(tmp_path, cfg), "--tree", tree_file
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith(f"besovlab {command}: config error: tree: give an inline tree")
+        # an inline reference counts as an inline tree
+        for tree in (TWO_LEVEL_TREE, {"path": tree_file}):
+            cfg = write_cfg(tmp_path, {**REPORT_CASES[command], "tree": tree})
+            code, out, err = run(capsys, command, "--config", cfg, "--tree", tree_file)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"besovlab {command}: config error: tree: give an inline tree")
 
     def test_seed_flag_overrides_config(self, capsys, tmp_path):
         cfg = {
@@ -552,7 +582,9 @@ class TestSampleNorm:
             capsys, "norm", "--set", f"besov={json.dumps(B122)}", *args, "--out", out_file
         )
         assert (code, out) == (2, "")
-        assert err.startswith("besovlab norm: config error: --out: ")
+        assert err.startswith(
+            f"besovlab norm: config error: --out: {out_file} is also the tree.path file"
+        )
         assert tree.read_bytes() == before
 
     def test_csv_naming_the_out_file_is_refused(self, capsys, tmp_path):
@@ -567,20 +599,44 @@ class TestSampleNorm:
         assert not report.exists()
 
     def test_csv_flag_rejected_without_table(self, capsys, tmp_path):
-        tree = tmp_path / "tree.json"
-        run_json(capsys, "sample", *self.SAMPLE_ARGS, "--out", str(tree))
-        code, _, err = run(
+        # norm has no table, so --csv is a usage error, raised before the tree is read
+        table = tmp_path / "no.csv"
+        code, out, err = run(
             capsys,
             "norm",
             "--set",
             f"besov={json.dumps(B122)}",
             "--tree",
-            str(tree),
+            str(tmp_path / "missing.json"),
             "--csv",
-            str(tmp_path / "no.csv"),
+            str(table),
         )
-        assert code == 2
-        assert "no CSV table" in err
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --csv" in err
+        assert not table.exists()
+
+    @pytest.mark.parametrize("command", ["norm", "synth"])
+    def test_tree_flag_is_the_tree_reference(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(TWO_LEVEL_TREE))
+        cfg = {key: value for key, value in REPORT_CASES[command].items() if key != "tree"}
+        cfg = write_cfg(tmp_path, cfg)
+        run_json(capsys, command, "--config", cfg, "--tree", "tree.json", "--out", "flag.json")
+        ref = ["--set", 'tree={"path": "tree.json"}', "--out", "ref.json"]
+        report = run_json(capsys, command, "--config", cfg, *ref)
+        assert (tmp_path / "flag.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+        digest = hashlib.sha256(tree.read_bytes()).hexdigest()
+        assert report["config"]["tree"] == {"path": "tree.json", "sha256": digest}
+
+    def test_unreadable_tree_file_is_named_at_tree_path(self, capsys, tmp_path):
+        tree = tmp_path / "tree.json"
+        tree.write_text("{not json")
+        code, out, err = run(
+            capsys, "norm", "--set", f"besov={json.dumps(B122)}", "--tree", str(tree)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"besovlab norm: config error: tree.path {tree}: invalid JSON")
 
 
 VERIFY_CFG = {
@@ -659,17 +715,6 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--config", path, "--strict")
         assert code == 3
 
-    def test_env_var_sets_default_threads(self, capsys, tmp_path, monkeypatch):
-        path = write_cfg(tmp_path, VERIFY_CFG)
-        baseline = run_json(capsys, "verify", "--config", path)
-        monkeypatch.setenv("BESOVLAB_THREADS", "3")
-        assert run_json(capsys, "verify", "--config", path) == baseline
-        for raw in ("junk", "100000"):
-            monkeypatch.setenv("BESOVLAB_THREADS", raw)
-            code, _, err = run(capsys, "verify", "--config", path)
-            assert code == 2
-            assert "$BESOVLAB_THREADS" in err
-
 
 class TestExperiments:
     def test_lln_small(self, capsys, tmp_path):
@@ -714,6 +759,21 @@ class TestExperiments:
         report = run_json(capsys, "lln", "--config", write_cfg(tmp_path, cfg))
         assert report["config"]["levels"] == [8, 10, 12]
         assert [ls["j"] for ls in report["result"]["levels"]] == [8, 10, 12]
+
+    @pytest.mark.parametrize("command", ["lln", "verify", "cwt-verify"])
+    def test_unsorted_levels_echo_sorted_and_replay(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        levels = [9, 6, 6, 8]
+        if command == "cwt-verify":
+            cfg = with_moment(levels=levels)
+        else:
+            cfg = {**ECHO_CASES[command], "levels": levels}
+        first = run_json(capsys, command, "--config", write_cfg(tmp_path, cfg), "--out", "a.json")
+        echo = first["config"]["moment"] if command == "cwt-verify" else first["config"]
+        assert echo["levels"] == [6, 8, 9]
+        replay = write_cfg(tmp_path, first["config"], "echo.json")
+        run_json(capsys, command, "--config", replay, "--out", "b.json")
+        assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
 
     def test_lln_moment_far_below_the_float_range(self, capsys, tmp_path):
         # Gamma(200.5) overflows, but E|xi|^400 of N(0, 1e-20) is about 1e-3567
@@ -1318,6 +1378,25 @@ class TestErrors:
                 [],
                 "moment.spec.coarse.c_w: c_w must be finite, got -inf",
             ),
+            # an empty key in a dotted path is named by the key that holds it
+            ("classify", POINT, ["--set", ".x=1"], "--set .x: empty key"),
+            ("classify", POINT, ["--set", "besov.=1"], "--set besov.: empty key"),
+            ("sweep", {"base": SWEEP_BASE, "vary": {"besov.": [B122]}}, [], "vary.besov.: empty"),
+            ("sweep", {"base": SWEEP_BASE, "vary": {"": [1.0]}}, [], "vary.: empty key"),
+            # the largest mark scale sqrt(c_tau) a0^(-alpha/2) must be a float, atoms or not
+            ("cwt-sample", {"spec": HUGE_MARK_SPEC}, [], "spec.alpha: the mark scale sqrt"),
+            ("cwt-sample", {"spec": {**HUGE_MARK_SPEC, "c_mu": 0.0}}, [], "spec.alpha: the mark"),
+            ("cwt-verify", with_moment(spec=HUGE_MARK_SPEC), [], "moment.spec.alpha: the mark"),
+            (
+                "cwt-sample",
+                {"spec": OVERFLOWING_MARK_SPEC, "seed": 1},
+                [],
+                "spec: a mark scale times a slab draw overflows a float",
+            ),
+            # replicates times levels is capped, before any draw
+            ("evt", {**ECHO_CASES["evt"], "levels": [4]}, ["--reps", str(2**40)], "reps: reps x"),
+            ("verify", VERIFY, ["--reps", str(2**21)], "reps: reps x levels = 2097152 x 3"),
+            ("cwt-verify", with_moment(reps=2**22), [], "moment.reps: reps x levels"),
         ],
         ids=[
             "classify-nu-bool",
@@ -1454,6 +1533,17 @@ class TestErrors:
             "coarse-c_w-inf",
             "coarse-omega-nan",
             "moment-coarse-c_w-inf",
+            "set-key-leading-dot",
+            "set-key-trailing-dot",
+            "sweep-vary-key-trailing-dot",
+            "sweep-vary-key-empty",
+            "cwt-sample-mark-scale-overflows",
+            "cwt-sample-mark-scale-overflows-without-atoms",
+            "moment-mark-scale-overflows",
+            "cwt-sample-mark-overflows",
+            "evt-reps-cap",
+            "verify-reps-cap",
+            "moment-reps-cap",
         ],
     )
     def test_bad_field_names_its_path(self, capsys, tmp_path, command, cfg, extra, path):
