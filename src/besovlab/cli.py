@@ -107,17 +107,16 @@ def _nested(parse):
     return read
 
 
-def _atom(row) -> cwt.PoissonAtom:
-    if not (isinstance(row, list) and len(row) == 3):
-        raise ValueError(f"expected an [a, b, omega] triple, got {row!r}")
-    return cwt.PoissonAtom(*(number(row, i) for i in range(3)))
-
-
 def _atoms(d, key, default):
-    """A list of `_atom` rows, each error named by its index."""
+    """A `cwt.AtomSet` from a list of ``[a, b, omega]`` rows; an error names its row."""
     rows = array(d, key, default)
+    if rows is default:
+        return default
     with under(key):
-        return tuple(block(_atom, rows, i) for i in range(len(rows)))
+        for i, row in enumerate(rows):
+            if not (isinstance(row, list) and len(row) == 3):
+                raise ConfigError(i, f"expected an [a, b, omega] triple, got {row!r}")
+        return cwt.AtomSet(*zip(*[numbers(rows, i) for i in range(len(rows))]))
 
 
 _besov = _nested(functools.partial(_read, besov.BesovParams))
@@ -134,20 +133,18 @@ _FIELD_READERS = {
     "SlabDistribution": _slab,
     "Mode": _nested(_tagged("kind")),
     "CoarseTerm": _nested(functools.partial(_read, cwt.CoarseTerm)),
-    "tuple[PoissonAtom, ...]": _atoms,
+    "AtomSet": _atoms,
 }
 
 
 def _echo(value):
     """The config block `_read` reads back as ``value``: a dataclass becomes
-    its fields and its tag, a `PoissonAtom` ``[a, b, omega]`` and an infinite
-    number ``"inf"``; a dict or tuple is echoed item by item."""
+    its fields and its tag, a `cwt.AtomSet` its ``[a, b, omega]`` rows and an
+    infinite number ``"inf"``; a dict is echoed item by item."""
     if isinstance(value, float):
         return "inf" if value == math.inf else value
-    if isinstance(value, cwt.PoissonAtom):
-        return [value.a, value.b, value.omega]
-    if isinstance(value, tuple):
-        return [_echo(v) for v in value]
+    if isinstance(value, cwt.AtomSet):
+        return list(map(list, zip(value.a.tolist(), value.b.tolist(), value.omega.tolist())))
     if isinstance(value, dict):
         return {name: _echo(v) for name, v in value.items()}
     if dataclasses.is_dataclass(value):
@@ -470,15 +467,14 @@ def _cmd_cwt_sample(cfg: dict, threads: int):
         fam, j0, top = project
         echo["project"] = {"family": fam.name, "j0": j0, "top": top}
     atoms = cwt.sample_atoms(spec, seed, replicate)
-    header = ["a", "b", "omega"]
-    columns = [[getattr(at, name) for at in atoms] for name in header]
-    rows = [[at.a, at.b, at.omega] for at in atoms]
+    columns = [atoms.a.tolist(), atoms.b.tolist(), atoms.omega.tolist()]
+    rows = list(map(list, zip(*columns)))
     result = {"intensity": spec.intensity_total(), "count": len(atoms), "atoms": rows}
     if project is not None:
         with under("project"):
             tree = cwt.project_to_orthogonal(atoms, fam, j0, top, spec.coarse)
         result["tree"] = sampler.tree_to_dict(tree)
-    return echo, result, (header, [columns]), False
+    return echo, result, (["a", "b", "omega"], [columns]), False
 
 
 def _moment(doc) -> dict:

@@ -12,11 +12,11 @@ family becomes the classical integer-shift family ``psi_{j, kL}``.  A dense
 approximation row at a fine depth is filled by point quantisation (atoms
 whose scale is an exact power of two with an integer rescaled shift are
 instead injected through exact filter synthesis chains), and an analysis
-pyramid peels off the detail rows.  Atoms are quantised in blocks: in each
-chunk of the atom list, the atoms sampled at one depth share one table
-lookup and one analysis step per level, and their rows are added into the
-dense row in list order, so the coefficients equal those of an atom-by-atom
-loop bit for bit.
+pyramid peels off the detail rows.  The atoms are one `AtomSet` of columns
+from the draw to the projection, quantised in blocks: in each chunk of the
+set, the atoms sampled at one depth share one table lookup and one analysis
+step per level, and their rows are added into the dense row in set order,
+so the coefficients equal those of an atom-by-atom loop bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .theory import _HALF, Decision, Verdict, _not_covered, classify_general, cl
 from .wavelets import WaveletFamily, cascade_eval, family, unit_tables
 
 __all__ = [
-    "PoissonAtom",
+    "AtomSet",
     "CoarseTerm",
     "CwtSpec",
     "sample_atoms",
@@ -54,21 +54,36 @@ __all__ = [
 # model types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PoissonAtom:
-    """One atom of the continuous model: scale, shift and mark."""
+@dataclass(frozen=True, eq=False)
+class AtomSet:
+    """Atoms of the continuous model as float columns of one length: scales
+    ``a``, shifts ``b`` and marks ``omega``; a bad atom is refused at its index."""
 
-    a: float
-    b: float
-    omega: float
+    a: np.ndarray = ()
+    b: np.ndarray = ()
+    omega: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        if not (self.a > 0 and math.isfinite(self.a)):
-            raise ValueError(f"atom scale must be finite and > 0, got {self.a}")
-        if not (0.0 <= self.b <= 1.0):
-            raise ValueError(f"atom shift must lie in [0, 1], got {self.b}")
-        if not math.isfinite(self.omega):
-            raise ValueError(f"atom mark must be finite, got {self.omega}")
+        a, b, omega = cols = np.array([self.a, self.b, self.omega], dtype=np.float64)
+        ok = np.stack([(a > 0) & np.isfinite(a), (b >= 0.0) & (b <= 1.0), np.isfinite(omega)], 1)
+        if not ok.all():  # the first bad atom, at its first failed check
+            i, check = divmod(int(ok.argmin()), 3)
+            what = ("scale must be finite and > 0", "shift must lie in [0, 1]",
+                    "mark must be finite")[check]
+            raise ConfigError(i, f"atom {what}, got {cols[check, i].item()}")
+        for name, col in zip(("a", "b", "omega"), cols):
+            object.__setattr__(self, name, col)
+
+    def __len__(self) -> int:
+        return self.a.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AtomSet):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+    def __add__(self, other: AtomSet) -> AtomSet:  # the atoms of self, then those of other
+        return AtomSet(*map(np.concatenate, zip(vars(self).values(), vars(other).values())))
 
 
 @dataclass(frozen=True)
@@ -76,7 +91,7 @@ class CoarseTerm:
     """Deterministic part: a constant plus finitely many fixed atoms."""
 
     c_w: float = 0.0
-    atoms: tuple[PoissonAtom, ...] = ()
+    atoms: AtomSet = field(default_factory=AtomSet)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.c_w):
@@ -117,6 +132,12 @@ class CwtSpec:
             top = math.inf
         if not math.isfinite(top):
             raise ConfigError("alpha", "the mark scale sqrt(c_tau) a0^(-alpha/2) overflows a float")
+        try:
+            lam = self.intensity_total()
+        except OverflowError:
+            lam = math.inf
+        if not math.isfinite(lam):
+            raise ConfigError("beta", "the mean atom count (mu over [a0, a_max]) overflows a float")
 
     def intensity_total(self) -> float:
         """``integral of mu over [a0, a_max]`` (the Poisson mean count)."""
@@ -126,7 +147,7 @@ class CwtSpec:
         return self.c_mu * (self.a_max**e - self.a0**e) / e
 
 
-def sample_atoms(spec: CwtSpec, seed: int, replicate: int = 0) -> list[PoissonAtom]:
+def sample_atoms(spec: CwtSpec, seed: int, replicate: int = 0) -> AtomSet:
     """Draw one realisation of the marked Poisson process; a mean count
     above the dense-array cap is rejected before anything is drawn, and a
     mark that overflows a float is a `ConfigError` at ``spec``."""
@@ -134,9 +155,7 @@ def sample_atoms(spec: CwtSpec, seed: int, replicate: int = 0) -> list[PoissonAt
     if lam > 0:
         check_dense_size(math.log2(lam), "spec")
     rng = rng_for(seed, replicate)
-    count = int(rng.poisson(lam)) if lam > 0 else 0
-    if count == 0:
-        return []
+    count = int(rng.poisson(lam))
     u = rng.random(count)
     if spec.beta == 1.0:
         a = spec.a0 * (spec.a_max / spec.a0) ** u
@@ -150,7 +169,7 @@ def sample_atoms(spec: CwtSpec, seed: int, replicate: int = 0) -> list[PoissonAt
             omega = math.sqrt(spec.c_tau) * a ** (-spec.alpha / 2.0) * xi
     except FloatingPointError:
         raise ConfigError("spec", "a mark scale times a slab draw overflows a float") from None
-    return list(map(PoissonAtom, a.tolist(), b.tolist(), omega.tolist()))
+    return AtomSet(a, b, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +395,14 @@ class _Atoms:
     operations an atom-by-atom loop would use, so both sample the same points.
     """
 
-    def __init__(self, atoms: list, fam: WaveletFamily, common: int) -> None:
+    def __init__(self, atoms: AtomSet, fam: WaveletFamily, common: int) -> None:
         L = fam.support
         self.fam, self.common, self.size = fam, common, L << common
         self.mu1 = math.fsum(k * hk for k, hk in enumerate(fam.h)) / math.sqrt(2.0)
-        self.a, self.b, self.omega = np.array([(at.a, at.b, at.omega) for at in atoms]).T
+        self.a, self.b, self.omega = atoms.a, atoms.b, atoms.omega
         self.chains = {}
         for i in np.flatnonzero(np.frexp(self.a)[0] == 0.5).tolist():  # powers of two
-            dy = _dyadic_form(atoms[i].a, atoms[i].b, L)
+            dy = _dyadic_form(self.a[i].item(), self.b[i].item(), L)
             if dy is not None and dy[0] >= 0:
                 self.chains[i] = dy
         lg = np.fromiter(map(math.log2, np.maximum(self.a, 1.0).tolist()), float, self.a.size)
@@ -420,7 +439,7 @@ class _Atoms:
 
     def pieces(self, start: int, stop: int):
         """Yield ``(offset, values)`` for each atom of ``[start, stop)`` that
-        adds to the row, in list order.  The sampled atoms are computed one
+        adds to the row, in set order.  The sampled atoms are computed one
         block per depth."""
         out = [None] * (stop - start)
         for i, (n, kt) in self.chains.items():
@@ -470,11 +489,11 @@ class _Atoms:
 
 
 def project_to_orthogonal(
-    atoms,
+    atoms: AtomSet,
     fam: WaveletFamily,
     j0: int,
     top: int,
-    coarse: CoarseTerm | None = None,
+    coarse: CoarseTerm = CoarseTerm(),
 ) -> CoefficientTree:
     """Coefficients of the atom superposition in the orthonormal basis.
 
@@ -485,24 +504,21 @@ def project_to_orthogonal(
     are dropped.  Every atom is reduced to one dense row of ``L 2^(top+2)``
     values, so ``top`` is bounded before anything is built.
 
-    Atoms are projected in chunks of at most `_CHUNK_SAMPLES` samples, in
-    list order.  Inside a chunk the atoms of one depth are sampled in one
-    block and share each analysis step; their rows are then added into the
-    projection row atom by atom, in list order, so every coefficient equals
-    that of an atom-by-atom projection bit for bit.
+    The atoms of ``coarse`` follow ``atoms``, in chunks of at most
+    `_CHUNK_SAMPLES` samples, in set order.  Inside a chunk the atoms of one
+    depth are sampled in one block and share each analysis step; their rows
+    are then added into the projection row atom by atom, in set order, so
+    every coefficient equals that of an atom-by-atom projection bit for bit.
     """
     if j0 < 0 or top < j0:
         raise ValueError(f"need 0 <= j0 <= top, got j0={j0}, top={top}")
     L = fam.support
     check_dense_size(math.log2(L) + top + 2, "top")
-    all_atoms = list(atoms)
-    c_w = 0.0
-    if coarse is not None:
-        c_w = coarse.c_w
-        all_atoms.extend(coarse.atoms)
+    atoms = atoms + coarse.atoms
+    c_w = coarse.c_w
 
     width0 = 1 << j0
-    if not all_atoms:
+    if not atoms:
         scaling = np.full(width0, c_w)
         levels = tuple(
             Level(j, np.empty(0, np.int64), np.empty(0)) for j in range(j0, top + 1)
@@ -512,12 +528,12 @@ def project_to_orthogonal(
     h = np.asarray(fam.h)
     g = np.asarray(fam.g)
     common = top + 2  # every atom is reduced to this approximation row, so
-    # the projection stays exactly linear in the atom list
+    # the projection stays exactly linear in the atom set
 
     # analysis output k reads inputs 2k..2k+L, so the kept coefficients
     # read only row positions [0, L 2^common - L]
     row = np.zeros(L << common)
-    cols = _Atoms(all_atoms, fam, common)
+    cols = _Atoms(atoms, fam, common)
     for start, stop in cols.chunks():
         # in atom order, so each row value adds its terms in the same order
         for off, vec in cols.pieces(start, stop):

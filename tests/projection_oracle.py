@@ -2,7 +2,7 @@
 
 This is the projection as it was written before atoms were projected in
 blocks: every atom is interpolated, analysed down to the common row with
-`np.correlate` and added into the row on its own, in list order.  The
+`np.correlate` and added into the row on its own, in set order.  The
 batched projection must equal it bit for bit.
 """
 
@@ -36,13 +36,18 @@ def _take_positions(offset, vec, positions):
     return out
 
 
+def _rows(atoms):
+    """The ``(a, b, omega)`` rows of an `AtomSet`, as Python floats."""
+    return list(zip(atoms.a.tolist(), atoms.b.tolist(), atoms.omega.tolist()))
+
+
 def project_per_atom(atoms, fam, j0, top, coarse=None):
     L = fam.support
-    all_atoms = list(atoms)
+    all_atoms = _rows(atoms)
     c_w = 0.0
     if coarse is not None:
         c_w = coarse.c_w
-        all_atoms.extend(coarse.atoms)
+        all_atoms.extend(_rows(coarse.atoms))
     width0 = 1 << j0
     if not all_atoms:
         levels = tuple(Level(j, np.empty(0, np.int64), np.empty(0)) for j in range(j0, top + 1))
@@ -55,27 +60,27 @@ def project_per_atom(atoms, fam, j0, top, coarse=None):
     g = np.asarray(fam.g)
     common = top + 2
     row = np.zeros(L << common)
-    for at in all_atoms:
-        dy = _dyadic_form(at.a, at.b, L)
+    for a, b, omega in all_atoms:
+        dy = _dyadic_form(a, b, L)
         if dy is not None and dy[0] >= 0:
             n, kt = dy
             if n >= common:
                 continue
             off, vec = _chain(fam, n, kt, common)
-            vec = at.omega * vec
+            vec = omega * vec
         else:
-            depth = max(common, math.ceil(math.log2(max(at.a, 1.0))) + _OVERSAMPLE)
+            depth = max(common, math.ceil(math.log2(max(a, 1.0))) + _OVERSAMPLE)
             scale = 1 << depth
-            y0 = at.b * L
+            y0 = b * L
             reach = (L << depth) + (L << (depth - common))
             lo_m = max(math.ceil(scale * y0 - mu1), 0)
-            hi_m = math.floor(min(scale * (y0 + L / at.a) - mu1, reach))
+            hi_m = math.floor(min(scale * (y0 + L / a) - mu1, reach))
             if hi_m < lo_m:
                 continue
             ms = np.arange(lo_m, hi_m + 1)
-            t = at.a * ((ms + mu1) / scale - y0)
+            t = a * ((ms + mu1) / scale - y0)
             vals = np.interp(t, xs, psi, left=0.0, right=0.0)
-            off, vec = lo_m, at.omega * math.sqrt(at.a) * vals / math.sqrt(scale)
+            off, vec = lo_m, omega * math.sqrt(a) * vals / math.sqrt(scale)
             for _ in range(depth - common):
                 off, vec = _analysis_down(off, vec, h)
         lo, hi = max(off, 0), min(off + vec.size, row.size)

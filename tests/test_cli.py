@@ -129,6 +129,8 @@ OVERFLOWING_MARK_SPEC = {
     "a0": 1e-307,
     "a_max": 1e-306,
 }
+# a mean atom count c_mu (a_max^-2 - a0^-2) / -2 past the float range
+HUGE_COUNT_SPEC = {**CWT_SPEC, "c_mu": 1.0, "beta": 3.0, "a0": 1e-300, "a_max": 1.0}
 
 
 SYNTH = REPORT_CASES["synth"]
@@ -409,7 +411,7 @@ CONFIG_BLOCKS = {
     ),
     "cwt-coarse": cwt.CwtSpec(
         2.0, 0.5, 3.0, 1.5, distributions.Laplace(2.0), a0=2.0, a_max=64.0,
-        coarse=cwt.CoarseTerm(1.5, (cwt.PoissonAtom(4.0, 0.25, -1.0), cwt.PoissonAtom(2.0, 1.0, 0.5))),
+        coarse=cwt.CoarseTerm(1.5, cwt.AtomSet([4.0, 2.0], [0.25, 1.0], [-1.0, 0.5])),
     ),
 }
 
@@ -840,9 +842,17 @@ class TestCwtCommands:
         assert result["intensity"] == pytest.approx(3.0 * (math.sqrt(16.0) - 1.0) / 0.5)
         header, rows = read_csv(out_csv)
         assert header == ["a", "b", "omega"]
-        assert len(rows) == result["count"]
+        assert result["count"] > 0
+        # the CSV and the JSON rows come from one set of columns
+        assert [[float(cell) for cell in row] for row in rows] == result["atoms"]
         tree = sampler.tree_from_dict(result["tree"])
         assert math.isfinite(besov.besov_seq_norm(tree, besov.BesovParams(0.5, 2.0, 2.0)))
+
+    def test_coarse_term_may_leave_out_its_atoms(self, capsys, tmp_path):
+        cfg = {"spec": {**CWT_SPEC, "c_mu": 0.0, "coarse": {"c_w": 0.25}}, "project": PROJECT}
+        report = run_json(capsys, "cwt-sample", "--config", write_cfg(tmp_path, cfg))
+        assert report["config"]["spec"]["coarse"] == {"c_w": 0.25, "atoms": []}
+        assert report["result"]["tree"]["scaling"] == [0.25, 0.25]
 
     @pytest.mark.parametrize(
         "spec",
@@ -1247,12 +1257,14 @@ class TestErrors:
             ("cwt-sample", {"spec": {**CWT_SPEC, "beta": math.inf}}, [], "spec.beta:"),
             ("cwt-sample", {"spec": {**CWT_SPEC, "c_mu": math.nan}}, [], "spec.c_mu:"),
             ("cwt-sample", {"spec": {**CWT_SPEC, "c_tau": math.inf}}, [], "spec.c_tau:"),
+            ("cwt-sample", {"spec": HUGE_COUNT_SPEC}, [], "spec.beta:"),
             (
                 "cwt-verify",
                 with_moment(spec={**CWT_SPEC, "alpha": math.nan}),
                 [],
                 "moment.spec.alpha:",
             ),
+            ("cwt-verify", with_moment(spec=HUGE_COUNT_SPEC), [], "moment.spec.beta:"),
             # a non-finite tree value is refused where the tree is read
             ("norm", {"besov": B122, "tree": tree_with(w=math.inf)}, [], "tree.levels[1].w[1]:"),
             ("norm", {"besov": B122, "tree": tree_with(w=math.nan)}, [], "tree.levels[1].w[1]:"),
@@ -1492,7 +1504,9 @@ class TestErrors:
             "cwt-sample-beta-inf",
             "cwt-sample-c_mu-nan",
             "cwt-sample-c_tau-inf",
+            "cwt-sample-intensity-overflows",
             "moment-spec-alpha-nan",
+            "moment-intensity-overflows",
             "norm-w-inf",
             "norm-w-nan",
             "norm-scaling-inf",

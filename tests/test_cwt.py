@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from besovlab import cwt as cwt_module
 from besovlab.besov import BesovParams
 from besovlab.cwt import (
+    AtomSet,
     CoarseTerm,
     CwtSpec,
-    PoissonAtom,
     classify_cwt,
     moment_bound_experiment,
     project_to_orthogonal,
@@ -38,6 +38,11 @@ GENERAL_LABELS = {
     "case5": "cwt/general-summable",
     "regime-gap": "cwt/general-regime-gap",
 }
+
+
+def atom_set(*rows):
+    """The `AtomSet` of the ``(a, b, omega)`` rows, in order."""
+    return AtomSet(*zip(*rows))
 
 
 def dense_tree(t):
@@ -76,14 +81,34 @@ def tree_l2_diff(t1, t2):
 
 class TestModelTypes:
     def test_atom_validation(self):
-        with pytest.raises(ValueError, match="scale"):
-            PoissonAtom(0.0, 0.5, 1.0)
-        with pytest.raises(ValueError, match="shift"):
-            PoissonAtom(2.0, 1.5, 1.0)
-        with pytest.raises(ValueError, match="atom mark must be finite"):
-            PoissonAtom(2.0, 0.5, math.inf)
+        # the first bad atom is named by its index; a later bad one is not reached
+        good, worse = (2.0, 0.5, 1.0), (0.0, math.nan, math.inf)
+        cases = [
+            ((0.0, 0.5, 1.0), "atom scale must be finite and > 0, got 0.0"),
+            ((math.nan, 0.5, 1.0), "atom scale must be finite and > 0, got nan"),
+            ((2.0, 1.5, 1.0), "atom shift must lie in [0, 1], got 1.5"),
+            ((2.0, math.nan, 1.0), "atom shift must lie in [0, 1], got nan"),
+            ((2.0, 0.5, math.inf), "atom mark must be finite, got inf"),
+            # an atom's checks run in order: scale, shift, mark
+            (worse, "atom scale must be finite and > 0, got 0.0"),
+            ((2.0, 1.5, math.nan), "atom shift must lie in [0, 1], got 1.5"),
+        ]
+        for bad, message in cases:
+            for index in (1, 4):
+                with pytest.raises(ConfigError) as info:
+                    atom_set(*[good] * index, bad, worse)
+                assert (info.value.path, info.value.reason) == (f"[{index}]", message)
         with pytest.raises(ConfigError, match="c_w must be finite"):
             CoarseTerm(math.nan)
+
+    def test_atom_set_joins_in_order(self):
+        first, second = atom_set((2.0, 0.5, 1.0)), atom_set((4.0, 0.25, -1.0), (1.0, 1.0, 0.5))
+        joined = first + second
+        assert joined == atom_set((2.0, 0.5, 1.0), (4.0, 0.25, -1.0), (1.0, 1.0, 0.5))
+        assert len(joined) == 3 and len(AtomSet()) == 0
+        assert joined != first
+        with pytest.raises(ValueError):  # columns of unequal length
+            AtomSet([1.0, 2.0], [0.5], [1.0])
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="a0"):
@@ -112,9 +137,9 @@ class TestSampleAtoms:
         assert abs(counts.mean() - lam) <= mean_err
         assert abs(counts.var(ddof=1) - lam) <= var_err
 
-    def test_zero_intensity_gives_empty_list(self):
+    def test_zero_intensity_gives_empty_set(self):
         spec = CwtSpec(0.0, 0.5, 1.0, 1.0, GAUSS, a0=4.0, a_max=64.0)
-        assert sample_atoms(spec, 0) == []
+        assert sample_atoms(spec, 0) == AtomSet()
 
     def test_steep_intensity_count_stable_in_a_max(self):
         lam1 = CwtSpec(1.0, 2.0, 1.0, 1.0, GAUSS, a0=1.0, a_max=1e3).intensity_total()
@@ -125,10 +150,10 @@ class TestSampleAtoms:
     def test_atoms_respect_window_and_marks(self):
         spec = CwtSpec(3.0, 1.0, 4.0, 2.0, GAUSS, a0=2.0, a_max=32.0)
         atoms = sample_atoms(spec, 3)
-        assert atoms
-        for at in atoms:
-            assert 2.0 <= at.a <= 32.0
-            assert 0.0 <= at.b <= 1.0
+        assert len(atoms) > 0
+        assert np.all((2.0 <= atoms.a) & (atoms.a <= 32.0))
+        assert np.all((0.0 <= atoms.b) & (atoms.b <= 1.0))
+        assert np.all(np.isfinite(atoms.omega))
 
     def test_log_intensity_branch(self):
         spec = CwtSpec(2.0, 1.0, 1.0, 1.0, GAUSS, a0=1.0, a_max=math.e)
@@ -273,26 +298,25 @@ def atoms(draw, max_size=12):
             b = min(draw(st.integers(min_value=0, max_value=64)) / 64.0, 1.0)
         else:
             b = draw(st.floats(min_value=0.0, max_value=1.0))
-        out.append(PoissonAtom(a, b, draw(st.floats(min_value=-10.0, max_value=10.0))))
-    return out
+        out.append((a, b, draw(st.floats(min_value=-10.0, max_value=10.0))))
+    return atom_set(*out)
 
 
 class TestProjection:
     def test_empty_atoms_zero_tree(self):
-        t = project_to_orthogonal([], family("daub4"), 1, 4)
+        t = project_to_orthogonal(AtomSet(), family("daub4"), 1, 4)
         assert t.j0 == 1 and t.top_level == 4
         np.testing.assert_array_equal(t.scaling, np.zeros(2))
         assert all(lev.k.size == 0 for lev in t.levels)
 
     def test_coarse_constant_enters_scaling_row(self):
-        t = project_to_orthogonal([], family("haar"), 2, 3, coarse=CoarseTerm(c_w=0.75))
+        t = project_to_orthogonal(AtomSet(), family("haar"), 2, 3, coarse=CoarseTerm(c_w=0.75))
         np.testing.assert_allclose(t.scaling, np.full(4, 0.75))
 
     @pytest.mark.parametrize("name", ["haar", "daub4", "daub8"])
     def test_single_dyadic_atom_is_orthonormal(self, name):
         fam = family(name)
-        atom = PoissonAtom(a=2.0**3, b=5 * 2.0**-3, omega=1.0)
-        t = project_to_orthogonal([atom], fam, 0, 5)
+        t = project_to_orthogonal(atom_set((2.0**3, 5 * 2.0**-3, 1.0)), fam, 0, 5)
         _, rows = dense_tree(t)
         for j, row in rows.items():
             want = np.zeros(2**j)
@@ -303,11 +327,10 @@ class TestProjection:
 
     def test_two_atoms_sum_of_projections(self):
         fam = family("daub4")
-        a1 = PoissonAtom(3.7, 0.21, 1.4)
-        a2 = PoissonAtom(12.9, 0.63, -0.8)
-        t12 = project_to_orthogonal([a1, a2], fam, 0, 4)
-        t1 = project_to_orthogonal([a1], fam, 0, 4)
-        t2 = project_to_orthogonal([a2], fam, 0, 4)
+        a1, a2 = (3.7, 0.21, 1.4), (12.9, 0.63, -0.8)
+        t12 = project_to_orthogonal(atom_set(a1, a2), fam, 0, 4)
+        t1 = project_to_orthogonal(atom_set(a1), fam, 0, 4)
+        t2 = project_to_orthogonal(atom_set(a2), fam, 0, 4)
         s1, r1 = dense_tree(t1)
         s2, r2 = dense_tree(t2)
         s12, r12 = dense_tree(t12)
@@ -317,10 +340,8 @@ class TestProjection:
 
     def test_homogeneous_in_mark(self):
         fam = family("daub4")
-        base = PoissonAtom(5.3, 0.4, 1.0)
-        scaled = PoissonAtom(5.3, 0.4, -2.5)
-        t1 = project_to_orthogonal([base], fam, 1, 4)
-        t2 = project_to_orthogonal([scaled], fam, 1, 4)
+        t1 = project_to_orthogonal(atom_set((5.3, 0.4, 1.0)), fam, 1, 4)
+        t2 = project_to_orthogonal(atom_set((5.3, 0.4, -2.5)), fam, 1, 4)
         s1, r1 = dense_tree(t1)
         s2, r2 = dense_tree(t2)
         diffs = [s2 + 2.5 * s1] + [r2[j] + 2.5 * r1[j] for j in r1]
@@ -331,12 +352,11 @@ class TestProjection:
         # independent route: w_jk from per-atom quadrature of the kernel;
         # an atom with a < 1 reaches past the projection row and is clipped
         fam = family("daub4")
-        atom = PoissonAtom(a, b, 1.0)
-        t = project_to_orthogonal([atom], fam, 1, 3)
+        t = project_to_orthogonal(atom_set((a, b, 1.0)), fam, 1, 3)
         _, rows = dense_tree(t)
         for j in (1, 2, 3):
             for k in range(2**j):
-                want = kernel_k0(fam, atom.a * 2.0**-j, 2.0**j * atom.b - k)
+                want = kernel_k0(fam, a * 2.0**-j, 2.0**j * b - k)
                 assert rows[j][k] == pytest.approx(want, abs=2e-4)
 
     def test_truncation_control(self):
@@ -346,7 +366,8 @@ class TestProjection:
         atoms = sample_atoms(spec, seed=5)
         trees = {}
         for a_max in (64.0, 128.0, 256.0):
-            sub = [a for a in atoms if a.a <= a_max]
+            keep = atoms.a <= a_max
+            sub = AtomSet(atoms.a[keep], atoms.b[keep], atoms.omega[keep])
             trees[a_max] = project_to_orthogonal(sub, fam, 0, 6)
         step1 = tree_l2_diff(trees[128.0], trees[64.0])
         step2 = tree_l2_diff(trees[256.0], trees[128.0])
@@ -354,18 +375,18 @@ class TestProjection:
 
     def test_level_bounds_validated(self):
         with pytest.raises(ValueError, match="j0"):
-            project_to_orthogonal([], family("haar"), 3, 2)
+            project_to_orthogonal(AtomSet(), family("haar"), 3, 2)
 
     @pytest.mark.parametrize("a", [1e-9, 1e-300])
     def test_tiny_scale_atom_is_sampled_only_where_it_reaches_the_row(self, a):
         # the atom spans L / a rescaled units (terabytes of samples at
         # a = 1e-9); the row and the samples that reach it are 192 values
         fam = family("daub4")
-        coarse = CoarseTerm(atoms=(PoissonAtom(a, 0.5, 1.0),))
-        project_to_orthogonal([], fam, 1, 4, coarse=coarse)  # fill the table caches
+        coarse = CoarseTerm(atoms=atom_set((a, 0.5, 1.0)))
+        project_to_orthogonal(AtomSet(), fam, 1, 4, coarse=coarse)  # fill the table caches
         tracemalloc.start()
         try:
-            t = project_to_orthogonal([], fam, 1, 4, coarse=coarse)
+            t = project_to_orthogonal(AtomSet(), fam, 1, 4, coarse=coarse)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -386,7 +407,7 @@ class TestProjection:
         self, name, j0, extra, free, fixed, c_w, chunk
     ):
         fam = family(name)
-        coarse = CoarseTerm(c_w=c_w, atoms=tuple(fixed))
+        coarse = CoarseTerm(c_w=c_w, atoms=fixed)
         with mock.patch.object(cwt_module, "_CHUNK_SAMPLES", chunk):
             t = project_to_orthogonal(free, fam, j0, j0 + extra, coarse=coarse)
         assert_same_bits(t, project_per_atom(free, fam, j0, j0 + extra, coarse=coarse))
@@ -408,8 +429,8 @@ class TestProjection:
         # 2,000 atoms of 3,072 samples each: 6.1M samples, about 330 MiB at
         # once; chunks of at most 2^18 samples keep the peak near 20 MiB
         fam = family("daub4")
-        found = [PoissonAtom(1e-9, 0.5, 1.0)] * 2000
-        project_to_orthogonal(found[:2], fam, 1, 9)  # fill the table caches
+        found = atom_set(*[(1e-9, 0.5, 1.0)] * 2000)
+        project_to_orthogonal(atom_set((1e-9, 0.5, 1.0)), fam, 1, 9)  # fill the table caches
         tracemalloc.start()
         try:
             project_to_orthogonal(found, fam, 1, 9)
@@ -420,7 +441,7 @@ class TestProjection:
 
     def test_an_atom_too_coarse_for_int64_positions_is_refused(self):
         with pytest.raises(ValueError, match="too large to project"):
-            project_to_orthogonal([PoissonAtom(2.0**70 * 1.1, 0.3, 1.0)], family("daub4"), 1, 4)
+            project_to_orthogonal(atom_set((2.0**70 * 1.1, 0.3, 1.0)), family("daub4"), 1, 4)
 
     @given(
         name=st.sampled_from(FAMILY_NAMES),
