@@ -21,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import inspect
 import itertools
 import json
 import math
@@ -63,15 +64,16 @@ _TAG_OF = {cls: (key, tag) for key, (classes, _) in _TAGGED.items() for tag, cls
 
 
 @functools.cache
-def _plan(cls) -> tuple:
-    """``(name, reader)`` of each field of ``cls`` in order, a default bound to its reader."""
+def _plan(fn) -> tuple:
+    """``(name, reader)`` of each parameter of ``fn`` (a config dataclass or a
+    classifier) in order, a default bound to its reader; a ``default_factory``
+    stays the ``<factory>`` marker the dataclass's ``__init__`` replaces."""
     plan = []
-    for f in dataclasses.fields(cls):
-        read = _FIELD_READERS[f.type]
-        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-        if default is not dataclasses.MISSING:
-            read = functools.partial(read, default=default)
-        plan.append((f.name, read))
+    for p in inspect.signature(fn).parameters.values():
+        read = _FIELD_READERS[p.annotation]
+        if p.default is not p.empty:
+            read = functools.partial(read, default=p.default)
+        plan.append((p.name, read))
     return tuple(plan)
 
 
@@ -95,18 +97,6 @@ def _tagged(key: str):
     return parse
 
 
-def _nested(parse):
-    """A field reader of the block ``parse`` reads; a null or missing block
-    reads as the default, when the field has one."""
-
-    def read(d, key, default=None):
-        if default is None:
-            return block(parse, d, key)
-        return block(parse, d, key, None) or default
-
-    return read
-
-
 def _atoms(d, key, default):
     """A `cwt.AtomSet` from a list of ``[a, b, omega]`` rows; an error names its row."""
     rows = array(d, key, default)
@@ -119,20 +109,22 @@ def _atoms(d, key, default):
         return cwt.AtomSet(*zip(*[numbers(rows, i) for i in range(len(rows))]))
 
 
-_besov = _nested(functools.partial(_read, besov.BesovParams))
-_schedule = _nested(functools.partial(_read, LevelSchedule))
-_slab = _nested(_tagged("family"))
-_spec = _nested(functools.partial(_read, cwt.CwtSpec))
+_besov = functools.partial(block, functools.partial(_read, besov.BesovParams))
+_schedule = functools.partial(block, functools.partial(_read, LevelSchedule))
+_slab = functools.partial(block, _tagged("family"))
+_spec = functools.partial(block, functools.partial(_read, cwt.CwtSpec))
 
-# a dataclass field's annotation, as written (the model modules postpone
-# annotations, so `dataclasses.fields` gives them as strings) -> its reader
+# a parameter's annotation, as written (the model modules postpone
+# annotations, so a signature gives them as strings) -> its reader
 _FIELD_READERS = {
     "float": number,
     "int": integer,
+    "BesovParams": _besov,
     "LevelSchedule": _schedule,
+    "LevelSchedule | None": _schedule,
     "SlabDistribution": _slab,
-    "Mode": _nested(_tagged("kind")),
-    "CoarseTerm": _nested(functools.partial(_read, cwt.CoarseTerm)),
+    "Mode": functools.partial(block, _tagged("kind")),
+    "CoarseTerm": functools.partial(block, functools.partial(_read, cwt.CoarseTerm)),
     "AtomSet": _atoms,
 }
 
@@ -251,19 +243,18 @@ def _check_outputs(cfg: dict, args) -> None:
 # classify points
 # ---------------------------------------------------------------------------
 
-# kind -> (module, name of its classifier, fields read after ``slab`` and
-# ``r``).  The classifier is looked up when called and gets every field by
-# name; a field marked "?" may be left out.  A field is a number unless
-# `_BLOCKS` names its block reader.
+# kind -> its classifier, whose signature names the fields a point reads
+# (`_plan`).  The classifier is looked up in its module when called, so a
+# wrapper set there later is the one called, and gets every field that
+# reads as non-None by name.
 _CLASSIFY = {
-    "simple": (theory, "classify_simple", ("alpha", "beta", "besov")),
-    "general": (theory, "classify_general", ("tau", "pi", "besov")),
-    "three_param": (theory, "classify_three_param", ("alpha", "beta", "gamma", "s", "q")),
-    "regression": (theory, "classify_regression", ("tau", "pi", "besov")),
-    "no_spike": (theory, "no_spike_condition", ("tau", "besov")),
-    "cwt": (cwt, "classify_cwt", ("alpha", "beta", "rho", "besov", "mu?", "tau?")),
+    "simple": theory.classify_simple,
+    "general": theory.classify_general,
+    "three_param": theory.classify_three_param,
+    "regression": theory.classify_regression,
+    "no_spike": theory.no_spike_condition,
+    "cwt": cwt.classify_cwt,
 }
-_BLOCKS = {"slab": _slab, "besov": _besov, "tau": _schedule, "pi": _schedule, "mu": _schedule}
 
 
 def _classify_point(point: dict) -> tuple[str, dict, theory.Verdict]:
@@ -271,13 +262,9 @@ def _classify_point(point: dict) -> tuple[str, dict, theory.Verdict]:
     kind = string(point, "kind", "simple")
     if kind not in _CLASSIFY:
         raise ConfigError("kind", f"unknown kind {kind!r}; choose from {', '.join(_CLASSIFY)}")
-    module, classifier, names = _CLASSIFY[kind]
-    fields = {}
-    for name in ("slab", "r") + names:
-        name, optional = name.rstrip("?"), name.endswith("?")
-        if not (optional and name not in point):
-            fields[name] = _BLOCKS.get(name, number)(point, name)
-    return kind, fields, getattr(module, classifier)(**fields)
+    fn = _CLASSIFY[kind]
+    fields = {name: value for name, read in _plan(fn) if (value := read(point, name)) is not None}
+    return kind, fields, getattr(sys.modules[fn.__module__], fn.__name__)(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +336,8 @@ def _cmd_sweep(cfg: dict, threads: int):
             "threshold": verdict.threshold,
         }
         records.append({"overrides": dict(zip(names, combo)), **found})
-    echo = {"base": {**base, "kind": base.get("kind", "simple")}, "vary": {n: vary[n] for n in names}}
+    base_echo = {**base, "kind": "simple" if base.get("kind") is None else base["kind"]}
+    echo = {"base": base_echo, "vary": {n: vary[n] for n in names}}
     header = names + ["decision", "case_id", "threshold"]
     columns = [[r["overrides"][n] for r in records] for n in names]
     columns += [[r[key] for r in records] for key in header[len(names) :]]
@@ -489,8 +477,6 @@ def _cmd_cwt_verify(cfg: dict, threads: int):
     v_count = integer(cfg, "v_count", 257)
     depth = integer(cfg, "depth", 12)
     u_grid = numbers(cfg, "u_grid", None)
-    if u_grid is not None and not u_grid:
-        raise ConfigError("u_grid", "expected a nonempty list of scale ratios")
     moment = block(_moment, cfg, "moment", None)
     known(cfg)
     echo: dict = {"family": fam.name, "v_count": v_count, "depth": depth}

@@ -274,6 +274,8 @@ def verify_kernel_bounds(
     if u_grid is None:
         u_grid = 2.0 ** np.arange(-6, 7)
     u_grid = np.asarray(u_grid, dtype=np.float64)
+    if not u_grid.size:
+        raise ConfigError("u_grid", "expected a nonempty list of scale ratios")
     # the bound `_dyadic_form` uses: past it u^(+-exponent) overflows the constants
     if not np.all((u_grid >= 2.0**-40) & (u_grid <= 2.0**40)):
         raise ConfigError("u_grid", "every scale ratio must lie in [2^-40, 2^40]")

@@ -1,15 +1,15 @@
 """Typed readers for JSON config blocks, and the error that names a field.
 
-Every config block is read through these functions, so a bad value fails
-the same way everywhere: a `ConfigError` that renders as
-``<dotted.path>: <reason>``, list indices joined without a dot
-(``points[1].beta``).  A reader names only its own key (an object key, or
-an int for a list element); `block` and `under` put the enclosing block's
-key in front.  Numbers refuse booleans and strings other than
-``"inf"``/``"infinity"``.  A missing field reads as the default when one
-is given, and so does a null one whose default is None.  A `Doc` records
-the keys its readers read; `known` refuses a non-null key none read, and
-`block` calls it on each object it parses.
+Every config block, a classify point too, is read through these
+functions, so a bad value fails the same way everywhere: a `ConfigError`
+that renders as ``<dotted.path>: <reason>``, list indices joined without a
+dot (``points[1].beta``).  A reader names only its own key (an object key,
+or an int for a list element); `block` and `under` put the enclosing
+block's key in front.  Numbers refuse booleans and strings other than
+``"inf"``/``"infinity"``.  A missing or null field reads as the default
+whenever one is given; a null field with no default fails in its reader.
+A `Doc` records the keys its readers read; `known` refuses a non-null key
+none read, and `block` calls it on each object it parses.
 """
 
 from __future__ import annotations
@@ -95,8 +95,9 @@ def _value(d, key, default):
     if key in d:
         if isinstance(d, Doc):
             d.read.add(key)
-        return d[key]
-    if default is _MISSING:
+        if d[key] is not None or default is _MISSING:
+            return d[key]
+    elif default is _MISSING:
         raise ConfigError(key, "required field is missing")
     return default
 

@@ -26,6 +26,7 @@ seen here is the level `sampler.sample_tree` draws from the same stream.
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -120,7 +121,10 @@ def _level_list(levels, reps: int) -> list[int]:
     """The sorted distinct levels of an experiment, once its ``levels`` and
     ``reps`` are checked (at most `_MAX_RESULTS` results in all); errors
     name the field."""
-    out = sorted({int(j) for j in levels})
+    try:
+        out = sorted(set(map(operator.index, levels)))
+    except TypeError as exc:
+        raise ConfigError("levels", f"expected integer levels ({exc})") from None
     if not out:
         raise ConfigError("levels", "need at least one level")
     if out[0] < 0:

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besovlab import besov, cwt, distributions, lab, sampler, schedules, theory, wavelets
-from besovlab.cli import _TAG_OF, _echo, _encode, _fmt_cell, _read, _tagged, _write_csv, main
+from besovlab.cli import _CLASSIFY, _TAG_OF, _echo, _encode, _fmt_cell, _read, _tagged, _write_csv, main
 from besovlab.fields import Doc, block
 
 GAUSS = {"family": "gaussian", "sigma": 1.0}
@@ -106,6 +107,17 @@ THREE_PARAM = {
 }
 GENERAL = {**POINT, "kind": "general", "tau": {"c": 1.0}, "pi": {"c": 1.0}}
 CWT_POINT = {**POINT, "kind": "cwt", "rho": 0.5}
+GENERAL_POINT = {"kind": "general", "slab": GAUSS, "tau": {"c": 1.0, "e": 1.0}, "pi": {"c": 1.0, "e": 0.5},
+                 "besov": B122, "r": 3.0}
+# one point of each classify kind that gives every parameter of its classifier
+KIND_POINTS = {
+    "simple": {**POINT, "kind": "simple"},
+    "general": GENERAL_POINT,
+    "three_param": THREE_PARAM,
+    "regression": {**GENERAL_POINT, "kind": "regression"},
+    "no_spike": {"kind": "no_spike", "slab": GAUSS, "tau": {"c": 1.0, "e": 1.0}, "besov": B122, "r": 3.0},
+    "cwt": {**CWT_POINT, "mu": {"c": 2.0, "e": 0.5}, "tau": {"c": 1.0}},
+}
 # a tree with a level above 0, where 2^(j s') can overflow
 TWO_LEVEL_TREE = {
     "j0": 0,
@@ -317,6 +329,21 @@ class TestClassify:
         run_json(capsys, "classify", "--config", write_cfg(tmp_path, point))
         assert len(calls) == 1
         assert set(calls[0]) == {key for key in point if key != "kind"}
+
+    @pytest.mark.parametrize("kind", list(_CLASSIFY))
+    def test_a_point_reads_exactly_its_classifiers_parameters(self, capsys, tmp_path, kind):
+        point = KIND_POINTS[kind]
+        params = inspect.signature(_CLASSIFY[kind]).parameters
+        report = run_json(capsys, "classify", "--config", write_cfg(tmp_path, point))
+        assert set(report["config"]) == {"kind", *params}
+        code, _, err = run(capsys, "classify", "--config", write_cfg(tmp_path, {**point, "stray": 1.0}))
+        assert (code, err) == (2, "besovlab classify: config error: stray: unknown field\n")
+        required = [name for name, param in params.items() if param.default is param.empty]
+        assert {"slab", "r"} <= set(required)  # every classifier takes both
+        for name in required:
+            short = {key: value for key, value in point.items() if key != name}
+            code, _, err = run(capsys, "classify", "--config", write_cfg(tmp_path, short))
+            assert (code, err) == (2, f"besovlab classify: config error: {name}: required field is missing\n")
 
     def test_matches_library_call(self, capsys, tmp_path):
         cfg = {
@@ -1684,12 +1711,31 @@ class TestErrors:
             ("cwt-sample", {**ECHO_CASES["cwt-sample"], "project": None}),
             ("cwt-verify", {**KERNEL, "u_grid": None, "moment": None}),
             ("sample", {**SAMPLE, "scaling": None, "mode": None}),
+            ("evt", {**ECHO_CASES["evt"], "reps": None}),
+            ("evt", {**ECHO_CASES["evt"], "slab": {**GAUSS, "sigma": None}}),
+            (
+                "cwt-sample",
+                {**ECHO_CASES["cwt-sample"], "spec": {**CWT_SPEC, "coarse": {"c_w": 0.5, "atoms": None}}},
+            ),
+            ("classify", {**CWT_POINT, "mu": None, "tau": None}),
+            ("sweep", {"base": {**SWEEP_BASE, "kind": None}, "vary": {"beta": [0.5]}}),
         ],
-        ids=["project", "u_grid-moment", "scaling-mode"],
+        ids=[
+            "project", "u_grid-moment", "scaling-mode", "reps", "slab.sigma", "spec.coarse.atoms",
+            "cwt-mu-tau", "sweep-base.kind",
+        ],
     )
     def test_null_optional_field_reads_as_absent(self, capsys, tmp_path, command, cfg):
-        code, _, err = run(capsys, command, "--config", write_cfg(tmp_path, cfg))
+        def without_nulls(doc):
+            if isinstance(doc, dict):
+                return {key: without_nulls(value) for key, value in doc.items() if value is not None}
+            return doc
+
+        code, out, err = run(capsys, command, "--config", write_cfg(tmp_path, cfg))
         assert code == 0, err
+        # the report, echo included, is that of the config without its nulls
+        absent = write_cfg(tmp_path, without_nulls(cfg), name="absent.json")
+        assert out == run(capsys, command, "--config", absent)[1]
 
     def test_missing_required_field_names_path(self, capsys):
         code, _, err = run(capsys, "classify", "--set", "alpha=2.0")

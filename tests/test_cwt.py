@@ -252,6 +252,12 @@ class TestKernelBounds:
         with pytest.raises(ValueError, match="span"):
             verify_kernel_bounds(family("haar"), u_grid=[0.5, 1.0, 2.0])
 
+    @pytest.mark.parametrize("u_grid", [[], np.empty(0)], ids=["list", "array"])
+    def test_empty_grid_is_refused(self, u_grid):
+        with pytest.raises(ConfigError) as info:
+            verify_kernel_bounds(family("haar"), u_grid)
+        assert str(info.value) == "u_grid: expected a nonempty list of scale ratios"
+
     def test_memory_is_bounded_by_the_block(self):
         fam = family("daub8")
         verify_kernel_bounds(fam, [2.0**-6, 2.0**6], v_count=3)  # fill the table caches

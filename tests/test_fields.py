@@ -108,3 +108,17 @@ def test_block_refuses_a_key_its_parser_did_not_read():
     assert message(block, schedule, doc, "tau") == "tau.ee: unknown field"
     assert block(schedule, doc, "pi") == LevelSchedule(1.0, 0.5)
     assert doc.read == {"tau", "pi"}
+
+
+def test_a_null_field_reads_as_its_default():
+    doc = Doc({"x": None, "n": None, "s": None, "tau": None})
+    assert number(doc, "x", 0.5) == 0.5
+    assert integer(doc, "n", 100) == 100
+    assert string(doc, "s", "simple") == "simple"
+    default = LevelSchedule(2.0)
+    assert block(schedule, doc, "tau", default) is default
+    assert numbers(doc, "x", None) is None
+    assert doc.read == {"x", "n", "s", "tau"}
+    # with no default, a null field fails in its reader
+    assert message(number, doc, "x") == "x: expected a number, got None"
+    assert message(block, schedule, doc, "tau") == "tau: expected a JSON object, got None"

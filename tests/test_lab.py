@@ -429,6 +429,26 @@ def test_level_list_checks_levels_then_reps(levels, reps, path, reason):
     assert (info.value.path, info.value.reason) == (path, reason)
 
 
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        lambda levels: lln_experiment(Gaussian(1.0), LevelSchedule(1.0, 0.5, 0.0), 2.0, levels, reps=2),
+        lambda levels: moment_bound_experiment(
+            CwtSpec(3.0, 0.5, 1.0, 1.0, Gaussian(1.0), a0=1.0, a_max=16.0), family("daub4"), 2.0,
+            levels, reps=2,
+        ),
+    ],
+    ids=["lln", "moment"],
+)
+def test_a_level_that_is_not_an_integer_is_refused(experiment):
+    # int() would truncate 3.7 and run level 3
+    with pytest.raises(ConfigError) as info:
+        experiment([3.7, 4])
+    assert info.value.path == "levels"
+    assert info.value.reason.startswith("expected integer levels")
+    assert [ls.j for ls in experiment(np.arange(3, 5)).levels] == [3, 4]
+
+
 @pytest.mark.parametrize("threads", [0, 65])
 def test_thread_count_outside_its_bound_is_refused(monkeypatch, threads):
     def no_pool(*args, **kwargs):
