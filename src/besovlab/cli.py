@@ -1,15 +1,16 @@
 """Command line front end: JSON-config runs with reproducible outputs.
 
 Every subcommand reads a single JSON config document (``--config``),
-optionally patched by repeated ``--set key.path=value`` overrides and by
-the ergonomic flags ``--seed`` / ``--reps``.  The run writes a JSON
-report whose ``config`` block is the fully resolved input (defaults
-filled in), so any report can be replayed by feeding that block back as
-the config.  ``--tree FILE`` is shorthand for the tree reference
-``{"path": FILE}``, which is echoed with the file's ``sha256`` for the
-replay to check.  No output file may be an input file or the other
-output.  ``--csv`` additionally writes the subcommand's plot-ready table
-with floats at 17 significant digits (``norm`` has none).
+optionally patched by repeated ``--set key.path=value`` overrides, and
+writes a JSON report (``--out``, else stdout) whose ``config`` block is
+the fully resolved input (defaults filled in), so any report can be
+replayed by feeding that block back as the config.  A subcommand offers
+only the other flags it reads (`_COMMANDS`): ``--seed``/``--reps`` set the
+config's ``seed``/``reps``; ``--tree FILE`` sets the tree reference
+``{"path": FILE}``, echoed with the file's ``sha256`` for the replay to
+check; ``--threads`` caps the replicate workers; and ``--csv`` also writes
+the subcommand's plot-ready table with floats at 17 significant digits.
+No output file may be an input file or the other output.
 
 Exit codes: 0 success, 2 usage or malformed config, 3 a classifier
 returned NotCovered and ``--strict`` was given, 4 I/O failure.
@@ -131,14 +132,17 @@ _FIELD_READERS = {
 
 def _echo(value):
     """The config block `_read` reads back as ``value``: a dataclass becomes
-    its fields and its tag, a `cwt.AtomSet` its ``[a, b, omega]`` rows and an
-    infinite number ``"inf"``; a dict is echoed item by item."""
+    its fields and its tag, a `wavelets.WaveletFamily` its name, a
+    `cwt.AtomSet` its ``[a, b, omega]`` rows and an infinite number
+    ``"inf"``; a dict is echoed item by item, leaving out a None value."""
     if isinstance(value, float):
         return "inf" if value == math.inf else value
+    if isinstance(value, wavelets.WaveletFamily):
+        return value.name
     if isinstance(value, cwt.AtomSet):
         return list(map(list, zip(value.a.tolist(), value.b.tolist(), value.omega.tolist())))
     if isinstance(value, dict):
-        return {name: _echo(v) for name, v in value.items()}
+        return {name: _echo(v) for name, v in value.items() if v is not None}
     if dataclasses.is_dataclass(value):
         doc = _echo(vars(value))
         if type(value) in _TAG_OF:
@@ -351,9 +355,7 @@ def _cmd_sample(cfg: dict, threads: int):
     replicate = natural(cfg, "replicate", 0)
     scaling = numbers(cfg, "scaling", None)
     known(cfg)
-    echo = {**_echo(spec), "j0": j0, "seed": seed, "replicate": replicate}
-    if scaling is not None:
-        echo["scaling"] = scaling
+    echo = _echo(dict(vars(spec), j0=j0, seed=seed, replicate=replicate, scaling=scaling))
     tree = sampler.sample_tree(spec, j0, scaling, seed=seed, replicate=replicate)
     doc = sampler.tree_to_dict(tree)
     result = {"tree": doc, "nonzero_counts": sampler.nonzero_counts(tree).tolist()}
@@ -389,8 +391,7 @@ def _cmd_verify(cfg: dict, threads: int):
     if check not in ("slope", "membership"):
         raise ConfigError("check", f"expected 'slope' or 'membership', got {check!r}")
     known(cfg)
-    echo = {**_echo(spec), "besov": _echo(bp), "check": check}
-    echo.update(levels=levels, reps=reps, seed=seed)
+    echo = _echo(dict(vars(spec), besov=bp, check=check, levels=levels, reps=reps, seed=seed))
     runner = lab.exponent_regression if check == "slope" else lab.empirical_membership
     report = runner(spec, bp, levels, reps=reps, seed=seed, threads=threads)
     verdict = report.theory_verdict or {}
@@ -428,7 +429,7 @@ def _cmd_synth(cfg: dict, threads: int):
     grid_exponent = integer(cfg, "grid_exponent")
     tree_echo, tree = _load_tree(cfg)
     known(cfg)
-    echo = {"family": fam.name, "grid_exponent": grid_exponent, "tree": tree_echo}
+    echo = {**_echo(dict(family=fam, grid_exponent=grid_exponent)), "tree": tree_echo}
     values = wavelets.synthesize(tree, fam, grid_exponent)
     xs = np.arange(values.size) / float(values.size)
     result = {
@@ -439,9 +440,10 @@ def _cmd_synth(cfg: dict, threads: int):
     return echo, result, (["x", "value"], [(xs.tolist(), values.tolist())]), False
 
 
-def _project(doc) -> tuple[wavelets.WaveletFamily, int, int]:
-    """``project``: the basis family, and the levels ``j0`` and ``top``."""
-    return block(wavelets.family, doc, "family"), natural(doc, "j0"), natural(doc, "top")
+def _project(doc) -> dict:
+    """``project``: the basis ``family``, and the levels ``j0`` and ``top``."""
+    return {"family": block(wavelets.family, doc, "family"), "j0": natural(doc, "j0"),
+            "top": natural(doc, "top")}
 
 
 def _cmd_cwt_sample(cfg: dict, threads: int):
@@ -450,16 +452,14 @@ def _cmd_cwt_sample(cfg: dict, threads: int):
     replicate = natural(cfg, "replicate", 0)
     project = block(_project, cfg, "project", None)
     known(cfg)
-    echo = {"spec": _echo(spec), "seed": seed, "replicate": replicate}
-    if project is not None:
-        fam, j0, top = project
-        echo["project"] = {"family": fam.name, "j0": j0, "top": top}
+    echo = _echo(dict(spec=spec, seed=seed, replicate=replicate, project=project))
     atoms = cwt.sample_atoms(spec, seed, replicate)
     columns = [atoms.a.tolist(), atoms.b.tolist(), atoms.omega.tolist()]
     rows = list(map(list, zip(*columns)))
     result = {"intensity": spec.intensity_total(), "count": len(atoms), "atoms": rows}
     if project is not None:
         with under("project"):
+            fam, j0, top = project["family"], project["j0"], project["top"]
             tree = cwt.project_to_orthogonal(atoms, fam, j0, top, spec.coarse)
         result["tree"] = sampler.tree_to_dict(tree)
     return echo, result, (["a", "b", "omega"], [columns]), False
@@ -479,11 +479,7 @@ def _cmd_cwt_verify(cfg: dict, threads: int):
     u_grid = numbers(cfg, "u_grid", None)
     moment = block(_moment, cfg, "moment", None)
     known(cfg)
-    echo: dict = {"family": fam.name, "v_count": v_count, "depth": depth}
-    if u_grid is not None:
-        echo["u_grid"] = u_grid
-    if moment is not None:
-        echo["moment"] = _echo(moment)
+    echo = _echo(dict(family=fam, v_count=v_count, depth=depth, u_grid=u_grid, moment=moment))
     bounds = cwt.verify_kernel_bounds(fam, u_grid, v_count=v_count, depth=depth)
     result: dict = {"kernel": bounds.to_dict()}
     if moment is not None:
@@ -491,20 +487,6 @@ def _cmd_cwt_verify(cfg: dict, threads: int):
             report = cwt.moment_bound_experiment(fam=fam, threads=threads, **moment)
         result["moment"] = report.to_dict()
     return echo, result, (["u", "sup"], [(bounds.u.tolist(), bounds.sup.tolist())]), False
-
-
-_DISPATCH = {
-    "classify": _cmd_classify,
-    "sweep": _cmd_sweep,
-    "sample": _cmd_sample,
-    "norm": _cmd_norm,
-    "verify": _cmd_verify,
-    "lln": _cmd_lln,
-    "evt": _cmd_evt,
-    "synth": _cmd_synth,
-    "cwt-sample": _cmd_cwt_sample,
-    "cwt-verify": _cmd_cwt_verify,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -638,17 +620,42 @@ def _encode(value, pad: str = "") -> str:
     return _dumps(value)
 
 
-_COMMAND_HELP = {
-    "classify": "membership verdicts for one point or a 'points' list",
-    "sweep": "cartesian classify sweep over 'vary' lists, CSV-oriented",
-    "sample": "draw one coefficient tree from a spike-and-slab prior",
-    "norm": "Besov sequence norm of a stored or inline tree",
-    "verify": "Monte Carlo slope or membership check against theory",
-    "lln": "per-level law-of-large-numbers sanity experiment",
-    "evt": "per-level extreme-value normalization experiment",
-    "synth": "render a tree on a dyadic grid via the wavelet basis",
-    "cwt-sample": "draw Poisson atoms, optionally project onto the basis",
-    "cwt-verify": "kernel decay bounds, optionally a moment experiment",
+# each flag a subcommand may take besides --config, --set and --out, with
+# its `add_argument` keywords; an unset flag reads as its `_build_parser` default
+_FLAGS = {
+    "--seed": dict(type=int, help="override the config seed"),
+    "--reps": dict(type=int, help="override the replicate count"),
+    "--threads": dict(
+        type=int, help=f"worker cap for replicate loops, 1 to {_MAX_THREADS} (default 1)"
+    ),
+    "--strict": dict(action="store_true", help="exit 3 when any verdict is NotCovered"),
+    "--csv": dict(metavar="FILE", help="also write the subcommand's CSV table"),
+    "--tree": dict(metavar="FILE", help='shorthand for tree={"path": FILE}'),
+}
+
+# subcommand -> (its function, the flags it reads, its help); a flag it does
+# not read is not offered, so giving one is a usage error
+_COMMANDS = {
+    "classify": (_cmd_classify, ("--strict", "--csv"),
+                 "membership verdicts for one point or a 'points' list"),
+    "sweep": (_cmd_sweep, ("--strict", "--csv"),
+              "cartesian classify sweep over 'vary' lists, CSV-oriented"),
+    "sample": (_cmd_sample, ("--seed", "--csv"),
+               "draw one coefficient tree from a spike-and-slab prior"),
+    "norm": (_cmd_norm, ("--tree",),
+             "Besov sequence norm of a stored or inline tree"),
+    "verify": (_cmd_verify, ("--seed", "--reps", "--threads", "--strict", "--csv"),
+               "Monte Carlo slope or membership check against theory"),
+    "lln": (_cmd_lln, ("--seed", "--reps", "--threads", "--csv"),
+            "per-level law-of-large-numbers sanity experiment"),
+    "evt": (_cmd_evt, ("--seed", "--reps", "--threads", "--csv"),
+            "per-level extreme-value normalization experiment"),
+    "synth": (_cmd_synth, ("--csv", "--tree"),
+              "render a tree on a dyadic grid via the wavelet basis"),
+    "cwt-sample": (_cmd_cwt_sample, ("--seed", "--csv"),
+                   "draw Poisson atoms, optionally project onto the basis"),
+    "cwt-verify": (_cmd_cwt_verify, ("--threads", "--csv"),
+                   "kernel decay bounds, optionally a moment experiment"),
 }
 
 
@@ -667,29 +674,14 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="KEY.PATH=VALUE",
         help="override a config field (JSON value, or bare string); repeatable",
     )
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--reps", type=int, default=None, help="override the replicate count")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help=f"worker cap for replicate loops, 1 to {_MAX_THREADS} (default 1)",
-    )
-    common.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 3 when any verdict is NotCovered",
-    )
     common.add_argument("--out", metavar="FILE", help="write the JSON report here (default stdout)")
-    common.set_defaults(csv=None, tree=None)
+    common.set_defaults(seed=None, reps=None, threads=1, strict=False, csv=None, tree=None)
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in _DISPATCH:
-        p = sub.add_parser(name, parents=[common], help=_COMMAND_HELP[name])
-        if name != "norm":
-            p.add_argument("--csv", metavar="FILE", help="also write the subcommand's CSV table")
-        if name in ("norm", "synth"):
-            p.add_argument("--tree", metavar="FILE", help='shorthand for tree={"path": FILE}')
+    for name, (_, flags, text) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -709,7 +701,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         _check_outputs(cfg, args)
-        echo, result, table, flagged = _DISPATCH[args.command](cfg, args.threads)
+        echo, result, table, flagged = _COMMANDS[args.command][0](cfg, args.threads)
         report = {"command": args.command, "config": echo, "result": result}
         try:
             text = _encode(report) + "\n"

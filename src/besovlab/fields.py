@@ -48,9 +48,9 @@ class ConfigError(ValueError):
 
 class under:
     """Context whose config errors are led by ``key``: a `ConfigError` gets
-    it in front of its path, a ``KeyError`` names the missing field below
-    it, and any other ``ValueError``, ``TypeError`` or ``OverflowError`` (a
-    dataclass validator's, say) becomes a `ConfigError` at ``key``."""
+    it in front of its path, and any other ``ValueError``, ``TypeError`` or
+    ``OverflowError`` (a dataclass validator's, say) becomes a `ConfigError`
+    at ``key``."""
 
     __slots__ = ("key",)
 
@@ -63,9 +63,6 @@ class under:
     def __exit__(self, kind, exc, tb) -> bool:
         if isinstance(exc, ConfigError):
             exc.path = _join(_name(self.key), exc.path)
-        elif isinstance(exc, KeyError):
-            missing = _join(_name(self.key), _name(exc.args[0]))
-            raise ConfigError(missing, "required field is missing") from exc
         elif isinstance(exc, (TypeError, ValueError, OverflowError)):
             raise ConfigError(self.key, str(exc)) from exc
         return False

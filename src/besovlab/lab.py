@@ -122,6 +122,10 @@ def _level_list(levels, reps: int) -> list[int]:
     ``reps`` are checked (at most `_MAX_RESULTS` results in all); errors
     name the field."""
     try:
+        levels = list(levels)
+        for j in levels:
+            if isinstance(j, bool):  # `operator.index` takes True as 1
+                raise TypeError(f"got the bool {j!r}")
         out = sorted(set(map(operator.index, levels)))
     except TypeError as exc:
         raise ConfigError("levels", f"expected integer levels ({exc})") from None
@@ -261,7 +265,7 @@ def evt_experiment(
     slab: SlabDistribution,
     pi: LevelSchedule,
     levels=range(8, 19),
-    reps: int = 50,
+    reps: int = 100,
     seed: int = 0,
     threads: int = 1,
 ) -> ExperimentReport:

@@ -186,7 +186,7 @@ class PriorSpec:
     def top_level(self) -> int:
         if isinstance(self.mode, Infinite):
             return self.mode.j_max
-        return int(math.floor(math.log2(self.mode.n))) - 1
+        return self.mode.n.bit_length() - 2  # floor(log2 n) - 1, exact for every n
 
     def amplitude(self, j: int) -> float:
         """Scale multiplying the slab draw at level ``j``."""

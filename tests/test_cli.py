@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besovlab import besov, cwt, distributions, lab, sampler, schedules, theory, wavelets
-from besovlab.cli import _CLASSIFY, _TAG_OF, _echo, _encode, _fmt_cell, _read, _tagged, _write_csv, main
+from besovlab.cli import _CLASSIFY, _TAG_OF, _build_parser, _echo, _encode, _fmt_cell, _read, _tagged
+from besovlab.cli import _write_csv, main
 from besovlab.fields import Doc, block
 
 GAUSS = {"family": "gaussian", "sigma": 1.0}
@@ -94,6 +95,28 @@ REPORT_CASES = {
     },
     "norm": {"besov": B122, "tree": TINY_TREE},
     "synth": {"family": "haar", "grid_exponent": 4, "tree": TINY_TREE},
+}
+# the flags each subcommand offers besides --config, --set and --out: those it reads
+COMMAND_FLAGS = {
+    "classify": {"--strict", "--csv"},
+    "sweep": {"--strict", "--csv"},
+    "sample": {"--seed", "--csv"},
+    "norm": {"--tree"},
+    "verify": {"--seed", "--reps", "--threads", "--strict", "--csv"},
+    "lln": {"--seed", "--reps", "--threads", "--csv"},
+    "evt": {"--seed", "--reps", "--threads", "--csv"},
+    "synth": {"--csv", "--tree"},
+    "cwt-sample": {"--seed", "--csv"},
+    "cwt-verify": {"--threads", "--csv"},
+}
+# each of those flags and the values it is given (file names are relative to the run's directory)
+FLAG_VALUES = {
+    "--seed": ["3"],
+    "--reps": ["3"],
+    "--threads": ["2"],
+    "--strict": [],
+    "--csv": ["flag.csv"],
+    "--tree": ["tree.json"],
 }
 THREE_PARAM = {
     "kind": "three_param",
@@ -530,6 +553,12 @@ class TestSampleNorm:
             assert (code, out) == (2, "")
             assert err.startswith(f"besovlab {command}: config error: tree: give an inline tree")
 
+    def test_regression_top_level_where_log2_rounds_up(self, capsys, tmp_path):
+        # math.log2(2^49 - 1) rounds to 49.0, one above floor(log2 n)
+        cfg = {**SAMPLE, "pi": {"c": 1.0, "e": 1.5}, "j0": 0, "mode": {"kind": "regression", "n": 2**49 - 1}}
+        report = run_json(capsys, "sample", "--config", write_cfg(tmp_path, cfg))
+        assert [level["j"] for level in report["result"]["tree"]["levels"]] == list(range(48))
+
     def test_seed_flag_overrides_config(self, capsys, tmp_path):
         cfg = {
             "slab": GAUSS,
@@ -782,6 +811,13 @@ class TestExperiments:
         )
         assert report["config"]["reps"] == 7
         assert report["result"]["levels"][0]["count"] > 0
+
+    def test_evt_replicate_count_defaults_as_in_the_library(self, capsys, tmp_path):
+        cfg = {"slab": {"family": "laplace", "lam": 1.0}, "pi": {"c": 1.0}, "levels": [5, 6]}
+        report = run_json(capsys, "evt", "--config", write_cfg(tmp_path, cfg))
+        library = lab.evt_experiment(distributions.Laplace(1.0), schedules.LevelSchedule(1.0), [5, 6])
+        assert report["config"]["reps"] == library.reps == 100
+        assert report["result"] == json.loads(_encode(library.to_dict()))
 
     def test_levels_are_echoed_sorted_and_distinct(self, capsys, tmp_path):
         cfg = {**ECHO_CASES["lln"], "levels": [12, 8, 10, 8]}
@@ -1179,7 +1215,6 @@ class TestErrors:
             ("cwt-verify", {**KERNEL, "depth": 0}, [], "depth:"),
             # a field no reader reads is named, not left to its default
             ("sample", {**SAMPLE, "seeed": 5}, [], "seeed: unknown field"),
-            ("sample", SAMPLE, ["--reps", "3"], "reps: unknown field"),
             ("sample", {**SAMPLE, "tau": {"c": 1.0, "ee": 1.5}}, [], "tau.ee: unknown field"),
             (
                 "sample",
@@ -1490,7 +1525,6 @@ class TestErrors:
             "v_count-zero",
             "depth-zero",
             "typo-seed",
-            "sample-reps",
             "typo-tau-e",
             "typo-slab-sigma",
             "mode-n-under-infinite",
@@ -2058,9 +2092,29 @@ class TestErrors:
 
     @pytest.mark.parametrize("threads", ["0", "100000"])
     def test_threads_zero_rejected(self, capsys, threads):
-        code, _, err = run(capsys, "classify", "--set", "alpha=2.0", "--threads", threads)
+        code, _, err = run(capsys, "verify", "--set", "reps=4", "--threads", threads)
         assert code == 2
         assert err.startswith(f"besovlab: --threads must be in [1, 64], got {threads}")
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        list(itertools.product(COMMAND_FLAGS, FLAG_VALUES)),
+        ids=lambda value: value.removeprefix("--"),
+    )
+    def test_subcommand_offers_only_the_flags_it_reads(self, capsys, tmp_path, monkeypatch, command, flag):
+        monkeypatch.chdir(tmp_path)  # for the files FLAG_VALUES names
+        given = [flag, *FLAG_VALUES[flag]]
+        if flag in COMMAND_FLAGS[command]:
+            args = _build_parser().parse_args([command, *given])
+            assert getattr(args, flag.removeprefix("--")) not in (None, False)
+            return
+        # an unread flag is a usage error before the config is read or a file written
+        outputs = ["--out", "out.json"] + (["--csv", "table.csv"] if "--csv" in COMMAND_FLAGS[command] else [])
+        cfg = write_cfg(tmp_path, REPORT_CASES[command])
+        code, out, err = run(capsys, command, "--config", cfg, *given, *outputs)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(given)}" in err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     def test_unknown_command_is_usage(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -67,17 +67,19 @@ def test_paths_join_keys_with_dots_and_indices_without():
     assert message(numbers, {"u": [1.0, "x"]}, "u") == "u[1]: expected a number, got 'x'"
 
 
-def test_under_leads_key_errors_and_validator_errors_with_the_block():
-    def missing():
-        with under("tree"):
-            raise KeyError("j0")
-
+def test_under_leads_validator_errors_with_the_block():
     def invalid():
         with under("slab"):
             Gaussian(-1.0)
 
-    assert message(missing) == "tree.j0: required field is missing"
     assert message(invalid) == "slab: sigma must be positive, got -1.0"
+
+
+def test_under_lets_a_key_error_through():
+    # a missing field is a ConfigError of its reader, so a KeyError is a bug, shown as itself
+    with pytest.raises(KeyError, match="j0"):
+        with under("tree"):
+            raise KeyError("j0")
 
 
 def test_from_dicts_name_the_nested_field():

@@ -429,7 +429,8 @@ def test_level_list_checks_levels_then_reps(levels, reps, path, reason):
     assert (info.value.path, info.value.reason) == (path, reason)
 
 
-@pytest.mark.parametrize(
+# each experiment that reads a list of levels, as a function of that list
+LEVEL_EXPERIMENTS = pytest.mark.parametrize(
     "experiment",
     [
         lambda levels: lln_experiment(Gaussian(1.0), LevelSchedule(1.0, 0.5, 0.0), 2.0, levels, reps=2),
@@ -440,6 +441,9 @@ def test_level_list_checks_levels_then_reps(levels, reps, path, reason):
     ],
     ids=["lln", "moment"],
 )
+
+
+@LEVEL_EXPERIMENTS
 def test_a_level_that_is_not_an_integer_is_refused(experiment):
     # int() would truncate 3.7 and run level 3
     with pytest.raises(ConfigError) as info:
@@ -447,6 +451,14 @@ def test_a_level_that_is_not_an_integer_is_refused(experiment):
     assert info.value.path == "levels"
     assert info.value.reason.startswith("expected integer levels")
     assert [ls.j for ls in experiment(np.arange(3, 5)).levels] == [3, 4]
+
+
+@LEVEL_EXPERIMENTS
+def test_a_boolean_level_is_refused(experiment):
+    # operator.index would take True as level 1; the CLI refuses a boolean level too
+    with pytest.raises(ConfigError) as info:
+        experiment([True, 4])
+    assert (info.value.path, info.value.reason) == ("levels", "expected integer levels (got the bool True)")
 
 
 @pytest.mark.parametrize("threads", [0, 65])

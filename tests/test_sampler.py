@@ -110,6 +110,12 @@ def test_regression_mode_top_level_and_scale():
     assert spec.amplitude(3) == pytest.approx(1000**-0.5)
 
 
+@pytest.mark.parametrize("n, top", [(2**49 - 1, 47), (2**49, 48), (2**53 - 1, 51), (2**53, 52), (3, 0)])
+def test_regression_top_level_is_exact_where_log2_rounds(n, top):
+    # math.log2(2^k - 1) rounds up to k once k >= 49
+    assert PriorSpec(LevelSchedule(1.0), LevelSchedule(1.0), Gaussian(1.0), Regression(n)).top_level() == top
+
+
 def test_regression_mode_needs_enough_samples():
     spec = spec_with(LevelSchedule(1.0), mode=Regression(n=10))
     with pytest.raises(ValueError):
