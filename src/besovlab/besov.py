@@ -18,36 +18,14 @@ since levels may hold ~10^6 terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import ConfigError
 from .sampler import CoefficientTree
+from .theory import BesovParams
 
 __all__ = ["BesovParams", "vector_p_norm", "level_term", "level_terms", "besov_seq_norm"]
-
-
-@dataclass(frozen=True)
-class BesovParams:
-    s: float
-    p: float
-    q: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.s < math.inf:
-            raise ConfigError("s", f"s must be finite and positive, got {self.s}")
-        for name, v in (("p", self.p), ("q", self.q)):
-            if not v >= 1:
-                raise ConfigError(name, f"{name} must be in [1, inf], got {v}")
-
-    @property
-    def s_prime(self) -> float:
-        return self.s + 0.5 - self.inv_p
-
-    @property
-    def inv_p(self) -> float:
-        return 0.0 if math.isinf(self.p) else 1.0 / self.p
 
 
 # values per bincount pass.  A bucket sums at most this many 27-bit halves, so

@@ -22,20 +22,22 @@ import argparse
 import csv
 import dataclasses
 import functools
+import importlib
 import inspect
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 
-import numpy as np
+from . import distributions, theory
+from .fields import _MAX_THREADS, ConfigError, Doc, array, block, integer, known, natural, number
+from .fields import numbers, obj, string, under
+from .schedules import Infinite, LevelSchedule, Regression
 
-from . import besov, cwt, distributions, lab, sampler, theory, wavelets
-from .fields import ConfigError, Doc, array, block, integer, known, natural, number, numbers
-from .fields import obj, string, under
-from .lab import _MAX_THREADS
-from .schedules import LevelSchedule
+# The numeric modules (sampler, besov, lab, cwt, wavelets) load numpy, so the readers and
+# subcommands that use one import it: classify and sweep never load numpy.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,7 +59,7 @@ _TAGGED = {
         "unknown slab family: {!r}",
     ),
     "kind": (
-        {"infinite": sampler.Infinite, "regression": sampler.Regression},
+        {"infinite": Infinite, "regression": Regression},
         "expected 'infinite' or 'regression', got {!r}",
     ),
 }
@@ -100,6 +102,7 @@ def _tagged(key: str):
 
 def _atoms(d, key, default):
     """A `cwt.AtomSet` from a list of ``[a, b, omega]`` rows; an error names its row."""
+    from .cwt import AtomSet
     rows = array(d, key, default)
     if rows is default:
         return default
@@ -107,13 +110,13 @@ def _atoms(d, key, default):
         for i, row in enumerate(rows):
             if not (isinstance(row, list) and len(row) == 3):
                 raise ConfigError(i, f"expected an [a, b, omega] triple, got {row!r}")
-        return cwt.AtomSet(*zip(*[numbers(rows, i) for i in range(len(rows))]))
+        return AtomSet(*zip(*[numbers(rows, i) for i in range(len(rows))]))
 
 
-_besov = functools.partial(block, functools.partial(_read, besov.BesovParams))
+_besov = functools.partial(block, functools.partial(_read, theory.BesovParams))
 _schedule = functools.partial(block, functools.partial(_read, LevelSchedule))
 _slab = functools.partial(block, _tagged("family"))
-_spec = functools.partial(block, functools.partial(_read, cwt.CwtSpec))
+_spec = functools.partial(block, lambda d: _read(importlib.import_module(".cwt", __package__).CwtSpec, d))
 
 # a parameter's annotation, as written (the model modules postpone
 # annotations, so a signature gives them as strings) -> its reader
@@ -125,7 +128,9 @@ _FIELD_READERS = {
     "LevelSchedule | None": _schedule,
     "SlabDistribution": _slab,
     "Mode": functools.partial(block, _tagged("kind")),
-    "CoarseTerm": functools.partial(block, functools.partial(_read, cwt.CoarseTerm)),
+    "CoarseTerm": functools.partial(
+        block, lambda d: _read(importlib.import_module(".cwt", __package__).CoarseTerm, d)
+    ),
     "AtomSet": _atoms,
 }
 
@@ -137,12 +142,14 @@ def _echo(value):
     ``"inf"``; a dict is echoed item by item, leaving out a None value."""
     if isinstance(value, float):
         return "inf" if value == math.inf else value
-    if isinstance(value, wavelets.WaveletFamily):
-        return value.name
-    if isinstance(value, cwt.AtomSet):
-        return list(map(list, zip(value.a.tolist(), value.b.tolist(), value.omega.tolist())))
     if isinstance(value, dict):
         return {name: _echo(v) for name, v in value.items() if v is not None}
+    # a value of a numeric module's type exists only once that module is imported
+    wavelets, cwt = (sys.modules.get(f"{__package__}.{name}") for name in ("wavelets", "cwt"))
+    if wavelets and isinstance(value, wavelets.WaveletFamily):
+        return value.name
+    if cwt and isinstance(value, cwt.AtomSet):
+        return list(map(list, zip(value.a.tolist(), value.b.tolist(), value.omega.tolist())))
     if dataclasses.is_dataclass(value):
         doc = _echo(vars(value))
         if type(value) in _TAG_OF:
@@ -160,7 +167,8 @@ def _levels(doc) -> list[int]:
         start, stop = natural(doc, "start"), natural(doc, "stop")
         if stop < start:
             raise ConfigError("", f"stop {stop} below start {start}")
-        sampler._check_level(stop, "stop")
+        from .sampler import _check_level
+        _check_level(stop, "stop")
         return list(range(start, stop + 1))
     if isinstance(doc, list) and doc:
         return sorted({natural(doc, i) for i in range(len(doc))})
@@ -202,7 +210,7 @@ def _read_tree(path: str, sha256: str | None) -> tuple[object, dict]:
     return doc, {"path": path, "sha256": digest}
 
 
-def _load_tree(cfg: dict) -> tuple[dict, "sampler.CoefficientTree"]:
+def _load_tree(cfg: dict) -> tuple[dict, "CoefficientTree"]:
     """Echo and tree of the ``tree`` field.
 
     The field holds a tree document, echoed as given, or a reference
@@ -218,8 +226,9 @@ def _load_tree(cfg: dict) -> tuple[dict, "sampler.CoefficientTree"]:
             doc, echo = _read_tree(path, sha256)
     if not isinstance(doc, dict) or "j0" not in doc:
         raise ConfigError("tree", "supply --tree FILE or an inline 'tree' document")
+    from .sampler import tree_from_dict
     with under("tree"):
-        tree = sampler.tree_from_dict(doc)
+        tree = tree_from_dict(doc)
         known(doc)
     return echo, tree
 
@@ -257,17 +266,24 @@ _CLASSIFY = {
     "three_param": theory.classify_three_param,
     "regression": theory.classify_regression,
     "no_spike": theory.no_spike_condition,
-    "cwt": cwt.classify_cwt,
+    "cwt": theory.classify_cwt,
 }
 
 
-def _classify_point(point: dict) -> tuple[str, dict, theory.Verdict]:
-    """Resolve one classification request: its kind, the fields it read and its verdict."""
+def _classify_point(point: dict, parsed: dict) -> tuple[str, dict, theory.Verdict]:
+    """Resolve one classification request: its kind, the fields it read and its verdict;
+    ``parsed`` keeps what a reader made of a value object, so points sharing one read it once."""
     kind = string(point, "kind", "simple")
     if kind not in _CLASSIFY:
         raise ConfigError("kind", f"unknown kind {kind!r}; choose from {', '.join(_CLASSIFY)}")
     fn = _CLASSIFY[kind]
-    fields = {name: value for name, read in _plan(fn) if (value := read(point, name)) is not None}
+    fields = {}
+    for name, read in _plan(fn):
+        key = (read, id(point.get(name)))  # every value outlives the run, so its id is its own
+        value = parsed[key] if key in parsed else parsed.setdefault(key, read(point, name))
+        if value is not None:
+            fields[name] = value
+    point.read.update(fields)  # `known` skips a null field, so the others are all it needs
     return kind, fields, getattr(sys.modules[fn.__module__], fn.__name__)(**fields)
 
 
@@ -277,14 +293,15 @@ def _classify_point(point: dict) -> tuple[str, dict, theory.Verdict]:
 
 
 def _cmd_classify(cfg: dict, threads: int):
+    parsed = {}
     if "points" in cfg:
         raw = array(cfg, "points")
         if not raw:
             raise ConfigError("points", "expected a nonempty list of objects")
         with under("points"):
-            points = [block(_classify_point, raw, i) for i in range(len(raw))]
+            points = [block(lambda point: _classify_point(point, parsed), raw, i) for i in range(len(raw))]
     else:
-        points = [_classify_point(cfg)]
+        points = [_classify_point(cfg, parsed)]
     known(cfg)
     echoes = [_echo({"kind": kind, **fields}) for kind, fields, _ in points]
     echo = {"points": echoes} if "points" in cfg else echoes[0]
@@ -316,15 +333,34 @@ def _cmd_sweep(cfg: dict, threads: int):
         if not isinstance(vary[name], list) or not vary[name]:
             raise ConfigError(f"vary.{name}", "expected a nonempty list of values")
     known(cfg)
-    records = []
-    flagged = False
-    for combo in itertools.product(*(vary[name] for name in names)):
+    # a point's value at a top-level key is built, and read, once for each
+    # combination of the values of the names under that key
+    under_key = {}
+    for i, name in enumerate(names):
+        under_key.setdefault(name.partition(".")[0], []).append(i)
+    groups = [(key, operator.itemgetter(*at), at, {}) for key, at in under_key.items()]
+    echoes = [list(map(_echo, vary[name])) for name in names]
+    parsed, records, flagged, in_base = {}, [], False, under("base")
+    for combo in itertools.product(*map(range, map(len, echoes))):
+        values, failed = [], []
+        for key, pick, at, built in groups:
+            if (sub := pick(combo)) not in built:  # a value that cannot be set fails at its first point
+                holder = Doc({key: base[key]}) if key in base else Doc()
+                try:
+                    for i in at:
+                        _set_dotted(holder, names[i], vary[names[i]][combo[i]], f"vary.{names[i]}")
+                except ConfigError as exc:
+                    failed.append(exc)
+                    continue
+                built[sub] = holder[key]
+            values.append(built[sub])
+        if failed:  # the first name, in sorted order, whose value could not be set
+            raise min(failed, key=lambda exc: names.index(exc.path.removeprefix("vary.")))
         point = Doc(base)
-        for name, value in zip(names, combo):
-            _set_dotted(point, name, value, f"vary.{name}")
+        point.update(zip(under_key, values))
         try:
-            with under("base"):
-                _, _, verdict = _classify_point(point)
+            with in_base:
+                _, _, verdict = _classify_point(point, parsed)
                 known(point)
         except ConfigError as exc:
             # a value set by `vary` is named by its key, the deepest (last sorted) one
@@ -334,14 +370,10 @@ def _cmd_sweep(cfg: dict, threads: int):
                 exc.path = "vary." + varied[-1]
             raise
         flagged = flagged or verdict.decision is theory.Decision.NOT_COVERED
-        found = {
-            "decision": verdict.decision.value,
-            "case_id": verdict.case_id,
-            "threshold": verdict.threshold,
-        }
-        records.append({"overrides": dict(zip(names, combo)), **found})
-    base_echo = {**base, "kind": "simple" if base.get("kind") is None else base["kind"]}
-    echo = {"base": base_echo, "vary": {n: vary[n] for n in names}}
+        found = {"decision": verdict.decision.value, "case_id": verdict.case_id, "threshold": verdict.threshold}
+        records.append({"overrides": dict(zip(names, map(operator.getitem, echoes, combo))), **found})
+    base_echo = {**_echo(base), "kind": "simple" if base.get("kind") is None else base["kind"]}
+    echo = {"base": base_echo, "vary": dict(zip(names, echoes))}
     header = names + ["decision", "case_id", "threshold"]
     columns = [[r["overrides"][n] for r in records] for n in names]
     columns += [[r[key] for r in records] for key in header[len(names) :]]
@@ -349,6 +381,7 @@ def _cmd_sweep(cfg: dict, threads: int):
 
 
 def _cmd_sample(cfg: dict, threads: int):
+    from . import sampler
     spec = _read(sampler.PriorSpec, cfg)
     j0 = natural(cfg, "j0")
     seed = natural(cfg, "seed", 0)
@@ -364,6 +397,7 @@ def _cmd_sample(cfg: dict, threads: int):
 
 
 def _cmd_norm(cfg: dict, threads: int):
+    from . import besov, sampler
     bp = _besov(cfg, "besov")
     tree_echo, tree = _load_tree(cfg)
     known(cfg)
@@ -373,18 +407,19 @@ def _cmd_norm(cfg: dict, threads: int):
     return echo, result, None, False
 
 
-def _level_csv(report: lab.ExperimentReport):
+def _level_csv(report: "ExperimentReport"):
     header = ["j", "count", "n_value", "mean", "stderr", "median", "q25", "q75"]
     return header, [[[getattr(ls, name) for ls in report.levels] for name in header]]
 
 
 def _cmd_verify(cfg: dict, threads: int):
+    from . import lab, sampler
     bp = _besov(cfg, "besov")
     levels = block(_levels, cfg, "levels")
     spec = _read(sampler.PriorSpec, cfg)
     # without a mode, the infinite model is cut at the highest level checked
     if cfg.get("mode") is None:
-        spec = sampler.PriorSpec(spec.tau, spec.pi, spec.slab, sampler.Infinite(levels[-1]))
+        spec = sampler.PriorSpec(spec.tau, spec.pi, spec.slab, Infinite(levels[-1]))
     reps = integer(cfg, "reps", 100)
     seed = natural(cfg, "seed", 0)
     check = string(cfg, "check", "slope")
@@ -400,6 +435,7 @@ def _cmd_verify(cfg: dict, threads: int):
 
 
 def _cmd_lln(cfg: dict, threads: int):
+    from . import lab
     slab = _slab(cfg, "slab")
     pi = _schedule(cfg, "pi")
     m = number(cfg, "m")
@@ -413,6 +449,7 @@ def _cmd_lln(cfg: dict, threads: int):
 
 
 def _cmd_evt(cfg: dict, threads: int):
+    from . import lab
     slab = _slab(cfg, "slab")
     pi = _schedule(cfg, "pi")
     levels = block(_levels, cfg, "levels", list(range(8, 19)))
@@ -425,6 +462,8 @@ def _cmd_evt(cfg: dict, threads: int):
 
 
 def _cmd_synth(cfg: dict, threads: int):
+    import numpy as np
+    from . import wavelets
     fam = block(wavelets.family, cfg, "family")
     grid_exponent = integer(cfg, "grid_exponent")
     tree_echo, tree = _load_tree(cfg)
@@ -442,11 +481,13 @@ def _cmd_synth(cfg: dict, threads: int):
 
 def _project(doc) -> dict:
     """``project``: the basis ``family``, and the levels ``j0`` and ``top``."""
+    from . import wavelets
     return {"family": block(wavelets.family, doc, "family"), "j0": natural(doc, "j0"),
             "top": natural(doc, "top")}
 
 
 def _cmd_cwt_sample(cfg: dict, threads: int):
+    from . import cwt, sampler
     spec = _spec(cfg, "spec")
     seed = natural(cfg, "seed", 0)
     replicate = natural(cfg, "replicate", 0)
@@ -473,6 +514,7 @@ def _moment(doc) -> dict:
 
 
 def _cmd_cwt_verify(cfg: dict, threads: int):
+    from . import cwt, wavelets
     fam = block(wavelets.family, cfg, "family")
     v_count = integer(cfg, "v_count", 257)
     depth = integer(cfg, "depth", 12)
@@ -567,7 +609,8 @@ def _fmt_text(value) -> str:
 def _fmt_column(col) -> tuple[str, list | None]:
     """A column as a ``str.format`` field and the values it takes: an
     all-float column keeps its floats for ``.17g`` and an all-int one its
-    ints; any other column becomes its cells' text.  A constant column,
+    ints; any other column becomes its cells' text, each cell object
+    formatted once however often it repeats.  A constant column,
     ``itertools.repeat(value)``, is formatted once into the field itself."""
     if isinstance(col, itertools.repeat):
         return _fmt_text(next(col)).replace("{", "{{").replace("}", "}}"), None
@@ -576,7 +619,8 @@ def _fmt_column(col) -> tuple[str, list | None]:
         return "{:.17g}", col
     if types == {int}:
         return "{:d}", col
-    return "{}", list(map(_fmt_text, col))
+    texts = {}  # id -> text: the column holds every cell, so no id is reused
+    return "{}", [texts[i] if (i := id(v)) in texts else texts.setdefault(i, _fmt_text(v)) for v in col]
 
 
 def _write_csv(path: str, header: list[str], blocks: list) -> None:

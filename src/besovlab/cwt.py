@@ -22,19 +22,17 @@ so the coefficients equal those of an atom-by-atom loop bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
 
-from .besov import BesovParams
-from .distributions import FrechetTail, SlabDistribution, has_moment, sample, tail_class
+from .distributions import SlabDistribution, has_moment, sample
 from .fields import ConfigError
 from .lab import ExperimentReport, _column_stats, _level_list, _run_reps, _slope_fit
 from .sampler import CoefficientTree, Level, check_dense_size, rng_for
-from .schedules import LevelSchedule
-from .theory import _HALF, Decision, Verdict, _not_covered, classify_general, classify_simple
+from .theory import _HALF, classify_cwt  # classify_cwt is exported here too
 from .wavelets import WaveletFamily, cascade_eval, family, unit_tables
 
 __all__ = [
@@ -623,85 +621,3 @@ def moment_bound_experiment(
         expected_slope=expected,
         dropped_fraction=(len(stats) - len(fitted)) / len(stats),
     )
-
-
-# ---------------------------------------------------------------------------
-# membership classification for the continuous model
-# ---------------------------------------------------------------------------
-
-def classify_cwt(
-    slab: SlabDistribution,
-    alpha: float,
-    beta: float,
-    besov: BesovParams,
-    r: float,
-    rho: float,
-    *,
-    mu: LevelSchedule | None = None,
-    tau: LevelSchedule | None = None,
-) -> Verdict:
-    """Almost-sure membership of the continuous model in ``b^s_{p,q}``.
-
-    With the default power family the thresholds coincide with the
-    orthogonal classifier (same heavier-tail shift convention).  Passing
-    ``mu`` and ``tau`` switches to the general nonincreasing family, which
-    is only covered for ``p < infinity``: `classify_general` on ``(tau, mu)``,
-    its cases relabelled ``cwt/general-*``.  An increasing ``mu`` is a
-    `ConfigError` at ``mu``.
-    """
-    if (mu is None) != (tau is None):
-        missing = "tau" if tau is None else "mu"
-        raise ConfigError(missing, "general classification needs both mu and tau (or neither)")
-    for name, value in (("alpha", alpha), ("beta", beta), ("r", r), ("rho", rho)):
-        if not math.isfinite(value):
-            raise ConfigError(name, f"{name} must be finite, got {value}")
-    r_rho = Fraction(r) + Fraction(rho)
-    if not r_rho > (1 + Fraction(alpha)) / 2:
-        return _not_covered(
-            "cwt/kernel-regularity",
-            "kernel bound needs r + rho > (1 + alpha)/2; "
-            f"got {r + rho:g} <= {(1.0 + alpha) / 2.0:g}",
-        )
-    tc = tail_class(slab)
-    if isinstance(tc, FrechetTail) and not tc.ell > 2 / (r_rho + _HALF):
-        return _not_covered(
-            "cwt/heavy-tail-gap",
-            f"polynomial tail needs ell > 2/(r + rho + 1/2); got ell={tc.ell:g}",
-        )
-    kernel_note = f"kernel decay exponent r + rho + 1/2 = {r + rho + 0.5:g}"
-
-    if mu is None:
-        base = classify_simple(slab, alpha, beta, besov, r)
-        return replace(
-            base,
-            case_id="cwt/" + base.case_id.split("/", 1)[1],
-            assumptions=base.assumptions + (kernel_note,),
-        )
-
-    # general nonincreasing (mu, tau), read at dyadic scales a = 2^j
-    if math.isinf(besov.p):
-        return _not_covered(
-            "cwt/general-p-inf",
-            "general intensity families are only treated for p < infinity",
-            assumptions=(kernel_note,),
-        )
-    if mu.c > 0 and (mu.e < 0 or (mu.e == 0 and mu.g > 0)):
-        raise ConfigError("mu", f"mu must be nonincreasing, got e={mu.e}, g={mu.g}")
-    # clamping pi at 1 leaves a nonincreasing mu's exponents, so its regime, unchanged
-    v = classify_general(slab, tau, mu, besov, r)
-    case = v.case_id.split("/", 1)[1]
-    assumptions = (kernel_note, "general nonincreasing mu, tau at dyadic scales")
-    if case == "case5":
-        reason = "sum of 2^j mu(2^j) converges: finitely many atoms in total"
-        return Verdict(Decision.MEMBER_AS, "cwt/general-summable", None, reason, assumptions)
-    if case == "regime-gap":
-        reason = "2^j mu(2^j) neither grows, settles, nor is summable"
-        return _not_covered("cwt/general-regime-gap", reason, assumptions=assumptions)
-    if case == "case4":
-        reason = "q = infinity needs 2^j mu(2^j) increasing to infinity"
-        return _not_covered("cwt/general-q-inf", reason, assumptions=assumptions)
-    if not v.covered:  # the moment gate of case 1 (order p) or case 3 (order q)
-        order = besov.p if case == "case1" else besov.q
-        reason = f"slab lacks a finite moment of order {order:g}"
-        return _not_covered("cwt/general-assumption-h", reason, assumptions=assumptions)
-    return replace(v, case_id="cwt/general", assumptions=assumptions)

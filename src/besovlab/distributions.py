@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 __all__ = [
     "Gaussian",
     "Laplace",
@@ -356,6 +354,7 @@ def has_moment(d: SlabDistribution, m: float) -> bool:
 
 def sample(d: SlabDistribution, rng: np.random.Generator, size: int | tuple = ()) -> np.ndarray:
     """Draw from the slab using the numpy generator ``rng``."""
+    import numpy as np  # only the draws need numpy: the classifiers run without it
     if isinstance(d, Gaussian):
         return rng.normal(0.0, d.sigma, size=size)
     if isinstance(d, Laplace):
@@ -377,9 +376,9 @@ def sample_abs(d: SlabDistribution, rng: np.random.Generator, size: int | tuple 
     """Draw ``|xi|`` from the folded law ``H_+``.
 
     ``|Laplace(lam)|`` is ``Exp(lam)``, drawn with no sign.  Every other
-    family folds `sample`'s draw, so its stream is ``np.abs(sample(...))``
-    bit for bit.
+    family folds `sample`'s draw, so its stream is ``abs(sample(...))`` bit
+    for bit.
     """
     if isinstance(d, Laplace):
         return rng.standard_exponential(size=size) / d.lam
-    return np.abs(sample(d, rng, size))
+    return abs(sample(d, rng, size))

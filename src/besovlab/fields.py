@@ -23,6 +23,10 @@ __all__ = [
 
 _MISSING = object()
 
+# bounds the OS threads one replicate loop starts; a constant, not the CPU
+# count, so a run that is valid on one host is valid on every host
+_MAX_THREADS = 64
+
 
 def _name(key) -> str:
     return f"[{key}]" if isinstance(key, int) else str(key)

@@ -44,7 +44,7 @@ from .distributions import (
     sample_abs,
     tail_class,
 )
-from .fields import ConfigError
+from .fields import _MAX_THREADS, ConfigError
 from .sampler import (
     PriorSpec,
     Regression,
@@ -67,9 +67,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 22  # cap per-draw memory at 32 MiB of float64
-# bounds the OS threads one replicate loop starts; a constant, not the CPU
-# count, so a run that is valid on one host is valid on every host
-_MAX_THREADS = 64
 # bounds the per-level results an experiment holds until it ends, replicates
 # times levels: a result costs at most 96 bytes, so 2^22 of them about 400 MB
 _MAX_RESULTS = 1 << 22

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
 from .distributions import SlabDistribution, sample as slab_sample
 from .fields import ConfigError, array, block, integer, numbers, under
-from .schedules import LevelSchedule
+from .schedules import Infinite, LevelSchedule, Mode, Regression
 
 __all__ = [
     "Level",
@@ -109,27 +109,6 @@ class CoefficientTree:
     def top_level(self) -> int:
         return self.j0 + len(self.levels) - 1 if self.levels else self.j0 - 1
 
-
-@dataclass(frozen=True)
-class Infinite:
-    """Truncate the infinite model at top level ``j_max`` (inclusive)."""
-
-    j_max: int
-
-
-@dataclass(frozen=True)
-class Regression:
-    """Finite-n regression prior: top level ``floor(log2 n) - 1`` and a
-    global ``n^(-1/2)`` scale on coefficients."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ConfigError("n", f"regression needs n >= 2, got {self.n}")
-
-
-Mode = Union[Infinite, Regression]
 
 # Largest expected nonzero count of one draw: about 256 MB of positions and
 # values, plus at most four permuted positions per nonzero on dense levels.

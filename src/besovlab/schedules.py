@@ -1,4 +1,5 @@
-"""Level schedules ``c * j^g * 2^(-e*j)`` and their exact asymptotics.
+"""Level schedules ``c * j^g * 2^(-e*j)`` and their exact asymptotics, and
+the truncation modes (`Infinite`, `Regression`) that fix a draw's top level.
 
 Both hyperparameter sequences of the prior live in this family: the scale
 ``tau_j`` and the nonzero probability ``pi_j`` (the latter clamped to
@@ -19,8 +20,12 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .fields import ConfigError
+
 __all__ = [
     "LevelSchedule",
+    "Infinite",
+    "Regression",
     "GrowthKind",
     "growth_regime",
     "series_verdict",
@@ -65,6 +70,28 @@ class LevelSchedule:
         """``min(1, value_at(j))`` — the probability reading of the schedule;
         a value that overflows a float reads as 1."""
         return min(1.0, self.value_at(j))
+
+
+@dataclass(frozen=True)
+class Infinite:
+    """Truncate the infinite model at top level ``j_max`` (inclusive)."""
+
+    j_max: int
+
+
+@dataclass(frozen=True)
+class Regression:
+    """Finite-n regression prior: top level ``floor(log2 n) - 1`` and a
+    global ``n^(-1/2)`` scale on coefficients."""
+
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ConfigError("n", f"regression needs n >= 2, got {self.n}")
+
+
+Mode = Infinite | Regression
 
 
 def series_verdict(e: float, g: float) -> bool:

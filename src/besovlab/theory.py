@@ -15,7 +15,7 @@ The classifier family:
 
 * ``classify_general``     arbitrary schedules, five cases split by the
   growth of the expected nonzero count ``n_j = 2^j pi_j``;
-  ``cwt.classify_cwt`` relabels it on ``(tau, mu)`` for the continuous
+  ``classify_cwt`` relabels it on ``(tau, mu)`` for the continuous
   model, whose atom count ``2^j mu(2^j)`` near level ``j`` plays ``n_j``.
 * ``classify_simple``      dyadic two-exponent parametrisation
   (``tau_j = 2^{-alpha j/2}``, ``pi_j = min(1, 2^{-beta j})``):
@@ -39,11 +39,11 @@ hypotheses of every case fail.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .besov import BesovParams
 from .distributions import (
     FrechetTail,
     Gaussian,
@@ -64,6 +64,7 @@ from .schedules import (
 )
 
 __all__ = [
+    "BesovParams",
     "Decision",
     "Verdict",
     "classify_simple",
@@ -71,7 +72,30 @@ __all__ = [
     "classify_three_param",
     "classify_regression",
     "no_spike_condition",
+    "classify_cwt",
 ]
+
+
+@dataclass(frozen=True)
+class BesovParams:
+    s: float
+    p: float
+    q: float
+
+    def __post_init__(self) -> None:
+        if not 0 < self.s < math.inf:
+            raise ConfigError("s", f"s must be finite and positive, got {self.s}")
+        for name, v in (("p", self.p), ("q", self.q)):
+            if not v >= 1:
+                raise ConfigError(name, f"{name} must be in [1, inf], got {v}")
+
+    @property
+    def s_prime(self) -> float:
+        return self.s + 0.5 - self.inv_p
+
+    @property
+    def inv_p(self) -> float:
+        return 0.0 if math.isinf(self.p) else 1.0 / self.p
 
 
 class Decision(enum.Enum):
@@ -112,13 +136,15 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 _HALF = Fraction(1, 2)
+# the exact value of a float, cached: a sweep passes each ``s`` and ``q`` many times
+_exact = functools.lru_cache(maxsize=4096)(Fraction)
 
 
 def _lq_finite(E: Fraction, G: Fraction, q: float) -> bool:
     """sum_j (j^G 2^(jE))^q < inf; for ``q = inf`` the sup criterion."""
     if math.isinf(q):
         return sup_verdict(-E, G)
-    w = Fraction(q)
+    w = _exact(q)
     return series_verdict(-w * E, w * G)
 
 
@@ -133,7 +159,7 @@ def _threshold(bp: BesovParams, E: Fraction) -> float:
     Every tested exponent is ``s`` plus terms free of ``s``, so the
     threshold is ``s - E``, rounded once.
     """
-    return float(Fraction(bp.s) - E)
+    return float(_exact(bp.s) - E)
 
 
 def _level_exponent(
@@ -153,16 +179,24 @@ def _level_exponent(
     ``tau_j``; at ``p = inf`` the level maximum grows like
     ``(log n_j)^(1/m)`` for a Gumbel tail and like ``n_j^(1/ell)`` for a
     Frechet tail.  When they settle, a level holds finitely many terms.
-    The other regimes have no level exponent (None).
+    The other regimes have no level exponent (None).  ``E`` is ``s`` plus
+    `_level_offset`, which is free of ``s``.
     """
-    e_t = Fraction(tau.e)
-    head = Fraction(bp.s) + _HALF - e_t
-    inv_p = _inv(bp.p)
+    pair = _level_offset(kind, slab, tau, e_pi, g_pi, bp.p)
+    return None if pair is None else (_exact(bp.s) + pair[0], pair[1])
+
+
+@functools.lru_cache(maxsize=4096)
+def _level_offset(kind: GrowthKind, slab: SlabDistribution, tau: LevelSchedule, e_pi: float,
+                  g_pi: float, p: float) -> tuple[Fraction, Fraction] | None:
+    """``(E - s, G)`` of `_level_exponent`; a sweep meets each prior and ``p`` for many ``s``."""
+    head = _HALF - Fraction(tau.e)
+    inv_p = _inv(p)
     if kind is GrowthKind.TENDS_TO_CONSTANT:
         return head - inv_p, Fraction(tau.g)
     if kind is not GrowthKind.INCREASES_TO_INFINITY:
         return None
-    if not math.isinf(bp.p):
+    if not math.isinf(p):
         weight, shift = inv_p, -Fraction(e_pi) * inv_p
     else:
         tc = tail_class(slab)
@@ -465,3 +499,85 @@ def no_spike_condition(
     """
     inner = classify_general(slab, tau, LevelSchedule(1.0), besov, r)
     return replace(inner, case_id="no-spike/" + inner.case_id.split("/", 1)[1])
+
+
+# ---------------------------------------------------------------------------
+# membership classification for the continuous model
+# ---------------------------------------------------------------------------
+
+def classify_cwt(
+    slab: SlabDistribution,
+    alpha: float,
+    beta: float,
+    besov: BesovParams,
+    r: float,
+    rho: float,
+    *,
+    mu: LevelSchedule | None = None,
+    tau: LevelSchedule | None = None,
+) -> Verdict:
+    """Almost-sure membership of the continuous model in ``b^s_{p,q}``.
+
+    With the default power family the thresholds coincide with the
+    orthogonal classifier (same heavier-tail shift convention).  Passing
+    ``mu`` and ``tau`` switches to the general nonincreasing family, which
+    is only covered for ``p < infinity``: `classify_general` on ``(tau, mu)``,
+    its cases relabelled ``cwt/general-*``.  An increasing ``mu`` is a
+    `ConfigError` at ``mu``.
+    """
+    if (mu is None) != (tau is None):
+        missing = "tau" if tau is None else "mu"
+        raise ConfigError(missing, "general classification needs both mu and tau (or neither)")
+    for name, value in (("alpha", alpha), ("beta", beta), ("r", r), ("rho", rho)):
+        if not math.isfinite(value):
+            raise ConfigError(name, f"{name} must be finite, got {value}")
+    r_rho = Fraction(r) + Fraction(rho)
+    if not r_rho > (1 + Fraction(alpha)) / 2:
+        return _not_covered(
+            "cwt/kernel-regularity",
+            "kernel bound needs r + rho > (1 + alpha)/2; "
+            f"got {r + rho:g} <= {(1.0 + alpha) / 2.0:g}",
+        )
+    tc = tail_class(slab)
+    if isinstance(tc, FrechetTail) and not tc.ell > 2 / (r_rho + _HALF):
+        return _not_covered(
+            "cwt/heavy-tail-gap",
+            f"polynomial tail needs ell > 2/(r + rho + 1/2); got ell={tc.ell:g}",
+        )
+    kernel_note = f"kernel decay exponent r + rho + 1/2 = {r + rho + 0.5:g}"
+
+    if mu is None:
+        base = classify_simple(slab, alpha, beta, besov, r)
+        return replace(
+            base,
+            case_id="cwt/" + base.case_id.split("/", 1)[1],
+            assumptions=base.assumptions + (kernel_note,),
+        )
+
+    # general nonincreasing (mu, tau), read at dyadic scales a = 2^j
+    if math.isinf(besov.p):
+        return _not_covered(
+            "cwt/general-p-inf",
+            "general intensity families are only treated for p < infinity",
+            assumptions=(kernel_note,),
+        )
+    if mu.c > 0 and (mu.e < 0 or (mu.e == 0 and mu.g > 0)):
+        raise ConfigError("mu", f"mu must be nonincreasing, got e={mu.e}, g={mu.g}")
+    # clamping pi at 1 leaves a nonincreasing mu's exponents, so its regime, unchanged
+    v = classify_general(slab, tau, mu, besov, r)
+    case = v.case_id.split("/", 1)[1]
+    assumptions = (kernel_note, "general nonincreasing mu, tau at dyadic scales")
+    if case == "case5":
+        reason = "sum of 2^j mu(2^j) converges: finitely many atoms in total"
+        return Verdict(Decision.MEMBER_AS, "cwt/general-summable", None, reason, assumptions)
+    if case == "regime-gap":
+        reason = "2^j mu(2^j) neither grows, settles, nor is summable"
+        return _not_covered("cwt/general-regime-gap", reason, assumptions=assumptions)
+    if case == "case4":
+        reason = "q = infinity needs 2^j mu(2^j) increasing to infinity"
+        return _not_covered("cwt/general-q-inf", reason, assumptions=assumptions)
+    if not v.covered:  # the moment gate of case 1 (order p) or case 3 (order q)
+        order = besov.p if case == "case1" else besov.q
+        reason = f"slab lacks a finite moment of order {order:g}"
+        return _not_covered("cwt/general-assumption-h", reason, assumptions=assumptions)
+    return replace(v, case_id="cwt/general", assumptions=assumptions)

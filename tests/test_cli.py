@@ -1,8 +1,10 @@
 """End-to-end tests of the command line front end."""
 
+import contextlib
 import csv
 import hashlib
 import inspect
+import io
 import itertools
 import json
 import math
@@ -10,13 +12,13 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from besovlab import besov, cwt, distributions, lab, sampler, schedules, theory, wavelets
-from besovlab.cli import _CLASSIFY, _TAG_OF, _build_parser, _echo, _encode, _fmt_cell, _read, _tagged
-from besovlab.cli import _write_csv, main
-from besovlab.fields import Doc, block
+from besovlab.cli import _CLASSIFY, _TAG_OF, _build_parser, _classify_point, _echo, _encode, _fmt_cell
+from besovlab.cli import _read, _set_dotted, _tagged, _write_csv, main
+from besovlab.fields import ConfigError, Doc, block, known, under
 
 GAUSS = {"family": "gaussian", "sigma": 1.0}
 B122 = {"s": 1.0, "p": 2.0, "q": 2.0}
@@ -339,7 +341,7 @@ class TestClassify:
         [
             (theory, "classify_simple", POINT),
             (theory, "classify_three_param", THREE_PARAM),
-            (cwt, "classify_cwt", CWT_POINT),
+            (theory, "classify_cwt", CWT_POINT),  # defined in theory, exported by cwt too
         ],
     )
     def test_classifier_is_looked_up_when_called(
@@ -434,6 +436,150 @@ class TestSweep:
                 key: verdict[key] for key in ("decision", "case_id", "threshold")
             }
         assert len({row["threshold"] for row in rows}) > 1  # the varied values are read
+
+    @pytest.mark.parametrize("where", ["base", "vary"])
+    def test_an_infinite_number_echoes_as_inf(self, capsys, tmp_path, where):
+        # write_cfg writes math.inf as JSON's Infinity, which reads as inf and
+        # echoes as "inf", as classify echoes it
+        besov = {"s": 1.0, "p": math.inf if where == "base" else 2.0, "q": 2.0}
+        q_values = [2.0] if where == "base" else [2.0, math.inf]
+        cfg = {"base": {"slab": GAUSS, "beta": 0.5, "besov": besov, "r": 3.0},
+               "vary": {"alpha": [1.0, 3.0], "besov.q": q_values}}
+        out, out_csv = tmp_path / "out.json", tmp_path / "out.csv"
+        argv = ["--config", write_cfg(tmp_path, cfg), "--out", str(out), "--csv", str(out_csv)]
+        report = run_json(capsys, "sweep", *argv)
+        strict_json(out.read_text())
+        echo = report["config"]
+        rows = report["result"]["rows"]
+        if where == "base":
+            assert echo["base"]["besov"]["p"] == "inf"
+            assert {row["case_id"] for row in rows} == {"simple/p-inf-gumbel"}
+        else:
+            assert echo["vary"]["besov.q"] == [2.0, "inf"]
+            assert [row["overrides"]["besov.q"] for row in rows] == [2.0, "inf"] * 2
+            assert [row[1] for row in read_csv(out_csv)[1]] == ["2", "inf"] * 2
+        # the echo replays to the same report
+        replay = write_cfg(tmp_path, echo, name="echo.json")
+        second = tmp_path / "second.json"
+        run_json(capsys, "sweep", "--config", replay, "--out", str(second))
+        assert second.read_bytes() == out.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=st.deferred(lambda: SWEEPS))
+    # two names fail to set at once, and the first of them in sorted order,
+    # besov-x., lies between two names under besov
+    @example(cfg={"base": GENERAL_POINT, "vary": {"besov": [B122], "besov.s.x": [1.0], "besov-x.": [1.0]}})
+    def test_sweep_equals_its_points_classified_alone(self, tmp_path_factory, cfg):
+        work = tmp_path_factory.mktemp("sweep")
+        text = json.dumps(cfg)  # an infinite value is written as JSON's Infinity
+        (work / "cfg.json").write_text(text)
+        out, out_csv = work / "out.json", work / "out.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["sweep", "--config", str(work / "cfg.json"),
+                         "--out", str(out), "--csv", str(out_csv)])
+        try:
+            report, table = sweep_point_by_point(json.loads(text, object_hook=Doc))
+        except ConfigError as exc:
+            assert (code, err.getvalue()) == (2, f"besovlab sweep: config error: {exc}\n")
+            assert not out.exists() and not out_csv.exists()
+            return
+        assert (code, err.getvalue()) == (0, "")
+        assert out.read_text() == _encode(report) + "\n"
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows([[_fmt_cell(cell) for cell in row] for row in table])
+        assert out_csv.read_bytes() == expected.getvalue().encode()
+
+
+def sweep_point_by_point(cfg):
+    """The sweep report and CSV rows of ``cfg``, each point built from ``base``
+    and its ``vary`` values, then classified and checked on its own; the first
+    bad point raises its `ConfigError`, a varied value named by its key."""
+    base, vary = cfg["base"], cfg["vary"]
+    names = sorted(vary)
+    rows = []
+    for combo in itertools.product(*(vary[name] for name in names)):
+        point = Doc(base)
+        for name, value in zip(names, combo):
+            _set_dotted(point, name, value, f"vary.{name}")
+        try:
+            with under("base"):
+                _, _, verdict = _classify_point(point, {})
+                known(point)
+        except ConfigError as exc:
+            inner = exc.path.removeprefix("base.") + "."
+            varied = [name for name in names if inner.startswith(name + ".")]
+            if varied:
+                exc.path = "vary." + varied[-1]
+            raise
+        overrides = {name: _echo(value) for name, value in zip(names, combo)}
+        rows.append({"overrides": overrides, "decision": verdict.decision.value,
+                     "case_id": verdict.case_id, "threshold": verdict.threshold})
+    kind = "simple" if base.get("kind") is None else base["kind"]
+    echo = {"base": {**_echo(base), "kind": kind}, "vary": {n: list(map(_echo, vary[n])) for n in names}}
+    report = {"command": "sweep", "config": echo, "result": {"rows": rows}}
+    keys = ["decision", "case_id", "threshold"]
+    table = [names + keys] + [[*row["overrides"].values(), *(row[key] for key in keys)] for row in rows]
+    return report, table
+
+
+# the values a random sweep takes for each name it may vary; a value past
+# the ";" is refused (or, for a kind, may leave a base field unread)
+SWEEP_AXES = {
+    "kind": ["general", "regression", "no_spike", "simple", "three_param", "nope"],
+    "slab": [GAUSS, {"family": "cauchy"}, {"family": "student_t", "nu": 3.0}, {"family": "laplace"},
+             {"family": "normal"}, 3.0],
+    "tau": [{"c": 1.0, "e": 1.0}, {"c": 1.0, "g": -2.0}, "fast"],
+    "tau.e": [0.0, 0.5, 1.5, math.inf],
+    "tau.g": [-2.0, 0.0, 1.0, None],
+    "pi.e": [0.0, 0.5, 1.0, 1.5],
+    "pi.g": [0.0, 1.0, -0.5],
+    "besov": [B122, {"s": 0.5, "p": "inf", "q": 1.0}, {"s": 1.0, "p": 2.0}],
+    "besov.s": [0.1, 1.0, 2.5, -1.0, 5.0],
+    "besov.p": [1.0, 2.0, "inf", math.inf, 0.5],
+    "besov.q": [1.0, "inf", math.inf, 0.0],
+    "r": [3.0, None, 0.5],
+    "alpha": [1.0, 3.0, -1.0],
+    "beta": [0.5, 1.0, None],
+    # a key path through a number, empty keys (the first sorts between two
+    # names under besov) and a field no classifier reads
+    "besov.s.x": [1.0],
+    "besov.": [1.0],
+    "besov-x.": [1.0],
+    "extra": [None, 1.0],
+}
+# the values of each axis that no reader refuses
+SWEEP_GOOD = {"kind": 2, "slab": 4, "tau": 2, "tau.e": 3, "tau.g": 4, "pi.e": 4, "pi.g": 3, "besov": 2,
+              "besov.s": 3, "besov.p": 4, "besov.q": 3, "r": 2, "alpha": 2, "beta": 3, "extra": 1}
+# each base and the names its kind reads
+SWEEP_BASES = [
+    (GENERAL_POINT, ["kind", "slab", "tau", "tau.e", "tau.g", "pi.e", "pi.g", "besov", "besov.s", "besov.p",
+                     "besov.q", "r"]),
+    ({**GENERAL_POINT, "kind": "regression"}, ["slab", "tau.e", "pi.e", "pi.g", "besov.p", "besov.q"]),
+    (SWEEP_BASE, ["slab", "alpha", "besov", "besov.s", "besov.p", "besov.q", "r"]),
+    ({**POINT, "beta": None}, ["beta", "alpha", "besov.s", "besov.q"]),
+    (KIND_POINTS["no_spike"], ["slab", "tau", "tau.e", "tau.g", "besov.s", "besov.p"]),
+]
+
+
+@st.composite
+def _sweeps(draw):
+    """A small sweep: mostly names its base's kind reads and values no reader
+    refuses, now and then another name or a refused value."""
+    base, names = draw(st.sampled_from(SWEEP_BASES))
+    chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    if draw(st.integers(0, 5)) == 0:
+        chosen.append(draw(st.sampled_from(sorted(set(SWEEP_AXES) - set(chosen)))))
+    vary = {}
+    for name in chosen:
+        values = SWEEP_AXES[name]
+        good = st.sampled_from(values[: SWEEP_GOOD.get(name, 0)] or values)
+        value = st.one_of(*[good] * 7, st.sampled_from(values))  # a value past the good ones now and then
+        vary[name] = draw(st.lists(value, min_size=1, max_size=3))
+    return {"base": base, "vary": vary}
+
+
+SWEEPS = _sweeps()
 
 
 # one value of each config block type `cli._read` builds

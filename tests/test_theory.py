@@ -14,9 +14,11 @@ from besovlab.distributions import (
     StudentT,
 )
 from besovlab.fields import ConfigError
-from besovlab.schedules import LevelSchedule
+from besovlab.schedules import LevelSchedule, clamped_exponents, growth_regime
 from besovlab.theory import (
     Decision,
+    _level_exponent,
+    _level_offset,
     classify_general,
     classify_regression,
     classify_simple,
@@ -568,6 +570,51 @@ def test_regression_thresholds_sit_half_above_infinite_model():
     fixed = classify_general(Gaussian(1.0), tau, pi, bp(0.3, 2, 2), 3.0)
     reg = classify_regression(Gaussian(1.0), tau, pi, bp(0.3, 2, 2), 3.0)
     assert reg.threshold == pytest.approx(fixed.threshold + 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the level exponent: s plus an offset free of s, cached
+# ---------------------------------------------------------------------------
+
+# schedule exponents: the regime boundaries themselves, and floats between
+EXPONENT = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0]), st.floats(-2.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    slab=st.sampled_from(SLABS),
+    tau_e=EXPONENT,
+    tau_g=EXPONENT,
+    pi_e=EXPONENT,
+    pi_g=EXPONENT,
+    p=st.sampled_from(GRID_P_Q),
+    q=st.sampled_from(GRID_P_Q),
+    s1=st.floats(0.05, 2.9),
+    s2=st.floats(0.05, 2.9),
+)
+def test_level_exponent_is_s_plus_an_offset_free_of_s(slab, tau_e, tau_g, pi_e, pi_g, p, q, s1, s2):
+    tau, pi = LevelSchedule(1.0, tau_e, tau_g), LevelSchedule(1.0, pi_e, pi_g)
+    _, e_pi, g_pi = clamped_exponents(pi)
+    pairs = [_level_exponent(growth_regime(pi), slab, tau, e_pi, g_pi, bp(s, p, q)) for s in (s1, s2)]
+    if pairs[0] is None:
+        assert pairs[1] is None
+    else:
+        (e1, g1), (e2, g2) = pairs
+        assert (e1 - Fraction(s1), g1) == (e2 - Fraction(s2), g2)
+    # a verdict at s2 is the same with the offset cache cold and warmed at s1,
+    # by every slab and p and by neighbouring schedules
+    warm = [(other, tau, pi, bp(s1, other_p, q)) for other in SLABS for other_p in GRID_P_Q]
+    warm += [(slab, LevelSchedule(1.0, tau_e + 0.25, tau_g), pi, bp(s1, p, q)),
+             (slab, LevelSchedule(1.0, tau_e, tau_g + 1.0), pi, bp(s1, p, q)),
+             (slab, tau, LevelSchedule(1.0, pi_e + 0.25, pi_g), bp(s1, p, q)),
+             (slab, tau, LevelSchedule(1.0, pi_e, pi_g + 1.0), bp(s1, p, q))]
+    for classify in (classify_general, classify_regression):
+        _level_offset.cache_clear()
+        cold = classify(slab, tau, pi, bp(s2, p, q), 3.0)
+        _level_offset.cache_clear()
+        for args in warm:
+            classify(*args, 3.0)
+        assert classify(slab, tau, pi, bp(s2, p, q), 3.0) == cold
 
 
 # ---------------------------------------------------------------------------
