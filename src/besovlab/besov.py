@@ -25,7 +25,7 @@ from .fields import ConfigError
 from .sampler import CoefficientTree
 from .theory import BesovParams
 
-__all__ = ["BesovParams", "vector_p_norm", "level_term", "level_terms", "besov_seq_norm"]
+__all__ = ["vector_p_norm", "level_term", "level_terms", "besov_seq_norm"]
 
 
 # values per bincount pass.  A bucket sums at most this many 27-bit halves, so

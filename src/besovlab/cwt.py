@@ -32,7 +32,7 @@ from .distributions import SlabDistribution, has_moment, sample
 from .fields import ConfigError
 from .lab import ExperimentReport, _column_stats, _level_list, _run_reps, _slope_fit
 from .sampler import CoefficientTree, Level, check_dense_size, rng_for
-from .theory import _HALF, classify_cwt  # classify_cwt is exported here too
+from .theory import _HALF
 from .wavelets import WaveletFamily, cascade_eval, family, unit_tables
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "KernelBoundReport",
     "verify_kernel_bounds",
     "moment_bound_experiment",
-    "classify_cwt",
 ]
 
 

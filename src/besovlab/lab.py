@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .besov import BesovParams, level_term
+from .besov import level_term
 from .distributions import (
     FrechetTail,
     SlabDistribution,
@@ -47,15 +47,14 @@ from .distributions import (
 from .fields import _MAX_THREADS, ConfigError
 from .sampler import (
     PriorSpec,
-    Regression,
     _check_level,
     check_draw_size,
     draw_count,
     draw_level,
     rng_for,
 )
-from .schedules import GrowthKind, LevelSchedule, clamped_exponents, growth_regime
-from .theory import _level_exponent, classify_general, classify_regression
+from .schedules import GrowthKind, LevelSchedule, Regression, clamped_exponents, growth_regime
+from .theory import BesovParams, _level_offset, classify_general, classify_regression
 
 __all__ = [
     "LevelStat",
@@ -352,8 +351,8 @@ def _level_term_experiment(
     else:
         slope, slope_stderr = None, None
     _, e_pi, g_pi = clamped_exponents(spec.pi)
-    pair = _level_exponent(growth_regime(spec.pi), spec.slab, spec.tau, e_pi, g_pi, bp)
-    expected = None if pair is None else float(Fraction(power) * pair[0] - Fraction(detrend))
+    pair = _level_offset(growth_regime(spec.pi), spec.slab, spec.tau, e_pi, g_pi, bp.p)
+    expected = None if pair is None else float(Fraction(power) * (Fraction(bp.s) + pair[0]) - Fraction(detrend))
     report = ExperimentReport(
         kind,
         reps,

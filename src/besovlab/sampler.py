@@ -33,8 +33,6 @@ from .schedules import Infinite, LevelSchedule, Mode, Regression
 __all__ = [
     "Level",
     "CoefficientTree",
-    "Infinite",
-    "Regression",
     "PriorSpec",
     "sample_tree",
     "draw_count",

@@ -11,6 +11,10 @@ directly or, for the dyadic and continuous families, through
 float inputs, so a verdict is the exact answer for those floats, also at
 a threshold; only the reported threshold is rounded.
 
+``E`` is ``s - T`` for a threshold ``T`` free of ``s``: the general and
+regression classifiers cache one ``s``-free rule per prior, ``p`` and ``q``
+(`_rule`), and a point only compares its exact ``s`` with the rule's ``T``.
+
 The classifier family:
 
 * ``classify_general``     arbitrary schedules, five cases split by the
@@ -136,16 +140,6 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 _HALF = Fraction(1, 2)
-# the exact value of a float, cached: a sweep passes each ``s`` and ``q`` many times
-_exact = functools.lru_cache(maxsize=4096)(Fraction)
-
-
-def _lq_finite(E: Fraction, G: Fraction, q: float) -> bool:
-    """sum_j (j^G 2^(jE))^q < inf; for ``q = inf`` the sup criterion."""
-    if math.isinf(q):
-        return sup_verdict(-E, G)
-    w = _exact(q)
-    return series_verdict(-w * E, w * G)
 
 
 def _inv(x: float) -> Fraction:
@@ -153,25 +147,10 @@ def _inv(x: float) -> Fraction:
     return Fraction(0) if math.isinf(x) else 1 / Fraction(x)
 
 
-def _threshold(bp: BesovParams, E: Fraction) -> float:
-    """The smoothness at which the tested exponent ``E`` vanishes.
-
-    Every tested exponent is ``s`` plus terms free of ``s``, so the
-    threshold is ``s - E``, rounded once.
-    """
-    return float(_exact(bp.s) - E)
-
-
-def _level_exponent(
-    kind: GrowthKind,
-    slab: SlabDistribution,
-    tau: LevelSchedule,
-    e_pi: float,
-    g_pi: float,
-    bp: BesovParams,
-) -> tuple[Fraction, Fraction] | None:
-    """Exact ``(E, G)`` with level term ``a_j ~ j^G 2^(jE)`` in the
-    infinite model.
+def _level_offset(kind: GrowthKind, slab: SlabDistribution, tau: LevelSchedule, e_pi: float,
+                  g_pi: float, p: float) -> tuple[Fraction, Fraction] | None:
+    """Exact ``(E - s, G)`` with level term ``a_j ~ j^G 2^(jE)`` in the
+    infinite model; ``E - s`` is free of ``s``.
 
     ``a_j = 2^(j s') ||level j||_p`` for the scale ``tau`` and expected
     counts ``n_j ~ j^g_pi 2^(j (1 - e_pi))`` growing in regime ``kind``.
@@ -179,17 +158,8 @@ def _level_exponent(
     ``tau_j``; at ``p = inf`` the level maximum grows like
     ``(log n_j)^(1/m)`` for a Gumbel tail and like ``n_j^(1/ell)`` for a
     Frechet tail.  When they settle, a level holds finitely many terms.
-    The other regimes have no level exponent (None).  ``E`` is ``s`` plus
-    `_level_offset`, which is free of ``s``.
+    The other regimes have no level exponent (None).
     """
-    pair = _level_offset(kind, slab, tau, e_pi, g_pi, bp.p)
-    return None if pair is None else (_exact(bp.s) + pair[0], pair[1])
-
-
-@functools.lru_cache(maxsize=4096)
-def _level_offset(kind: GrowthKind, slab: SlabDistribution, tau: LevelSchedule, e_pi: float,
-                  g_pi: float, p: float) -> tuple[Fraction, Fraction] | None:
-    """``(E - s, G)`` of `_level_exponent`; a sweep meets each prior and ``p`` for many ``s``."""
     head = _HALF - Fraction(tau.e)
     inv_p = _inv(p)
     if kind is GrowthKind.TENDS_TO_CONSTANT:
@@ -231,8 +201,23 @@ def _not_covered(
 # general schedules: five cases split on the growth of n_j = 2^j pi_j
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Open:
+    """The open case of a rule: the level terms behave like ``j^G 2^(jE)``
+    with ``E = s - threshold``.  A point is a member when their
+    ``weight``-th powers are summable, or for ``weight`` None when their
+    supremum is finite.  ``note`` is None in case 4 at ``q = inf``, whose
+    criterion is `_case4_constant_q_inf`."""
+
+    case_id: str
+    note: str | None
+    threshold: Fraction
+    G: Fraction
+    weight: Fraction | None
+
+
 def _case4_constant_q_inf(
-    slab: SlabDistribution, tau: LevelSchedule, bp: BesovParams, E: Fraction, case_id: str
+    slab: SlabDistribution, tau: LevelSchedule, bp: BesovParams, rule: _Open
 ) -> Verdict:
     """Shared case: n_j -> const, q = inf.
 
@@ -244,7 +229,8 @@ def _case4_constant_q_inf(
     ``E|xi|^(-1/g_t) < inf``; otherwise M is not eventually increasing and
     no case applies.
     """
-    threshold = _threshold(bp, E)
+    E = Fraction(bp.s) - rule.threshold
+    threshold, case_id = float(rule.threshold), rule.case_id
     if E < 0:
         return _decide(True, case_id, threshold, ("E log+ |xi| < inf",))
     if E == 0:
@@ -269,25 +255,22 @@ def _case4_constant_q_inf(
     )
 
 
-def _schedule_case(
-    model: str,
-    slab: SlabDistribution,
-    tau: LevelSchedule,
-    pi: LevelSchedule,
-    bp: BesovParams,
-    r: float,
-) -> Verdict | tuple[str, str, Fraction, Fraction, FrechetTail | None]:
-    """The five cases split on the growth of ``n_j = 2^j pi_j``, shared by
-    the infinite and regression models; ``model`` prefixes the case ids.
+@functools.lru_cache(maxsize=4096)
+def _rule(model: str, slab: SlabDistribution, tau: LevelSchedule, pi: LevelSchedule, p: float, q: float,
+          printed: str) -> Verdict | _Open:
+    """The ``s``-free rule of a prior in the infinite (``model`` "general")
+    or regression model: the five cases split on the growth of
+    ``n_j = 2^j pi_j``, with the case ids prefixed by ``model``.
 
-    Returns the Verdict of the gate that decides (regime gap, case 5,
-    case 4, the moment gates of cases 3 and 1, case 2's Gumbel auxiliary
-    condition).  Otherwise returns the open case as ``(case_id, note, E,
-    G, frechet)``: the infinite model's exact pair (`_level_exponent`) and
-    the slab's `FrechetTail` in the ``p = inf`` polynomial-tail cell, None
-    elsewhere.
+    Returns the Verdict of the gate that decides (regime gap, case 5, the
+    moment gates of cases 3 and 1, the polynomial-tail gates of case 2,
+    case 2's Gumbel auxiliary condition), or else the `_Open` case.  In
+    the regression model every open case is a supremum (`classify_regression`).
+
+    ``printed`` is the ``repr`` of the other arguments, there for the
+    cache key only: a rule holds text quoting its key, so keys that compare
+    equal but print differently (``3`` and ``3.0``) must not share one.
     """
-    _validate_smoothness(bp, r)
     kind = growth_regime(pi)
     _, e_pi, g_pi = clamped_exponents(pi)
     if kind is GrowthKind.NOT_COVERED:
@@ -303,33 +286,72 @@ def _schedule_case(
             assumptions=("sum_j 2^j pi_j < inf: finitely many nonzero coefficients",),
         )
 
-    E, G = _level_exponent(kind, slab, tau, e_pi, g_pi, bp)
-    if kind is GrowthKind.TENDS_TO_CONSTANT:
-        if math.isinf(bp.q):
-            return _case4_constant_q_inf(slab, tau, bp, E, f"{model}/case4")
-        case_id, name, order = f"{model}/case3", "q", bp.q
-    elif not math.isinf(bp.p):
-        # case 1: l_p sums concentrate by the random-length LLN
-        case_id, name, order = f"{model}/case1", "p", bp.p
+    offset, G = _level_offset(kind, slab, tau, e_pi, g_pi, p)
+    constant = kind is GrowthKind.TENDS_TO_CONSTANT
+    if constant and math.isinf(q):
+        return _Open(f"{model}/case4", None, -offset, G, None)
+    if constant or not math.isinf(p):
+        # case 3, or case 1: l_p sums concentrate by the random-length LLN
+        case_id, name, order = (f"{model}/case3", "q", q) if constant else (f"{model}/case1", "p", p)
+        if not has_moment(slab, order):
+            return _not_covered(
+                case_id, f"E|xi|^{name} infinite for {name}={order} under {type(slab).__name__}"
+            )
+        note = f"E|xi|^{order:g} < inf"
     else:
         # case 2: p = inf, level maxima under EVT normalisation
         tc = tail_class(slab)
         if isinstance(tc, FrechetTail):
-            note = f"Frechet tail with index ell={tc.ell:g}"
-            return f"{model}/case2-frechet", note, E, G, tc
-        if e_pi == 1.0 and g_pi > 0:
+            case_id, note = f"{model}/case2-frechet", f"Frechet tail with index ell={tc.ell:g}"
+            if model == "regression":
+                if not math.isinf(q) and Fraction(q) >= Fraction(tc.ell) + 1:
+                    return _not_covered(
+                        case_id,
+                        f"regression-mode polynomial tail needs q < ell + 1; got q={q}, ell={tc.ell}",
+                    )
+                # level maxima scale with n_j itself, normalised at every q
+                return _Open(case_id, note, Fraction(tau.e) + 1 - Fraction(e_pi),
+                             Fraction(tau.g) - Fraction(g_pi), None)
+            if math.isinf(q):
+                # the a.s. supremum of c_j * Frechet(ell) variables is finite
+                # exactly when sum c_j^ell converges (Borel-Cantelli both ways)
+                return _Open(case_id, note, -offset, G, Fraction(tc.ell))
+            if q >= tc.ell:
+                return _not_covered(case_id, f"polynomial tail needs q < ell; got q={q}, ell={tc.ell}")
+        elif e_pi == 1.0 and g_pi > 0:
             return _not_covered(
                 f"{model}/case2-gumbel",
                 "auxiliary Gumbel condition fails: n_j grows only polynomially, "
                 "so g(b_j) log j / b_j does not vanish",
             )
-        note = f"Gumbel tail, b_j ~ (log n_j)^(1/{tc.log_power:g})"
-        return f"{model}/case2-gumbel", note, E, G, None
-    if not has_moment(slab, order):
-        return _not_covered(
-            case_id, f"E|xi|^{name} infinite for {name}={order} under {type(slab).__name__}"
-        )
-    return case_id, f"E|xi|^{order:g} < inf", E, G, None
+        else:
+            case_id, note = f"{model}/case2-gumbel", f"Gumbel tail, b_j ~ (log n_j)^(1/{tc.log_power:g})"
+    if math.isinf(q):
+        # a supremum; in the regression model Gumbel-type slabs keep the un-normalised one
+        return _Open(case_id, note, -offset, G, None)
+    if model == "regression":
+        # partial sums normalised by n^(-q/2): the threshold moves up by 1/2, and a supremum decides
+        return _Open(case_id, note, _HALF - offset, G, None)
+    return _Open(case_id, note, -offset, G, Fraction(q))
+
+
+def _classify(model: str, slab: SlabDistribution, tau: LevelSchedule, pi: LevelSchedule, bp: BesovParams,
+              r: float) -> Verdict:
+    """Decide ``bp.s`` against the prior's `_rule`: the sign of
+    ``E = s - threshold``, and ``G`` where ``E = 0``."""
+    _validate_smoothness(bp, r)
+    key = (model, slab, tau, pi, bp.p, bp.q)
+    rule = _rule(*key, repr(key))
+    if isinstance(rule, Verdict):
+        return rule
+    if rule.note is None:
+        return _case4_constant_q_inf(slab, tau, bp, rule)
+    E = Fraction(bp.s) - rule.threshold
+    if rule.weight is None:
+        member = sup_verdict(-E, rule.G)
+    else:
+        member = series_verdict(-rule.weight * E, rule.weight * rule.G)
+    return _decide(member, rule.case_id, float(rule.threshold), (rule.note,))
 
 
 def classify_general(
@@ -341,25 +363,11 @@ def classify_general(
 ) -> Verdict:
     """Membership under arbitrary schedule hyperparameters (infinite model).
 
-    The level term behaves like ``j^G 2^(jE)`` (`_level_exponent`); the
+    The level term behaves like ``j^G 2^(jE)`` (`_level_offset`); the
     function is a member when ``sum_j (j^G 2^(jE))^q`` converges, or for
     ``q = inf`` when ``sup_j j^G 2^(jE)`` is finite.
     """
-    case = _schedule_case("general", slab, tau, pi, besov, r)
-    if isinstance(case, Verdict):
-        return case
-    case_id, note, E, G, frechet = case
-    weight = besov.q
-    if frechet is not None:
-        if math.isinf(besov.q):
-            # the a.s. supremum of c_j * Frechet(ell) variables is finite
-            # exactly when sum c_j^ell converges (Borel-Cantelli both ways)
-            weight = frechet.ell
-        elif besov.q >= frechet.ell:
-            return _not_covered(
-                case_id, f"polynomial tail needs q < ell; got q={besov.q}, ell={frechet.ell}"
-            )
-    return _decide(_lq_finite(E, G, weight), case_id, _threshold(besov, E), (note,))
+    return _classify("general", slab, tau, pi, besov, r)
 
 
 # ---------------------------------------------------------------------------
@@ -463,29 +471,10 @@ def classify_regression(
     ``E = q/2`` with ``G <= 0``.  For ``q = inf`` the criterion splits by
     tail class: Gumbel-type slabs keep the un-normalised supremum
     criterion, polynomial tails get the normalised one.  The pair is the
-    infinite model's (`_level_exponent`), except for polynomial tails at
+    infinite model's (`_level_offset`), except for polynomial tails at
     ``p = inf``.
     """
-    case = _schedule_case("regression", slab, tau, pi, besov, r)
-    if isinstance(case, Verdict):
-        return case
-    case_id, note, E, G, frechet = case
-    normalised = not math.isinf(besov.q)
-    if frechet is not None:
-        if normalised and Fraction(besov.q) >= Fraction(frechet.ell) + 1:
-            return _not_covered(
-                case_id,
-                "regression-mode polynomial tail needs q < ell + 1; "
-                f"got q={besov.q}, ell={frechet.ell}",
-            )
-        # level maxima scale with n_j itself, normalised at every q
-        _, e_pi, g_pi = clamped_exponents(pi)
-        E = Fraction(besov.s) + _HALF - Fraction(tau.e) - (1 - Fraction(e_pi))
-        G = Fraction(tau.g) - Fraction(g_pi)
-        normalised = True
-    if normalised:
-        E -= _HALF
-    return _decide(sup_verdict(-E, G), case_id, _threshold(besov, E), (note,))
+    return _classify("regression", slab, tau, pi, besov, r)
 
 
 def no_spike_condition(

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from besovlab.besov import BesovParams
 from besovlab.distributions import (
     Cauchy,
     FrechetTail,
@@ -40,12 +39,12 @@ from besovlab.distributions import (
 from besovlab.fields import ConfigError
 from besovlab.theory import (
     _HALF,
+    BesovParams,
     Decision,
     Verdict,
     _decide,
     _inv,
     _not_covered,
-    _threshold,
     _validate_smoothness,
     classify_simple,
 )
@@ -194,7 +193,7 @@ def simple_table(
     excess = Fraction(bp.s) + _HALF - Fraction(alpha) / 2 - Fraction(beta) * _inv(bp.p)
     if frechet and p_inf:
         excess += (1 - Fraction(beta)) * _inv(tc.ell)
-    threshold = _threshold(bp, excess)
+    threshold = float(Fraction(bp.s) - excess)
 
     if beta == 1.0 and q_inf:
         if excess < 0:

@@ -13,13 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from besovlab import cwt, lab, sampler, wavelets
-from besovlab.besov import BesovParams, besov_seq_norm, vector_p_norm
+from besovlab import cwt, lab, sampler, schedules, wavelets
+from besovlab.besov import besov_seq_norm, vector_p_norm
 from besovlab.cli import main
 from besovlab.distributions import Cauchy, Gaussian, Laplace, PowerExponential, StudentT
 from besovlab.sampler import CoefficientTree, Level
 from besovlab.schedules import LevelSchedule
-from besovlab.theory import Decision, classify_general, classify_regression
+from besovlab.theory import BesovParams, Decision, classify_general, classify_regression
 
 from kernel_oracle import kernel_k0
 from table_fixture import ROWS, R_DEFAULT, resolve_s, run_row, simple_table
@@ -106,7 +106,7 @@ def test_c04_evt_laplace_level_20_median_within_7_percent():
 def test_c05_exponent_regression_slopes_and_verdict_agreement():
     tau = LevelSchedule(1.0, 1.5)
     pi = LevelSchedule(1.0, 0.5)
-    spec = sampler.PriorSpec(tau, pi, Gaussian(1.0), sampler.Infinite(18))
+    spec = sampler.PriorSpec(tau, pi, Gaussian(1.0), schedules.Infinite(18))
     with Budget(120.0):
         for s, want in [(1.0, -0.5), (1.5, 0.5)]:
             bp = BesovParams(s, 2.0, 2.0)

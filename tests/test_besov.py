@@ -6,11 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from besovlab import besov
-from besovlab.besov import BesovParams, _exact_sum, besov_seq_norm, level_terms, vector_p_norm
+from besovlab.besov import _exact_sum, besov_seq_norm, level_terms, vector_p_norm
 from besovlab.distributions import Gaussian, StudentT
 from besovlab.fields import ConfigError
-from besovlab.sampler import CoefficientTree, Infinite, Level, PriorSpec, sample_tree
-from besovlab.schedules import LevelSchedule
+from besovlab.sampler import CoefficientTree, Level, PriorSpec, sample_tree
+from besovlab.schedules import Infinite, LevelSchedule
+from besovlab.theory import BesovParams
 
 INF = math.inf
 

@@ -341,7 +341,7 @@ class TestClassify:
         [
             (theory, "classify_simple", POINT),
             (theory, "classify_three_param", THREE_PARAM),
-            (theory, "classify_cwt", CWT_POINT),  # defined in theory, exported by cwt too
+            (theory, "classify_cwt", CWT_POINT),
         ],
     )
     def test_classifier_is_looked_up_when_called(
@@ -381,13 +381,11 @@ class TestClassify:
             "r": 4.0,
         }
         report = run_json(capsys, "classify", "--config", write_cfg(tmp_path, cfg))
-        from besovlab.cwt import classify_cwt
-
-        direct = classify_cwt(
+        direct = theory.classify_cwt(
             distributions.StudentT(3.0),
             2.0,
             0.5,
-            besov.BesovParams(0.4, 2.0, 2.0),
+            theory.BesovParams(0.4, 2.0, 2.0),
             4.0,
             1.6,
         )
@@ -413,7 +411,7 @@ class TestSweep:
                 distributions.Gaussian(1.0),
                 alpha,
                 0.5,
-                besov.BesovParams(s, 2.0, 2.0),
+                theory.BesovParams(s, 2.0, 2.0),
                 3.0,
             )
             assert row[2] == direct.decision.value
@@ -589,21 +587,21 @@ CONFIG_BLOCKS = {
     "student_t": distributions.StudentT(3.0),
     "cauchy": distributions.Cauchy(),
     "power_exponential": distributions.PowerExponential(1.5, 2.0),
-    "infinite": sampler.Infinite(9),
-    "regression": sampler.Regression(600),
+    "infinite": schedules.Infinite(9),
+    "regression": schedules.Regression(600),
     "schedule": schedules.LevelSchedule(2.5, 1.25, -0.75),
-    "besov-inf": besov.BesovParams(1.0, math.inf, math.inf),
+    "besov-inf": theory.BesovParams(1.0, math.inf, math.inf),
     "prior-infinite": sampler.PriorSpec(
         schedules.LevelSchedule(0.5, 0.75, -1.0),
         schedules.LevelSchedule(2.0, 1.5),
         distributions.Laplace(0.5),
-        sampler.Infinite(9),
+        schedules.Infinite(9),
     ),
     "prior-regression": sampler.PriorSpec(
         schedules.LevelSchedule(0.5, 0.75, -1.0),
         schedules.LevelSchedule(2.0, 1.5),
         distributions.PowerExponential(0.5),
-        sampler.Regression(600),
+        schedules.Regression(600),
     ),
     "cwt-coarse": cwt.CwtSpec(
         2.0, 0.5, 3.0, 1.5, distributions.Laplace(2.0), a0=2.0, a_max=64.0,
@@ -650,10 +648,10 @@ class TestSampleNorm:
             schedules.LevelSchedule(1.0, 1.5),
             schedules.LevelSchedule(1.0, 0.5),
             distributions.Laplace(1.0),
-            sampler.Infinite(8),
+            schedules.Infinite(8),
         )
         tree = sampler.sample_tree(spec, 3, seed=7)
-        expected = besov.besov_seq_norm(tree, besov.BesovParams(1.0, 2.0, 2.0))
+        expected = besov.besov_seq_norm(tree, theory.BesovParams(1.0, 2.0, 2.0))
         assert norm_report["result"]["norm"] == expected
 
     def test_norm_accepts_bare_tree_file(self, capsys, tmp_path):
@@ -661,7 +659,7 @@ class TestSampleNorm:
             schedules.LevelSchedule(1.0, 1.5),
             schedules.LevelSchedule(1.0, 0.5),
             distributions.Laplace(1.0),
-            sampler.Infinite(6),
+            schedules.Infinite(6),
         )
         tree = sampler.sample_tree(spec, 2, seed=11)
         bare = tmp_path / "bare.json"
@@ -670,7 +668,7 @@ class TestSampleNorm:
             capsys, "norm", "--set", f"besov={json.dumps(B122)}", "--tree", str(bare)
         )
         assert report["result"]["norm"] == besov.besov_seq_norm(
-            tree, besov.BesovParams(1.0, 2.0, 2.0)
+            tree, theory.BesovParams(1.0, 2.0, 2.0)
         )
 
     def test_v1_entries_tree_is_refused_at_its_first_level(self, capsys, tmp_path):
@@ -1055,7 +1053,7 @@ class TestCwtCommands:
         # the CSV and the JSON rows come from one set of columns
         assert [[float(cell) for cell in row] for row in rows] == result["atoms"]
         tree = sampler.tree_from_dict(result["tree"])
-        assert math.isfinite(besov.besov_seq_norm(tree, besov.BesovParams(0.5, 2.0, 2.0)))
+        assert math.isfinite(besov.besov_seq_norm(tree, theory.BesovParams(0.5, 2.0, 2.0)))
 
     def test_coarse_term_may_leave_out_its_atoms(self, capsys, tmp_path):
         cfg = {"spec": {**CWT_SPEC, "c_mu": 0.0, "coarse": {"c_w": 0.25}}, "project": PROJECT}

@@ -8,12 +8,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from besovlab import cwt as cwt_module
-from besovlab.besov import BesovParams
 from besovlab.cwt import (
     AtomSet,
     CoarseTerm,
     CwtSpec,
-    classify_cwt,
     moment_bound_experiment,
     project_to_orthogonal,
     sample_atoms,
@@ -22,7 +20,7 @@ from besovlab.cwt import (
 from besovlab.distributions import Cauchy, Gaussian, Laplace, StudentT
 from besovlab.fields import ConfigError
 from besovlab.schedules import LevelSchedule
-from besovlab.theory import Decision, classify_general
+from besovlab.theory import BesovParams, Decision, classify_cwt, classify_general
 from besovlab.wavelets import FAMILY_NAMES, cascade_eval, family, unit_tables
 from kernel_oracle import kernel_k0
 from projection_oracle import project_per_atom

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from besovlab import lab
-from besovlab.besov import BesovParams, level_terms
+from besovlab.besov import level_terms
 from besovlab.cwt import CwtSpec, moment_bound_experiment
 from besovlab.distributions import (
     Cauchy,
@@ -29,8 +29,9 @@ from besovlab.lab import (
     exponent_regression,
     lln_experiment,
 )
-from besovlab.sampler import Infinite, PriorSpec, Regression, sample_tree
-from besovlab.schedules import LevelSchedule
+from besovlab.sampler import PriorSpec, sample_tree
+from besovlab.schedules import Infinite, LevelSchedule, Regression
+from besovlab.theory import BesovParams
 from besovlab.wavelets import family
 
 INF = math.inf
@@ -284,6 +285,16 @@ def test_membership_sup_mode_uses_unit_power():
     assert report.expected_slope == pytest.approx(-0.25)
     assert report.empirical_verdict == "Converges"
     assert report.agree is True
+
+
+def test_expected_slope_is_read_where_the_verdict_tests_no_pair():
+    # case 2's Gumbel auxiliary condition fails, so the verdict decides no
+    # exponent pair; the expected slope is still 2 (s + 1/2 - e_tau) = -1
+    spec = spec_of(Gaussian(1.0), LevelSchedule(1.0, 1.5, 0.0), LevelSchedule(1.0, 1.0, 1.0), j_max=14)
+    report = empirical_membership(spec, BesovParams(0.5, INF, 2.0), levels=range(8, 15), reps=10, seed=1)
+    assert report.expected_slope == -1.0
+    verdict = report.theory_verdict
+    assert (verdict["decision"], verdict["case_id"]) == ("NotCovered", "general/case2-gumbel")
 
 
 @pytest.mark.parametrize(

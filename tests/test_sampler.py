@@ -10,17 +10,15 @@ from besovlab.cli import _echo, main
 from besovlab.distributions import Gaussian
 from besovlab.sampler import (
     CoefficientTree,
-    Infinite,
     Level,
     PriorSpec,
-    Regression,
     nonzero_counts,
     rng_for,
     sample_tree,
     tree_from_dict,
     tree_to_dict,
 )
-from besovlab.schedules import LevelSchedule
+from besovlab.schedules import Infinite, LevelSchedule, Regression
 
 
 def spec_with(pi, tau=LevelSchedule(1.0), slab=Gaussian(1.0), mode=Infinite(10)):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from besovlab.besov import BesovParams
 from besovlab.distributions import (
     Cauchy,
     Gaussian,
@@ -14,11 +13,12 @@ from besovlab.distributions import (
     StudentT,
 )
 from besovlab.fields import ConfigError
-from besovlab.schedules import LevelSchedule, clamped_exponents, growth_regime
+from besovlab.schedules import LevelSchedule
 from besovlab.theory import (
+    BesovParams,
     Decision,
-    _level_exponent,
-    _level_offset,
+    Verdict,
+    _rule,
     classify_general,
     classify_regression,
     classify_simple,
@@ -573,7 +573,7 @@ def test_regression_thresholds_sit_half_above_infinite_model():
 
 
 # ---------------------------------------------------------------------------
-# the level exponent: s plus an offset free of s, cached
+# the s-free rule: a verdict reads s only through its side of the threshold
 # ---------------------------------------------------------------------------
 
 # schedule exponents: the regime boundaries themselves, and floats between
@@ -589,32 +589,69 @@ EXPONENT = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0]), st.floats
     pi_g=EXPONENT,
     p=st.sampled_from(GRID_P_Q),
     q=st.sampled_from(GRID_P_Q),
-    s1=st.floats(0.05, 2.9),
-    s2=st.floats(0.05, 2.9),
+    ss=st.lists(st.floats(0.05, 2.9), min_size=2, max_size=4),
 )
-def test_level_exponent_is_s_plus_an_offset_free_of_s(slab, tau_e, tau_g, pi_e, pi_g, p, q, s1, s2):
+def test_a_verdict_reads_s_only_through_its_side_of_the_threshold(slab, tau_e, tau_g, pi_e, pi_g, p, q, ss):
     tau, pi = LevelSchedule(1.0, tau_e, tau_g), LevelSchedule(1.0, pi_e, pi_g)
-    _, e_pi, g_pi = clamped_exponents(pi)
-    pairs = [_level_exponent(growth_regime(pi), slab, tau, e_pi, g_pi, bp(s, p, q)) for s in (s1, s2)]
-    if pairs[0] is None:
-        assert pairs[1] is None
-    else:
-        (e1, g1), (e2, g2) = pairs
-        assert (e1 - Fraction(s1), g1) == (e2 - Fraction(s2), g2)
-    # a verdict at s2 is the same with the offset cache cold and warmed at s1,
-    # by every slab and p and by neighbouring schedules
-    warm = [(other, tau, pi, bp(s1, other_p, q)) for other in SLABS for other_p in GRID_P_Q]
-    warm += [(slab, LevelSchedule(1.0, tau_e + 0.25, tau_g), pi, bp(s1, p, q)),
-             (slab, LevelSchedule(1.0, tau_e, tau_g + 1.0), pi, bp(s1, p, q)),
-             (slab, tau, LevelSchedule(1.0, pi_e + 0.25, pi_g), bp(s1, p, q)),
-             (slab, tau, LevelSchedule(1.0, pi_e, pi_g + 1.0), bp(s1, p, q))]
     for classify in (classify_general, classify_regression):
-        _level_offset.cache_clear()
-        cold = classify(slab, tau, pi, bp(s2, p, q), 3.0)
-        _level_offset.cache_clear()
-        for args in warm:
-            classify(*args, 3.0)
-        assert classify(slab, tau, pi, bp(s2, p, q), 3.0) == cold
+        verdicts = {s: classify(slab, tau, pi, bp(s, p, q), 3.0) for s in ss}
+        t = verdicts[ss[0]].threshold
+        if t is not None:
+            # every float below t lies below the exact threshold T, every float above it above T
+            near = (math.nextafter(t, -INF), t, math.nextafter(t, INF))
+            verdicts.update({s: classify(slab, tau, pi, bp(s, p, q), 3.0) for s in near if 0 < s < 3.0})
+        assert {v.threshold for v in verdicts.values()} == {t}
+        below = {v for s, v in verdicts.items() if t is None or s < t}
+        above = {v for s, v in verdicts.items() if t is not None and s > t}
+        assert len(below) <= 1 and len(above) <= 1, (classify.__name__, verdicts)
+        # a member at s is a member at every smaller s
+        decided = [v.decision for _, v in sorted(verdicts.items())
+                   if v.decision in (Decision.MEMBER_AS, Decision.NOT_MEMBER_AS)]
+        members = [d is Decision.MEMBER_AS for d in decided]
+        assert members == sorted(members, reverse=True), (classify.__name__, verdicts)
+
+
+MODELS = ("general", "regression")
+
+
+def _tail_gates(q: str, ell: str) -> tuple[Verdict, Verdict]:
+    """The (general, regression) polynomial-tail gates quoting ``q`` and ``ell``."""
+    general = f"polynomial tail needs q < ell; got q={q}, ell={ell}"
+    regression = f"regression-mode polynomial tail needs q < ell + 1; got q={q}, ell={ell}"
+    return (Verdict(Decision.NOT_COVERED, "general/case2-frechet", None, general),
+            Verdict(Decision.NOT_COVERED, "regression/case2-frechet", None, regression))
+
+
+def _gaps(e: str) -> tuple[Verdict, Verdict]:
+    """The (general, regression) regime-gap verdicts quoting ``e``."""
+    reason = f"expected counts n_j tend to 0 while sum n_j diverges (e={e}, g=-0.5); no theory case applies"
+    return tuple(Verdict(Decision.NOT_COVERED, f"{model}/regime-gap", None, reason) for model in MODELS)
+
+
+T3, T3_0, TAU, PI = StudentT(3), StudentT(3.0), LevelSchedule(1.0, 1.5), LevelSchedule(1.0, 0.5)
+FRECHET_MEMBER = Verdict(
+    Decision.MEMBER_AS, "regression/case2-frechet", 2.0, assumptions=("Frechet tail with index ell=3",)
+)
+# keys that compare equal but print differently, in pairs, each with its
+# (general, regression) verdicts from a cold cache
+PRINTED_PAIRS = {
+    "slab": [((T3, TAU, PI, bp(1.0, INF, 3.0)), (_tail_gates("3.0", "3")[0], FRECHET_MEMBER)),
+             ((T3_0, TAU, PI, bp(1.0, INF, 3.0)), (_tail_gates("3.0", "3.0")[0], FRECHET_MEMBER))],
+    "q": [((T3_0, TAU, PI, bp(1.0, INF, 3)), (_tail_gates("3", "3.0")[0], FRECHET_MEMBER)),
+          ((T3_0, TAU, PI, bp(1.0, INF, 3.0)), (_tail_gates("3.0", "3.0")[0], FRECHET_MEMBER))],
+    "q-gate": [((T3_0, TAU, PI, bp(1.0, INF, 4)), _tail_gates("4", "3.0")),
+               ((T3_0, TAU, PI, bp(1.0, INF, 4.0)), _tail_gates("4.0", "3.0"))],
+    "pi": [((Gaussian(1.0), TAU, LevelSchedule(1.0, 1, -0.5), bp(1.0, 2.0, 2.0)), _gaps("1")),
+           ((Gaussian(1.0), TAU, LevelSchedule(1.0, 1.0, -0.5), bp(1.0, 2.0, 2.0)), _gaps("1.0"))],
+}
+
+
+@pytest.mark.parametrize("pair", PRINTED_PAIRS.values(), ids=PRINTED_PAIRS)
+def test_a_cached_rule_equals_a_cold_call(pair):
+    for first, second in (pair, pair[::-1]):
+        _rule.cache_clear()
+        for args, want in (first, second):
+            assert (classify_general(*args, 3.0), classify_regression(*args, 3.0)) == want
 
 
 # ---------------------------------------------------------------------------
