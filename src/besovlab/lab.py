@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import operator
 import statistics
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -69,6 +70,12 @@ _CHUNK = 1 << 22  # cap per-draw memory at 32 MiB of float64
 # bounds the per-level results an experiment holds until it ends, replicates
 # times levels: a result costs at most 96 bytes, so 2^22 of them about 400 MB
 _MAX_RESULTS = 1 << 22
+# |log2 a_j| <= 1074 for a float a_j > 0, so a value power * log2 a_j is at
+# most 1074 power in size, and a fitted slope, a weighted mean of the values'
+# differences over level gaps of at least 1, at most twice that.  Below this
+# power _MAX_RESULTS such terms sum to a finite float, and so does a slope
+# fit's sum over at most 63 levels of 62 times such a term
+_MAX_POWER = sys.float_info.max / (2 * 1074 * _MAX_RESULTS)
 
 
 @dataclass(frozen=True)
@@ -325,6 +332,9 @@ def _level_term_experiment(
         raise ConfigError(
             "besov.p", f"E|xi|^p is infinite for p={bp.p} under {type(spec.slab).__name__}"
         )
+    if power > _MAX_POWER:
+        reason = f"q={bp.q} exceeds {_MAX_POWER:.6g}, above which the sums of q log2 a_j can overflow"
+        raise ConfigError("besov.q", reason)
     top = spec.top_level()
     if lv[-1] > top:
         raise ConfigError("levels", f"level {lv[-1]} exceeds the model's top level {top}")

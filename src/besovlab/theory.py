@@ -11,9 +11,11 @@ directly or, for the dyadic and continuous families, through
 float inputs, so a verdict is the exact answer for those floats, also at
 a threshold; only the reported threshold is rounded.
 
-``E`` is ``s - T`` for a threshold ``T`` free of ``s``: the general and
-regression classifiers cache one ``s``-free rule per prior, ``p`` and ``q``
-(`_rule`), and a point only compares its exact ``s`` with the rule's ``T``.
+``E`` is ``s - T`` for a threshold ``T`` free of ``s``, so a verdict reads
+``s`` only through its side of ``T``: the general and regression classifiers
+cache one rule per prior, ``p`` and ``q`` (`_rule`), either a gate's Verdict
+or the Verdicts below, at and above ``T``, and a point only compares its
+exact ``s`` with ``T``.
 
 The classifier family:
 
@@ -201,71 +203,60 @@ def _not_covered(
 # general schedules: five cases split on the growth of n_j = 2^j pi_j
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Open:
-    """The open case of a rule: the level terms behave like ``j^G 2^(jE)``
-    with ``E = s - threshold``.  A point is a member when their
-    ``weight``-th powers are summable, or for ``weight`` None when their
-    supremum is finite.  ``note`` is None in case 4 at ``q = inf``, whose
-    criterion is `_case4_constant_q_inf`."""
-
-    case_id: str
-    note: str | None
-    threshold: Fraction
-    G: Fraction
-    weight: Fraction | None
+_Sides = tuple[Fraction, Verdict, Verdict, Verdict]
 
 
-def _case4_constant_q_inf(
-    slab: SlabDistribution, tau: LevelSchedule, bp: BesovParams, rule: _Open
-) -> Verdict:
-    """Shared case: n_j -> const, q = inf.
+def _sides(case_id: str, note: str, T: Fraction, G: Fraction, weight: Fraction | None) -> _Sides:
+    """The open case of a rule, ``(T, below, at, above)``: the level terms
+    behave like ``j^G 2^(j(s - T))``, so ``s`` below ``T`` is a member and
+    above it is not; at ``T`` a member when their ``weight``-th powers are
+    summable, or for ``weight`` None when their supremum is finite."""
+    threshold, assumptions = float(T), (note,)
+    at = sup_verdict(0, G) if weight is None else series_verdict(0, weight * G)
+    return T, *(_decide(member, case_id, threshold, assumptions) for member in (True, at, False))
+
+
+def _case4_constant_q_inf(slab: SlabDistribution, tau: LevelSchedule, p: float, case_id: str,
+                          T: Fraction) -> _Sides:
+    """Shared case: n_j -> const, q = inf, as ``(T, below, at, above)``.
 
     Membership is controlled by ``M(j) = 1/(tau_j 2^(j s'))``, which grows
-    like ``j^(-G) 2^(-jE)`` for the constant-regime pair ``(E, G)``: when
-    M grows exponentially (``E < 0``: ``tau_j`` decays faster than
-    ``2^(-j s')``), a logarithmic moment suffices; when M grows
-    polynomially (``E = 0``, ``G = g_t < 0``) the criterion is the moment
-    ``E|xi|^(-1/g_t) < inf``; otherwise M is not eventually increasing and
-    no case applies.
+    like ``j^(-G) 2^(j(T - s))`` for the constant-regime pair: when M grows
+    exponentially (``s < T``: ``tau_j`` decays faster than ``2^(-j s')``),
+    a logarithmic moment suffices; when M grows polynomially (``s = T``,
+    ``G = g_t < 0``) the criterion is the moment ``E|xi|^(-1/g_t) < inf``;
+    otherwise M is not eventually increasing (``s = T``) or decreases
+    (``s > T``) and no case applies.
     """
-    E = Fraction(bp.s) - rule.threshold
-    threshold, case_id = float(rule.threshold), rule.case_id
-    if E < 0:
-        return _decide(True, case_id, threshold, ("E log+ |xi| < inf",))
-    if E == 0:
-        if tau.g < 0:
-            return _decide(
-                has_moment(slab, -1 / Fraction(tau.g)),
-                case_id,
-                threshold,
-                (f"moment gate E|xi|^{-1.0 / tau.g:g}",),
-            )
-        return _not_covered(
-            case_id,
-            "normalising sequence M(j) is not eventually increasing "
-            f"(tau exponents e={tau.e}, g={tau.g} against s'={bp.s_prime})",
-            threshold,
-        )
-    return _not_covered(
-        case_id,
-        "normalising sequence M(j) decreases; the q=inf constant-count case "
-        "needs tau_j to decay at least like 2^(-j s')",
-        threshold,
-    )
+    threshold = float(T)
+    if tau.g < 0:
+        gate = (f"moment gate E|xi|^{-1.0 / tau.g:g}",)
+        at = _decide(has_moment(slab, -1 / Fraction(tau.g)), case_id, threshold, gate)
+    else:
+        # s = T makes the float s float(T), so this is BesovParams.s_prime
+        s_prime = threshold + 0.5 - (0.0 if math.isinf(p) else 1.0 / p)
+        reason = ("normalising sequence M(j) is not eventually increasing "
+                  f"(tau exponents e={tau.e}, g={tau.g} against s'={s_prime})")
+        at = _not_covered(case_id, reason, threshold)
+    decreases = ("normalising sequence M(j) decreases; the q=inf constant-count case "
+                 "needs tau_j to decay at least like 2^(-j s')")
+    below = _decide(True, case_id, threshold, ("E log+ |xi| < inf",))
+    return T, below, at, _not_covered(case_id, decreases, threshold)
 
 
 @functools.lru_cache(maxsize=4096)
 def _rule(model: str, slab: SlabDistribution, tau: LevelSchedule, pi: LevelSchedule, p: float, q: float,
-          printed: str) -> Verdict | _Open:
+          printed: str) -> Verdict | _Sides:
     """The ``s``-free rule of a prior in the infinite (``model`` "general")
     or regression model: the five cases split on the growth of
     ``n_j = 2^j pi_j``, with the case ids prefixed by ``model``.
 
     Returns the Verdict of the gate that decides (regime gap, case 5, the
     moment gates of cases 3 and 1, the polynomial-tail gates of case 2,
-    case 2's Gumbel auxiliary condition), or else the `_Open` case.  In
-    the regression model every open case is a supremum (`classify_regression`).
+    case 2's Gumbel auxiliary condition), or else the open case as its
+    threshold and its three Verdicts, ``(T, below, at, above)`` (`_sides`).
+    In the regression model every open case is a supremum
+    (`classify_regression`).
 
     ``printed`` is the ``repr`` of the other arguments, there for the
     cache key only: a rule holds text quoting its key, so keys that compare
@@ -289,7 +280,7 @@ def _rule(model: str, slab: SlabDistribution, tau: LevelSchedule, pi: LevelSched
     offset, G = _level_offset(kind, slab, tau, e_pi, g_pi, p)
     constant = kind is GrowthKind.TENDS_TO_CONSTANT
     if constant and math.isinf(q):
-        return _Open(f"{model}/case4", None, -offset, G, None)
+        return _case4_constant_q_inf(slab, tau, p, f"{model}/case4", -offset)
     if constant or not math.isinf(p):
         # case 3, or case 1: l_p sums concentrate by the random-length LLN
         case_id, name, order = (f"{model}/case3", "q", q) if constant else (f"{model}/case1", "p", p)
@@ -310,12 +301,12 @@ def _rule(model: str, slab: SlabDistribution, tau: LevelSchedule, pi: LevelSched
                         f"regression-mode polynomial tail needs q < ell + 1; got q={q}, ell={tc.ell}",
                     )
                 # level maxima scale with n_j itself, normalised at every q
-                return _Open(case_id, note, Fraction(tau.e) + 1 - Fraction(e_pi),
-                             Fraction(tau.g) - Fraction(g_pi), None)
+                return _sides(case_id, note, Fraction(tau.e) + 1 - Fraction(e_pi),
+                              Fraction(tau.g) - Fraction(g_pi), None)
             if math.isinf(q):
                 # the a.s. supremum of c_j * Frechet(ell) variables is finite
                 # exactly when sum c_j^ell converges (Borel-Cantelli both ways)
-                return _Open(case_id, note, -offset, G, Fraction(tc.ell))
+                return _sides(case_id, note, -offset, G, Fraction(tc.ell))
             if q >= tc.ell:
                 return _not_covered(case_id, f"polynomial tail needs q < ell; got q={q}, ell={tc.ell}")
         elif e_pi == 1.0 and g_pi > 0:
@@ -328,30 +319,25 @@ def _rule(model: str, slab: SlabDistribution, tau: LevelSchedule, pi: LevelSched
             case_id, note = f"{model}/case2-gumbel", f"Gumbel tail, b_j ~ (log n_j)^(1/{tc.log_power:g})"
     if math.isinf(q):
         # a supremum; in the regression model Gumbel-type slabs keep the un-normalised one
-        return _Open(case_id, note, -offset, G, None)
+        return _sides(case_id, note, -offset, G, None)
     if model == "regression":
         # partial sums normalised by n^(-q/2): the threshold moves up by 1/2, and a supremum decides
-        return _Open(case_id, note, _HALF - offset, G, None)
-    return _Open(case_id, note, -offset, G, Fraction(q))
+        return _sides(case_id, note, _HALF - offset, G, None)
+    return _sides(case_id, note, -offset, G, Fraction(q))
 
 
 def _classify(model: str, slab: SlabDistribution, tau: LevelSchedule, pi: LevelSchedule, bp: BesovParams,
               r: float) -> Verdict:
-    """Decide ``bp.s`` against the prior's `_rule`: the sign of
-    ``E = s - threshold``, and ``G`` where ``E = 0``."""
+    """The Verdict of ``bp.s`` under the prior's `_rule`: its gate, or the
+    cached Verdict for the side of the threshold ``s`` is on."""
     _validate_smoothness(bp, r)
     key = (model, slab, tau, pi, bp.p, bp.q)
     rule = _rule(*key, repr(key))
     if isinstance(rule, Verdict):
         return rule
-    if rule.note is None:
-        return _case4_constant_q_inf(slab, tau, bp, rule)
-    E = Fraction(bp.s) - rule.threshold
-    if rule.weight is None:
-        member = sup_verdict(-E, rule.G)
-    else:
-        member = series_verdict(-rule.weight * E, rule.weight * rule.G)
-    return _decide(member, rule.case_id, float(rule.threshold), (rule.note,))
+    T, below, at, above = rule
+    s = Fraction(bp.s)
+    return at if s == T else below if s < T else above
 
 
 def classify_general(
@@ -520,6 +506,7 @@ def classify_cwt(
     for name, value in (("alpha", alpha), ("beta", beta), ("r", r), ("rho", rho)):
         if not math.isfinite(value):
             raise ConfigError(name, f"{name} must be finite, got {value}")
+    _validate_smoothness(besov, r)
     r_rho = Fraction(r) + Fraction(rho)
     if not r_rho > (1 + Fraction(alpha)) / 2:
         return _not_covered(

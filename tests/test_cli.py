@@ -903,6 +903,20 @@ class TestVerify:
         assert header == ["j", "count", "n_value", "mean", "stderr", "median", "q25", "q75"]
         assert [int(r[0]) for r in rows] == [5, 6, 7, 8, 9]
 
+    @pytest.mark.parametrize("check", ["slope", "membership"])
+    @pytest.mark.parametrize("c, q", [(1.0, 1e308), (1e10, 1e307)])
+    def test_a_q_whose_sums_can_overflow_is_refused_at_besov_q(self, capsys, tmp_path, check, c, q):
+        # q log2 a_j summed over replicates overflowed a float (an OverflowError
+        # from fsum), or left an unnamed non-finite number in the report
+        cfg = {"slab": GAUSS, "tau": {"c": c, "e": 1.0}, "pi": {"c": 1.0, "e": 0.5},
+               "besov": {"s": 1, "p": 2, "q": q}, "levels": [3, 4], "reps": 3, "check": check}
+        code, out, err = run(capsys, "verify", "--config", write_cfg(tmp_path, cfg))
+        assert (code, out) == (2, "")
+        assert "besov.q: " in err
+        # at the largest q accepted every number of the report is finite
+        cfg["besov"]["q"] = lab._MAX_POWER
+        run_json(capsys, "verify", "--config", write_cfg(tmp_path, cfg))
+
     def test_membership_check_and_strict_not_covered(self, capsys, tmp_path):
         cfg = {
             **VERIFY_CFG,

@@ -548,6 +548,13 @@ class TestClassifyCwt:
         assert v.decision is Decision.NOT_COVERED
         assert v.case_id == "cwt/kernel-regularity"
 
+    def test_smoothness_at_or_above_r_is_refused_before_the_gates(self):
+        # r + rho = 3.5 fails the kernel gate, yet s >= r is refused at r first
+        for s in (3.0, 5.0):
+            with pytest.raises(ConfigError) as info:
+                classify_cwt(GAUSS, 10.0, 0.5, BesovParams(s, 2.0, 2.0), r=3.0, rho=0.5)
+            assert info.value.path == "r"
+
     def test_heavy_tail_gate(self):
         v = classify_cwt(Cauchy(), 1.0, 0.5, BesovParams(0.2, 2.0, 2.0), r=0.6, rho=0.5)
         assert v.decision is Decision.NOT_COVERED

@@ -628,6 +628,41 @@ def _gaps(e: str) -> tuple[Verdict, Verdict]:
     return tuple(Verdict(Decision.NOT_COVERED, f"{model}/regime-gap", None, reason) for model in MODELS)
 
 
+NOT_INCREASING = "normalising sequence M(j) is not eventually increasing (tau exponents e=1.5, g={} against s'=1.5)"
+
+
+def _not_increasing(g: str) -> tuple[Verdict, Verdict]:
+    """The (general, regression) case-4 verdicts at ``s = s' = 1.5`` for
+    ``tau = (1, 1.5, g)`` with ``g >= 0``, quoting ``g``."""
+    return tuple(Verdict(Decision.NOT_COVERED, f"{model}/case4", 1.5, NOT_INCREASING.format(g))
+                 for model in MODELS)
+
+
+CASE4_PI = LevelSchedule(1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("g, at", [
+    (-2.0, (Decision.MEMBER_AS, "", ("moment gate E|xi|^0.5",))),
+    (-0.5, (Decision.NOT_MEMBER_AS, "", ("moment gate E|xi|^2",))),
+    (0.0, (Decision.NOT_COVERED, NOT_INCREASING.format("0.0"), ())),
+])
+def test_case4_at_q_inf_has_one_verdict_on_each_side_of_its_threshold(g, at):
+    # n_j -> const, q = inf at p = 2: T = s' = 1.5; the expected verdicts are
+    # the ones computed before the rule cached its three sides
+    decreases = ("normalising sequence M(j) decreases; the q=inf constant-count case "
+                 "needs tau_j to decay at least like 2^(-j s')")
+    sides = {
+        1.25: (Decision.MEMBER_AS, "", ("E log+ |xi| < inf",)),
+        1.5: at,
+        1.75: (Decision.NOT_COVERED, decreases, ()),
+    }
+    tau = LevelSchedule(1.0, 1.5, g)
+    for model, classify in zip(MODELS, (classify_general, classify_regression)):
+        for s, (decision, reason, assumptions) in sides.items():
+            want = Verdict(decision, f"{model}/case4", 1.5, reason, assumptions)
+            assert classify(Cauchy(), tau, CASE4_PI, bp(s, 2.0, INF), 3.0) == want
+
+
 T3, T3_0, TAU, PI = StudentT(3), StudentT(3.0), LevelSchedule(1.0, 1.5), LevelSchedule(1.0, 0.5)
 FRECHET_MEMBER = Verdict(
     Decision.MEMBER_AS, "regression/case2-frechet", 2.0, assumptions=("Frechet tail with index ell=3",)
@@ -643,6 +678,8 @@ PRINTED_PAIRS = {
                ((T3_0, TAU, PI, bp(1.0, INF, 4.0)), _tail_gates("4.0", "3.0"))],
     "pi": [((Gaussian(1.0), TAU, LevelSchedule(1.0, 1, -0.5), bp(1.0, 2.0, 2.0)), _gaps("1")),
            ((Gaussian(1.0), TAU, LevelSchedule(1.0, 1.0, -0.5), bp(1.0, 2.0, 2.0)), _gaps("1.0"))],
+    "tau": [((Gaussian(1.0), LevelSchedule(1.0, 1.5, 0), CASE4_PI, bp(1.5, 2.0, INF)), _not_increasing("0")),
+            ((Gaussian(1.0), LevelSchedule(1.0, 1.5, 0.0), CASE4_PI, bp(1.5, 2.0, INF)), _not_increasing("0.0"))],
 }
 
 
