@@ -147,7 +147,8 @@ class CwtSpec:
 def sample_atoms(spec: CwtSpec, seed: int, replicate: int = 0) -> AtomSet:
     """Draw one realisation of the marked Poisson process; a mean count
     above the dense-array cap is rejected before anything is drawn, and a
-    mark that overflows a float is a `ConfigError` at ``spec``."""
+    slab draw outside the float range or a mark that overflows a float is a
+    `ConfigError` at ``spec``."""
     lam = spec.intensity_total()
     if lam > 0:
         check_dense_size(math.log2(lam), "spec")
@@ -161,6 +162,8 @@ def sample_atoms(spec: CwtSpec, seed: int, replicate: int = 0) -> AtomSet:
         a = (spec.a0**e + u * (spec.a_max**e - spec.a0**e)) ** (1.0 / e)
     b = rng.random(count)
     xi = sample(spec.slab, rng, count)
+    if not np.isfinite(xi).all():  # numpy draws inf without a floating-point error
+        raise ConfigError("spec", "a slab draw lies outside the float range")
     try:
         with np.errstate(over="raise"):
             omega = math.sqrt(spec.c_tau) * a ** (-spec.alpha / 2.0) * xi

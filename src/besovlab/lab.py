@@ -284,7 +284,10 @@ def evt_experiment(
     for j, n_j in n_values.items():
         if n_j <= 1.0:
             raise ConfigError("levels", f"expected count n_j={n_j:g} <= 1 at level {j}")
-        b_values[j] = quantile_hplus(slab, 1.0 - 1.0 / n_j)
+        try:
+            b_values[j] = quantile_hplus(slab, 1.0 - 1.0 / n_j)
+        except RuntimeError as exc:  # the search leaves the float range, or does not converge
+            raise ConfigError("slab", f"the quantile b_j cannot be computed at level {j}: {exc}") from None
 
     def draw(rng: np.random.Generator, j: int) -> float:
         chunks = _abs_chunks(slab, rng, draw_count(rng, pi, j))

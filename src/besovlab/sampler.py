@@ -187,10 +187,13 @@ def draw_count(rng: np.random.Generator, pi: LevelSchedule, j: int) -> int:
 def draw_level(spec: PriorSpec, rng: np.random.Generator, j: int) -> np.ndarray:
     """Coefficient values of level ``j`` in draw order: the count, then that
     many slab values times ``spec.amplitude(j)``; positions are not drawn.
-    A product that overflows a float is a `ConfigError` at ``tau``."""
+    A slab draw outside the float range is a `ConfigError` at ``slab``, a
+    product that overflows a float one at ``tau``."""
     count = draw_count(rng, spec.pi, j)
     amp = spec.amplitude(j)
     draws = slab_sample(spec.slab, rng, size=count)
+    if not np.isfinite(draws).all():  # numpy draws inf without a floating-point error
+        raise ConfigError("slab", f"a slab draw at level {j} lies outside the float range")
     try:
         with np.errstate(over="raise"):
             return amp * draws

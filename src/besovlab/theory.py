@@ -15,7 +15,8 @@ a threshold; only the reported threshold is rounded.
 ``s`` only through its side of ``T``: the general and regression classifiers
 cache one rule per prior, ``p`` and ``q`` (`_rule`), either a gate's Verdict
 or the Verdicts below, at and above ``T``, and a point only compares its
-exact ``s`` with ``T``.
+exact ``s`` with ``T``.  A rule quotes key values as floats (`_num`), so
+equal keys (``3`` and ``3.0``, ``0.0`` and ``-0.0``) share one rule.
 
 The classifier family:
 
@@ -144,6 +145,12 @@ class Verdict:
 _HALF = Fraction(1, 2)
 
 
+def _num(x: float) -> float:
+    """A key value as a rule quotes it: a float, ``-0.0`` read as 0.0 (a
+    ``:g`` field already formats an int as its float)."""
+    return float(x) + 0.0
+
+
 def _inv(x: float) -> Fraction:
     """Exact ``1/x`` of a float; ``1/inf`` reads as 0."""
     return Fraction(0) if math.isinf(x) else 1 / Fraction(x)
@@ -236,7 +243,7 @@ def _case4_constant_q_inf(slab: SlabDistribution, tau: LevelSchedule, p: float, 
         # s = T makes the float s float(T), so this is BesovParams.s_prime
         s_prime = threshold + 0.5 - (0.0 if math.isinf(p) else 1.0 / p)
         reason = ("normalising sequence M(j) is not eventually increasing "
-                  f"(tau exponents e={tau.e}, g={tau.g} against s'={s_prime})")
+                  f"(tau exponents e={_num(tau.e)}, g={_num(tau.g)} against s'={s_prime})")
         at = _not_covered(case_id, reason, threshold)
     decreases = ("normalising sequence M(j) decreases; the q=inf constant-count case "
                  "needs tau_j to decay at least like 2^(-j s')")
@@ -245,8 +252,8 @@ def _case4_constant_q_inf(slab: SlabDistribution, tau: LevelSchedule, p: float, 
 
 
 @functools.lru_cache(maxsize=4096)
-def _rule(model: str, slab: SlabDistribution, tau: LevelSchedule, pi: LevelSchedule, p: float, q: float,
-          printed: str) -> Verdict | _Sides:
+def _rule(model: str, slab: SlabDistribution, tau: LevelSchedule, pi: LevelSchedule, p: float,
+          q: float) -> Verdict | _Sides:
     """The ``s``-free rule of a prior in the infinite (``model`` "general")
     or regression model: the five cases split on the growth of
     ``n_j = 2^j pi_j``, with the case ids prefixed by ``model``.
@@ -256,20 +263,15 @@ def _rule(model: str, slab: SlabDistribution, tau: LevelSchedule, pi: LevelSched
     case 2's Gumbel auxiliary condition), or else the open case as its
     threshold and its three Verdicts, ``(T, below, at, above)`` (`_sides`).
     In the regression model every open case is a supremum
-    (`classify_regression`).
-
-    ``printed`` is the ``repr`` of the other arguments, there for the
-    cache key only: a rule holds text quoting its key, so keys that compare
-    equal but print differently (``3`` and ``3.0``) must not share one.
+    (`classify_regression`).  Its text quotes key values through `_num`,
+    so equal keys share one rule.
     """
     kind = growth_regime(pi)
     _, e_pi, g_pi = clamped_exponents(pi)
     if kind is GrowthKind.NOT_COVERED:
-        return _not_covered(
-            f"{model}/regime-gap",
-            "expected counts n_j tend to 0 while sum n_j diverges "
-            f"(e={e_pi}, g={g_pi}); no theory case applies",
-        )
+        reason = (f"expected counts n_j tend to 0 while sum n_j diverges (e={_num(e_pi)}, "
+                  f"g={_num(g_pi)}); no theory case applies")
+        return _not_covered(f"{model}/regime-gap", reason)
     if kind is GrowthKind.SUMMABLE:
         return Verdict(
             Decision.MEMBER_AS,
@@ -285,21 +287,19 @@ def _rule(model: str, slab: SlabDistribution, tau: LevelSchedule, pi: LevelSched
         # case 3, or case 1: l_p sums concentrate by the random-length LLN
         case_id, name, order = (f"{model}/case3", "q", q) if constant else (f"{model}/case1", "p", p)
         if not has_moment(slab, order):
-            return _not_covered(
-                case_id, f"E|xi|^{name} infinite for {name}={order} under {type(slab).__name__}"
-            )
+            reason = f"E|xi|^{name} infinite for {name}={_num(order)} under {type(slab).__name__}"
+            return _not_covered(case_id, reason)
         note = f"E|xi|^{order:g} < inf"
     else:
         # case 2: p = inf, level maxima under EVT normalisation
         tc = tail_class(slab)
         if isinstance(tc, FrechetTail):
             case_id, note = f"{model}/case2-frechet", f"Frechet tail with index ell={tc.ell:g}"
+            got = f"got q={_num(q)}, ell={_num(tc.ell)}"
             if model == "regression":
                 if not math.isinf(q) and Fraction(q) >= Fraction(tc.ell) + 1:
-                    return _not_covered(
-                        case_id,
-                        f"regression-mode polynomial tail needs q < ell + 1; got q={q}, ell={tc.ell}",
-                    )
+                    reason = f"regression-mode polynomial tail needs q < ell + 1; {got}"
+                    return _not_covered(case_id, reason)
                 # level maxima scale with n_j itself, normalised at every q
                 return _sides(case_id, note, Fraction(tau.e) + 1 - Fraction(e_pi),
                               Fraction(tau.g) - Fraction(g_pi), None)
@@ -308,7 +308,7 @@ def _rule(model: str, slab: SlabDistribution, tau: LevelSchedule, pi: LevelSched
                 # exactly when sum c_j^ell converges (Borel-Cantelli both ways)
                 return _sides(case_id, note, -offset, G, Fraction(tc.ell))
             if q >= tc.ell:
-                return _not_covered(case_id, f"polynomial tail needs q < ell; got q={q}, ell={tc.ell}")
+                return _not_covered(case_id, f"polynomial tail needs q < ell; {got}")
         elif e_pi == 1.0 and g_pi > 0:
             return _not_covered(
                 f"{model}/case2-gumbel",
@@ -331,8 +331,7 @@ def _classify(model: str, slab: SlabDistribution, tau: LevelSchedule, pi: LevelS
     """The Verdict of ``bp.s`` under the prior's `_rule`: its gate, or the
     cached Verdict for the side of the threshold ``s`` is on."""
     _validate_smoothness(bp, r)
-    key = (model, slab, tau, pi, bp.p, bp.q)
-    rule = _rule(*key, repr(key))
+    rule = _rule(model, slab, tau, pi, bp.p, bp.q)
     if isinstance(rule, Verdict):
         return rule
     T, below, at, above = rule

@@ -168,6 +168,9 @@ OVERFLOWING_MARK_SPEC = {
 }
 # a mean atom count c_mu (a_max^-2 - a0^-2) / -2 past the float range
 HUGE_COUNT_SPEC = {**CWT_SPEC, "c_mu": 1.0, "beta": 3.0, "a0": 1e-300, "a_max": 1.0}
+# a slab whose draws numpy returns as inf about one time in fourteen, without a
+# floating-point error
+HUGE_GAUSS = {"family": "gaussian", "sigma": 1e308}
 
 
 SYNTH = REPORT_CASES["synth"]
@@ -1629,6 +1632,32 @@ class TestErrors:
             ("evt", {**ECHO_CASES["evt"], "levels": [4]}, ["--reps", str(2**40)], "reps: reps x"),
             ("verify", VERIFY, ["--reps", str(2**21)], "reps: reps x levels = 2097152 x 3"),
             ("cwt-verify", with_moment(reps=2**22), [], "moment.reps: reps x levels"),
+            # evt cannot find the quantile b_j of these slabs, and numpy draws some of
+            # HUGE_GAUSS's values as inf
+            *(
+                ("evt", {**ECHO_CASES["evt"], "levels": [4, 5], "slab": slab}, [], "slab: the quantile b_j")
+                for slab in (
+                    {"family": "laplace", "lam": 1e-310},
+                    HUGE_GAUSS,
+                    {"family": "power_exponential", "m": 1e-3},
+                    {"family": "student_t", "nu": 1e300},
+                )
+            ),
+            (
+                "sample",
+                {
+                    "slab": HUGE_GAUSS,
+                    "tau": {"c": 1.0},
+                    "pi": {"c": 1.0},
+                    "j0": 0,
+                    "mode": {"kind": "infinite", "j_max": 6},
+                },
+                [],
+                "slab: a slab draw",
+            ),
+            ("verify", {**VERIFY, "slab": HUGE_GAUSS}, [], "slab: a slab draw"),
+            ("cwt-sample", {"spec": {**CWT_SPEC, "slab": HUGE_GAUSS}}, [], "spec: a slab draw"),
+            ("cwt-verify", with_moment(spec={**CWT_SPEC, "slab": HUGE_GAUSS}), [], "moment.spec: a slab draw"),
         ],
         ids=[
             "classify-nu-bool",
@@ -1777,6 +1806,14 @@ class TestErrors:
             "evt-reps-cap",
             "verify-reps-cap",
             "moment-reps-cap",
+            "evt-laplace-quantile",
+            "evt-gaussian-quantile",
+            "evt-power-exponential-quantile",
+            "evt-student-t-quantile",
+            "sample-slab-draw-inf",
+            "verify-slab-draw-inf",
+            "cwt-sample-slab-draw-inf",
+            "moment-slab-draw-inf",
         ],
     )
     def test_bad_field_names_its_path(self, capsys, tmp_path, command, cfg, extra, path):

@@ -1,8 +1,10 @@
+import itertools
 import math
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from besovlab.distributions import (
@@ -19,6 +21,7 @@ from besovlab.theory import (
     Decision,
     Verdict,
     _rule,
+    classify_cwt,
     classify_general,
     classify_regression,
     classify_simple,
@@ -667,28 +670,98 @@ T3, T3_0, TAU, PI = StudentT(3), StudentT(3.0), LevelSchedule(1.0, 1.5), LevelSc
 FRECHET_MEMBER = Verdict(
     Decision.MEMBER_AS, "regression/case2-frechet", 2.0, assumptions=("Frechet tail with index ell=3",)
 )
-# keys that compare equal but print differently, in pairs, each with its
-# (general, regression) verdicts from a cold cache
+# keys that compare equal but print differently, in pairs, each pair with the
+# (general, regression) verdicts both read from a cold cache: a rule quotes
+# key values as floats, -0.0 as 0.0
 PRINTED_PAIRS = {
-    "slab": [((T3, TAU, PI, bp(1.0, INF, 3.0)), (_tail_gates("3.0", "3")[0], FRECHET_MEMBER)),
-             ((T3_0, TAU, PI, bp(1.0, INF, 3.0)), (_tail_gates("3.0", "3.0")[0], FRECHET_MEMBER))],
-    "q": [((T3_0, TAU, PI, bp(1.0, INF, 3)), (_tail_gates("3", "3.0")[0], FRECHET_MEMBER)),
-          ((T3_0, TAU, PI, bp(1.0, INF, 3.0)), (_tail_gates("3.0", "3.0")[0], FRECHET_MEMBER))],
-    "q-gate": [((T3_0, TAU, PI, bp(1.0, INF, 4)), _tail_gates("4", "3.0")),
-               ((T3_0, TAU, PI, bp(1.0, INF, 4.0)), _tail_gates("4.0", "3.0"))],
-    "pi": [((Gaussian(1.0), TAU, LevelSchedule(1.0, 1, -0.5), bp(1.0, 2.0, 2.0)), _gaps("1")),
-           ((Gaussian(1.0), TAU, LevelSchedule(1.0, 1.0, -0.5), bp(1.0, 2.0, 2.0)), _gaps("1.0"))],
-    "tau": [((Gaussian(1.0), LevelSchedule(1.0, 1.5, 0), CASE4_PI, bp(1.5, 2.0, INF)), _not_increasing("0")),
-            ((Gaussian(1.0), LevelSchedule(1.0, 1.5, 0.0), CASE4_PI, bp(1.5, 2.0, INF)), _not_increasing("0.0"))],
+    "slab": ((T3, TAU, PI, bp(1.0, INF, 3.0)), (T3_0, TAU, PI, bp(1.0, INF, 3.0)),
+             (_tail_gates("3.0", "3.0")[0], FRECHET_MEMBER)),
+    "q": ((T3_0, TAU, PI, bp(1.0, INF, 3)), (T3_0, TAU, PI, bp(1.0, INF, 3.0)),
+          (_tail_gates("3.0", "3.0")[0], FRECHET_MEMBER)),
+    "q-gate": ((T3_0, TAU, PI, bp(1.0, INF, 4)), (T3_0, TAU, PI, bp(1.0, INF, 4.0)),
+               _tail_gates("4.0", "3.0")),
+    "pi": ((Gaussian(1.0), TAU, LevelSchedule(1.0, 1, -0.5), bp(1.0, 2.0, 2.0)),
+           (Gaussian(1.0), TAU, LevelSchedule(1.0, 1.0, -0.5), bp(1.0, 2.0, 2.0)), _gaps("1.0")),
+    "tau": ((Gaussian(1.0), LevelSchedule(1.0, 1.5, 0), CASE4_PI, bp(1.5, 2.0, INF)),
+            (Gaussian(1.0), LevelSchedule(1.0, 1.5, 0.0), CASE4_PI, bp(1.5, 2.0, INF)),
+            _not_increasing("0.0")),
+    "signed-zero": ((Gaussian(1.0), LevelSchedule(1.0, 1.5, -0.0), CASE4_PI, bp(1.5, 2.0, INF)),
+                    (Gaussian(1.0), LevelSchedule(1.0, 1.5, 0.0), CASE4_PI, bp(1.5, 2.0, INF)),
+                    _not_increasing("0.0")),
 }
 
 
 @pytest.mark.parametrize("pair", PRINTED_PAIRS.values(), ids=PRINTED_PAIRS)
 def test_a_cached_rule_equals_a_cold_call(pair):
-    for first, second in (pair, pair[::-1]):
+    *keys, want = pair
+    for first, second in (keys, keys[::-1]):
         _rule.cache_clear()
-        for args, want in (first, second):
+        for args in (first, second):
             assert (classify_general(*args, 3.0), classify_regression(*args, 3.0)) == want
+
+
+def _floats(value, zero=0.0):
+    """``value`` with every number a float and every zero ``zero``: a
+    dataclass field by field, a tuple item by item."""
+    if is_dataclass(value):
+        return replace(value, **{f.name: _floats(getattr(value, f.name), zero) for f in fields(value)})
+    if isinstance(value, tuple):
+        return tuple(_floats(v, zero) for v in value)
+    return float(value) or zero
+
+
+def _six_verdicts(prior):
+    """The Verdicts of the six classifiers on ``prior``; the continuous
+    model's general route only for a nonincreasing ``pi``."""
+    slab, tau, pi, s, p, q, alpha, beta, gamma, r, rho = prior
+    besov = bp(s, p, q)
+    verdicts = (
+        classify_general(slab, tau, pi, besov, r),
+        classify_regression(slab, tau, pi, besov, r),
+        no_spike_condition(slab, tau, besov, r),
+        classify_simple(slab, alpha, beta, besov, r),
+        classify_three_param(slab, alpha, 0 * beta, gamma, s, q, r),  # its beta lies in [0, 1): a zero
+        classify_cwt(slab, alpha, beta, besov, r, rho),
+    )
+    if pi.e > 0 or (pi.e == 0 and pi.g <= 0):
+        verdicts += (classify_cwt(slab, alpha, beta, besov, r, rho, mu=pi, tau=tau),)
+    return verdicts
+
+
+SMALL = st.integers(-2, 3)
+INT_SLABS = st.one_of(
+    st.builds(Gaussian, st.integers(1, 3)),
+    st.builds(Laplace, st.integers(1, 3)),
+    st.builds(StudentT, st.integers(1, 5)),
+    st.just(Cauchy()),
+    st.builds(PowerExponential, st.integers(1, 3), st.integers(1, 3)),
+)
+P_OR_Q = st.one_of(st.integers(1, 5), st.just(INF))
+CASE4 = (Gaussian(1), LevelSchedule(1, 1), LevelSchedule(1, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(prior=st.tuples(
+    INT_SLABS, st.builds(LevelSchedule, st.integers(0, 2), SMALL, SMALL),
+    st.builds(LevelSchedule, st.integers(0, 2), SMALL, SMALL), st.integers(1, 3), P_OR_Q, P_OR_Q,
+    st.integers(1, 4), st.integers(0, 2), SMALL, st.just(4), st.integers(0, 2),
+))
+# the regime gap, the moment gates of cases 1 and 3, the Frechet gates, and
+# case 4 at its threshold with and without its moment gate
+@example(prior=(Gaussian(1), LevelSchedule(1), LevelSchedule(1, 1, -1), 1, 2, 2, 2, 1, 0, 4, 1))
+@example(prior=(StudentT(2), LevelSchedule(1), LevelSchedule(1), 1, 3, 2, 2, 0, 0, 4, 1))
+@example(prior=(StudentT(2), LevelSchedule(1), LevelSchedule(1, 1), 1, 2, 3, 2, 1, 0, 4, 1))
+@example(prior=(StudentT(2), LevelSchedule(1), LevelSchedule(1), 1, INF, 3, 2, 0, 0, 4, 1))
+@example(prior=(*CASE4, 1, 2, INF, 2, 1, 0, 4, 1))
+@example(prior=(CASE4[0], LevelSchedule(1, 1, -1), CASE4[2], 1, 2, INF, 2, 1, 0, 4, 1))
+def test_a_verdict_depends_only_on_its_inputs_values(prior):
+    # the same prior as ints, as floats and with every zero -0.0, each from a
+    # cold cache and then from the rules the one before it cached
+    forms = (prior, _floats(prior), _floats(prior, -0.0))
+    want = _six_verdicts(prior)
+    for first, second in itertools.permutations(forms, 2):
+        _rule.cache_clear()
+        assert _six_verdicts(first) == want and _six_verdicts(second) == want
 
 
 # ---------------------------------------------------------------------------
