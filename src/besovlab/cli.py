@@ -4,12 +4,16 @@ Every subcommand reads a single JSON config document (``--config``),
 optionally patched by repeated ``--set key.path=value`` overrides, and
 writes a JSON report (``--out``, else stdout) whose ``config`` block is
 the fully resolved input (defaults filled in), so any report can be
-replayed by feeding that block back as the config.  A subcommand offers
-only the other flags it reads (`_COMMANDS`): ``--seed``/``--reps`` set the
-config's ``seed``/``reps``; ``--tree FILE`` sets the tree reference
-``{"path": FILE}``, echoed with the file's ``sha256`` for the replay to
-check; ``--threads`` caps the replicate workers; and ``--csv`` also writes
-the subcommand's plot-ready table with floats at 17 significant digits.
+replayed by feeding that block back as the config.  A field that is a
+parameter of the function a subcommand runs is read from that function's
+signature (`_args`): the parameter's name is its key and the parameter's
+default its default, so each such default is stated once, in the library.
+A subcommand offers only the other flags it reads (`_COMMANDS`):
+``--seed``/``--reps`` set the config's ``seed``/``reps``; ``--tree FILE``
+sets the tree reference ``{"path": FILE}``, echoed with the file's
+``sha256`` for the replay to check; ``--threads`` caps the replicate
+workers; and ``--csv`` also writes the subcommand's plot-ready table with
+floats at 17 significant digits.
 No output file may be an input file or the other output.
 
 Exit codes: 0 success, 2 usage or malformed config, 3 a classifier
@@ -68,23 +72,28 @@ _TAG_OF = {cls: (key, tag) for key, (classes, _) in _TAGGED.items() for tag, cls
 
 @functools.cache
 def _plan(fn) -> tuple:
-    """``(name, reader)`` of each parameter of ``fn`` (a config dataclass or a
-    classifier) in order, a default bound to its reader; a ``default_factory``
+    """``(name, reader)`` of each parameter of ``fn`` in order, a default bound
+    to its reader (None for an annotation no reader reads); a ``default_factory``
     stays the ``<factory>`` marker the dataclass's ``__init__`` replaces."""
     plan = []
     for p in inspect.signature(fn).parameters.values():
-        read = _FIELD_READERS[p.annotation]
-        if p.default is not p.empty:
+        read = _FIELD_READERS.get(p.annotation)
+        if read and p.default is not p.empty:
             read = functools.partial(read, default=p.default)
         plan.append((p.name, read))
     return tuple(plan)
 
 
+def _args(fn, d, *given: str) -> dict:
+    """The arguments of ``fn`` in the config object ``d``: each parameter not
+    named in ``given`` (the caller passes those), read under its name by the
+    reader of its annotation, so one with a default may be left out."""
+    return {name: read(d, name) for name, read in _plan(fn) if name not in given}
+
+
 def _read(cls, d):
-    """The dataclass ``cls`` from the config object ``d``: its fields in
-    declaration order, each by the reader of its annotation; a field with a
-    default may be left out."""
-    return cls(*[read(d, name) for name, read in _plan(cls)])
+    """The dataclass ``cls`` from the config object ``d`` (`_args`)."""
+    return cls(**_args(cls, d))
 
 
 def _tagged(key: str):
@@ -113,9 +122,24 @@ def _atoms(d, key, default):
         return AtomSet(*zip(*[numbers(rows, i) for i in range(len(rows))]))
 
 
+def _levels(doc) -> list[int]:
+    """``levels``, sorted and distinct: a nonempty list of integers >= 0 or
+    ``{start, stop}``; a stop above the highest level a draw supports fails
+    before the list is built."""
+    if isinstance(doc, dict):
+        start, stop = natural(doc, "start"), natural(doc, "stop")
+        if stop < start:
+            raise ConfigError("", f"stop {stop} below start {start}")
+        from .sampler import _check_level
+        _check_level(stop, "stop")
+        return list(range(start, stop + 1))
+    if isinstance(doc, list) and doc:
+        return sorted({natural(doc, i) for i in range(len(doc))})
+    raise ConfigError("", "expected a nonempty list or {start, stop}")
+
+
 _besov = functools.partial(block, functools.partial(_read, theory.BesovParams))
 _schedule = functools.partial(block, functools.partial(_read, LevelSchedule))
-_slab = functools.partial(block, _tagged("family"))
 _spec = functools.partial(block, lambda d: _read(importlib.import_module(".cwt", __package__).CwtSpec, d))
 
 # a parameter's annotation, as written (the model modules postpone
@@ -123,15 +147,19 @@ _spec = functools.partial(block, lambda d: _read(importlib.import_module(".cwt",
 _FIELD_READERS = {
     "float": number,
     "int": integer,
+    "Natural": natural,
+    "list[float] | None": numbers,
+    "Levels": functools.partial(block, _levels),
     "BesovParams": _besov,
     "LevelSchedule": _schedule,
     "LevelSchedule | None": _schedule,
-    "SlabDistribution": _slab,
+    "SlabDistribution": functools.partial(block, _tagged("family")),
     "Mode": functools.partial(block, _tagged("kind")),
     "CoarseTerm": functools.partial(
         block, lambda d: _read(importlib.import_module(".cwt", __package__).CoarseTerm, d)
     ),
     "AtomSet": _atoms,
+    "CwtSpec": _spec,
 }
 
 
@@ -157,22 +185,6 @@ def _echo(value):
             doc[key] = tag
         return doc
     return value
-
-
-def _levels(doc) -> list[int]:
-    """``levels``, sorted and distinct: a nonempty list of integers >= 0 or
-    ``{start, stop}``; a stop above the highest level a draw supports fails
-    before the list is built."""
-    if isinstance(doc, dict):
-        start, stop = natural(doc, "start"), natural(doc, "stop")
-        if stop < start:
-            raise ConfigError("", f"stop {stop} below start {start}")
-        from .sampler import _check_level
-        _check_level(stop, "stop")
-        return list(range(start, stop + 1))
-    if isinstance(doc, list) and doc:
-        return sorted({natural(doc, i) for i in range(len(doc))})
-    raise ConfigError("", "expected a nonempty list or {start, stop}")
 
 
 def _read_json(flag: str, path: str, data: bytes | None = None):
@@ -268,12 +280,13 @@ _CLASSIFY = {
     "no_spike": theory.no_spike_condition,
     "cwt": theory.classify_cwt,
 }
+_KIND = "simple"  # the kind of a point that names none
 
 
 def _classify_point(point: dict, parsed: dict) -> tuple[str, dict, theory.Verdict]:
     """Resolve one classification request: its kind, the fields it read and its verdict;
     ``parsed`` keeps what a reader made of a value object, so points sharing one read it once."""
-    kind = string(point, "kind", "simple")
+    kind = string(point, "kind", _KIND)
     if kind not in _CLASSIFY:
         raise ConfigError("kind", f"unknown kind {kind!r}; choose from {', '.join(_CLASSIFY)}")
     fn = _CLASSIFY[kind]
@@ -372,7 +385,7 @@ def _cmd_sweep(cfg: dict, threads: int):
         flagged = flagged or verdict.decision is theory.Decision.NOT_COVERED
         found = {"decision": verdict.decision.value, "case_id": verdict.case_id, "threshold": verdict.threshold}
         records.append({"overrides": dict(zip(names, map(operator.getitem, echoes, combo))), **found})
-    base_echo = {**_echo(base), "kind": "simple" if base.get("kind") is None else base["kind"]}
+    base_echo = {**_echo(base), "kind": _KIND if base.get("kind") is None else base["kind"]}
     echo = {"base": base_echo, "vary": dict(zip(names, echoes))}
     header = names + ["decision", "case_id", "threshold"]
     columns = [[r["overrides"][n] for r in records] for n in names]
@@ -383,13 +396,10 @@ def _cmd_sweep(cfg: dict, threads: int):
 def _cmd_sample(cfg: dict, threads: int):
     from . import sampler
     spec = _read(sampler.PriorSpec, cfg)
-    j0 = natural(cfg, "j0")
-    seed = natural(cfg, "seed", 0)
-    replicate = natural(cfg, "replicate", 0)
-    scaling = numbers(cfg, "scaling", None)
+    args = _args(sampler.sample_tree, cfg, "spec")
     known(cfg)
-    echo = _echo(dict(vars(spec), j0=j0, seed=seed, replicate=replicate, scaling=scaling))
-    tree = sampler.sample_tree(spec, j0, scaling, seed=seed, replicate=replicate)
+    echo = _echo(dict(vars(spec), **args))
+    tree = sampler.sample_tree(spec, **args)
     doc = sampler.tree_to_dict(tree)
     result = {"tree": doc, "nonzero_counts": sampler.nonzero_counts(tree).tolist()}
     blocks = [(itertools.repeat(lev["j"]), lev["k"], lev["w"]) for lev in doc["levels"]]
@@ -420,45 +430,26 @@ def _cmd_verify(cfg: dict, threads: int):
     # without a mode, the infinite model is cut at the highest level checked
     if cfg.get("mode") is None:
         spec = sampler.PriorSpec(spec.tau, spec.pi, spec.slab, Infinite(levels[-1]))
-    reps = integer(cfg, "reps", 100)
-    seed = natural(cfg, "seed", 0)
     check = string(cfg, "check", "slope")
     if check not in ("slope", "membership"):
         raise ConfigError("check", f"expected 'slope' or 'membership', got {check!r}")
-    known(cfg)
-    echo = _echo(dict(vars(spec), besov=bp, check=check, levels=levels, reps=reps, seed=seed))
     runner = lab.exponent_regression if check == "slope" else lab.empirical_membership
-    report = runner(spec, bp, levels, reps=reps, seed=seed, threads=threads)
-    verdict = report.theory_verdict or {}
-    flagged = verdict.get("decision") == theory.Decision.NOT_COVERED.value
+    args = _args(runner, cfg, "spec", "bp", "levels", "threads")
+    known(cfg)
+    echo = _echo(dict(vars(spec), besov=bp, check=check, levels=levels, **args))
+    report = runner(spec, bp, levels, threads=threads, **args)
+    flagged = (report.theory_verdict or {}).get("decision") == theory.Decision.NOT_COVERED.value
     return echo, report.to_dict(), _level_csv(report), flagged
 
 
-def _cmd_lln(cfg: dict, threads: int):
+def _experiment(name: str, cfg: dict, threads: int):
+    """``lln`` and ``evt``: the `lab` experiment ``name``, its parameters but ``threads`` config fields."""
     from . import lab
-    slab = _slab(cfg, "slab")
-    pi = _schedule(cfg, "pi")
-    m = number(cfg, "m")
-    levels = block(_levels, cfg, "levels", list(range(8, 19)))
-    reps = integer(cfg, "reps", 50)
-    seed = natural(cfg, "seed", 0)
+    fn = getattr(lab, name)
+    args = _args(fn, cfg, "threads")
     known(cfg)
-    echo = _echo(dict(slab=slab, pi=pi, m=m, levels=levels, reps=reps, seed=seed))
-    report = lab.lln_experiment(slab, pi, m, levels, reps=reps, seed=seed, threads=threads)
-    return echo, report.to_dict(), _level_csv(report), False
-
-
-def _cmd_evt(cfg: dict, threads: int):
-    from . import lab
-    slab = _slab(cfg, "slab")
-    pi = _schedule(cfg, "pi")
-    levels = block(_levels, cfg, "levels", list(range(8, 19)))
-    reps = integer(cfg, "reps", 100)
-    seed = natural(cfg, "seed", 0)
-    known(cfg)
-    echo = _echo(dict(slab=slab, pi=pi, levels=levels, reps=reps, seed=seed))
-    report = lab.evt_experiment(slab, pi, levels, reps=reps, seed=seed, threads=threads)
-    return echo, report.to_dict(), _level_csv(report), False
+    report = fn(**args, threads=threads)
+    return _echo(args), report.to_dict(), _level_csv(report), False
 
 
 def _cmd_synth(cfg: dict, threads: int):
@@ -488,41 +479,30 @@ def _project(doc) -> dict:
 
 def _cmd_cwt_sample(cfg: dict, threads: int):
     from . import cwt, sampler
-    spec = _spec(cfg, "spec")
-    seed = natural(cfg, "seed", 0)
-    replicate = natural(cfg, "replicate", 0)
+    args = _args(cwt.sample_atoms, cfg)
     project = block(_project, cfg, "project", None)
     known(cfg)
-    echo = _echo(dict(spec=spec, seed=seed, replicate=replicate, project=project))
-    atoms = cwt.sample_atoms(spec, seed, replicate)
+    echo = _echo(dict(args, project=project))
+    atoms = cwt.sample_atoms(**args)
     columns = [atoms.a.tolist(), atoms.b.tolist(), atoms.omega.tolist()]
     rows = list(map(list, zip(*columns)))
-    result = {"intensity": spec.intensity_total(), "count": len(atoms), "atoms": rows}
+    result = {"intensity": args["spec"].intensity_total(), "count": len(atoms), "atoms": rows}
     if project is not None:
         with under("project"):
             fam, j0, top = project["family"], project["j0"], project["top"]
-            tree = cwt.project_to_orthogonal(atoms, fam, j0, top, spec.coarse)
+            tree = cwt.project_to_orthogonal(atoms, fam, j0, top, args["spec"].coarse)
         result["tree"] = sampler.tree_to_dict(tree)
     return echo, result, (["a", "b", "omega"], [columns]), False
-
-
-def _moment(doc) -> dict:
-    """``moment``: the arguments of `cwt.moment_bound_experiment` but the family, by name."""
-    spec, m, levels = _spec(doc, "spec"), number(doc, "m"), block(_levels, doc, "levels")
-    reps, seed = integer(doc, "reps", 50), natural(doc, "seed", 0)
-    return dict(spec=spec, m=m, levels=levels, reps=reps, seed=seed)
 
 
 def _cmd_cwt_verify(cfg: dict, threads: int):
     from . import cwt, wavelets
     fam = block(wavelets.family, cfg, "family")
-    v_count = integer(cfg, "v_count", 257)
-    depth = integer(cfg, "depth", 12)
-    u_grid = numbers(cfg, "u_grid", None)
-    moment = block(_moment, cfg, "moment", None)
+    args = _args(cwt.verify_kernel_bounds, cfg, "fam")
+    moment = block(lambda d: _args(cwt.moment_bound_experiment, d, "fam", "threads"), cfg, "moment", None)
     known(cfg)
-    echo = _echo(dict(family=fam, v_count=v_count, depth=depth, u_grid=u_grid, moment=moment))
-    bounds = cwt.verify_kernel_bounds(fam, u_grid, v_count=v_count, depth=depth)
+    echo = _echo(dict(args, family=fam, moment=moment))
+    bounds = cwt.verify_kernel_bounds(fam, **args)
     result: dict = {"kernel": bounds.to_dict()}
     if moment is not None:
         with under("moment"):
@@ -690,9 +670,9 @@ _COMMANDS = {
              "Besov sequence norm of a stored or inline tree"),
     "verify": (_cmd_verify, ("--seed", "--reps", "--threads", "--strict", "--csv"),
                "Monte Carlo slope or membership check against theory"),
-    "lln": (_cmd_lln, ("--seed", "--reps", "--threads", "--csv"),
+    "lln": (functools.partial(_experiment, "lln_experiment"), ("--seed", "--reps", "--threads", "--csv"),
             "per-level law-of-large-numbers sanity experiment"),
-    "evt": (_cmd_evt, ("--seed", "--reps", "--threads", "--csv"),
+    "evt": (functools.partial(_experiment, "evt_experiment"), ("--seed", "--reps", "--threads", "--csv"),
             "per-level extreme-value normalization experiment"),
     "synth": (_cmd_synth, ("--csv", "--tree"),
               "render a tree on a dyadic grid via the wavelet basis"),

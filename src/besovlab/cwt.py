@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .distributions import SlabDistribution, has_moment, sample
-from .fields import ConfigError
+from .fields import ConfigError, Levels, Natural
 from .lab import ExperimentReport, _column_stats, _level_list, _run_reps, _slope_fit
 from .sampler import CoefficientTree, Level, check_dense_size, rng_for
 from .theory import _HALF
@@ -144,7 +144,7 @@ class CwtSpec:
         return self.c_mu * (self.a_max**e - self.a0**e) / e
 
 
-def sample_atoms(spec: CwtSpec, seed: int, replicate: int = 0) -> AtomSet:
+def sample_atoms(spec: CwtSpec, seed: Natural = 0, replicate: Natural = 0) -> AtomSet:
     """Draw one realisation of the marked Poisson process; a mean count
     above the dense-array cap is rejected before anything is drawn, and a
     slab draw outside the float range or a mark that overflows a float is a
@@ -261,7 +261,7 @@ class KernelBoundReport:
 
 
 def verify_kernel_bounds(
-    fam: WaveletFamily, u_grid=None, *, v_count: int = 257, depth: int = 12
+    fam: WaveletFamily, u_grid: list[float] | None = None, *, v_count: int = 257, depth: int = 12
 ) -> KernelBoundReport:
     """Measure ``sup_v |K0(u, v)|`` across scale ratios and fit its decay.
 
@@ -569,9 +569,9 @@ def moment_bound_experiment(
     spec: CwtSpec,
     fam: WaveletFamily,
     m: float,
-    levels,
+    levels: Levels,
     reps: int = 50,
-    seed: int = 0,
+    seed: Natural = 0,
     threads: int = 1,
 ) -> ExperimentReport:
     """Empirical per-level moments ``E|w_{jk}|^m`` of the projected model.

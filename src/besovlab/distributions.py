@@ -24,6 +24,7 @@ family; closed forms are kept in the test suite as oracles.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -245,8 +246,9 @@ def cdf_hplus(d: SlabDistribution, x: float) -> float:
 def quantile_hplus(d: SlabDistribution, u: float) -> float:
     """Inverse of the folded cdf on ``u in [0, 1)`` by bracketed bisection.
 
-    The bracket starts at [0, 1] and doubles its right end until it
-    contains the root; bisection then runs to relative width 1e-12.
+    The bracket starts at [0, 1] and doubles its right end, up to the
+    largest float, until it contains the root (else ``RuntimeError``);
+    bisection then runs to relative width 1e-12.
     """
     if not 0.0 <= u < 1.0:
         raise ValueError(f"quantile needs u in [0, 1), got {u}")
@@ -254,16 +256,19 @@ def quantile_hplus(d: SlabDistribution, u: float) -> float:
         return 0.0
     lo, hi = 0.0, 1.0
     while cdf_hplus(d, hi) <= u:
-        hi *= 2.0
-        if hi > 1e300:
+        if hi == sys.float_info.max:
             raise RuntimeError(f"bracket blew up for u={u} on {d!r}")
-    while hi - lo > 1e-12 * hi and hi - lo > 5e-324:
+        hi = min(2.0 * hi, sys.float_info.max)
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid == math.inf:  # only a bracket past 2^1023 has a sum that overflows
+            mid = 0.5 * lo + 0.5 * hi
+        if not (hi - lo > 1e-12 * hi and hi - lo > 5e-324):
+            return mid
         if cdf_hplus(d, mid) <= u:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def absolute_moment(d: SlabDistribution, m: float) -> float:
@@ -366,7 +371,8 @@ def sample(d: SlabDistribution, rng: np.random.Generator, size: int | tuple = ()
     if isinstance(d, PowerExponential):
         # |xi| = (-log U)^(1/m) / lam by inverting the folded tail; random sign.
         u = rng.random(size=size)
-        mag = (-np.log1p(-u)) ** (1.0 / d.m) / d.lam
+        with np.errstate(over="ignore"):  # a magnitude past the float range is inf, refused by the caller
+            mag = (-np.log1p(-u)) ** (1.0 / d.m) / d.lam
         sign = rng.integers(0, 2, size=size) * 2 - 1
         return mag * sign
     raise TypeError(f"not a slab distribution: {d!r}")
@@ -380,5 +386,7 @@ def sample_abs(d: SlabDistribution, rng: np.random.Generator, size: int | tuple 
     for bit.
     """
     if isinstance(d, Laplace):
-        return rng.standard_exponential(size=size) / d.lam
+        import numpy as np
+        with np.errstate(over="ignore"):  # as in `sample`
+            return rng.standard_exponential(size=size) / d.lam
     return abs(sample(d, rng, size))

@@ -15,10 +15,11 @@ none read, and `block` calls it on each object it parses.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 __all__ = [
     "ConfigError", "Doc", "known", "under", "block", "number", "integer", "natural", "string",
-    "obj", "array", "numbers",
+    "obj", "array", "numbers", "Natural", "Levels",
 ]
 
 _MISSING = object()
@@ -26,6 +27,10 @@ _MISSING = object()
 # bounds the OS threads one replicate loop starts; a constant, not the CPU
 # count, so a run that is valid on one host is valid on every host
 _MAX_THREADS = 64
+
+# parameter annotations a config reads by `natural` and by the CLI's `_levels`
+Natural = int
+Levels = Iterable[int]
 
 
 def _name(key) -> str:

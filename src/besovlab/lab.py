@@ -45,7 +45,7 @@ from .distributions import (
     sample_abs,
     tail_class,
 )
-from .fields import _MAX_THREADS, ConfigError
+from .fields import _MAX_THREADS, ConfigError, Levels, Natural
 from .sampler import (
     PriorSpec,
     _check_level,
@@ -231,9 +231,9 @@ def lln_experiment(
     slab: SlabDistribution,
     pi: LevelSchedule,
     m: float,
-    levels=range(8, 19),
+    levels: Levels = tuple(range(8, 19)),
     reps: int = 50,
-    seed: int = 0,
+    seed: Natural = 0,
     threads: int = 1,
 ) -> ExperimentReport:
     """Ratios ``S_j / n_j`` for the randomly indexed sums of ``|xi|^m``.
@@ -257,7 +257,10 @@ def lln_experiment(
     def draw(rng: np.random.Generator, j: int) -> float:
         total = 0.0
         for chunk in _abs_chunks(slab, rng, draw_count(rng, pi, j)):
-            total += float(np.sum(chunk**m))
+            with np.errstate(over="ignore"):  # an overflow is refused below, by its level
+                total += float(np.sum(chunk**m))
+        if not math.isfinite(total):
+            raise ConfigError("slab", f"the sum of |xi|^{m:g} at level {j} lies outside the float range")
         return total / n_values[j]
 
     stats = _column_stats(lv, n_values, _level_rows(lv, reps, seed, threads, draw))
@@ -267,9 +270,9 @@ def lln_experiment(
 def evt_experiment(
     slab: SlabDistribution,
     pi: LevelSchedule,
-    levels=range(8, 19),
+    levels: Levels = tuple(range(8, 19)),
     reps: int = 100,
-    seed: int = 0,
+    seed: Natural = 0,
     threads: int = 1,
 ) -> ExperimentReport:
     """Level maxima normalised by the ``1 - 1/n_j`` folded quantile.
@@ -291,7 +294,10 @@ def evt_experiment(
 
     def draw(rng: np.random.Generator, j: int) -> float:
         chunks = _abs_chunks(slab, rng, draw_count(rng, pi, j))
-        return max((float(np.max(chunk)) for chunk in chunks), default=0.0) / b_values[j]
+        top = max((float(np.max(chunk)) for chunk in chunks), default=0.0)
+        if not math.isfinite(top):
+            raise ConfigError("slab", f"a slab draw at level {j} lies outside the float range")
+        return top / b_values[j]
 
     stats = _column_stats(lv, n_values, _level_rows(lv, reps, seed, threads, draw))
     tc = tail_class(slab)
@@ -382,9 +388,9 @@ def _level_term_experiment(
 def exponent_regression(
     spec: PriorSpec,
     bp: BesovParams,
-    levels=range(8, 19),
+    levels: Levels = tuple(range(8, 19)),
     reps: int = 100,
-    seed: int = 0,
+    seed: Natural = 0,
     threads: int = 1,
 ) -> ExperimentReport:
     """Fit the base-2 slope of the level terms ``a_j^q`` against ``j``.
@@ -402,9 +408,9 @@ def exponent_regression(
 def empirical_membership(
     spec: PriorSpec,
     bp: BesovParams,
-    levels=range(8, 19),
+    levels: Levels = tuple(range(8, 19)),
     reps: int = 100,
-    seed: int = 0,
+    seed: Natural = 0,
     threads: int = 1,
 ) -> ExperimentReport:
     """Monte Carlo membership verdict cross-checked against the classifier.

@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .distributions import SlabDistribution, sample as slab_sample
-from .fields import ConfigError, array, block, integer, numbers, under
+from .fields import ConfigError, Natural, array, block, integer, numbers, under
 from .schedules import Infinite, LevelSchedule, Mode, Regression
 
 __all__ = [
@@ -227,10 +227,10 @@ def _positions_without_replacement(rng: np.random.Generator, width: int, count: 
 
 def sample_tree(
     spec: PriorSpec,
-    j0: int,
-    scaling: Iterable[float] | None = None,
-    seed: int = 0,
-    replicate: int = 0,
+    j0: Natural,
+    scaling: list[float] | None = None,
+    seed: Natural = 0,
+    replicate: Natural = 0,
 ) -> CoefficientTree:
     """Draw one tree from the prior; deterministic given (seed, replicate).
 

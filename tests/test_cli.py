@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import hashlib
 import inspect
 import io
@@ -980,6 +981,14 @@ class TestExperiments:
         assert report["config"]["reps"] == library.reps == 100
         assert report["result"] == json.loads(_encode(library.to_dict()))
 
+    def test_evt_quantile_past_1e300(self, capsys, tmp_path):
+        # b_4 is about 1.9e307: the ratios are those of the unit slab up to the quantiles' rounding
+        cfg = {"slab": GAUSS, "pi": {"c": 1.0}, "levels": [4, 5], "reps": 3}
+        unit = run_json(capsys, "evt", "--config", write_cfg(tmp_path, cfg))["result"]["levels"]
+        cfg["slab"] = {**GAUSS, "sigma": 1e307}
+        huge = run_json(capsys, "evt", "--config", write_cfg(tmp_path, cfg))["result"]["levels"]
+        assert [ls["median"] for ls in huge] == pytest.approx([ls["median"] for ls in unit], rel=1e-10)
+
     def test_levels_are_echoed_sorted_and_distinct(self, capsys, tmp_path):
         cfg = {**ECHO_CASES["lln"], "levels": [12, 8, 10, 8]}
         report = run_json(capsys, "lln", "--config", write_cfg(tmp_path, cfg))
@@ -1130,7 +1139,50 @@ class TestCwtCommands:
         assert kernel["slope_low"] is not None
 
 
+# each command whose optional fields are the parameters of the function it runs,
+# that function, a config holding only the required fields, and the block they are read from
+SIGNATURE_CASES = {
+    "sample": ("sample", sampler.sample_tree, {k: SAMPLE[k] for k in ("slab", "tau", "pi", "j0")}, None),
+    "verify/slope": (
+        "verify",
+        lab.exponent_regression,
+        {k: VERIFY[k] for k in ("slab", "tau", "pi", "besov", "levels")},
+        None,
+    ),
+    "verify/membership": (
+        "verify",
+        lab.empirical_membership,
+        {k: VERIFY[k] for k in ("slab", "tau", "pi", "besov", "levels", "check")},
+        None,
+    ),
+    "lln": ("lln", lab.lln_experiment, {"slab": GAUSS, "pi": {"c": 1.0, "e": 0.5}, "m": 2.0}, None),
+    "evt": ("evt", lab.evt_experiment, {"slab": {"family": "laplace", "lam": 1.0}, "pi": {"c": 0.01}}, None),
+    "cwt-sample": ("cwt-sample", cwt.sample_atoms, {"spec": CWT_SPEC}, None),
+    "cwt-verify": ("cwt-verify", cwt.verify_kernel_bounds, {"family": "daub4"}, None),
+    "cwt-verify/moment": (
+        "cwt-verify",
+        cwt.moment_bound_experiment,
+        {**KERNEL, "moment": {"spec": CWT_SPEC, "m": 2.0, "levels": [2, 3]}},
+        "moment",
+    ),
+}
+
+
 class TestReports:
+    @pytest.mark.parametrize("case", list(SIGNATURE_CASES))
+    def test_left_out_fields_echo_the_signature_defaults(self, capsys, tmp_path, case):
+        command, fn, cfg, key = SIGNATURE_CASES[case]
+        echo = run_json(capsys, command, "--config", write_cfg(tmp_path, cfg))["config"]
+        given, echo = (cfg[key], echo[key]) if key else (cfg, echo)
+        left_out = {
+            name: p.default
+            for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty and name not in given and name != "threads"
+        }
+        assert left_out
+        # a None default is echoed as absent, a tuple as a list
+        assert {name: echo.get(name) for name in left_out} == json.loads(json.dumps(left_out))
+
     @pytest.mark.parametrize("case", list(REPORT_CASES))
     def test_report_is_strict_json(self, capsys, tmp_path, case):
         path = write_cfg(tmp_path, REPORT_CASES[case])
@@ -1658,6 +1710,19 @@ class TestErrors:
             ("verify", {**VERIFY, "slab": HUGE_GAUSS}, [], "slab: a slab draw"),
             ("cwt-sample", {"spec": {**CWT_SPEC, "slab": HUGE_GAUSS}}, [], "spec: a slab draw"),
             ("cwt-verify", with_moment(spec={**CWT_SPEC, "slab": HUGE_GAUSS}), [], "moment.spec: a slab draw"),
+            # lln's magnitudes |xi| pass the float range, and with them the level's power sum
+            *(
+                (
+                    "lln",
+                    {**ECHO_CASES["lln"], "slab": slab, "m": 1.0, "levels": [4, 5]},
+                    [],
+                    "slab: the sum of |xi|^1 at level 4",
+                )
+                for slab in (
+                    {"family": "power_exponential", "m": 1.0, "lam": 1e-308},
+                    {"family": "laplace", "lam": 1e-308},
+                )
+            ),
         ],
         ids=[
             "classify-nu-bool",
@@ -1814,6 +1879,8 @@ class TestErrors:
             "verify-slab-draw-inf",
             "cwt-sample-slab-draw-inf",
             "moment-slab-draw-inf",
+            "lln-power-exponential-draw-inf",
+            "lln-laplace-draw-inf",
         ],
     )
     def test_bad_field_names_its_path(self, capsys, tmp_path, command, cfg, extra, path):
@@ -1900,7 +1967,9 @@ class TestErrors:
         }
         for module, names in entry_points.items():
             for name in names:
-                monkeypatch.setattr(module, name, computed)
+                # the stub keeps the entry point's signature, which names the fields read
+                stub = functools.wraps(getattr(module, name))(functools.partial(computed))
+                monkeypatch.setattr(module, name, stub)
         code, out, err = run(capsys, command, "--config", write_cfg(tmp_path, cfg))
         assert code == 2
         assert out == ""
@@ -1929,7 +1998,7 @@ class TestErrors:
             raise AssertionError("computed before the coarse term was checked")
 
         for name in ("sample_atoms", "project_to_orthogonal", "verify_kernel_bounds"):
-            monkeypatch.setattr(cwt, name, computed)
+            monkeypatch.setattr(cwt, name, functools.wraps(getattr(cwt, name))(functools.partial(computed)))
         code, out, err = run(capsys, command, "--config", write_cfg(tmp_path, cfg))
         assert (code, out) == (2, "")
         assert err.startswith(f"besovlab {command}: config error: {path}: ")

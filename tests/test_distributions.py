@@ -78,6 +78,13 @@ def test_cdf_monotone(d):
     assert vals[-1] <= 1.0
 
 
+@pytest.mark.parametrize("u", [0.5, 0.9375, 0.96875])
+def test_quantile_past_1e300(u):
+    # the bracket doubles up to the largest float: b_4 and b_5 of evt's Gaussian(1e307)
+    unit = quantile_hplus(Gaussian(1.0), u)
+    assert quantile_hplus(Gaussian(1e307), u) == pytest.approx(1e307 * unit, rel=1e-11)
+
+
 def test_quantile_rejects_bad_u():
     for u in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
