@@ -6,9 +6,11 @@ Four experiments cross-check the symbolic classifiers against simulation:
   sums ``S_j = sum_{i <= N_j} |xi_i|^m`` with ``N_j ~ Bin(2^j, pi_j)``;
   the ratios ``S_j / n_j`` drift to the slab moment ``nu_m``.
 * `evt_experiment`          extreme-value normalisation of level maxima:
-  ``max_k |z_jk| / b_j`` with ``b_j`` the ``1 - 1/n_j`` folded quantile.
-  Light (Gumbel-class) tails concentrate at 1; polynomial tails converge
-  to a Frechet law and keep spread.
+  ``max_k |z_jk| / b_j`` with ``b_j = isf(1/n_j)``, the folded law's
+  inverse survival function at ``1/n_j``.  Each maximum is drawn from its
+  exact law, one uniform per (replicate, level), not from the level's
+  values.  Light (Gumbel-class) tails concentrate at 1; polynomial tails
+  converge to a Frechet law and keep spread.
 * `exponent_regression`     least-squares slope of ``log2`` level terms
   against the level index, compared to the exact schedule exponent.
 * `empirical_membership`    turns the fitted slope into a verdict
@@ -20,7 +22,9 @@ regardless of the thread count: each (replicate, level) pair gets its own
 seed stream via `sampler.rng_for`, replicates are farmed out to a thread
 pool, and aggregation walks results in replicate order.  Counts and level
 values come from `sampler.draw_count` / `sampler.draw_level`, so a level
-seen here is the level `sampler.sample_tree` draws from the same stream.
+seen here is the level `sampler.sample_tree` draws from the same stream
+(`lln` and `evt` share only its count: they draw magnitudes, or their
+maximum, in place of the signed values).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .distributions import (
     SlabDistribution,
     absolute_moment,
     has_moment,
-    quantile_hplus,
+    isf_hplus,
     sample_abs,
     tail_class,
 )
@@ -214,12 +218,10 @@ def _abs_chunks(slab: SlabDistribution, rng: np.random.Generator, count: int):
 
 def _growing_levels(pi: LevelSchedule, levels, reps: int, who: str):
     """Level list and expected counts ``n_j = 2^j min(1, pi_j)`` of a
-    randomly indexed experiment, which needs ``n_j`` increasing to infinity
-    and at most 2^24 expected draws per replicate."""
+    randomly indexed experiment, which needs ``n_j`` increasing to infinity."""
     lv = _level_list(levels, reps)
     if growth_regime(pi) is not GrowthKind.INCREASES_TO_INFINITY:
         raise ConfigError("pi", f"{who} needs an expected count increasing to infinity")
-    check_draw_size(pi, lv, "levels")
     return lv, {j: (1 << j) * pi.clamped_at(j) for j in lv}
 
 
@@ -242,6 +244,7 @@ def lln_experiment(
     per-level means drift toward ``nu_m = E|xi|^m``.
     """
     lv, n_values = _growing_levels(pi, levels, reps, "lln_experiment")
+    check_draw_size(pi, lv, "levels")  # every value of a level is drawn
     if not m > 0:
         raise ConfigError("m", f"moment order must be positive, got {m}")
     if math.isinf(m):
@@ -267,6 +270,18 @@ def lln_experiment(
     return ExperimentReport("lln", reps, stats, expected_ratio=nu_m)
 
 
+def _level_max(slab: SlabDistribution, rng: np.random.Generator, count: int) -> float:
+    """The largest of ``count`` folded slab draws, from its exact law: its
+    cdf is ``H_+(x)^count``, so it is ``isf_hplus(slab, t)`` with
+    ``t = 1 - V^(1/count)`` for one uniform ``V``.  ``V = 0`` gives ``t = 1``
+    and the maximum 0, the left end of that law; a count of 0 draws nothing
+    and reads 0."""
+    if count == 0:
+        return 0.0
+    v = rng.random()
+    return isf_hplus(slab, 1.0 if v == 0.0 else -math.expm1(math.log(v) / count))
+
+
 def evt_experiment(
     slab: SlabDistribution,
     pi: LevelSchedule,
@@ -275,28 +290,37 @@ def evt_experiment(
     seed: Natural = 0,
     threads: int = 1,
 ) -> ExperimentReport:
-    """Level maxima normalised by the ``1 - 1/n_j`` folded quantile.
+    """Level maxima normalised by ``b_j = isf_hplus(slab, 1/n_j)``.
 
-    For Gumbel-class tails the ratio concentrates at 1; for polynomial
-    tails it converges in law to a Frechet distribution whose median is
-    ``(ln 2)^(-1/ell)``, so the per-level medians target that value while
-    the spread stays macroscopic.
+    Each (replicate, level) draws its nonzero count ``N`` and then the
+    maximum of ``N`` magnitudes from its exact law (`_level_max`), one
+    uniform in all, so a level costs the same at any depth up to the
+    level cap.  For Gumbel-class tails the ratio concentrates at 1; for
+    polynomial tails it converges in law to a Frechet distribution whose
+    median is ``(ln 2)^(-1/ell)``, so the per-level medians target that
+    value while the spread stays macroscopic.
     """
     lv, n_values = _growing_levels(pi, levels, reps, "evt_experiment")
+
+    def finite(what: str, compute) -> float:
+        """``compute()``, refused at ``slab`` when its search fails (it leaves
+        the float range, or does not converge) or its value is not finite."""
+        try:
+            x = compute()
+        except RuntimeError as exc:
+            raise ConfigError("slab", f"{what} cannot be computed: {exc}") from None
+        if not math.isfinite(x):
+            raise ConfigError("slab", f"{what} lies outside the float range")
+        return x
+
     b_values = {}
     for j, n_j in n_values.items():
         if n_j <= 1.0:
             raise ConfigError("levels", f"expected count n_j={n_j:g} <= 1 at level {j}")
-        try:
-            b_values[j] = quantile_hplus(slab, 1.0 - 1.0 / n_j)
-        except RuntimeError as exc:  # the search leaves the float range, or does not converge
-            raise ConfigError("slab", f"the quantile b_j cannot be computed at level {j}: {exc}") from None
+        b_values[j] = finite(f"the quantile b_j at level {j}", lambda: isf_hplus(slab, 1.0 / n_j))
 
     def draw(rng: np.random.Generator, j: int) -> float:
-        chunks = _abs_chunks(slab, rng, draw_count(rng, pi, j))
-        top = max((float(np.max(chunk)) for chunk in chunks), default=0.0)
-        if not math.isfinite(top):
-            raise ConfigError("slab", f"a slab draw at level {j} lies outside the float range")
+        top = finite(f"the maximum at level {j}", lambda: _level_max(slab, rng, draw_count(rng, pi, j)))
         return top / b_values[j]
 
     stats = _column_stats(lv, n_values, _level_rows(lv, reps, seed, threads, draw))

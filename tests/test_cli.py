@@ -981,6 +981,23 @@ class TestExperiments:
         assert report["config"]["reps"] == library.reps == 100
         assert report["result"] == json.loads(_encode(library.to_dict()))
 
+    def test_evt_reaches_the_level_cap(self, capsys, tmp_path):
+        # a full level 60 holds 2^60 values, but its maximum is one draw from its exact law
+        cfg = {"slab": {"family": "laplace", "lam": 1.0}, "pi": {"c": 1.0}, "levels": [40, 60], "reps": 100}
+        levels = run_json(capsys, "evt", "--config", write_cfg(tmp_path, cfg))["result"]["levels"]
+        assert [ls["count"] for ls in levels] == [100, 100]
+        for ls in levels:
+            assert all(math.isfinite(ls[key]) for key in ("mean", "stderr", "median", "q25", "q75"))
+            # the Gumbel median ratio is 1 + (-log log 2) / log n_j: about 1.013 and 1.009
+            assert ls["median"] == pytest.approx(1.0, abs=0.05)
+
+    def test_evt_power_exponential_of_large_shape(self, capsys, tmp_path):
+        # (lam x)^m overflows a float past x = 1 when m = 1e5; the slab is nearly uniform on [0, 1]
+        slab = {"family": "power_exponential", "m": 1e5}
+        cfg = {"slab": slab, "pi": {"c": 1.0}, "levels": [4, 5], "reps": 3}
+        levels = run_json(capsys, "evt", "--config", write_cfg(tmp_path, cfg))["result"]["levels"]
+        assert [ls["median"] for ls in levels] == pytest.approx([1.0, 1.0], abs=1e-4)
+
     def test_evt_quantile_past_1e300(self, capsys, tmp_path):
         # b_4 is about 1.9e307: the ratios are those of the unit slab up to the quantiles' rounding
         cfg = {"slab": GAUSS, "pi": {"c": 1.0}, "levels": [4, 5], "reps": 3}
@@ -2141,14 +2158,10 @@ class TestErrors:
                 "levels: level 70",
             ),
             # 2^40 draws per replicate: refused at once, as verify refuses them
+            # (evt draws one uniform per level instead: see test_evt_reaches_the_level_cap)
             (
                 "lln",
                 {"slab": GAUSS, "pi": {"c": 1.0}, "m": 2.0, "levels": [40], "reps": 2},
-                "levels: more than",
-            ),
-            (
-                "evt",
-                {"slab": GAUSS, "pi": {"c": 1.0}, "levels": [40], "reps": 2},
                 "levels: more than",
             ),
             (
@@ -2174,7 +2187,6 @@ class TestErrors:
             "lln-level-cap",
             "evt-level-cap",
             "lln-draw-cap",
-            "evt-draw-cap",
             "cwt-verify-v_count",
             "cwt-sample-intensity",
         ],

@@ -19,6 +19,7 @@ from besovlab.distributions import (
     absolute_moment,
     cdf_hplus,
     has_moment,
+    isf_hplus,
     quantile_hplus,
     sample,
     sample_abs,
@@ -89,6 +90,71 @@ def test_quantile_rejects_bad_u():
     for u in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
             quantile_hplus(Gaussian(1.0), u)
+
+
+@pytest.mark.parametrize("d", ALL_SLABS)
+def test_isf_inverts_the_folded_cdf_where_quantile_hplus_is_accurate(d):
+    # quantile_hplus(d, 1 - t) reads its tail probability t to 2^-53 absolute,
+    # so at t = 2^-40 it keeps about 4 digits; isf_hplus keeps its own to 1e-12
+    for k in range(1, 41):
+        t = 2.0**-k
+        assert isf_hplus(d, t) == pytest.approx(quantile_hplus(d, 1.0 - t), rel=1e-4)
+
+
+T_FAR = 2.0**-200  # 1 - T_FAR rounds to 1: only the survival function reaches it
+
+
+@pytest.mark.parametrize(
+    "d, closed_form",
+    [
+        (Laplace(1.0), 200.0 * math.log(2.0)),
+        (Laplace(0.5), 400.0 * math.log(2.0)),
+        (PowerExponential(1.5, 2.0), (200.0 * math.log(2.0)) ** (1.0 / 1.5) / 2.0),
+        (PowerExponential(3.0, 1.0), (200.0 * math.log(2.0)) ** (1.0 / 3.0)),
+        (Cauchy(), float(mpmath.cot(mpmath.pi * mpmath.mpf(T_FAR) / 2))),
+    ],
+)
+def test_isf_closed_forms_far_in_the_tail(d, closed_form):
+    assert isf_hplus(d, T_FAR) == pytest.approx(closed_form, rel=1e-14)
+
+
+@pytest.mark.parametrize("d", [Gaussian(1.0), Gaussian(2.0), StudentT(3.0), StudentT(1.5)])
+def test_isf_bisection_far_in_the_tail(d):
+    # the bisection stops at relative width 1e-12 in x; the tail falls like
+    # x^-nu or exp(-x^2/2), so the survival function there is within 1e-9 of t
+    x = isf_hplus(d, T_FAR)
+    if isinstance(d, Gaussian):
+        tail = math.erfc(x / (d.sigma * math.sqrt(2.0)))
+    else:
+        tail = 2.0 * stats.t.sf(x, d.nu)
+    assert tail == pytest.approx(T_FAR, rel=1e-9)
+
+
+@pytest.mark.parametrize("d", ALL_SLABS + [PowerExponential(1e5)])
+def test_isf_is_zero_at_one_and_refuses_t_outside_the_unit_interval(d):
+    assert isf_hplus(d, 1.0) == 0.0
+    for t in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            isf_hplus(d, t)
+
+
+def test_isf_past_the_float_range_is_inf_or_refused():
+    assert isf_hplus(Laplace(1e-310), 1.0 / 16) == math.inf
+    assert isf_hplus(PowerExponential(1e-3), 1.0 / 16) == math.inf
+    assert isf_hplus(Gaussian(1e308), 1.0 / 16) == math.inf
+    with pytest.raises(RuntimeError):
+        isf_hplus(StudentT(1e300), 1.0 / 16)
+
+
+def test_power_exponential_of_large_shape_has_a_folded_cdf_and_quantiles():
+    # (lam x)^m overflows a float for x > 1 when m = 1e5; the tail there is 0
+    d = PowerExponential(1e5)
+    assert cdf_hplus(d, 2.0) == 1.0
+    assert cdf_hplus(d, 1e300) == 1.0
+    assert cdf_hplus(d, 1.0) == pytest.approx(-math.expm1(-1.0), rel=1e-14)
+    for u in (0.5, 1.0 - 2.0**-20):
+        x = quantile_hplus(d, u)
+        assert math.isfinite(x) and 0.99 < x < 1.01
 
 
 def test_absolute_moment_values():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from besovlab import lab
 from besovlab.besov import level_terms
@@ -18,6 +19,7 @@ from besovlab.distributions import (
     PowerExponential,
     StudentT,
     sample,
+    sample_abs,
 )
 from besovlab.fields import ConfigError
 from besovlab.lab import (
@@ -142,6 +144,26 @@ def test_evt_cauchy_ratio_keeps_macroscopic_spread():
     for stat in report.levels:
         assert stat.q75 - stat.q25 > 0.5
     assert report.expected_ratio == pytest.approx(1.0 / math.log(2.0))
+
+
+@pytest.mark.parametrize("slab", [Laplace(1.0), Gaussian(1.0), StudentT(3.0)], ids=["laplace", "gaussian", "student_t"])
+def test_level_maxima_from_their_law_match_raw_maxima(slab):
+    """evt draws a level's maximum from its exact law; at level 12 that law
+    must not be told apart from the maximum of 4096 raw folded draws by a
+    two-sample Kolmogorov-Smirnov test at the 5% level."""
+    count, reps = 1 << 12, 400
+    rng = np.random.default_rng(12)
+    exact = [lab._level_max(slab, rng, count) for _ in range(reps)]
+    raw = [float(np.max(sample_abs(slab, rng, count))) for _ in range(reps)]
+    assert stats.ks_2samp(exact, raw).pvalue > 0.05
+
+
+def test_level_max_of_no_draws_is_zero_and_of_one_is_a_draw():
+    rng = np.random.default_rng(3)
+    assert lab._level_max(Laplace(1.0), rng, 0) == 0.0
+    # one draw: t = 1 - V, so the maximum is the folded quantile of V
+    v = np.random.default_rng(3).random()
+    assert lab._level_max(Laplace(1.0), rng, 1) == pytest.approx(-math.log1p(-v), rel=1e-12)
 
 
 def test_evt_rejects_sub_unit_expected_counts():
